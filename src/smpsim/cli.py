@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import secrets
 import sys
@@ -181,6 +182,24 @@ def build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------------
 
 
+def _integer(name: str, value: Any) -> int:
+    """``value`` as an int; CliError unless it is integral (a bool is not).
+
+    Accepts ints, integral floats such as 1e4 from a JSON config, and
+    integer strings; never truncates.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise CliError(f"--{name.replace('_', '-')} must be an integer, got {value!r}")
+
+
 class _Options:
     def __init__(self, args: argparse.Namespace):
         self.args = args
@@ -208,6 +227,11 @@ class _Options:
             raise CliError(f"missing required option --{name.replace('_', '-')}")
         return value
 
+    def integer(self, name: str, default: int | None = None) -> int:
+        """An integral option; required when ``default`` is None."""
+        value = self.require(name) if default is None else self.get(name, default)
+        return _integer(name, value)
+
     def seed(self) -> int:
         raw = self.get("seed", DEFAULT_MASTER_SEED)
         if isinstance(raw, str):
@@ -217,7 +241,7 @@ class _Options:
                 raw = int(raw, 0)
             except ValueError:
                 raise CliError(f"--seed must be an integer or 'random', got {raw!r}")
-        return int(raw)
+        return _integer("seed", raw)
 
     def workers(self) -> int:
         value = getattr(self.args, "workers", None)
@@ -230,7 +254,7 @@ class _Options:
                     raise CliError(f"SMPSIM_WORKERS must be an integer, got {env!r}")
             else:
                 value = self.config.get("workers", 1)
-        workers = int(value)
+        workers = _integer("workers", value)
         if workers < 1:
             raise CliError("worker count must be >= 1")
         return workers
@@ -246,7 +270,7 @@ class _Options:
                 return [int(tok) for tok in raw.split(",") if tok]
             except ValueError:
                 raise CliError(f"--{name.replace('_', '-')} must be a comma list of integers")
-        return [int(v) for v in raw]
+        return [_integer(name, v) for v in raw]
 
 
 def _parse_regime(token: str) -> AsymmetryRegime:
@@ -305,12 +329,12 @@ def _emit(
 def _cmd_simulate(opts: _Options) -> int:
     seed = opts.seed()
     config = ProtocolConfig(
-        n=int(opts.require("n")),
-        delta=int(opts.get("delta", 0)),
-        rounds=int(opts.get("rounds", 3)),
+        n=opts.integer("n"),
+        delta=opts.integer("delta", 0),
+        rounds=opts.integer("rounds", 3),
         network=NetworkModel(q=float(opts.require("q"))),
     )
-    trial = int(opts.get("trial", 0))
+    trial = opts.integer("trial", 0)
     mode = opts.get("mode", MODE_AGGREGATED)
     started = _timestamp()
     outcome = run_trial(config, trial, seed, mode=mode)
@@ -332,13 +356,13 @@ def _cmd_simulate(opts: _Options) -> int:
 def _cmd_estimate(opts: _Options) -> int:
     seed = opts.seed()
     config = ProtocolConfig(
-        n=int(opts.require("n")),
-        delta=int(opts.get("delta", 0)),
-        rounds=int(opts.get("rounds", 3)),
+        n=opts.integer("n"),
+        delta=opts.integer("delta", 0),
+        rounds=opts.integer("rounds", 3),
         network=NetworkModel(q=float(opts.require("q"))),
     )
     event = opts.get("event", "consensus")
-    trials = int(opts.get("trials", 10_000))
+    trials = opts.integer("trials", 10_000)
     mode = opts.get("mode", MODE_AGGREGATED)
     method = opts.get("interval", "wilson")
     started = _timestamp()
@@ -402,11 +426,11 @@ def _cmd_sweep(opts: _Options, kind: str) -> int:
         sweep = _merge_sweeps("trichotomy", labeled)
         config_echo = {"q": q, "n_grid": n_grid, "regimes": tokens}
     elif kind == "max-error":
-        n = int(opts.require("n"))
+        n = opts.integer("n")
         q = float(opts.get("q", 0.5))
-        rounds = int(opts.get("rounds", 3))
-        trials = int(opts.get("trials", 1_000))
-        stride = int(opts.get("delta_stride", 1))
+        rounds = opts.integer("rounds", 3)
+        trials = opts.integer("trials", 1_000)
+        stride = opts.integer("delta_stride", 1)
         sweep = experiments.max_error_sweep(
             n, q, rounds, trials, seed, deltas=range(0, n + 1, stride), workers=workers
         )
@@ -415,14 +439,14 @@ def _cmd_sweep(opts: _Options, kind: str) -> int:
     elif kind == "return-to-symmetry":
         q = float(opts.get("q", 0.5))
         n_grid = opts.int_list("n_grid", [100, 400, 1_600])
-        trials = int(opts.get("trials", 100_000))
+        trials = opts.integer("trials", 100_000)
         sweep = experiments.return_to_symmetry_rate(n_grid, q, trials, seed, workers=workers)
         config_echo = {"q": q, "n_grid": n_grid, "trials": trials}
     elif kind == "theorem1":
         q = float(opts.get("q", 0.5))
         n_grid = opts.int_list("n_grid", [10_000])
-        trials = int(opts.get("trials", 1_000))
-        trials_single = int(opts.get("trials_single_round", 100_000))
+        trials = opts.integer("trials", 1_000)
+        trials_single = opts.integer("trials_single_round", 100_000)
         alpha = float(opts.get("alpha", 1.0))
         sweep = experiments.theorem1_suite(
             q, n_grid, seed, trials_single_round=trials_single,
@@ -434,7 +458,7 @@ def _cmd_sweep(opts: _Options, kind: str) -> int:
     elif kind == "theorem2":
         q = float(opts.get("q", 0.5))
         n_grid = opts.int_list("n_grid", [100, 1_000, 10_000])
-        trials = int(opts.get("trials", 1_000))
+        trials = opts.integer("trials", 1_000)
         sweep = experiments.theorem2_suite(q, n_grid, trials, seed, workers=workers)
         config_echo = {"q": q, "n_grid": n_grid, "trials": trials}
     else:
@@ -449,19 +473,19 @@ def _cmd_bounds(opts: _Options, kind: str) -> int:
     seed = opts.seed()
     started = _timestamp()
     if kind == "prop1":
-        n, a, q = int(opts.require("n")), int(opts.require("a")), float(opts.require("q"))
+        n, a, q = opts.integer("n"), opts.integer("a"), float(opts.require("q"))
         report = analytics.BoundReport(
             bound_name="prop1", parameters={"n": n, "A": a, "q": q},
             bound_value=analytics.prop1_error_bound(n, a, q),
         )
     elif kind == "prop4":
-        n, b = int(opts.require("n")), int(opts.require("b"))
+        n, b = opts.integer("n"), opts.integer("b")
         report = analytics.BoundReport(
             bound_name="prop4", parameters={"n": n, "B": b},
             bound_value=analytics.prop4_bound(n, b),
         )
     elif kind == "prop5":
-        n, c, q = int(opts.require("n")), int(opts.require("c")), float(opts.require("q"))
+        n, c, q = opts.integer("n"), opts.integer("c"), float(opts.require("q"))
         report = analytics.BoundReport(
             bound_name="prop5",
             parameters={"n": n, "C": c, "q": q,
@@ -470,7 +494,7 @@ def _cmd_bounds(opts: _Options, kind: str) -> int:
             bound_value=analytics.prop5_bound(n, c, q),
         )
     elif kind == "pn-sandwich":
-        n, q = int(opts.require("n")), float(opts.require("q"))
+        n, q = opts.integer("n"), float(opts.require("q"))
         lower, upper = analytics.pn_sandwich(n, q)
         exact = analytics.keep_zero_probability(n, n, q) if n <= 20_000 else None
         report = analytics.BoundReport(
@@ -478,7 +502,7 @@ def _cmd_bounds(opts: _Options, kind: str) -> int:
             bound_value=upper, empirical_value=exact,
         )
     elif kind == "stirling":
-        m, p, k = int(opts.require("m")), float(opts.require("p")), int(opts.require("k"))
+        m, p, k = opts.integer("m"), float(opts.require("p")), opts.integer("k")
         lower, upper = analytics.pmf_stirling_bounds(m, p, k)
         exact = math.exp(analytics.binomial_log_pmf(m, p, k))
         report = analytics.BoundReport(
@@ -498,17 +522,17 @@ def _cmd_oracle(opts: _Options, kind: str) -> int:
     seed = opts.seed()
     started = _timestamp()
     if kind == "exhaustive":
-        counts = OpinionCounts(zeros=int(opts.require("zeros")), ones=int(opts.require("ones")))
+        counts = OpinionCounts(zeros=opts.integer("zeros"), ones=opts.integer("ones"))
         q = float(opts.require("q"))
         dist = exhaustive_round_distribution(counts, q)
         for k, p in enumerate(dist.probabilities):
             print(f"P[next zeros = {k}] = {p:.12g}")
         _emit(opts, dist, {"zeros": counts.zeros, "ones": counts.ones, "q": q}, seed, started)
     elif kind == "exact-chain":
-        n = int(opts.require("n"))
-        delta = int(opts.get("delta", 0))
+        n = opts.integer("n")
+        delta = opts.integer("delta", 0)
         q = float(opts.require("q"))
-        rounds = int(opts.get("rounds", 3))
+        rounds = opts.integer("rounds", 3)
         p_cons, p_maj = exact_chain_consensus_probability(n, delta, q, rounds)
         print(f"P[consensus] = {p_cons:.12g}")
         print(f"P[majority consensus] = {p_maj:.12g}")

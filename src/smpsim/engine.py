@@ -51,6 +51,8 @@ __all__ = [
 
 EXHAUSTIVE_MAX_AGENTS = 6
 EXACT_CHAIN_MAX_AGENTS = 1000
+#: Chain rows whose binomials are evaluated together.
+_CHAIN_ROW_BLOCK = 32
 
 MODE_AGGREGATED = "aggregated"
 MODE_PER_AGENT = "per_agent"
@@ -330,13 +332,28 @@ def step_per_agent(state: OpinionVector, q: float, rng: RngStream) -> OpinionVec
 # --------------------------------------------------------------------------
 
 
+def _round_laws(total: int, zs, p00, p10) -> list[np.ndarray]:
+    """Exact one-round laws Bin(z, p00) * Bin(total - z, p10) of the zero-count.
+
+    One law per entry of ``zs``; both binomials are evaluated on their
+    windows, outside which every term is below the smallest double.
+    """
+    zs = np.asarray(zs)
+    windows = analytics._pmf_windows(np.concatenate([zs, total - zs]), np.concatenate([p00, p10]))
+    laws = []
+    for (lo_keep, keep), (lo_gain, gain) in zip(windows, windows[len(zs):]):
+        law = np.zeros(total + 1)
+        part = np.convolve(keep, gain)
+        law[lo_keep + lo_gain : lo_keep + lo_gain + len(part)] = part
+        laws.append(law)
+    return laws
+
+
 def aggregated_round_distribution(counts: OpinionCounts, q: float) -> CountDistribution:
     """Exact one-round law Bin(z, p_keep) * Bin(o, p_adopt) of the zero-count."""
-    z, o = counts.zeros, counts.ones
-    p00, p10 = _transition_pair(z, o, q)
-    pmf_keep = np.exp(analytics._log_pmf_array(z, p00)) if z > 0 else np.ones(1)
-    pmf_gain = np.exp(analytics._log_pmf_array(o, p10)) if o > 0 else np.ones(1)
-    return CountDistribution(probabilities=np.convolve(pmf_keep, pmf_gain))
+    p00, p10 = _transition_pair(counts.zeros, counts.ones, q)
+    (law,) = _round_laws(counts.total, [counts.zeros], [p00], [p10])
+    return CountDistribution(probabilities=law)
 
 
 def exhaustive_round_distribution(counts: OpinionCounts, q: float) -> CountDistribution:
@@ -390,7 +407,8 @@ def exact_chain_consensus_probability(
     """Exact (P{consensus}, P{majority consensus}) via the count Markov chain.
 
     The kernel row at z is the convolution Bin(z, p_keep) * Bin(2n - z,
-    p_adopt); the start distribution is a point mass at n + delta and the
+    p_adopt), with keep/adopt for every z from one ``transition_tables``
+    pass; the start distribution is a point mass at n + delta and the
     chain is advanced ``rounds`` times.  Consensus states are absorbing
     rows, exact point masses.
     """
@@ -403,20 +421,19 @@ def exact_chain_consensus_probability(
         raise ValueError(f"|delta| must be <= n, got {delta}")
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
+    p00, p10 = analytics.transition_tables(total, q)
     dist = np.zeros(total + 1)
     dist[n + delta] = 1.0
     rows: dict[int, np.ndarray] = {}
     for _ in range(rounds):
+        live = np.flatnonzero(dist > 0.0)
+        missing = np.array([z for z in live.tolist() if z not in rows], dtype=np.int64)
+        for i in range(0, len(missing), _CHAIN_ROW_BLOCK):
+            block = missing[i : i + _CHAIN_ROW_BLOCK]
+            rows.update(zip(block.tolist(), _round_laws(total, block, p00[block], p10[block])))
         new = np.zeros(total + 1)
-        for z in np.flatnonzero(dist > 0.0):
-            z = int(z)
-            row = rows.get(z)
-            if row is None:
-                row = aggregated_round_distribution(
-                    OpinionCounts(zeros=z, ones=total - z), q
-                ).probabilities
-                rows[z] = row
-            new += dist[z] * row
+        for z in live.tolist():
+            new += dist[z] * rows[z]
         dist = new
     p_consensus = float(dist[0] + dist[total])
     if delta > 0:

@@ -12,6 +12,7 @@ counting is associative, so results are identical for any worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -202,10 +203,16 @@ def _final_zeros_chunk(args) -> np.ndarray:
     return run_trials_batch(config, ids, master_seed, mode=mode).final_zeros
 
 
+def _pool_size(workers: int, chunks: int) -> int:
+    """Worker processes worth starting: never more than chunks or CPUs."""
+    return max(1, min(workers, chunks, os.cpu_count() or 1))
+
+
 def _map_chunks(fn, args_list: list, workers: int) -> list:
-    if workers <= 1 or len(args_list) <= 1:
+    size = _pool_size(workers, len(args_list))
+    if size <= 1:
         return [fn(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(fn, args_list))
 
 

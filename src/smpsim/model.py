@@ -18,6 +18,7 @@ functions, safe to call concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 
@@ -107,6 +108,10 @@ class ProtocolConfig:
     network: NetworkModel
 
     def __post_init__(self) -> None:
+        for name in ("n", "delta", "rounds"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
         if abs(self.delta) > self.n:

@@ -21,11 +21,11 @@ from their own counter block, so retries never perturb other lanes.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from . import analytics
+from scipy.special import gammaln
 
 __all__ = ["RngStream", "philox4x64", "uniform_lanes", "sample_binomial", "sample_binomial_lanes"]
 
@@ -157,6 +157,22 @@ class RngStream:
 _INVERSION_MAX_M = 1024
 _REJECTION_MIN_MEAN = 10.0
 
+_LOG_FACT_LOCK = threading.Lock()
+_LOG_FACT = np.zeros(1)  # _LOG_FACT[i] = log(i!)
+
+
+def _log_factorials(upto: int) -> np.ndarray:
+    """Table t with t[i] = log(i!) for i = 0..upto, grown geometrically."""
+    global _LOG_FACT
+    table = _LOG_FACT
+    if len(table) > upto:
+        return table
+    with _LOG_FACT_LOCK:
+        if len(_LOG_FACT) <= upto:
+            size = max(upto + 1, 2 * len(_LOG_FACT), 1024)
+            _LOG_FACT = gammaln(np.arange(1, size + 1, dtype=np.float64))
+        return _LOG_FACT
+
 
 @functools.lru_cache(maxsize=256)
 def _inversion_cdf(m: int, p: float) -> np.ndarray:
@@ -170,7 +186,7 @@ def _inversion_cdf(m: int, p: float) -> np.ndarray:
         k_max = m
     else:
         k_max = min(m, int(np.ceil(m * p + 40.0 * np.sqrt(m * p * (1.0 - p)) + 50.0)))
-    lf = analytics._log_factorials(m)
+    lf = _log_factorials(m)
     k = np.arange(k_max + 1)
     log_pmf = lf[m] - lf[k] - lf[m - k] + k * np.log(p) + (m - k) * np.log1p(-p)
     cdf = np.cumsum(np.exp(log_pmf))
@@ -217,7 +233,7 @@ def _sample_btrs(m, p, master_seed, trial, round_index, group, out, lanes, u0, v
     log_p = np.log(p_sel)
     log_q = np.log1p(-p_sel)
     mode = np.floor((m_sel + 1.0) * p_sel)
-    lf = analytics._log_factorials(int(m_int.max()))
+    lf = _log_factorials(int(m_int.max()))
 
     def log_pmf(k: np.ndarray, idx: np.ndarray) -> np.ndarray:
         k_int = k.astype(np.int64)

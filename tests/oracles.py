@@ -50,6 +50,52 @@ def comparison_fraction(m1: int, m2: int, p: Fraction, offset: int) -> Fraction:
     return total
 
 
+def comparison_mpmath(m1: int, m2: int, p, offset: int, dps: int = 40):
+    """P{Bin(m1,p) + offset >= Bin(m2,p)} in mpmath at ``dps`` digits.
+
+    ``p`` is converted with mpmath.mpf, so a string such as "0.8" is taken
+    exactly.  Each PMF starts from a log-gamma value at the low end of the
+    window mean +- (40 sd + 60) and follows the ratio recurrence; the mass
+    outside the window is below 1e-340.  Needs mpmath (imported here so the
+    other oracles do not).
+    """
+    import mpmath
+
+    with mpmath.workdps(dps + 10):
+        p = mpmath.mpf(p)
+
+        def window(m):
+            width = 40 * mpmath.sqrt(m * p * (1 - p)) + 60
+            lo = max(0, int(mpmath.floor(m * p - width)))
+            hi = min(m, int(mpmath.ceil(m * p + width)))
+            term = mpmath.exp(
+                mpmath.loggamma(m + 1) - mpmath.loggamma(lo + 1) - mpmath.loggamma(m - lo + 1)
+                + lo * mpmath.log(p) + (m - lo) * mpmath.log(1 - p)
+            )
+            ratio = p / (1 - p)
+            terms = [term]
+            for k in range(lo, hi):
+                term = term * (m - k) / (k + 1) * ratio
+                terms.append(term)
+            return lo, terms
+
+        lo1, pmf1 = window(m1)
+        lo2, pmf2 = window(m2)
+        cdf2, acc = [], mpmath.mpf(0)
+        for t in pmf2:
+            acc += t
+            cdf2.append(acc)
+        hi2 = lo2 + len(cdf2) - 1
+        total = mpmath.mpf(0)
+        for i, t in enumerate(pmf1):
+            j = lo1 + i + offset
+            if j >= hi2:
+                total += t
+            elif j >= lo2:
+                total += t * cdf2[j - lo2]
+        return +total
+
+
 def global_pattern_round_law(zeros: int, ones: int, q: float) -> list[float]:
     """Exact one-round law of the zero-count by enumerating EVERY loss mask.
 

@@ -13,6 +13,7 @@ from oracles import (
     binomial_pmf_direct,
     comparison_direct,
     comparison_fraction,
+    comparison_mpmath,
     normal_cdf_quadrature,
 )
 
@@ -170,6 +171,60 @@ class TestTransitionProbabilities:
         assert t.p_adopt_zero == pytest.approx(A.adopt_zero_probability(4, 4, 0.5))
         with pytest.raises(ValueError):
             A.TransitionProbabilities(p_keep_zero=1.2, p_adopt_zero=0.0)
+
+
+# (kind, z, o, q): ties and imbalances up to 2n = 2e5, one-agent sides, and
+# a deep tail near 1e-200.
+MPMATH_POINTS = [
+    (kind, z, o, q)
+    for q in (0.2, 0.5, 0.8)
+    for z, o in ((100_000, 100_000), (99_000, 101_000), (10_100, 9_900),
+                 (1, 40), (40, 1), (500, 500))
+    for kind in ("keep", "adopt")
+] + [("keep", 60, 940, 0.5), ("adopt", 60, 940, 0.5)]
+
+
+class TestAgainstMpmath:
+    @pytest.mark.parametrize("kind,z,o,q", MPMATH_POINTS)
+    def test_transition_probability_relative_error(self, kind, z, o, q):
+        mpmath = pytest.importorskip("mpmath")
+        p = 1 - mpmath.mpf(q)
+        if kind == "keep":
+            got, want = A.keep_zero_probability(z, o, q), comparison_mpmath(z - 1, o, p, 1)
+        else:
+            got, want = A.adopt_zero_probability(z, o, q), comparison_mpmath(z, o - 1, p, -2)
+        if want == 0:
+            assert got == 0.0
+        else:
+            assert abs(got - want) <= 1e-13 * want, (got, want)
+
+    def test_deep_tail_is_near_1e_minus_200(self):
+        assert 1e-210 < A.adopt_zero_probability(60, 940, 0.5) < 1e-200
+
+
+class TestTransitionTables:
+    @pytest.mark.parametrize("q", [0.2, 0.8])
+    def test_one_pass_equals_single_calls(self, q):
+        total = 1000
+        keep, adopt = A.transition_tables(total, q)
+        assert keep[0] == 0.0 and adopt[total] == 0.0
+        for z in range(1, total + 1):
+            single = A.keep_zero_probability(z, total - z, q)
+            assert abs(keep[z] - single) <= 1e-15 * single, z
+        for z in range(total):
+            single = A.adopt_zero_probability(z, total - z, q)
+            assert abs(adopt[z] - single) <= 1e-15 * single, z
+
+    def test_small_systems_and_validation(self):
+        keep, adopt = A.transition_tables(1, 0.3)
+        assert list(keep) == [0.0, 1.0] and list(adopt) == [0.0, 0.0]
+        keep, adopt = A.transition_tables(4, 0.5)
+        assert keep[2] == A.keep_zero_probability(2, 2, 0.5)
+        assert adopt[3] == A.adopt_zero_probability(3, 1, 0.5)
+        with pytest.raises(ValueError):
+            A.transition_tables(0, 0.5)
+        with pytest.raises(ValueError):
+            A.transition_tables(4, 1.5)
 
 
 class TestTransitionCache:

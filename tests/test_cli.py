@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from smpsim import DEFAULT_MASTER_SEED
 from smpsim.cli import main
 
@@ -229,3 +231,26 @@ class TestVerifySubcommand:
         assert "pinned" in err
         code, _, _ = run_cli(capsys, "verify", "properties", "--q", "0.5")
         assert code == 0
+
+
+class TestIntegerOptions:
+    BASE = {"n": 2, "delta": 0, "rounds": 1, "q": 0.5, "trials": 10}
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("n", 2.5), ("delta", 0.5), ("rounds", 1.5), ("trials", 10.5), ("n", True), ("n", "2.5")],
+    )
+    def test_non_integral_config_value_exits_1(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.BASE, key: value}))
+        code, out, err = run_cli(capsys, "estimate", "--config", str(cfg))
+        assert code == 1
+        assert f"--{key} must be an integer" in err
+        assert out == ""
+
+    def test_integral_values_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.BASE, "n": 2.0, "trials": "10"}))
+        code, out, _ = run_cli(capsys, "estimate", "--config", str(cfg))
+        assert code == 0
+        assert out.strip().endswith("/10)")  # ten trials ran

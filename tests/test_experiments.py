@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 
@@ -6,6 +7,7 @@ from smpsim import analytics
 from smpsim.engine import exact_chain_consensus_probability
 from smpsim.experiments import (
     Estimate,
+    _pool_size,
     clopper_pearson_interval,
     estimate_event_probability,
     final_zeros_sample,
@@ -118,6 +120,15 @@ class TestEstimateEventProbability:
         est1 = estimate_event_probability(_config(10, 0, 2, 0.5), "consensus", 150_000, SEED, workers=1)
         est2 = estimate_event_probability(_config(10, 0, 2, 0.5), "consensus", 150_000, SEED, workers=2)
         assert est1 == est2
+
+    def test_pool_size_is_clamped(self):
+        # computed, never launched: a pool is no larger than chunks or CPUs
+        cpus = os.cpu_count() or 1
+        assert _pool_size(5000, 3) == min(3, cpus)
+        assert _pool_size(5000, 10**6) == cpus
+        assert _pool_size(1, 100) == 1
+        assert _pool_size(8, 1) == 1
+        assert _pool_size(8, 0) == 1
 
     def test_custom_predicate(self):
         est = estimate_event_probability(

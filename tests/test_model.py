@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -134,6 +135,19 @@ class TestNetworkAndConfig:
             ProtocolConfig(n=3, delta=4, rounds=1, network=net)
         with pytest.raises(ValueError):
             ProtocolConfig(n=3, delta=0, rounds=0, network=net)
+
+    @pytest.mark.parametrize("name", ["n", "delta", "rounds"])
+    @pytest.mark.parametrize("value", [2.0, 2.5, True, "2"])
+    def test_config_rejects_non_integers(self, name, value):
+        fields = {"n": 3, "delta": 1, "rounds": 2, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ProtocolConfig(network=NetworkModel(q=0.5), **fields)
+
+    def test_config_accepts_numpy_integers(self):
+        cfg = ProtocolConfig(
+            n=np.int64(3), delta=np.int32(-1), rounds=np.uint8(2), network=NetworkModel(q=0.5)
+        )
+        assert cfg.initial_state() == OpinionCounts(2, 4)
 
     def test_config_initial_state(self):
         cfg = ProtocolConfig(n=5, delta=-2, rounds=2, network=NetworkModel(q=0.5))
