@@ -22,7 +22,8 @@ state with ``z`` zeros, ``o`` ones and delivery probability q' = 1 - q:
 Both are memoized because Monte Carlo sweeps revisit the same counts
 heavily; results are identical with the cache disabled.  The exact chain
 takes both for every z of a 2n-agent system from ``transition_tables``,
-which builds each binomial once and gives the same values.
+which builds each binomial once, gives the same values and is memoised
+per (2n, q).
 """
 
 from __future__ import annotations
@@ -93,10 +94,9 @@ _LOG_2PI = math.log(2.0 * math.pi)
 #: Half-width of a binomial window solves exp(-t^2 / (2 (var + t/3))) = 1e-340
 #: (Bernstein), so each tail outside it holds less than 1e-340.
 _WINDOW_LOG_TAIL = 340.0 * math.log(10.0)
-#: Window entries evaluated together when many binomials are needed at once,
-#: and the largest window that is packed with others.
+#: Window entries evaluated together where many binomials are needed at once
+#: (the keep/adopt table and the exact chain's rows), bounding the memory held.
 _BLOCK_ELEMENTS = 1 << 15
-_PACKED_WINDOW_MAX = 2048
 #: Terms of the bd0 series near x = mu, where |v| < 0.1: the first dropped
 #: one is below 1e-20 of the sum.
 _BD0_SERIES_TERMS = 9
@@ -152,32 +152,38 @@ def _log_pmf_base(m: np.ndarray) -> np.ndarray:
         return _stirlerr(m) + 0.5 * (np.log(m) - _LOG_2PI)
 
 
-def _log_pmf(m, k: np.ndarray, p, base) -> np.ndarray:
-    """log P{Bin(m, p) = k} elementwise, in Loader's saddle-point form.
+def _log_pmf(m: np.ndarray, p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """log P{Bin(m[i], p[i]) = k} for k = lo[i]..hi[i], the windows concatenated.
 
-    log pmf = base(m) - stirlerr(k) - stirlerr(m-k) - bd0(k, mp)
-    - bd0(m-k, m(1-p)) - log(k (m-k)) / 2 for 0 < k < m, where base(m) is
-    ``_log_pmf_base(m)``; the end points are m log(1-p) and m log(p), with
-    0 log 0 = 0.  Every term is O(1) or computed with relative accuracy,
-    so the error does not grow with m.  k - mp is formed exactly from a
-    split of p, for m < 2^27.
+    Loader's saddle-point form: log pmf = base(m) - stirlerr(k) -
+    stirlerr(m-k) - bd0(k, mp) - bd0(m-k, m(1-p)) - log(k (m-k)) / 2 for
+    0 < k < m, where base(m) is ``_log_pmf_base(m)``; the end points are
+    m log(1-p) and m log(p), with 0 log 0 = 0.  Every term is O(1) or
+    computed with relative accuracy, so the error does not grow with m.
+    k - mp is formed exactly from a split of p, for m < 2^27.  Per-window
+    quantities are computed once and spread over their window, so an entry
+    never depends on which other windows are evaluated with it.
     """
+    sizes = hi - lo + 1
+    starts = np.cumsum(sizes) - sizes
     split = 134217729.0 * p  # Veltkamp: p = p_hi + p_lo with 26-bit halves
     p_hi = split - (split - p)
     mp_hi, mp_lo = m * p_hi, m * (p - p_hi)
-    d = (k - mp_hi) - mp_lo
     mean = mp_hi + mp_lo
+    per_window = np.stack([lo - starts, m, mp_hi, mp_lo, mean, m - mean, _log_pmf_base(m)])
+    shift, m_k, mp_hi, mp_lo, mean, rest, base = np.repeat(per_window, sizes, axis=1)
+    k = np.arange(float(sizes.sum())) + shift
+    d = (k - mp_hi) - mp_lo
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = (
-            base - _stirlerr(k) - _stirlerr(m - k)
-            - _bd0(k, mean, d) - _bd0(m - k, m - mean, -d)
-            - 0.5 * np.log(k * (m - k))
+            base - _stirlerr(k) - _stirlerr(m_k - k)
+            - _bd0(k, mean, d) - _bd0(m_k - k, rest, -d)
+            - 0.5 * np.log(k * (m_k - k))
         )
-        m, p = np.broadcast_arrays(m, p, k)[:2]
-        top, low = np.flatnonzero(k == m), np.flatnonzero(k == 0)
-        out[top] = m[top] * np.log(p[top])
-        out[low] = m[low] * np.log1p(-p[low])
-    out[low[m[low] == 0]] = 0.0  # Bin(0, p) is a point mass at 0 for every p
+        top, low = hi == m, lo == 0
+        out[(starts + sizes - 1)[top]] = m[top] * np.log(p[top])
+        out[starts[low]] = m[low] * np.log1p(-p[low])
+    out[starts[m == 0]] = 0.0  # Bin(0, p) is a point mass at 0 for every p
     return out
 
 
@@ -199,29 +205,15 @@ def _window_bounds(m: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _windowed_log_pmfs(m, p) -> list[tuple[int, np.ndarray]]:
     """[(lo, log pmf over k = lo..hi)] of Bin(m[i], p[i]) on each window.
 
-    Windows of up to _PACKED_WINDOW_MAX entries are evaluated together, a
-    batch of about _BLOCK_ELEMENTS entries at a time, so that many small
-    binomials cost a few numpy calls; larger ones are evaluated alone.
+    All windows are evaluated in one packed pass, so that many small
+    binomials cost a few numpy calls; callers needing many windows pass
+    them in blocks of about _BLOCK_ELEMENTS entries.
     """
     m = np.atleast_1d(np.asarray(m, dtype=np.float64))
     p = np.broadcast_to(np.asarray(p, dtype=np.float64), m.shape)
     lo, hi = _window_bounds(m, p)
-    sizes = hi - lo + 1
-    out: list = [None] * len(m)
-    for i in np.flatnonzero(sizes > _PACKED_WINDOW_MAX):
-        k = np.arange(lo[i], hi[i] + 1.0)
-        out[i] = (int(lo[i]), _log_pmf(m[i], k, p[i], _log_pmf_base(m[i])))
-    small = np.flatnonzero(sizes <= _PACKED_WINDOW_MAX)
-    batches = -(-int(sizes[small].sum()) // _BLOCK_ELEMENTS)
-    for batch in np.array_split(small, batches) if batches else ():
-        n = sizes[batch]
-        starts = np.cumsum(n) - n
-        seg = np.repeat(batch, n)
-        k = np.arange(float(n.sum())) + np.repeat(lo[batch] - starts, n)
-        log_pmf = _log_pmf(m[seg], k, p[seg], np.repeat(_log_pmf_base(m[batch]), n))
-        for i, start, size in zip(batch.tolist(), starts.tolist(), n.tolist()):
-            out[i] = (int(lo[i]), log_pmf[start : start + size])
-    return out
+    pieces = np.split(_log_pmf(m, p, lo, hi), np.cumsum(hi - lo + 1)[:-1])
+    return list(zip(lo.tolist(), pieces))
 
 
 def _pmf_windows(m, p) -> list[tuple[int, np.ndarray]]:
@@ -248,8 +240,7 @@ def _log_pmf_array(m: int, p: float) -> np.ndarray:
         raise ValueError(f"m must be nonnegative, got {m}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    m, p = np.float64(m), np.float64(p)
-    return _log_pmf(m, np.arange(m + 1.0), p, _log_pmf_base(m))
+    return _log_pmf(np.array([float(m)]), np.array([float(p)]), np.array([0]), np.array([m]))
 
 
 def _compare_windows(win1, win2, offset: int) -> float:
@@ -334,34 +325,66 @@ def _adopt_zero_exact(z: int, o: int, q: float) -> float:
     return comparison_probability(z, o - 1, 1.0 - q, -2)
 
 
+def _transition_tables_exact(total: int, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Uncached ``transition_tables``: both binomials of every pair built once."""
+    if total < 1:
+        raise ValueError(f"total must be positive, got {total}")
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must be in [0, 1], got {q}")
+    p = 1.0 - q
+    last = total - 1
+    keep = np.zeros(total + 1)
+    adopt = np.zeros(total + 1)
+    lower = np.arange(last // 2 + 1)
+    # pairs (a, last - a) in blocks of about _BLOCK_ELEMENTS window entries
+    for block in np.array_split(lower, max(1, len(lower) * (total + 1) // _BLOCK_ELEMENTS)):
+        wins = _scaled_windows(np.concatenate([block, last - block]), p)
+        for a, win_a, win_b in zip(block.tolist(), wins, wins[len(block):]):
+            b = last - a
+            for m1, m2, win1, win2 in ((a, b, win_a, win_b), (b, a, win_b, win_a)):
+                for offset, out, z in ((1, keep, m1 + 1), (-2, adopt, m1)):
+                    certain = _short_circuit(m1, m2, offset)
+                    out[z] = certain if certain is not None else _compare_windows(win1, win2, offset)
+    keep.flags.writeable = adopt.flags.writeable = False
+    return keep, adopt
+
+
 DEFAULT_CACHE_CAPACITY = 1 << 20
+#: (total, q) tables kept by ``transition_tables``; each holds 2 (total + 1) floats.
+_TABLE_CACHE_CAPACITY = 8
 
 _keep_cached = functools.lru_cache(maxsize=DEFAULT_CACHE_CAPACITY)(_keep_zero_exact)
 _adopt_cached = functools.lru_cache(maxsize=DEFAULT_CACHE_CAPACITY)(_adopt_zero_exact)
+_tables_cached = functools.lru_cache(maxsize=_TABLE_CACHE_CAPACITY)(_transition_tables_exact)
 
 
 def configure_transition_cache(capacity: int | None) -> None:
-    """Rebuild the (z, o, q) memo caches; capacity 0 disables caching."""
-    global _keep_cached, _adopt_cached
+    """Rebuild the (z, o, q) memo caches and the table cache; capacity 0 disables caching."""
+    global _keep_cached, _adopt_cached, _tables_cached
     if capacity is not None and capacity < 0:
         raise ValueError(f"capacity must be nonnegative or None, got {capacity}")
     if capacity == 0:
         _keep_cached = _keep_zero_exact
         _adopt_cached = _adopt_zero_exact
+        _tables_cached = _transition_tables_exact
     else:
         _keep_cached = functools.lru_cache(maxsize=capacity)(_keep_zero_exact)
         _adopt_cached = functools.lru_cache(maxsize=capacity)(_adopt_zero_exact)
+        _tables_cached = functools.lru_cache(maxsize=_TABLE_CACHE_CAPACITY)(
+            _transition_tables_exact
+        )
 
 
 def transition_cache_info() -> dict[str, Any]:
     info = {}
-    for name, fn in (("keep_zero", _keep_cached), ("adopt_zero", _adopt_cached)):
+    for name, fn in (("keep_zero", _keep_cached), ("adopt_zero", _adopt_cached),
+                     ("tables", _tables_cached)):
         info[name] = fn.cache_info()._asdict() if hasattr(fn, "cache_info") else None
     return info
 
 
 def clear_transition_cache() -> None:
-    for fn in (_keep_cached, _adopt_cached):
+    for fn in (_keep_cached, _adopt_cached, _tables_cached):
         if hasattr(fn, "cache_clear"):
             fn.cache_clear()
 
@@ -384,27 +407,10 @@ def transition_tables(total: int, q: float) -> tuple[np.ndarray, np.ndarray]:
     keep[0] = adopt[total] = 0.  keep(z + 1) and adopt(z) both compare
     Bin(z, 1-q) with Bin(total - 1 - z, 1-q), so each binomial's window is
     built once and serves both orders of its pair; the values equal the
-    single calls.
+    single calls.  Tables are memoised per (total, q), so repeated chains
+    of one system build them once; the arrays are read-only.
     """
-    if total < 1:
-        raise ValueError(f"total must be positive, got {total}")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
-    p = 1.0 - q
-    last = total - 1
-    keep = np.zeros(total + 1)
-    adopt = np.zeros(total + 1)
-    lower = np.arange(last // 2 + 1)
-    # pairs (a, last - a) in blocks of about _BLOCK_ELEMENTS window entries
-    for block in np.array_split(lower, max(1, len(lower) * (total + 1) // _BLOCK_ELEMENTS)):
-        wins = _scaled_windows(np.concatenate([block, last - block]), p)
-        for a, win_a, win_b in zip(block.tolist(), wins, wins[len(block):]):
-            b = last - a
-            for m1, m2, win1, win2 in ((a, b, win_a, win_b), (b, a, win_b, win_a)):
-                for offset, out, z in ((1, keep, m1 + 1), (-2, adopt, m1)):
-                    certain = _short_circuit(m1, m2, offset)
-                    out[z] = certain if certain is not None else _compare_windows(win1, win2, offset)
-    return keep, adopt
+    return _tables_cached(total, q)
 
 
 @dataclass(frozen=True)

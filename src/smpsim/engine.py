@@ -51,8 +51,6 @@ __all__ = [
 
 EXHAUSTIVE_MAX_AGENTS = 6
 EXACT_CHAIN_MAX_AGENTS = 1000
-#: Chain rows whose binomials are evaluated together.
-_CHAIN_ROW_BLOCK = 32
 
 MODE_AGGREGATED = "aggregated"
 MODE_PER_AGENT = "per_agent"
@@ -422,14 +420,16 @@ def exact_chain_consensus_probability(
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     p00, p10 = analytics.transition_tables(total, q)
+    # rows built together, about _BLOCK_ELEMENTS window entries per block
+    block_rows = max(1, analytics._BLOCK_ELEMENTS // (total + 1))
     dist = np.zeros(total + 1)
     dist[n + delta] = 1.0
     rows: dict[int, np.ndarray] = {}
     for _ in range(rounds):
         live = np.flatnonzero(dist > 0.0)
         missing = np.array([z for z in live.tolist() if z not in rows], dtype=np.int64)
-        for i in range(0, len(missing), _CHAIN_ROW_BLOCK):
-            block = missing[i : i + _CHAIN_ROW_BLOCK]
+        for i in range(0, len(missing), block_rows):
+            block = missing[i : i + block_rows]
             rows.update(zip(block.tolist(), _round_laws(total, block, p00[block], p10[block])))
         new = np.zeros(total + 1)
         for z in live.tolist():

@@ -215,6 +215,22 @@ class TestTransitionTables:
             single = A.adopt_zero_probability(z, total - z, q)
             assert abs(adopt[z] - single) <= 1e-15 * single, z
 
+    def test_tables_are_memoised_and_read_only(self):
+        A.clear_transition_cache()
+        keep, adopt = A.transition_tables(40, 0.3)
+        again = A.transition_tables(40, 0.3)
+        assert again[0] is keep and again[1] is adopt
+        assert A.transition_cache_info()["tables"]["hits"] == 1
+        with pytest.raises(ValueError):
+            keep[1] = 0.5
+        try:
+            A.configure_transition_cache(0)
+            uncached = A.transition_tables(40, 0.3)
+            assert uncached[0] is not keep
+            assert np.array_equal(uncached[0], keep) and np.array_equal(uncached[1], adopt)
+        finally:
+            A.configure_transition_cache(A.DEFAULT_CACHE_CAPACITY)
+
     def test_small_systems_and_validation(self):
         keep, adopt = A.transition_tables(1, 0.3)
         assert list(keep) == [0.0, 1.0] and list(adopt) == [0.0, 0.0]
