@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +103,20 @@ class TestJsonRoundTrip:
         result = ResultFile(manifest=_manifest(), payload=PAYLOADS["estimate"])
         with pytest.raises(ValueError):
             write_results(result, "xml", tmp_path / "r.xml")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGoldenFiles:
+    """Result-file bytes are pinned: each kind is rewritten and compared to tests/golden."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("kind", sorted(PAYLOADS))
+    def test_bytes_match_golden(self, tmp_path, kind, fmt):
+        path = tmp_path / f"{kind}.{fmt}"
+        write_results(ResultFile(manifest=_manifest(), payload=PAYLOADS[kind]), fmt, path)
+        assert path.read_bytes() == (GOLDEN / f"{kind}.{fmt}").read_bytes()
 
 
 class TestCsv:
