@@ -19,9 +19,7 @@ from .model import (  # noqa: E402,F401
     AsymmetryRegime,
     NetworkModel,
     OpinionCounts,
-    OpinionVector,
     ProtocolConfig,
-    count_opinions,
     is_consensus,
     is_majority_consensus,
     majority_update,
@@ -29,7 +27,6 @@ from .model import (  # noqa: E402,F401
 )
 from .analytics import (  # noqa: E402,F401
     BoundReport,
-    TransitionProbabilities,
     adopt_zero_probability,
     binomial_log_cdf,
     binomial_log_pmf,
@@ -45,7 +42,6 @@ from .analytics import (  # noqa: E402,F401
     std_normal_cdf,
     t_zero,
 )
-from .rng import RngStream, sample_binomial  # noqa: E402,F401
 from .engine import (  # noqa: E402,F401
     CountDistribution,
     TrialOutcome,
@@ -53,8 +49,6 @@ from .engine import (  # noqa: E402,F401
     exact_chain_consensus_probability,
     exhaustive_round_distribution,
     run_trial,
-    step_aggregated,
-    step_per_agent,
 )
 from .experiments import (  # noqa: E402,F401
     Estimate,

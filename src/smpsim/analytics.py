@@ -20,10 +20,10 @@ state with ``z`` zeros, ``o`` ones and delivery probability q' = 1 - q:
   (a one-holder switches to 0; it must see a strict majority of zeros).
 
 Both are memoized because Monte Carlo sweeps revisit the same counts
-heavily; results are identical with the cache disabled.  The exact chain
-takes both for every z of a 2n-agent system from ``transition_tables``,
-which builds each binomial once, gives the same values and is memoised
-per (2n, q).
+heavily; the memo only stores values, so a cache hit returns what a fresh
+evaluation would.  The exact chain takes both for every z of a 2n-agent
+system from ``transition_tables``, which builds each binomial once, gives
+the same values and is memoised per (2n, q).
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import numpy as np
 
 __all__ = [
     "LogProb",
-    "TransitionProbabilities",
     "BoundReport",
     "BOUND_NAMES",
     "binomial_log_pmf",
@@ -45,11 +44,7 @@ __all__ = [
     "comparison_probability",
     "keep_zero_probability",
     "adopt_zero_probability",
-    "transition_probabilities",
     "transition_tables",
-    "configure_transition_cache",
-    "transition_cache_info",
-    "clear_transition_cache",
     "kl_bernoulli",
     "std_normal_cdf",
     "q_function",
@@ -349,56 +344,19 @@ def _transition_tables_exact(total: int, q: float) -> tuple[np.ndarray, np.ndarr
     return keep, adopt
 
 
-DEFAULT_CACHE_CAPACITY = 1 << 20
-#: (total, q) tables kept by ``transition_tables``; each holds 2 (total + 1) floats.
-_TABLE_CACHE_CAPACITY = 8
-
-_keep_cached = functools.lru_cache(maxsize=DEFAULT_CACHE_CAPACITY)(_keep_zero_exact)
-_adopt_cached = functools.lru_cache(maxsize=DEFAULT_CACHE_CAPACITY)(_adopt_zero_exact)
-_tables_cached = functools.lru_cache(maxsize=_TABLE_CACHE_CAPACITY)(_transition_tables_exact)
-
-
-def configure_transition_cache(capacity: int | None) -> None:
-    """Rebuild the (z, o, q) memo caches and the table cache; capacity 0 disables caching."""
-    global _keep_cached, _adopt_cached, _tables_cached
-    if capacity is not None and capacity < 0:
-        raise ValueError(f"capacity must be nonnegative or None, got {capacity}")
-    if capacity == 0:
-        _keep_cached = _keep_zero_exact
-        _adopt_cached = _adopt_zero_exact
-        _tables_cached = _transition_tables_exact
-    else:
-        _keep_cached = functools.lru_cache(maxsize=capacity)(_keep_zero_exact)
-        _adopt_cached = functools.lru_cache(maxsize=capacity)(_adopt_zero_exact)
-        _tables_cached = functools.lru_cache(maxsize=_TABLE_CACHE_CAPACITY)(
-            _transition_tables_exact
-        )
-
-
-def transition_cache_info() -> dict[str, Any]:
-    info = {}
-    for name, fn in (("keep_zero", _keep_cached), ("adopt_zero", _adopt_cached),
-                     ("tables", _tables_cached)):
-        info[name] = fn.cache_info()._asdict() if hasattr(fn, "cache_info") else None
-    return info
-
-
-def clear_transition_cache() -> None:
-    for fn in (_keep_cached, _adopt_cached, _tables_cached):
-        if hasattr(fn, "cache_clear"):
-            fn.cache_clear()
-
-
+@functools.lru_cache(maxsize=1 << 20)
 def keep_zero_probability(z: int, o: int, q: float) -> float:
     """Probability a zero-holder still holds 0 after one round (tie included)."""
-    return _keep_cached(z, o, q)
+    return _keep_zero_exact(z, o, q)
 
 
+@functools.lru_cache(maxsize=1 << 20)
 def adopt_zero_probability(z: int, o: int, q: float) -> float:
     """Probability a one-holder switches to 0 after one round (strict majority)."""
-    return _adopt_cached(z, o, q)
+    return _adopt_zero_exact(z, o, q)
 
 
+@functools.lru_cache(maxsize=8)
 def transition_tables(total: int, q: float) -> tuple[np.ndarray, np.ndarray]:
     """(keep, adopt) for every zero-count z = 0..total of a ``total``-agent system.
 
@@ -407,35 +365,11 @@ def transition_tables(total: int, q: float) -> tuple[np.ndarray, np.ndarray]:
     keep[0] = adopt[total] = 0.  keep(z + 1) and adopt(z) both compare
     Bin(z, 1-q) with Bin(total - 1 - z, 1-q), so each binomial's window is
     built once and serves both orders of its pair; the values equal the
-    single calls.  Tables are memoised per (total, q), so repeated chains
-    of one system build them once; the arrays are read-only.
+    single calls.  The last 8 tables, of 2 (total + 1) floats each, are
+    memoised per (total, q), so repeated chains of one system build them
+    once; the arrays are read-only.
     """
-    return _tables_cached(total, q)
-
-
-@dataclass(frozen=True)
-class TransitionProbabilities:
-    """Per-agent one-round transition probabilities at fixed counts (z, o).
-
-    Only the zero-side pair is stored; the one-side probabilities follow by
-    relabeling: p_keep_one(z, o, q) = p_keep_zero(o, z, q).
-    """
-
-    p_keep_zero: float
-    p_adopt_zero: float
-
-    def __post_init__(self) -> None:
-        for name in ("p_keep_zero", "p_adopt_zero"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-
-
-def transition_probabilities(z: int, o: int, q: float) -> TransitionProbabilities:
-    return TransitionProbabilities(
-        p_keep_zero=keep_zero_probability(z, o, q),
-        p_adopt_zero=adopt_zero_probability(z, o, q),
-    )
+    return _transition_tables_exact(total, q)
 
 
 def kl_bernoulli(a: float, b: float) -> float:

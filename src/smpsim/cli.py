@@ -182,6 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------------
 
 
+def _flag(name: str) -> str:
+    return f"--{name.replace('_', '-')}"
+
+
 def _integer(name: str, value: Any) -> int:
     """``value`` as an int; CliError unless it is integral (a bool is not).
 
@@ -197,7 +201,22 @@ def _integer(name: str, value: Any) -> int:
             pass
     elif isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
-    raise CliError(f"--{name.replace('_', '-')} must be an integer, got {value!r}")
+    raise CliError(f"{_flag(name)} must be an integer, got {value!r}")
+
+
+def _real(name: str, value: Any) -> float:
+    """``value`` as a float; CliError unless it is a number or a numeric string.
+
+    A bool is not a number here, so ``"q": true`` is rejected, not read as 1.0.
+    """
+    if isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise CliError(f"{_flag(name)} must be a number, got {value!r}")
 
 
 class _Options:
@@ -212,6 +231,8 @@ class _Options:
                 raise CliError(f"cannot read config {args.config}: {exc}")
             if not isinstance(self.config, dict):
                 raise CliError("config file must hold a JSON object")
+        for name in ("out", "plot_data", "out_dir"):  # fail before any work is done
+            self.path(name)
 
     def get(self, name: str, default: Any = None) -> Any:
         value = getattr(self.args, name, None)
@@ -224,13 +245,25 @@ class _Options:
     def require(self, name: str) -> Any:
         value = self.get(name)
         if value is None:
-            raise CliError(f"missing required option --{name.replace('_', '-')}")
+            raise CliError(f"missing required option {_flag(name)}")
         return value
 
     def integer(self, name: str, default: int | None = None) -> int:
         """An integral option; required when ``default`` is None."""
         value = self.require(name) if default is None else self.get(name, default)
         return _integer(name, value)
+
+    def real(self, name: str, default: float | None = None) -> float:
+        """A numeric option; required when ``default`` is None."""
+        value = self.require(name) if default is None else self.get(name, default)
+        return _real(name, value)
+
+    def path(self, name: str) -> str | None:
+        """A file or directory option, or None when it is not given."""
+        value = self.get(name)
+        if value is None or isinstance(value, str):
+            return value
+        raise CliError(f"{_flag(name)} must be a path, got {value!r}")
 
     def seed(self) -> int:
         raw = self.get("seed", DEFAULT_MASTER_SEED)
@@ -263,14 +296,16 @@ class _Options:
         raw = self.get(name)
         if raw is None:
             if default is None:
-                raise CliError(f"missing required option --{name.replace('_', '-')}")
+                raise CliError(f"missing required option {_flag(name)}")
             return default
         if isinstance(raw, str):
             try:
                 return [int(tok) for tok in raw.split(",") if tok]
             except ValueError:
-                raise CliError(f"--{name.replace('_', '-')} must be a comma list of integers")
-        return [_integer(name, v) for v in raw]
+                pass
+        elif isinstance(raw, list):
+            return [_integer(name, v) for v in raw]
+        raise CliError(f"{_flag(name)} must be a comma list of integers, got {raw!r}")
 
 
 def _parse_regime(token: str) -> AsymmetryRegime:
@@ -299,8 +334,8 @@ def _emit(
     started: str | None,
     sweep_for_plot=None,
 ) -> None:
-    out = opts.get("out")
-    plot_path = opts.get("plot_data")
+    out = opts.path("out")
+    plot_path = opts.path("plot_data")
     if out:
         manifest = io.RunManifest.create(
             master_seed=seed,
@@ -332,7 +367,7 @@ def _cmd_simulate(opts: _Options) -> int:
         n=opts.integer("n"),
         delta=opts.integer("delta", 0),
         rounds=opts.integer("rounds", 3),
-        network=NetworkModel(q=float(opts.require("q"))),
+        network=NetworkModel(q=opts.real("q")),
     )
     trial = opts.integer("trial", 0)
     mode = opts.get("mode", MODE_AGGREGATED)
@@ -359,7 +394,7 @@ def _cmd_estimate(opts: _Options) -> int:
         n=opts.integer("n"),
         delta=opts.integer("delta", 0),
         rounds=opts.integer("rounds", 3),
-        network=NetworkModel(q=float(opts.require("q"))),
+        network=NetworkModel(q=opts.real("q")),
     )
     event = opts.get("event", "consensus")
     trials = opts.integer("trials", 10_000)
@@ -416,7 +451,7 @@ def _cmd_sweep(opts: _Options, kind: str) -> int:
     workers = opts.workers()
     started = _timestamp()
     if kind == "trichotomy":
-        q = float(opts.get("q", 0.5))
+        q = opts.real("q", 0.5)
         n_grid = opts.int_list("n_grid", [100, 1_000, 10_000])
         tokens = str(opts.get("regimes", "zero,sqrt:1.0,power:0.75")).split(",")
         labeled = [
@@ -427,7 +462,7 @@ def _cmd_sweep(opts: _Options, kind: str) -> int:
         config_echo = {"q": q, "n_grid": n_grid, "regimes": tokens}
     elif kind == "max-error":
         n = opts.integer("n")
-        q = float(opts.get("q", 0.5))
+        q = opts.real("q", 0.5)
         rounds = opts.integer("rounds", 3)
         trials = opts.integer("trials", 1_000)
         stride = opts.integer("delta_stride", 1)
@@ -437,17 +472,17 @@ def _cmd_sweep(opts: _Options, kind: str) -> int:
         config_echo = {"n": n, "q": q, "rounds": rounds, "trials": trials,
                        "delta_stride": stride}
     elif kind == "return-to-symmetry":
-        q = float(opts.get("q", 0.5))
+        q = opts.real("q", 0.5)
         n_grid = opts.int_list("n_grid", [100, 400, 1_600])
         trials = opts.integer("trials", 100_000)
         sweep = experiments.return_to_symmetry_rate(n_grid, q, trials, seed, workers=workers)
         config_echo = {"q": q, "n_grid": n_grid, "trials": trials}
     elif kind == "theorem1":
-        q = float(opts.get("q", 0.5))
+        q = opts.real("q", 0.5)
         n_grid = opts.int_list("n_grid", [10_000])
         trials = opts.integer("trials", 1_000)
         trials_single = opts.integer("trials_single_round", 100_000)
-        alpha = float(opts.get("alpha", 1.0))
+        alpha = opts.real("alpha", 1.0)
         sweep = experiments.theorem1_suite(
             q, n_grid, seed, trials_single_round=trials_single,
             trials_two_rounds=trials, trials_three_rounds=trials,
@@ -456,7 +491,7 @@ def _cmd_sweep(opts: _Options, kind: str) -> int:
         config_echo = {"q": q, "n_grid": n_grid, "trials": trials,
                        "trials_single_round": trials_single, "alpha": alpha}
     elif kind == "theorem2":
-        q = float(opts.get("q", 0.5))
+        q = opts.real("q", 0.5)
         n_grid = opts.int_list("n_grid", [100, 1_000, 10_000])
         trials = opts.integer("trials", 1_000)
         sweep = experiments.theorem2_suite(q, n_grid, trials, seed, workers=workers)
@@ -473,7 +508,7 @@ def _cmd_bounds(opts: _Options, kind: str) -> int:
     seed = opts.seed()
     started = _timestamp()
     if kind == "prop1":
-        n, a, q = opts.integer("n"), opts.integer("a"), float(opts.require("q"))
+        n, a, q = opts.integer("n"), opts.integer("a"), opts.real("q")
         report = analytics.BoundReport(
             bound_name="prop1", parameters={"n": n, "A": a, "q": q},
             bound_value=analytics.prop1_error_bound(n, a, q),
@@ -485,7 +520,7 @@ def _cmd_bounds(opts: _Options, kind: str) -> int:
             bound_value=analytics.prop4_bound(n, b),
         )
     elif kind == "prop5":
-        n, c, q = opts.integer("n"), opts.integer("c"), float(opts.require("q"))
+        n, c, q = opts.integer("n"), opts.integer("c"), opts.real("q")
         report = analytics.BoundReport(
             bound_name="prop5",
             parameters={"n": n, "C": c, "q": q,
@@ -494,7 +529,7 @@ def _cmd_bounds(opts: _Options, kind: str) -> int:
             bound_value=analytics.prop5_bound(n, c, q),
         )
     elif kind == "pn-sandwich":
-        n, q = opts.integer("n"), float(opts.require("q"))
+        n, q = opts.integer("n"), opts.real("q")
         lower, upper = analytics.pn_sandwich(n, q)
         exact = analytics.keep_zero_probability(n, n, q) if n <= 20_000 else None
         report = analytics.BoundReport(
@@ -502,7 +537,7 @@ def _cmd_bounds(opts: _Options, kind: str) -> int:
             bound_value=upper, empirical_value=exact,
         )
     elif kind == "stirling":
-        m, p, k = opts.integer("m"), float(opts.require("p")), opts.integer("k")
+        m, p, k = opts.integer("m"), opts.real("p"), opts.integer("k")
         lower, upper = analytics.pmf_stirling_bounds(m, p, k)
         exact = math.exp(analytics.binomial_log_pmf(m, p, k))
         report = analytics.BoundReport(
@@ -523,7 +558,7 @@ def _cmd_oracle(opts: _Options, kind: str) -> int:
     started = _timestamp()
     if kind == "exhaustive":
         counts = OpinionCounts(zeros=opts.integer("zeros"), ones=opts.integer("ones"))
-        q = float(opts.require("q"))
+        q = opts.real("q")
         dist = exhaustive_round_distribution(counts, q)
         for k, p in enumerate(dist.probabilities):
             print(f"P[next zeros = {k}] = {p:.12g}")
@@ -531,7 +566,7 @@ def _cmd_oracle(opts: _Options, kind: str) -> int:
     elif kind == "exact-chain":
         n = opts.integer("n")
         delta = opts.integer("delta", 0)
-        q = float(opts.require("q"))
+        q = opts.real("q")
         rounds = opts.integer("rounds", 3)
         p_cons, p_maj = exact_chain_consensus_probability(n, delta, q, rounds)
         print(f"P[consensus] = {p_cons:.12g}")
@@ -548,8 +583,7 @@ def _cmd_oracle(opts: _Options, kind: str) -> int:
 
 def _cmd_verify(opts: _Options) -> int:
     seed = opts.seed()
-    q = opts.get("q")
-    if q is not None and float(q) != 0.5:
+    if opts.real("q", 0.5) != 0.5:
         raise CliError(
             "acceptance criteria run at their pinned loss rates (q = 0.5, plus 0.2/0.8 "
             "inside criterion 5); use `sweep theorem1 --q ...` for other values"
@@ -562,7 +596,7 @@ def _cmd_verify(opts: _Options) -> int:
         except ValueError:
             raise CliError("--criteria must be a comma list of integers")
     elif suite is not None:
-        if suite not in verify.SUITES:
+        if not isinstance(suite, str) or suite not in verify.SUITES:
             raise CliError(
                 f"unknown suite {suite!r}, expected one of {', '.join(sorted(verify.SUITES))}"
             )
@@ -570,7 +604,7 @@ def _cmd_verify(opts: _Options) -> int:
     else:
         criteria = None
     results = verify.run_verification(
-        criteria, seed=seed, workers=opts.workers(), out_dir=opts.get("out_dir")
+        criteria, seed=seed, workers=opts.workers(), out_dir=opts.path("out_dir")
     )
     return 0 if all(r.passed for r in results) else 2
 

@@ -25,21 +25,18 @@ import numpy as np
 from . import analytics
 from .model import (
     OpinionCounts,
-    OpinionVector,
     ProtocolConfig,
     is_consensus,
     is_majority_consensus,
     majority_update,
 )
-from .rng import RngStream, sample_binomial_lanes
+from .rng import sample_binomial_lanes
 
 __all__ = [
     "UnsupportedSizeError",
     "TrialOutcome",
     "CountDistribution",
     "BatchOutcome",
-    "step_aggregated",
-    "step_per_agent",
     "run_trial",
     "run_trials_batch",
     "aggregated_round_distribution",
@@ -156,8 +153,8 @@ def _per_agent_rounds(
     rounds: int,
     master_seed: int,
     trial_ids: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-count trajectories plus final bit matrix for the per-agent path.
+) -> np.ndarray:
+    """Zero-count trajectories (rounds+1, T) for the per-agent path.
 
     Each receiver draws its delivered zero- and one-counts from its own
     (trial, round, agent-side) stream; independence across receivers holds
@@ -192,7 +189,7 @@ def _per_agent_rounds(
                 new[:, j] = np.where(n0 > n1, 0, np.where(n1 > n0, 1, sub[:, j]))
             bits[rows] = new
         traj[round_index] = total - bits.sum(axis=1)
-    return traj, bits
+    return traj
 
 
 @dataclass(frozen=True)
@@ -268,7 +265,7 @@ def run_trials_batch(
         )
     elif mode == MODE_PER_AGENT:
         bits0 = (0,) * initial.zeros + (1,) * initial.ones
-        traj, _ = _per_agent_rounds(bits0, q, config.rounds, master_seed, trial_ids)
+        traj = _per_agent_rounds(bits0, q, config.rounds, master_seed, trial_ids)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return BatchOutcome(initial=initial, zeros_trajectory=traj, trial_ids=trial_ids)
@@ -283,46 +280,6 @@ def run_trial(
     """One deterministic protocol run for (master_seed, trial_index)."""
     batch = run_trials_batch(config, [trial_index], master_seed, mode=mode)
     return batch.outcome(0)
-
-
-def step_aggregated(counts: OpinionCounts, q: float, rng: RngStream) -> OpinionCounts:
-    """One aggregated round from ``counts`` at the stream's (trial, round)."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
-    z, o, total = counts.zeros, counts.ones, counts.total
-    if z == 0 or z == total:
-        return counts
-    p00, p10 = _transition_pair(z, o, q)
-    trial = np.array([rng.trial], dtype=np.uint64)
-    kept = sample_binomial_lanes(z, p00, rng.master_seed, trial, rng.round_index, np.uint64(0))
-    gained = sample_binomial_lanes(o, p10, rng.master_seed, trial, rng.round_index, np.uint64(1))
-    new_z = int(kept[0] + gained[0])
-    return OpinionCounts(zeros=new_z, ones=total - new_z)
-
-
-def step_per_agent(state: OpinionVector, q: float, rng: RngStream) -> OpinionVector:
-    """One per-agent round; receiver j draws from groups (2j, 2j+1)."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
-    total = len(state)
-    counts = state.counts()
-    z, o = counts.zeros, counts.ones
-    q_prime = 1.0 - q
-    bits = []
-    trial = np.array([rng.trial], dtype=np.uint64)
-    for j, own in enumerate(state.bits):
-        m0 = z - (own == 0)
-        m1 = o - (own == 1)
-        d0 = sample_binomial_lanes(
-            m0, q_prime, rng.master_seed, trial, rng.round_index, np.uint64(2 * j)
-        )
-        d1 = sample_binomial_lanes(
-            m1, q_prime, rng.master_seed, trial, rng.round_index, np.uint64(2 * j + 1)
-        )
-        n0 = int(d0[0]) + (own == 0)
-        n1 = int(d1[0]) + (own == 1)
-        bits.append(majority_update(own, n0, n1))
-    return OpinionVector(bits=tuple(bits))
 
 
 # --------------------------------------------------------------------------

@@ -4,14 +4,20 @@ A result file is a single JSON document holding the run manifest followed
 by the payload; CSV is a flat view of the same payload.  Serialization is
 deterministic (fixed key order, exact float round-trip in JSON, 17
 significant digits in CSV), so re-running a subcommand with the manifest's
-seed and configuration reproduces the file byte for byte.
+seed and configuration reproduces the file byte for byte.  The JSON form
+of the manifest and of every payload kind is derived from the dataclass
+fields and their annotations by one codec (``_to_json``/``_from_json``).
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import io as _io
 import json
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -76,21 +82,6 @@ class RunManifest:
             finished=finished,
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "tool_version": self.tool_version,
-            "master_seed": self.master_seed,
-            "config": self.config,
-            "command_line": self.command_line,
-            "workers": self.workers,
-            "started": self.started,
-            "finished": self.finished,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "RunManifest":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class ResultFile:
@@ -106,182 +97,93 @@ class ResultFile:
 # Payload serialization
 # --------------------------------------------------------------------------
 
+#: Payload kind <-> payload class; a plain dict is a "table".
+_PAYLOAD_CLASSES: dict[str, type] = {
+    "estimate": Estimate,
+    "bound_report": BoundReport,
+    "sweep": SweepResult,
+    "count_distribution": CountDistribution,
+    "trial_outcome": TrialOutcome,
+    "symmetry_break_stats": SymmetryBreakStats,
+    "table": dict,
+}
+
 
 def _payload_kind(payload: Any) -> str:
-    if isinstance(payload, Estimate):
-        return "estimate"
-    if isinstance(payload, BoundReport):
-        return "bound_report"
-    if isinstance(payload, SweepResult):
-        return "sweep"
-    if isinstance(payload, CountDistribution):
-        return "count_distribution"
-    if isinstance(payload, TrialOutcome):
-        return "trial_outcome"
-    if isinstance(payload, SymmetryBreakStats):
-        return "symmetry_break_stats"
-    if isinstance(payload, dict):
-        return "table"
+    for kind, cls in _PAYLOAD_CLASSES.items():
+        if isinstance(payload, cls):
+            return kind
     raise TypeError(f"unsupported payload type {type(payload).__name__}")
 
 
-def _estimate_to_dict(e: Estimate) -> dict[str, Any]:
-    return {
-        "successes": e.successes,
-        "trials": e.trials,
-        "p_hat": e.p_hat,
-        "ci_low": e.ci_low,
-        "ci_high": e.ci_high,
-        "confidence": e.confidence,
-        "method": e.method,
-    }
+@functools.lru_cache(maxsize=None)
+def _field_types(cls: type) -> dict[str, Any]:
+    """Field name -> annotated type of a dataclass, ``X | None`` read as X."""
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for field in dataclasses.fields(cls):
+        hint = hints[field.name]
+        args = [a for a in typing.get_args(hint) if a is not type(None)]
+        is_union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+        out[field.name] = args[0] if is_union and len(args) == 1 else hint
+    return out
 
 
-def _estimate_from_dict(d: dict[str, Any]) -> Estimate:
-    return Estimate(**d)
+def _to_json(hint: Any, value: Any) -> Any:
+    """The JSON form of ``value``, read as an instance of the type ``hint``.
+
+    Dataclasses become objects of their fields, ``OpinionCounts`` a [zeros,
+    ones] pair, arrays and tuples lists, and a dict keyed by anything but
+    str (``outside_counts``) a sorted list of [key, value] pairs.
+    """
+    if value is None:
+        return None
+    if hint is OpinionCounts:
+        return [value.zeros, value.ones]
+    if dataclasses.is_dataclass(hint):
+        return {name: _to_json(t, getattr(value, name)) for name, t in _field_types(hint).items()}
+    if hint is np.ndarray:
+        return [float(x) for x in value]
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple:
+        return [_to_json(args[0], v) for v in value]
+    if origin is dict and args[0] is not str:
+        return [[k, v] for k, v in sorted(value.items())]
+    return value
 
 
-def _bound_to_dict(b: BoundReport) -> dict[str, Any]:
-    return {
-        "bound_name": b.bound_name,
-        "parameters": b.parameters,
-        "bound_value": b.bound_value,
-        "empirical_value": b.empirical_value,
-        "satisfied": b.satisfied,
-    }
-
-
-def _bound_from_dict(d: dict[str, Any]) -> BoundReport:
-    return BoundReport(**d)
-
-
-def _row_to_dict(r: SweepRow) -> dict[str, Any]:
-    return {
-        "n": r.n,
-        "delta": r.delta,
-        "q": r.q,
-        "rounds": r.rounds,
-        "event": r.event,
-        "estimate": None if r.estimate is None else _estimate_to_dict(r.estimate),
-        "exact": r.exact,
-        "bound": None if r.bound is None else _bound_to_dict(r.bound),
-        "extra": r.extra,
-    }
-
-
-def _row_from_dict(d: dict[str, Any]) -> SweepRow:
-    return SweepRow(
-        n=d["n"],
-        delta=d["delta"],
-        q=d["q"],
-        rounds=d["rounds"],
-        event=d["event"],
-        estimate=None if d["estimate"] is None else _estimate_from_dict(d["estimate"]),
-        exact=d["exact"],
-        bound=None if d["bound"] is None else _bound_from_dict(d["bound"]),
-        extra=d["extra"],
-    )
-
-
-def _sweep_to_dict(s: SweepResult) -> dict[str, Any]:
-    return {
-        "kind": s.kind,
-        "rows": [_row_to_dict(r) for r in s.rows],
-        "metadata": s.metadata,
-    }
-
-
-def _sweep_from_dict(d: dict[str, Any]) -> SweepResult:
-    return SweepResult(
-        kind=d["kind"],
-        rows=tuple(_row_from_dict(r) for r in d["rows"]),
-        metadata=d["metadata"],
-    )
-
-
-def _distribution_to_dict(c: CountDistribution) -> dict[str, Any]:
-    return {"probabilities": [float(p) for p in c.probabilities]}
-
-
-def _distribution_from_dict(d: dict[str, Any]) -> CountDistribution:
-    return CountDistribution(probabilities=np.array(d["probabilities"]))
-
-
-def _trial_to_dict(t: TrialOutcome) -> dict[str, Any]:
-    return {
-        "trajectory": [[c.zeros, c.ones] for c in t.trajectory],
-        "consensus": t.consensus,
-        "majority_consensus": t.majority_consensus,
-        "final_value": t.final_value,
-    }
-
-
-def _trial_from_dict(d: dict[str, Any]) -> TrialOutcome:
-    return TrialOutcome(
-        trajectory=tuple(OpinionCounts(zeros=z, ones=o) for z, o in d["trajectory"]),
-        consensus=d["consensus"],
-        majority_consensus=d["majority_consensus"],
-        final_value=d["final_value"],
-    )
-
-
-def _stats_to_dict(s: SymmetryBreakStats) -> dict[str, Any]:
-    return {
-        "n": s.n,
-        "q": s.q,
-        "trials": s.trials,
-        "mean": s.mean,
-        "variance": s.variance,
-        "outside_counts": [[d, c] for d, c in sorted(s.outside_counts.items())],
-    }
-
-
-def _stats_from_dict(d: dict[str, Any]) -> SymmetryBreakStats:
-    return SymmetryBreakStats(
-        n=d["n"],
-        q=d["q"],
-        trials=d["trials"],
-        mean=d["mean"],
-        variance=d["variance"],
-        outside_counts={float(k): int(v) for k, v in d["outside_counts"]},
-    )
-
-
-_TO_DICT = {
-    "estimate": _estimate_to_dict,
-    "bound_report": _bound_to_dict,
-    "sweep": _sweep_to_dict,
-    "count_distribution": _distribution_to_dict,
-    "trial_outcome": _trial_to_dict,
-    "symmetry_break_stats": _stats_to_dict,
-    "table": lambda d: d,
-}
-
-_FROM_DICT = {
-    "estimate": _estimate_from_dict,
-    "bound_report": _bound_from_dict,
-    "sweep": _sweep_from_dict,
-    "count_distribution": _distribution_from_dict,
-    "trial_outcome": _trial_from_dict,
-    "symmetry_break_stats": _stats_from_dict,
-    "table": lambda d: d,
-}
+def _from_json(hint: Any, value: Any) -> Any:
+    """Inverse of ``_to_json``."""
+    if value is None:
+        return None
+    if hint is OpinionCounts:
+        return OpinionCounts(*value)
+    if dataclasses.is_dataclass(hint):
+        hints = _field_types(hint)
+        return hint(**{name: _from_json(hints[name], v) for name, v in value.items()})
+    if hint is np.ndarray:
+        return np.array(value)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple:
+        return tuple(_from_json(args[0], v) for v in value)
+    if origin is dict and args[0] is not str:
+        return {args[0](k): args[1](v) for k, v in value}
+    return value
 
 
 def result_to_jsonable(result: ResultFile) -> dict[str, Any]:
     kind = result.payload_kind
     return {
-        "manifest": result.manifest.to_dict(),
+        "manifest": _to_json(RunManifest, result.manifest),
         "payload_kind": kind,
-        "payload": _TO_DICT[kind](result.payload),
+        "payload": _to_json(_PAYLOAD_CLASSES[kind], result.payload),
     }
 
 
 def result_from_jsonable(doc: dict[str, Any]) -> ResultFile:
-    kind = doc["payload_kind"]
     return ResultFile(
-        manifest=RunManifest.from_dict(doc["manifest"]),
-        payload=_FROM_DICT[kind](doc["payload"]),
+        manifest=_from_json(RunManifest, doc["manifest"]),
+        payload=_from_json(_PAYLOAD_CLASSES[doc["payload_kind"]], doc["payload"]),
     )
 
 

@@ -8,11 +8,10 @@ plus its own current opinion, keeping its own opinion on a tie.  After a
 fixed number of rounds every agent decides on its current opinion.
 
 Because the graph is complete and losses are i.i.d., the law of a run
-depends on the initial state only through the opinion counts.  Counts
-(:class:`OpinionCounts`) are therefore the canonical state representation;
-:class:`OpinionVector` exists for the tiny-system exhaustive oracle and
-for I/O.  All types here are immutable values and all operations are pure
-functions, safe to call concurrently.
+depends on the initial state only through the opinion counts, so counts
+(:class:`OpinionCounts`) are the only state representation.  All types
+here are immutable values and all operations are pure functions, safe to
+call concurrently.
 """
 
 from __future__ import annotations
@@ -56,26 +55,6 @@ class OpinionCounts:
     def swapped(self) -> OpinionCounts:
         """The state with opinions 0 and 1 relabeled."""
         return OpinionCounts(zeros=self.ones, ones=self.zeros)
-
-
-@dataclass(frozen=True)
-class OpinionVector:
-    """Explicit per-agent opinion assignment, one bit per agent."""
-
-    bits: tuple[Bit, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.bits) < 2 or len(self.bits) % 2 != 0:
-            raise ValueError(f"agent count must be even and >= 2, got {len(self.bits)}")
-        for b in self.bits:
-            _check_bit(b, "opinion")
-
-    def counts(self) -> OpinionCounts:
-        ones = sum(self.bits)
-        return OpinionCounts(zeros=len(self.bits) - ones, ones=ones)
-
-    def __len__(self) -> int:
-        return len(self.bits)
 
 
 @dataclass(frozen=True)
@@ -228,12 +207,6 @@ def majority_update(own: Bit, n0: int, n1: int) -> Bit:
     if n1 > n0:
         return 1
     return own
-
-
-def count_opinions(v: OpinionVector, a: Bit) -> int:
-    """Number of agents in ``v`` currently holding opinion ``a``."""
-    _check_bit(a, "a")
-    return sum(1 for b in v.bits if b == a)
 
 
 def is_consensus(counts: OpinionCounts) -> bool:

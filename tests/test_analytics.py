@@ -165,13 +165,6 @@ class TestTransitionProbabilities:
                 ]
                 assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
-    def test_transition_probabilities_type(self):
-        t = A.transition_probabilities(4, 4, 0.5)
-        assert t.p_keep_zero == pytest.approx(A.keep_zero_probability(4, 4, 0.5))
-        assert t.p_adopt_zero == pytest.approx(A.adopt_zero_probability(4, 4, 0.5))
-        with pytest.raises(ValueError):
-            A.TransitionProbabilities(p_keep_zero=1.2, p_adopt_zero=0.0)
-
 
 # (kind, z, o, q): ties and imbalances up to 2n = 2e5, one-agent sides, and
 # a deep tail near 1e-200.
@@ -216,20 +209,16 @@ class TestTransitionTables:
             assert abs(adopt[z] - single) <= 1e-15 * single, z
 
     def test_tables_are_memoised_and_read_only(self):
-        A.clear_transition_cache()
+        A.transition_tables.cache_clear()
         keep, adopt = A.transition_tables(40, 0.3)
         again = A.transition_tables(40, 0.3)
         assert again[0] is keep and again[1] is adopt
-        assert A.transition_cache_info()["tables"]["hits"] == 1
+        assert A.transition_tables.cache_info().hits == 1
         with pytest.raises(ValueError):
             keep[1] = 0.5
-        try:
-            A.configure_transition_cache(0)
-            uncached = A.transition_tables(40, 0.3)
-            assert uncached[0] is not keep
-            assert np.array_equal(uncached[0], keep) and np.array_equal(uncached[1], adopt)
-        finally:
-            A.configure_transition_cache(A.DEFAULT_CACHE_CAPACITY)
+        uncached = A._transition_tables_exact(40, 0.3)
+        assert uncached[0] is not keep
+        assert np.array_equal(uncached[0], keep) and np.array_equal(uncached[1], adopt)
 
     def test_small_systems_and_validation(self):
         keep, adopt = A.transition_tables(1, 0.3)
@@ -245,30 +234,27 @@ class TestTransitionTables:
 
 class TestTransitionCache:
     def test_cache_transparency(self):
-        A.clear_transition_cache()
-        cached = A.keep_zero_probability(13, 9, 0.35)
-        try:
-            A.configure_transition_cache(0)
-            uncached = A.keep_zero_probability(13, 9, 0.35)
-        finally:
-            A.configure_transition_cache(A.DEFAULT_CACHE_CAPACITY)
-        assert cached == uncached
+        A.keep_zero_probability.cache_clear()
+        A.adopt_zero_probability.cache_clear()
+        for _ in range(2):  # a miss, then a hit
+            assert A.keep_zero_probability(13, 9, 0.35) == A._keep_zero_exact(13, 9, 0.35)
+            assert A.adopt_zero_probability(13, 9, 0.35) == A._adopt_zero_exact(13, 9, 0.35)
 
     def test_cache_hits(self):
-        A.clear_transition_cache()
+        A.keep_zero_probability.cache_clear()
         A.keep_zero_probability(11, 7, 0.4)
         A.keep_zero_probability(11, 7, 0.4)
-        info = A.transition_cache_info()["keep_zero"]
-        assert info["hits"] >= 1
+        assert A.keep_zero_probability.cache_info().hits >= 1
 
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            A.configure_transition_cache(-1)
+    def test_capacity(self):
+        assert A.keep_zero_probability.cache_info().maxsize == 1 << 20
+        assert A.adopt_zero_probability.cache_info().maxsize == 1 << 20
+        assert A.transition_tables.cache_info().maxsize == 8
 
     def test_concurrent_access(self):
         from concurrent.futures import ThreadPoolExecutor
 
-        A.clear_transition_cache()
+        A.keep_zero_probability.cache_clear()
         args = [(z, 24 - z, 0.4) for z in range(1, 24)] * 40
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(lambda a: A.keep_zero_probability(*a), args))

@@ -254,3 +254,25 @@ class TestIntegerOptions:
         code, out, _ = run_cli(capsys, "estimate", "--config", str(cfg))
         assert code == 0
         assert out.strip().endswith("/10)")  # ten trials ran
+
+
+class TestTypedConfigValues:
+    """A config value of the wrong JSON type ends with exit 1, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv,config,message",
+        [
+            (("bounds", "prop1"), {"n": 10, "a": 2, "q": [0.5]}, "--q must be a number"),
+            (("bounds", "prop1"), {"n": 10, "a": 2, "q": True}, "--q must be a number"),
+            (("sweep", "trichotomy"), {"n_grid": 100}, "--n-grid must be a comma list"),
+            (("bounds", "prop4"), {"n": 10, "b": 2, "out": 5}, "--out must be a path"),
+            (("verify",), {"suite": ["all"]}, "unknown suite"),
+        ],
+    )
+    def test_wrong_type_exits_1(self, capsys, tmp_path, argv, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("smpsim: error: ") and message in err
+        assert out == ""

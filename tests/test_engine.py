@@ -6,17 +6,15 @@ from smpsim.engine import (
     CountDistribution,
     TrialOutcome,
     UnsupportedSizeError,
+    MODE_AGGREGATED,
     MODE_PER_AGENT,
     aggregated_round_distribution,
     exact_chain_consensus_probability,
     exhaustive_round_distribution,
     run_trial,
     run_trials_batch,
-    step_aggregated,
-    step_per_agent,
 )
-from smpsim.model import NetworkModel, OpinionCounts, OpinionVector, ProtocolConfig
-from smpsim.rng import RngStream
+from smpsim.model import NetworkModel, OpinionCounts, ProtocolConfig
 
 from oracles import consensus_from_tie_probability, global_pattern_round_law
 
@@ -80,36 +78,44 @@ class TestCountDistribution:
         assert a.total == 2
 
 
-class TestSteps:
-    def test_aggregated_conserves_total(self):
-        rng = RngStream(master_seed=SEED, trial=0, round_index=1)
-        counts = OpinionCounts(30, 20)
-        for trial in range(50):
-            new = step_aggregated(counts, 0.4, rng.at(trial=trial))
-            assert new.total == counts.total
+def _one_round(counts, q, trials, mode):
+    """Zero-count trajectories (2, trials) of one round from ``counts``."""
+    n, delta = counts.half, (counts.zeros - counts.ones) // 2
+    cfg = ProtocolConfig(n=n, delta=delta, rounds=1, network=NetworkModel(q=q))
+    return run_trials_batch(cfg, range(trials), SEED, mode=mode).zeros_trajectory
 
-    def test_aggregated_absorbing(self):
-        rng = RngStream(master_seed=SEED, round_index=1)
+
+MODES = [MODE_AGGREGATED, MODE_PER_AGENT]
+
+
+class TestOneRound:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_conserves_total(self, mode):
+        zeros = _one_round(OpinionCounts(30, 20), 0.4, 50, mode)
+        assert np.all(zeros[0] == 30)
+        assert np.all((zeros[1] >= 0) & (zeros[1] <= 50))
+        assert len(np.unique(zeros[1])) > 1
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_absorbing(self, mode):
         for counts in (OpinionCounts(10, 0), OpinionCounts(0, 8)):
-            for trial in range(20):
-                assert step_aggregated(counts, 0.37, rng.at(trial=trial)) == counts
+            zeros = _one_round(counts, 0.37, 20, mode)
+            assert np.all(zeros[1] == counts.zeros)
 
-    def test_split_pair_invariant(self):
-        rng = RngStream(master_seed=SEED, round_index=1)
-        for trial in range(20):
-            assert step_aggregated(OpinionCounts(1, 1), 0.6, rng.at(trial=trial)) == OpinionCounts(1, 1)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_split_pair_invariant(self, mode):
+        assert np.all(_one_round(OpinionCounts(1, 1), 0.6, 20, mode)[1] == 1)
 
-    def test_per_agent_no_delivery_keeps_state(self):
-        state = OpinionVector(bits=(0, 1, 1, 0, 1, 0))
-        rng = RngStream(master_seed=SEED, round_index=1)
-        assert step_per_agent(state, 1.0, rng) == state
+    @pytest.mark.parametrize("mode", MODES)
+    def test_no_delivery_keeps_state(self, mode):
+        # bits (0, 1, 1, 0, 1, 0): nothing is delivered at q = 1
+        assert np.all(_one_round(OpinionCounts(3, 3), 1.0, 20, mode)[1] == 3)
 
-    def test_per_agent_reliable_network(self):
-        rng = RngStream(master_seed=SEED, round_index=1)
-        majority_zero = OpinionVector(bits=(0, 0, 0, 1))
-        assert step_per_agent(majority_zero, 0.0, rng) == OpinionVector(bits=(0, 0, 0, 0))
-        tied = OpinionVector(bits=(0, 0, 1, 1))
-        assert step_per_agent(tied, 0.0, rng) == tied
+    @pytest.mark.parametrize("mode", MODES)
+    def test_reliable_network(self, mode):
+        # bits (0, 0, 0, 1) reach consensus on 0; a tie (0, 0, 1, 1) stays put
+        assert np.all(_one_round(OpinionCounts(3, 1), 0.0, 20, mode)[1] == 4)
+        assert np.all(_one_round(OpinionCounts(2, 2), 0.0, 20, mode)[1] == 2)
 
 
 class TestRunTrial:

@@ -192,9 +192,11 @@ class TestPlotData:
 
 
 class TestManifest:
-    def test_round_trip(self):
-        m = _manifest()
-        assert RunManifest.from_dict(m.to_dict()) == m
+    def test_round_trip(self, tmp_path):
+        m = _manifest(workers=4, started=None, finished=None)
+        path = tmp_path / "m.json"
+        write_results(ResultFile(manifest=m, payload={"p_consensus": 0.5}), "json", path)
+        assert read_result_file(path).manifest == m
 
     def test_tool_version_recorded(self):
         import smpsim

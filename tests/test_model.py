@@ -7,9 +7,7 @@ from smpsim.model import (
     AsymmetryRegime,
     NetworkModel,
     OpinionCounts,
-    OpinionVector,
     ProtocolConfig,
-    count_opinions,
     is_consensus,
     is_majority_consensus,
     majority_update,
@@ -49,23 +47,7 @@ class TestMajorityUpdate:
         assert majority_update(1 - own, n1, n0) == 1 - majority_update(own, n0, n1)
 
 
-class TestCountsAndVectors:
-    def test_count_opinions(self):
-        assert count_opinions(OpinionVector(bits=(0, 0, 1, 1)), 0) == 2
-        assert count_opinions(OpinionVector(bits=(1, 1, 1, 1)), 0) == 0
-        assert count_opinions(OpinionVector(bits=(0, 1, 0, 0, 1, 0)), 1) == 2
-
-    def test_vector_counts_partition(self):
-        v = OpinionVector(bits=(0, 1, 1, 0, 1, 1))
-        c = v.counts()
-        assert c.zeros + c.ones == len(v) == 6
-
-    def test_vector_validation(self):
-        with pytest.raises(ValueError):
-            OpinionVector(bits=(0, 1, 0))  # odd
-        with pytest.raises(ValueError):
-            OpinionVector(bits=(0, 2))
-
+class TestCounts:
     def test_counts_validation(self):
         with pytest.raises(ValueError):
             OpinionCounts(zeros=1, ones=2)  # odd total

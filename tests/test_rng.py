@@ -3,13 +3,7 @@ import pytest
 from scipy import stats
 
 from smpsim import analytics
-from smpsim.rng import (
-    RngStream,
-    philox4x64,
-    sample_binomial,
-    sample_binomial_lanes,
-    uniform_lanes,
-)
+from smpsim.rng import philox4x64, sample_binomial_lanes, uniform_lanes
 
 
 def _u64(*values):
@@ -54,31 +48,26 @@ class TestPhilox:
             assert other != base
 
     def test_uniform_range(self):
-        stream = RngStream(master_seed=3)
-        u = stream.uniforms(10_000)
+        (u,) = uniform_lanes(3, np.uint64(0), np.uint64(0), np.uint64(0),
+                             slot=np.arange(10_000, dtype=np.uint64))
         assert u.min() >= 0.0 and u.max() < 1.0
         assert abs(u.mean() - 0.5) < 0.02
 
-
-class TestRngStream:
-    def test_at_replaces_path(self):
-        s = RngStream(master_seed=1)
-        s2 = s.at(trial=5, round_index=2, group=3)
-        assert (s2.master_seed, s2.trial, s2.round_index, s2.group) == (1, 5, 2, 3)
-        assert s.trial == 0  # immutable
-
     def test_streams_reproducible(self):
-        a = RngStream(master_seed=9, trial=4).uniforms(32)
-        b = RngStream(master_seed=9, trial=4).uniforms(32)
-        assert np.array_equal(a, b)
+        trials = np.arange(32, dtype=np.uint64)
+        a = uniform_lanes(9, trials, np.uint64(2), np.uint64(1), n_words=4)
+        b = uniform_lanes(9, trials, np.uint64(2), np.uint64(1), n_words=4)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        with pytest.raises(ValueError):
+            uniform_lanes(9, trials, np.uint64(2), np.uint64(1), n_words=5)
 
 
 class TestSampleBinomial:
     def test_degenerate(self):
-        s = RngStream(master_seed=5)
-        assert sample_binomial(0, 0.7, s) == 0
-        assert sample_binomial(5, 0.0, s) == 0
-        assert sample_binomial(5, 1.0, s) == 5
+        trials = np.arange(100, dtype=np.uint64)
+        for m, p, expected in ((0, 0.7, 0), (5, 0.0, 0), (5, 1.0, 5)):
+            draws = sample_binomial_lanes(m, p, 5, trials, 0, np.uint64(0))
+            assert np.all(draws == expected)
 
     def test_range(self):
         for m, p in [(3, 0.2), (50, 0.9), (2000, 0.5), (5000, 0.01)]:
@@ -108,13 +97,12 @@ class TestSampleBinomial:
         assert np.array_equal(full, again)
         assert np.array_equal(full, np.concatenate([first, second]))
 
-    def test_scalar_equals_lane(self):
-        s = RngStream(master_seed=31, trial=17, round_index=2, group=1)
-        scalar = sample_binomial(64, 0.44, s)
-        lane = sample_binomial_lanes(
-            64, 0.44, 31, np.array([17], dtype=np.uint64), 2, np.uint64(1)
-        )
-        assert scalar == int(lane[0])
+    def test_single_lane_equals_vector_lane(self):
+        trials = np.arange(40, dtype=np.uint64)
+        for m in (64, 5000):
+            vector = sample_binomial_lanes(m, 0.44, 31, trials, 2, np.uint64(1))
+            single = sample_binomial_lanes(m, 0.44, 31, trials[17:18], 2, np.uint64(1))
+            assert single[0] == vector[17]
 
     def test_mixed_lane_parameters(self):
         m = np.array([10, 3000, 0, 1500], dtype=np.int64)
