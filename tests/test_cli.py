@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -276,3 +277,68 @@ class TestTypedConfigValues:
         assert code == 1
         assert err.startswith("smpsim: error: ") and message in err
         assert out == ""
+
+
+GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
+
+#: One small invocation per leaf command (verify has its own tests).  Each
+#: run writes ``--out NAME.json`` (``.csv`` where the argv asks for csv);
+#: stdout and the result file must match ``tests/golden/cli/NAME.*``, which
+#: were written by the CLI before its options moved into one table.
+TRANSCRIPTS = {
+    "simulate": ("simulate", "--n", "3", "--delta", "2", "--q", "0.5", "--rounds", "3",
+                 "--trial", "5", "--seed", "0x2a"),
+    "simulate_per_agent": ("simulate", "--n", "2", "--q", "0.4", "--mode", "per_agent"),
+    "estimate": ("estimate", "--n", "4", "--delta", "2", "--q", "0.5", "--rounds", "2",
+                 "--trials", "300", "--event", "majority_consensus",
+                 "--interval", "clopper_pearson", "--seed", "7"),
+    "estimate_csv": ("estimate", "--n", "3", "--q", "0.3", "--trials", "200",
+                     "--mode", "per_agent", "--format", "csv"),
+    "sweep_trichotomy": ("sweep", "trichotomy", "--n-grid", "16,64", "--q", "0.5",
+                         "--regimes", "zero,log,sqrt:2,power:0.6"),
+    "sweep_max_error": ("sweep", "max-error", "--n", "4", "--q", "0.5", "--rounds", "2",
+                        "--trials", "100", "--delta-stride", "2"),
+    "sweep_return_to_symmetry": ("sweep", "return-to-symmetry", "--n-grid", "4,9",
+                                 "--q", "0.5", "--trials", "500"),
+    "sweep_theorem1": ("sweep", "theorem1", "--n-grid", "16", "--q", "0.5", "--trials", "50",
+                       "--trials-single-round", "200", "--alpha", "1.5"),
+    "sweep_theorem2": ("sweep", "theorem2", "--config",
+                       str(GOLDEN_CLI / "sweep_theorem2.config.json"), "--q", "0.5"),
+    "bounds_prop1": ("bounds", "prop1", "--n", "100", "--a", "50", "--q", "0.5"),
+    "bounds_prop4": ("bounds", "prop4", "--n", "100", "--b", "30"),
+    "bounds_prop5": ("bounds", "prop5", "--n", "100", "--c", "10", "--q", "0.5"),
+    "bounds_pn_sandwich": ("bounds", "pn-sandwich", "--n", "100", "--q", "0.5"),
+    "bounds_stirling": ("bounds", "stirling", "--m", "10", "--p", "0.5", "--k", "5"),
+    "oracle_exhaustive": ("oracle", "exhaustive", "--zeros", "3", "--ones", "1", "--q", "0.4"),
+    "oracle_exact_chain": ("oracle", "exact-chain", "--n", "5", "--delta", "2", "--q", "0.5",
+                           "--rounds", "2"),
+}
+
+#: Manifest fields that differ between runs of the same invocation.
+VOLATILE_MANIFEST_FIELDS = ("started", "finished", "command_line")
+
+
+def _result_text(path: Path) -> str:
+    """A result file's text, with the run-varying manifest fields removed."""
+    if path.suffix == ".csv":
+        return path.read_text()
+    doc = json.loads(path.read_text())
+    for key in VOLATILE_MANIFEST_FIELDS:
+        del doc["manifest"][key]
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def run_transcript(capsys, name: str, out_dir: Path) -> tuple[str, Path]:
+    argv = TRANSCRIPTS[name]
+    out = out_dir / (name + (".csv" if "csv" in argv else ".json"))
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 0, err
+    return stdout, out
+
+
+class TestGoldenTranscripts:
+    @pytest.mark.parametrize("name", sorted(TRANSCRIPTS))
+    def test_stdout_and_result_file_match_golden(self, capsys, tmp_path, name):
+        stdout, out = run_transcript(capsys, name, tmp_path)
+        assert stdout == (GOLDEN_CLI / f"{name}.stdout").read_text()
+        assert _result_text(out) == (GOLDEN_CLI / out.name).read_text()
