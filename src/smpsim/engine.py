@@ -232,10 +232,6 @@ class BatchOutcome:
             final_value=_final_value(int(self.final_zeros[lane]), self.total),
         )
 
-    def outcomes(self):
-        for lane in range(self.zeros_trajectory.shape[1]):
-            yield self.outcome(lane)
-
 
 def _final_value(zeros: int, total: int) -> int | None:
     if zeros == total:

@@ -16,7 +16,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .engine import (
     EXACT_CHAIN_MAX_AGENTS,
     MODE_AGGREGATED,
     BatchOutcome,
-    TrialOutcome,
     exact_chain_consensus_probability,
     run_trials_batch,
 )
@@ -192,8 +191,6 @@ def _count_event_chunk(args) -> int:
     config, start, size, master_seed, mode, event = args
     ids = np.arange(start, start + size, dtype=np.uint64)
     batch = run_trials_batch(config, ids, master_seed, mode=mode)
-    if callable(event):
-        return sum(1 for outcome in batch.outcomes() if event(outcome))
     return int(_event_mask(batch, event).sum())
 
 
@@ -218,7 +215,7 @@ def _map_chunks(fn, args_list: list, workers: int) -> list:
 
 def estimate_event_probability(
     config: ProtocolConfig,
-    event: str | Callable[[TrialOutcome], bool],
+    event: str,
     trials: int,
     master_seed: int,
     *,
@@ -227,12 +224,7 @@ def estimate_event_probability(
     confidence: float = 0.95,
     method: str = "wilson",
 ) -> Estimate:
-    """Estimate P{event} over independent runs of ``config``.
-
-    ``event`` is one of EVENT_NAMES or a predicate on TrialOutcome (the
-    predicate path materializes one outcome per trial and is accordingly
-    slower; it must be picklable when workers > 1).
-    """
+    """Estimate P{event} over independent runs of ``config``; ``event`` is one of EVENT_NAMES."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     args = [

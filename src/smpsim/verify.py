@@ -402,6 +402,9 @@ def run_verification(
     any worker count at a fixed seed.
     """
     ids = sorted(criteria) if criteria else sorted(CRITERIA)
+    unknown = sorted(set(ids) - set(CRITERIA))
+    if unknown:  # fail before any criterion runs
+        raise ValueError(f"unknown criteria {unknown}, expected 1..{len(CRITERIA)}")
     results = []
     for cid in ids:
         result = run_criterion(cid, seed=seed, workers=workers)

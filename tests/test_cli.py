@@ -2,9 +2,11 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from smpsim import DEFAULT_MASTER_SEED
-from smpsim.cli import main
+from smpsim import DEFAULT_MASTER_SEED, engine, experiments
+from smpsim.cli import _COMMANDS, _options, main
 
 
 def run_cli(capsys, *argv):
@@ -221,17 +223,16 @@ class TestVerifySubcommand:
         f1, f2 = d1 / "criterion_09.json", d2 / "criterion_09.json"
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_unknown_criterion_fails_before_any_runs(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--criteria", "8,99")
+        assert code == 1
+        assert "unknown criteria [99]" in err
+        assert out == ""
+
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "nonesuch")
         assert code == 1
         assert "unknown suite" in err
-
-    def test_q_must_match_pinned_value(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "properties", "--q", "0.3")
-        assert code == 1
-        assert "pinned" in err
-        code, _, _ = run_cli(capsys, "verify", "properties", "--q", "0.5")
-        assert code == 0
 
 
 class TestIntegerOptions:
@@ -278,6 +279,148 @@ class TestTypedConfigValues:
         assert err.startswith("smpsim: error: ") and message in err
         assert out == ""
 
+
+
+def _no_trials(*args, **kwargs):
+    raise AssertionError("a trial ran before the inputs were checked")
+
+
+class TestRejectedBeforeWork:
+    """Out-of-range and mistyped inputs exit 1 before any trial runs."""
+
+    @pytest.mark.parametrize(
+        "argv,config,prefix",
+        [
+            (("simulate", "--n", "3", "--q", "0.5", "--trial", "-1"), None, "--trial"),
+            (("simulate",), {"n": 1e308, "q": 0.5}, "--n"),
+            (("sweep", "max-error", "--n", "4", "--delta-stride", "0"), None, "--delta-stride"),
+            (("estimate",), {"n": 2, "q": 0.5, "trials": 10, "format": "xml"}, "--format"),
+            (("estimate",), {"n": 2, "q": 0.5, "trials": 10, "interval": "x"}, "--interval"),
+            (("estimate", "--n", "2", "--q", "0.5", "--workers", "0"), None, "--workers"),
+            (("sweep", "theorem1", "--n-grid", "4", "--alpha", "inf"), None, "--alpha"),
+        ],
+    )
+    def test_exits_1_naming_the_option(
+        self, capsys, tmp_path, monkeypatch, argv, config, prefix
+    ):
+        monkeypatch.setattr(engine, "run_trials_batch", _no_trials)
+        monkeypatch.setattr(experiments, "run_trials_batch", _no_trials)
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = (*argv, "--config", str(cfg))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith(f"smpsim: error: {prefix} ")
+        assert out == ""
+
+
+#: A tiny valid config per leaf command: n <= 4 and trials <= 20, so a run
+#: is one chunk and starts no process pool.
+BASE_CONFIGS = {
+    "simulate": {"n": 2, "q": 0.5},
+    "estimate": {"n": 2, "q": 0.5, "trials": 10},
+    "sweep trichotomy": {"n_grid": [4]},
+    "sweep max-error": {"n": 2, "trials": 10},
+    "sweep return-to-symmetry": {"n_grid": [4], "trials": 10},
+    "sweep theorem1": {"n_grid": [4], "trials": 10, "trials_single_round": 10},
+    "sweep theorem2": {"n_grid": [4], "trials": 10},
+    "bounds prop1": {"n": 4, "a": 2, "q": 0.5},
+    "bounds prop4": {"n": 4, "b": 2},
+    "bounds prop5": {"n": 4, "c": 2, "q": 0.5},
+    "bounds pn-sandwich": {"n": 4, "q": 0.5},
+    "bounds stirling": {"m": 4, "p": 0.5, "k": 2},
+    "oracle exhaustive": {"zeros": 2, "ones": 2, "q": 0.5},
+    "oracle exact-chain": {"n": 2, "q": 0.5},
+    "verify": {"criteria": [8]},
+}
+
+_INTEGER_WRONG = [[2], {"n": 2}, True, "two", 2.5, 1e308]
+#: Wrongly typed or out-of-range values, by the kind of value an option takes.
+WRONG_VALUES = {
+    "integer": _INTEGER_WRONG,
+    "bounded integer": [*_INTEGER_WRONG, -1],
+    "real": [[0.5], {"q": 0.5}, True, "half"],
+    "choice": [["json"], {"a": 1}, True, "xml", 1],
+    "path": [["out"], {"a": 1}, True, 1e308],
+    "int list": [{"n": 2}, True, "four", 2.5, 1e308, [2.5], ["x"]],
+    "seed": [[1], {"a": 1}, True, "banana", 2.5],
+    "regimes": [["zero"], {"a": 1}, True, "banana", 1],
+    "suite": [["all"], {"a": 1}, True, "nonesuch"],
+}
+OPTION_KINDS = {
+    **dict.fromkeys(["n", "delta", "rounds", "trials", "trials_single_round",
+                     "a", "b", "c", "m", "k", "zeros", "ones"], "integer"),
+    **dict.fromkeys(["trial", "delta_stride", "workers"], "bounded integer"),
+    **dict.fromkeys(["q", "p", "alpha"], "real"),
+    **dict.fromkeys(["mode", "event", "interval", "format"], "choice"),
+    **dict.fromkeys(["out", "plot_data", "out_dir"], "path"),
+    **dict.fromkeys(["n_grid", "criteria"], "int list"),
+    "seed": "seed",
+    "regimes": "regimes",
+    "suite": "suite",
+}
+
+
+def run_config(capsys, tmp_path, leaf: str, config: dict):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    return run_cli(capsys, *leaf.split(), "--config", str(cfg))
+
+
+class TestConfigProperties:
+    def test_every_leaf_and_option_is_covered(self):
+        assert set(BASE_CONFIGS) == set(_COMMANDS)
+        for leaf in _COMMANDS:
+            assert set(_options(leaf)) - {"config"} <= set(OPTION_KINDS)
+
+    @pytest.mark.parametrize("leaf", sorted(BASE_CONFIGS))
+    def test_base_config_runs(self, capsys, tmp_path, monkeypatch, leaf):
+        monkeypatch.delenv("SMPSIM_WORKERS", raising=False)
+        code, _, err = run_config(capsys, tmp_path, leaf, BASE_CONFIGS[leaf])
+        assert code == 0, err
+
+    @settings(
+        max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_one_wrong_value_exits_1_before_work(self, capsys, tmp_path, monkeypatch, data):
+        monkeypatch.delenv("SMPSIM_WORKERS", raising=False)
+        monkeypatch.setattr(engine, "run_trials_batch", _no_trials)
+        monkeypatch.setattr(experiments, "run_trials_batch", _no_trials)
+        leaf = data.draw(st.sampled_from(sorted(BASE_CONFIGS)), label="leaf")
+        # --config is always given here as a flag, which a config key cannot override
+        options = sorted(set(_options(leaf)) - {"config"})
+        name = data.draw(st.sampled_from(options), label="option")
+        value = data.draw(st.sampled_from(WRONG_VALUES[OPTION_KINDS[name]]), label="value")
+        code, out, err = run_config(capsys, tmp_path, leaf, {**BASE_CONFIGS[leaf], name: value})
+        assert code == 1
+        assert err.startswith("smpsim: error: ")
+        assert name.replace("_", "-") in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "leaf,flags,config",
+        [
+            ("estimate",
+             ("--n", "4", "--q", "0.25", "--trials", "20", "--seed", "0x2a",
+              "--mode", "per_agent", "--interval", "clopper_pearson"),
+             {"n": 4.0, "q": 0.25, "trials": "20", "seed": 42, "mode": "per_agent",
+              "interval": "clopper_pearson"}),
+            ("sweep return-to-symmetry",
+             ("--n-grid", "4,9", "--q", "0.5", "--trials", "20", "--seed", "7"),
+             {"n_grid": [4, 9], "q": 0.5, "trials": 20, "seed": "7"}),
+        ],
+    )
+    def test_flag_and_config_resolve_alike(self, capsys, tmp_path, leaf, flags, config):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        code, from_flags, _ = run_cli(capsys, *leaf.split(), *flags, "--out", str(a))
+        assert code == 0
+        code, from_config, _ = run_config(capsys, tmp_path, leaf, {**config, "out": str(b)})
+        assert code == 0
+        assert from_config == from_flags
+        assert _result_text(b) == _result_text(a)
 
 GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
 

@@ -64,10 +64,6 @@ class TestIntervals:
             Estimate.from_counts(3, 10, method="magic")
 
 
-def _consensus_in_one_round(outcome) -> bool:
-    return outcome.trajectory[1].zeros in (0, outcome.trajectory[1].total)
-
-
 class TestEstimateEventProbability:
     def test_impossible_event(self):
         est = estimate_event_probability(_config(1, 0, 3, 0.5), "consensus", 2_000, SEED)
@@ -129,12 +125,6 @@ class TestEstimateEventProbability:
         assert _pool_size(1, 100) == 1
         assert _pool_size(8, 1) == 1
         assert _pool_size(8, 0) == 1
-
-    def test_custom_predicate(self):
-        est = estimate_event_probability(
-            _config(4, 4, 2, 0.5), _consensus_in_one_round, 300, SEED
-        )
-        assert est.p_hat == 1.0  # absorbing start is consensus after round 1
 
     def test_relabeling_symmetry_within_ci(self):
         est_pos = estimate_event_probability(_config(30, 4, 2, 0.5), "consensus", 4_000, SEED)
