@@ -280,7 +280,6 @@ class TestTypedConfigValues:
         assert out == ""
 
 
-
 def _no_trials(*args, **kwargs):
     raise AssertionError("a trial ran before the inputs were checked")
 
