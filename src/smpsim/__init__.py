@@ -28,7 +28,6 @@ from .model import (  # noqa: E402,F401
 from .analytics import (  # noqa: E402,F401
     BoundReport,
     adopt_zero_probability,
-    binomial_log_cdf,
     binomial_log_pmf,
     comparison_probability,
     keep_zero_probability,

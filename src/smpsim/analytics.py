@@ -19,17 +19,18 @@ state with ``z`` zeros, ``o`` ones and delivery probability q' = 1 - q:
 * adopt-zero: P{ Bin(z, q') >= Bin(o-1, q') + 2 }
   (a one-holder switches to 0; it must see a strict majority of zeros).
 
-Both are memoized because Monte Carlo sweeps revisit the same counts
-heavily; the memo only stores values, so a cache hit returns what a fresh
-evaluation would.  The exact chain takes both for every z of a 2n-agent
-system from ``transition_tables``, which builds each binomial once, gives
-the same values and is memoised per (2n, q).
+Single calls, Monte Carlo rounds and the exact chain all take both from
+``transition_values``, which builds each binomial window once per batch
+of zero-counts and memoises the values per (2n, q), because sweeps revisit
+the same counts heavily; a memo hit returns what a fresh evaluation would.
+Binomials have fewer than ``MAX_BINOMIAL_TRIALS`` trials, the size below
+which the log-PMF's accuracy claim holds.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -39,12 +40,12 @@ __all__ = [
     "LogProb",
     "BoundReport",
     "BOUND_NAMES",
+    "MAX_BINOMIAL_TRIALS",
     "binomial_log_pmf",
-    "binomial_log_cdf",
     "comparison_probability",
+    "transition_values",
     "keep_zero_probability",
     "adopt_zero_probability",
-    "transition_tables",
     "kl_bernoulli",
     "std_normal_cdf",
     "q_function",
@@ -61,6 +62,10 @@ __all__ = [
 
 #: Log-probability: float <= 0 in natural-log space, -inf meaning probability 0.
 LogProb = float
+
+#: Binomials have fewer trials than this: below it ``_log_pmf`` forms k - mp
+#: exactly from a 26-bit split of p, which its accuracy rests on.
+MAX_BINOMIAL_TRIALS = 1 << 27
 
 # stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n/e)^n) for n = 0..15, from mpmath
 # at 40 digits (stirlerr(0) is set to 0; the log-PMF never uses it).
@@ -90,7 +95,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 #: (Bernstein), so each tail outside it holds less than 1e-340.
 _WINDOW_LOG_TAIL = 340.0 * math.log(10.0)
 #: Window entries evaluated together where many binomials are needed at once
-#: (the keep/adopt table and the exact chain's rows), bounding the memory held.
+#: (keep/adopt batches and the exact chain's rows), bounding the memory held.
 _BLOCK_ELEMENTS = 1 << 15
 #: Terms of the bd0 series near x = mu, where |v| < 0.1: the first dropped
 #: one is below 1e-20 of the sum.
@@ -155,9 +160,9 @@ def _log_pmf(m: np.ndarray, p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np
     0 < k < m, where base(m) is ``_log_pmf_base(m)``; the end points are
     m log(1-p) and m log(p), with 0 log 0 = 0.  Every term is O(1) or
     computed with relative accuracy, so the error does not grow with m.
-    k - mp is formed exactly from a split of p, for m < 2^27.  Per-window
-    quantities are computed once and spread over their window, so an entry
-    never depends on which other windows are evaluated with it.
+    k - mp is formed exactly from a split of p, for m < MAX_BINOMIAL_TRIALS.
+    Per-window quantities are computed once and spread over their window,
+    so an entry never depends on which other windows are evaluated with it.
     """
     sizes = hi - lo + 1
     starts = np.cumsum(sizes) - sizes
@@ -255,31 +260,14 @@ def _compare_windows(win1, win2, offset: int) -> float:
     return float(min(acc / (c1[-1] * total2), 1.0))
 
 
-def _short_circuit(m1: int, m2: int, offset: int) -> float | None:
-    """The comparisons whose outcome is certain: offset >= m2 or m1 + offset < 0."""
-    if offset >= m2:
-        return 1.0
-    if m1 + offset < 0:
-        return 0.0
-    return None
-
-
 def binomial_log_pmf(m: int, p: float, k: int) -> LogProb:
     """log of C(m, k) p^k (1-p)^(m-k), in Loader's saddle-point form."""
-    if not 0 <= k <= m:
-        raise ValueError(f"k must be in [0, m], got k={k}, m={m}")
-    return float(_log_pmf_array(m, p)[k])
-
-
-def binomial_log_cdf(m: int, p: float, k: int) -> LogProb:
-    """log P{Bin(m, p) <= k}; -inf for k < 0 and 0.0 (probability 1) for k >= m."""
+    if not 0 <= k <= m < MAX_BINOMIAL_TRIALS:
+        raise ValueError(f"need 0 <= k <= m < 2^27, got k={k}, m={m}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    if k < 0:
-        return -math.inf
-    if k >= m:
-        return 0.0
-    return float(min(np.logaddexp.reduce(_log_pmf_array(m, p)[: k + 1]), 0.0))
+    window = np.array([k])
+    return float(_log_pmf(np.array([float(m)]), np.array([float(p)]), window, window)[0])
 
 
 def comparison_probability(m1: int, m2: int, p: float, offset: int) -> float:
@@ -294,82 +282,99 @@ def comparison_probability(m1: int, m2: int, p: float, offset: int) -> float:
     underflow.  Certain comparisons short-circuit exactly: offset >= m2
     gives 1, m1 + offset < 0 gives 0.
     """
-    if m1 < 0 or m2 < 0:
-        raise ValueError(f"m1 and m2 must be nonnegative, got ({m1}, {m2})")
+    if not (0 <= m1 < MAX_BINOMIAL_TRIALS and 0 <= m2 < MAX_BINOMIAL_TRIALS):
+        raise ValueError(f"m1 and m2 must be in [0, 2^27), got ({m1}, {m2})")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    certain = _short_circuit(m1, m2, offset)
-    if certain is not None:
-        return certain
-    return _compare_windows(*_scaled_windows([m1, m2], p), offset)
+    return _pair_comparisons(m1 + m2, [(m1, offset)], p)[0]
 
 
-def _keep_zero_exact(z: int, o: int, q: float) -> float:
-    if z < 1:
-        raise ValueError(f"keep-zero probability needs at least one zero-holder, got z={z}")
-    if o < 0:
-        raise ValueError(f"o must be nonnegative, got {o}")
-    return comparison_probability(z - 1, o, 1.0 - q, 1)
+def _pair_comparisons(size: int, queries: list[tuple[int, int]], p: float) -> list[float]:
+    """P{Bin(a, p) + offset >= Bin(size - a, p)} for each (a, offset) of ``queries``.
+
+    Certain outcomes are exact: offset >= size - a gives 1, a + offset < 0
+    gives 0.  Pairs a and size - a hold the same two windows, so the other
+    queries are grouped by min(a, size - a) and each window is built once,
+    in blocks of about _BLOCK_ELEMENTS window entries: a block starts with the
+    pair whose windows take the running total past a multiple of it.  A
+    value does not depend on which other queries are evaluated with it.
+    """
+    out = [1.0 if off >= size - a else 0.0 if a + off < 0 else math.nan for a, off in queries]
+    by_pair: dict[int, list[int]] = {}
+    for i, (a, _) in enumerate(queries):
+        if math.isnan(out[i]):
+            by_pair.setdefault(min(a, size - a), []).append(i)
+    if not by_pair:
+        return out
+    pairs = np.array(sorted(by_pair), dtype=np.int64)
+    lo, hi = _window_bounds(np.concatenate([pairs, size - pairs]).astype(np.float64), p)
+    entries = (hi - lo + 1).reshape(2, -1).sum(axis=0)
+    block = np.cumsum(entries) // _BLOCK_ELEMENTS
+    for chunk in np.split(pairs, np.flatnonzero(np.diff(block)) + 1):
+        wins = _scaled_windows(np.concatenate([chunk, size - chunk]), p)
+        for c, win_c, win_rest in zip(chunk.tolist(), wins, wins[len(chunk):]):
+            for i in by_pair[c]:
+                a, offset = queries[i]
+                win1, win2 = (win_c, win_rest) if a == c else (win_rest, win_c)
+                out[i] = _compare_windows(win1, win2, offset)
+    return out
 
 
-def _adopt_zero_exact(z: int, o: int, q: float) -> float:
-    if o < 1:
-        raise ValueError(f"adopt-zero probability needs at least one one-holder, got o={o}")
-    if z < 0:
-        raise ValueError(f"z must be nonnegative, got {z}")
-    return comparison_probability(z, o - 1, 1.0 - q, -2)
+#: (total, q) -> {z: (keep, adopt)}, emptied before it would exceed _MEMO_MAX_VALUES.
+_MEMO: dict[tuple[int, float], dict[int, tuple[float, float]]] = {}
+_MEMO_LOCK = threading.Lock()
+_MEMO_MAX_VALUES = 1 << 20
 
 
-def _transition_tables_exact(total: int, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Uncached ``transition_tables``: both binomials of every pair built once."""
-    if total < 1:
-        raise ValueError(f"total must be positive, got {total}")
+def transition_values(total: int, zs, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """(keep, adopt) at each zero-count z of ``zs`` in a ``total``-agent system.
+
+    keep[i] = keep_zero_probability(z, total - z, q) and adopt[i] =
+    adopt_zero_probability(z, total - z, q) for z = zs[i], and 0 on an empty
+    side (keep at z = 0, adopt at z = total).  The z values missing from the
+    (total, q) memo are evaluated in one batch that builds each binomial
+    window once; a value is the same from the memo, alone or in any batch.
+    The returned arrays are the caller's own.
+    """
+    if not 1 <= total < MAX_BINOMIAL_TRIALS:
+        raise ValueError(f"total must be in [1, 2^27), got {total}")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
-    p = 1.0 - q
-    last = total - 1
-    keep = np.zeros(total + 1)
-    adopt = np.zeros(total + 1)
-    lower = np.arange(last // 2 + 1)
-    # pairs (a, last - a) in blocks of about _BLOCK_ELEMENTS window entries
-    for block in np.array_split(lower, max(1, len(lower) * (total + 1) // _BLOCK_ELEMENTS)):
-        wins = _scaled_windows(np.concatenate([block, last - block]), p)
-        for a, win_a, win_b in zip(block.tolist(), wins, wins[len(block):]):
-            b = last - a
-            for m1, m2, win1, win2 in ((a, b, win_a, win_b), (b, a, win_b, win_a)):
-                for offset, out, z in ((1, keep, m1 + 1), (-2, adopt, m1)):
-                    certain = _short_circuit(m1, m2, offset)
-                    out[z] = certain if certain is not None else _compare_windows(win1, win2, offset)
-    keep.flags.writeable = adopt.flags.writeable = False
-    return keep, adopt
+    zs = np.asarray(zs, dtype=np.int64)
+    if zs.size and not (0 <= zs.min() and zs.max() <= total):
+        raise ValueError(f"zero-counts must be in [0, {total}]")
+    uniq, inverse = np.unique(zs, return_inverse=True)
+    uniq = uniq.tolist()
+    key = (int(total), float(q))
+    with _MEMO_LOCK:
+        memo = _MEMO.get(key, {})
+        found = {z: memo[z] for z in uniq if z in memo}
+    missing = [z for z in uniq if z not in found]
+    if missing:
+        # keep(z) is pair a = z - 1 at offset 1, adopt(z) pair a = z at offset -2
+        wanted = [(z - 1, 1) for z in missing if z > 0] + [(z, -2) for z in missing if z < total]
+        value = dict(zip(wanted, _pair_comparisons(total - 1, wanted, 1.0 - q)))
+        found.update((z, (value.get((z - 1, 1), 0.0), value.get((z, -2), 0.0))) for z in missing)
+        with _MEMO_LOCK:
+            if sum(map(len, _MEMO.values())) + len(missing) > _MEMO_MAX_VALUES:
+                _MEMO.clear()
+            _MEMO.setdefault(key, {}).update((z, found[z]) for z in missing)
+    keep, adopt = np.array([found[z] for z in uniq], dtype=np.float64).reshape(-1, 2).T
+    return keep[inverse], adopt[inverse]
 
 
-@functools.lru_cache(maxsize=1 << 20)
 def keep_zero_probability(z: int, o: int, q: float) -> float:
     """Probability a zero-holder still holds 0 after one round (tie included)."""
-    return _keep_zero_exact(z, o, q)
+    if z < 1 or o < 0:
+        raise ValueError(f"keep-zero probability needs z >= 1 and o >= 0, got z={z}, o={o}")
+    return float(transition_values(z + o, [z], q)[0][0])
 
 
-@functools.lru_cache(maxsize=1 << 20)
 def adopt_zero_probability(z: int, o: int, q: float) -> float:
     """Probability a one-holder switches to 0 after one round (strict majority)."""
-    return _adopt_zero_exact(z, o, q)
-
-
-@functools.lru_cache(maxsize=8)
-def transition_tables(total: int, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """(keep, adopt) for every zero-count z = 0..total of a ``total``-agent system.
-
-    keep[z] = keep_zero_probability(z, total - z, q) and adopt[z] =
-    adopt_zero_probability(z, total - z, q), with the empty-side values
-    keep[0] = adopt[total] = 0.  keep(z + 1) and adopt(z) both compare
-    Bin(z, 1-q) with Bin(total - 1 - z, 1-q), so each binomial's window is
-    built once and serves both orders of its pair; the values equal the
-    single calls.  The last 8 tables, of 2 (total + 1) floats each, are
-    memoised per (total, q), so repeated chains of one system build them
-    once; the arrays are read-only.
-    """
-    return _transition_tables_exact(total, q)
+    if o < 1 or z < 0:
+        raise ValueError(f"adopt-zero probability needs o >= 1 and z >= 0, got z={z}, o={o}")
+    return float(transition_values(z + o, [z], q)[1][0])
 
 
 def kl_bernoulli(a: float, b: float) -> float:

@@ -4,7 +4,10 @@ Two sampling paths produce protocol runs:
 
 * the aggregated path draws the next zero-count directly as
   Bin(z, p_keep_zero) + Bin(o, p_adopt_zero), valid because per-receiver
-  loss patterns are disjoint sets of i.i.d. variables;
+  loss patterns are disjoint sets of i.i.d. variables; each round takes
+  keep/adopt for all its distinct zero-counts from one call to
+  ``analytics.transition_values``, the evaluator and memo the exact
+  oracles use too;
 * the per-agent path simulates every receiver's received counts and applies
   the decision rule, serving as the reference implementation.
 
@@ -99,17 +102,6 @@ class CountDistribution:
         return 0.5 * float(np.abs(self.probabilities - other.probabilities).sum())
 
 
-def _transition_pair(z: int, o: int, q: float) -> tuple[float, float]:
-    """(p_keep_zero, p_adopt_zero) with the empty-side convention.
-
-    A side with no holders contributes a binomial over zero trials, so its
-    undefined transition probability is never evaluated.
-    """
-    p00 = analytics.keep_zero_probability(z, o, q) if z > 0 else 0.0
-    p10 = analytics.adopt_zero_probability(z, o, q) if o > 0 else 0.0
-    return p00, p10
-
-
 # --------------------------------------------------------------------------
 # Sampling paths
 # --------------------------------------------------------------------------
@@ -131,16 +123,12 @@ def _aggregated_rounds(
         active = (z > 0) & (z < total)
         if np.any(active):
             zs = z[active]
-            uniq, inverse = np.unique(zs, return_inverse=True)
-            p00 = np.empty(len(uniq))
-            p10 = np.empty(len(uniq))
-            for i, zu in enumerate(uniq):
-                p00[i], p10[i] = _transition_pair(int(zu), total - int(zu), q)
+            p00, p10 = analytics.transition_values(total, zs, q)
             kept = sample_binomial_lanes(
-                zs, p00[inverse], master_seed, trial_ids[active], round_index, np.uint64(0)
+                zs, p00, master_seed, trial_ids[active], round_index, np.uint64(0)
             )
             gained = sample_binomial_lanes(
-                total - zs, p10[inverse], master_seed, trial_ids[active], round_index, np.uint64(1)
+                total - zs, p10, master_seed, trial_ids[active], round_index, np.uint64(1)
             )
             z[active] = kept + gained
         traj[round_index] = z
@@ -302,8 +290,8 @@ def _round_laws(total: int, zs, p00, p10) -> list[np.ndarray]:
 
 def aggregated_round_distribution(counts: OpinionCounts, q: float) -> CountDistribution:
     """Exact one-round law Bin(z, p_keep) * Bin(o, p_adopt) of the zero-count."""
-    p00, p10 = _transition_pair(counts.zeros, counts.ones, q)
-    (law,) = _round_laws(counts.total, [counts.zeros], [p00], [p10])
+    p00, p10 = analytics.transition_values(counts.total, [counts.zeros], q)
+    (law,) = _round_laws(counts.total, [counts.zeros], p00, p10)
     return CountDistribution(probabilities=law)
 
 
@@ -358,10 +346,10 @@ def exact_chain_consensus_probability(
     """Exact (P{consensus}, P{majority consensus}) via the count Markov chain.
 
     The kernel row at z is the convolution Bin(z, p_keep) * Bin(2n - z,
-    p_adopt), with keep/adopt for every z from one ``transition_tables``
-    pass; the start distribution is a point mass at n + delta and the
-    chain is advanced ``rounds`` times.  Consensus states are absorbing
-    rows, exact point masses.
+    p_adopt), with keep/adopt for every z = 0..2n from one
+    ``analytics.transition_values`` call; the start distribution is a
+    point mass at n + delta and the chain is advanced ``rounds`` times.
+    Consensus states are absorbing rows, exact point masses.
     """
     total = 2 * n
     if total > EXACT_CHAIN_MAX_AGENTS:
@@ -372,7 +360,7 @@ def exact_chain_consensus_probability(
         raise ValueError(f"|delta| must be <= n, got {delta}")
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    p00, p10 = analytics.transition_tables(total, q)
+    p00, p10 = analytics.transition_values(total, np.arange(total + 1), q)
     # rows built together, about _BLOCK_ELEMENTS window entries per block
     block_rows = max(1, analytics._BLOCK_ELEMENTS // (total + 1))
     dist = np.zeros(total + 1)

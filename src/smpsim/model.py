@@ -20,6 +20,8 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
+from .analytics import MAX_BINOMIAL_TRIALS
+
 
 Bit = int
 
@@ -93,6 +95,8 @@ class ProtocolConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
+        if self.n >= MAX_BINOMIAL_TRIALS // 2:
+            raise ValueError(f"2n must be below 2^27 = {MAX_BINOMIAL_TRIALS}, got n={self.n}")
         if abs(self.delta) > self.n:
             raise ValueError(f"|delta| must be <= n, got delta={self.delta}, n={self.n}")
         if self.rounds < 1:

@@ -36,7 +36,9 @@ from .experiments import (
 )
 from .model import NetworkModel, OpinionCounts, ProtocolConfig
 
-__all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_verification"]
+__all__ = [
+    "CriterionResult", "CRITERIA", "criterion_result_file", "run_criterion", "run_verification",
+]
 
 # Independently computed (40-digit arithmetic) reference for the closed-form
 # single-round error bound at (n=100, A=50, q=0.5).
@@ -123,9 +125,8 @@ def _criterion_2(seed: int, workers: int) -> tuple[bool, dict[str, Any]]:
 def _criterion_3(seed: int, workers: int) -> tuple[bool, dict[str, Any]]:
     """Growth-rate trichotomy via exact keep probabilities, no sampling."""
     n, q = 10_000, 0.5
-    p_tied = analytics.keep_zero_probability(n, n, q)
-    p_sqrt = analytics.keep_zero_probability(n + 100, n - 100, q)
-    p_power = analytics.keep_zero_probability(n + 1_000, n - 1_000, q)
+    keep, _ = analytics.transition_values(2 * n, [n, n + 100, n + 1_000], q)
+    p_tied, p_sqrt, p_power = keep.tolist()
     ok_tied = 0.5 < p_tied < 0.52
     ok_sqrt = abs(p_sqrt - _PHI_SQRT2) <= 0.01
     ok_power = p_power >= 0.999
@@ -388,6 +389,17 @@ def run_criterion(
     )
 
 
+def criterion_result_file(result: CriterionResult, seed: int) -> io.ResultFile:
+    """The result file ``run_verification`` writes for one criterion run at ``seed``."""
+    manifest = io.RunManifest.create(
+        master_seed=seed,
+        config={"criterion": result.criterion, "title": result.title},
+        command_line=f"verify --criteria {result.criterion} --seed {seed}",
+    )
+    payload = {"passed": result.passed, "details": result.details}
+    return io.ResultFile(manifest=manifest, payload=payload)
+
+
 def run_verification(
     criteria: list[int] | None = None,
     seed: int = DEFAULT_MASTER_SEED,
@@ -414,17 +426,8 @@ def run_verification(
         if out_dir is not None:
             out_dir = Path(out_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
-            manifest = io.RunManifest.create(
-                master_seed=seed,
-                config={"criterion": cid, "title": result.title},
-                command_line=f"verify --criteria {cid} --seed {seed}",
-                workers=1,
-            )
-            payload = {"passed": result.passed, "details": result.details}
             io.write_results(
-                io.ResultFile(manifest=manifest, payload=payload),
-                "json",
-                out_dir / f"criterion_{cid:02d}.json",
+                criterion_result_file(result, seed), "json", out_dir / f"criterion_{cid:02d}.json"
             )
     failed = [r.criterion for r in results if not r.passed]
     if failed:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from smpsim import analytics as A
 
 from oracles import (
-    binomial_cdf_direct,
     binomial_pmf_direct,
     comparison_direct,
     comparison_fraction,
@@ -43,6 +42,18 @@ class TestBinomialLogPmf:
         with pytest.raises(ValueError):
             A.binomial_log_pmf(3, 1.5, 1)
 
+    def test_size_ceiling(self):
+        # rejected before any array is built, however large m is
+        assert A.binomial_log_pmf(A.MAX_BINOMIAL_TRIALS - 1, 0.5, 3) < -1e7
+        with pytest.raises(ValueError, match="2\\^27"):
+            A.binomial_log_pmf(A.MAX_BINOMIAL_TRIALS, 0.5, 3)
+        with pytest.raises(ValueError, match="2\\^27"):
+            A.binomial_log_pmf(2**63 - 1, 0.5, 3)
+        with pytest.raises(ValueError, match="2\\^27"):
+            A.comparison_probability(2**62, 3, 0.5, 0)
+        with pytest.raises(ValueError, match="2\\^27"):
+            A.keep_zero_probability(2**62, 2**62, 0.5)
+
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.77, 0.99])
     @pytest.mark.parametrize("m", [1, 2, 7, 12])
     def test_against_direct_combinatorics(self, m, p):
@@ -56,22 +67,6 @@ class TestBinomialLogPmf:
         for m, p, tol in [(10, 0.5, 1e-14), (1000, 0.3, 1e-12), (20_000, 0.9, 1e-10)]:
             total = np.exp(A._log_pmf_array(m, p)).sum()
             assert total == pytest.approx(1.0, rel=tol)
-
-
-class TestBinomialLogCdf:
-    def test_examples(self):
-        assert A.binomial_log_cdf(5, 0.3, 5) == 0.0
-        assert A.binomial_log_cdf(1, 0.5, 0) == pytest.approx(math.log(0.5), abs=1e-14)
-        assert A.binomial_log_cdf(2, 0.5, 1) == pytest.approx(math.log(0.75), abs=1e-14)
-        assert A.binomial_log_cdf(4, 0.2, -1) == -math.inf
-        assert A.binomial_log_cdf(4, 0.2, 9) == 0.0
-
-    @pytest.mark.parametrize("m,p", [(6, 0.25), (11, 0.6), (3, 0.5)])
-    def test_against_direct(self, m, p):
-        for k in range(m + 1):
-            assert math.exp(A.binomial_log_cdf(m, p, k)) == pytest.approx(
-                binomial_cdf_direct(m, p, k), rel=1e-12
-            )
 
 
 class TestComparisonProbability:
@@ -195,70 +190,87 @@ class TestAgainstMpmath:
         assert 1e-210 < A.adopt_zero_probability(60, 940, 0.5) < 1e-200
 
 
-class TestTransitionTables:
+class TestTransitionValues:
     @pytest.mark.parametrize("q", [0.2, 0.8])
-    def test_one_pass_equals_single_calls(self, q):
+    def test_batch_invariance(self, q, monkeypatch):
+        # each z alone with a fresh memo equals the same z inside a shuffled
+        # batch with duplicates and both empty sides; chunk and worker
+        # determinism of the Monte Carlo rounds rests on this
         total = 1000
-        keep, adopt = A.transition_tables(total, q)
-        assert keep[0] == 0.0 and adopt[total] == 0.0
-        for z in range(1, total + 1):
-            single = A.keep_zero_probability(z, total - z, q)
-            assert abs(keep[z] - single) <= 1e-15 * single, z
-        for z in range(total):
-            single = A.adopt_zero_probability(z, total - z, q)
-            assert abs(adopt[z] - single) <= 1e-15 * single, z
+        zs = np.random.default_rng(7).permutation(np.r_[0:total + 1, 0, total, 0:total:3])
+        monkeypatch.setattr(A, "_MEMO", {})
+        keep, adopt = A.transition_values(total, zs, q)
+        assert keep[zs == 0].max() == 0.0 and adopt[zs == total].max() == 0.0
+        alone = {}
+        for z in range(total + 1):
+            A._MEMO.clear()
+            alone[z] = tuple(v[0] for v in A.transition_values(total, [z], q))
+        assert all(alone[z] == (k, a) for z, k, a in zip(zs.tolist(), keep, adopt))
+        A._MEMO.clear()
+        assert all(
+            A.keep_zero_probability(z, total - z, q) == alone[z][0] for z in range(1, total + 1)
+        )
+        assert all(
+            A.adopt_zero_probability(z, total - z, q) == alone[z][1] for z in range(total)
+        )
 
-    def test_tables_are_memoised_and_read_only(self):
-        A.transition_tables.cache_clear()
-        keep, adopt = A.transition_tables(40, 0.3)
-        again = A.transition_tables(40, 0.3)
-        assert again[0] is keep and again[1] is adopt
-        assert A.transition_tables.cache_info().hits == 1
-        with pytest.raises(ValueError):
-            keep[1] = 0.5
-        uncached = A._transition_tables_exact(40, 0.3)
-        assert uncached[0] is not keep
-        assert np.array_equal(uncached[0], keep) and np.array_equal(uncached[1], adopt)
+    def test_memo_hit_equals_fresh_evaluation(self, monkeypatch):
+        monkeypatch.setattr(A, "_MEMO", {})
+        zs = [13, 0, 22, 5, 13]
+        fresh = A.transition_values(22, zs, 0.35)
+        assert sorted(A._MEMO[22, 0.35]) == [0, 5, 13, 22]
+        hit = A.transition_values(22, zs, 0.35)
+        assert np.array_equal(hit[0], fresh[0]) and np.array_equal(hit[1], fresh[1])
+        assert A.keep_zero_probability(13, 9, 0.35) == fresh[0][0]
+        assert A.adopt_zero_probability(13, 9, 0.35) == fresh[1][0]
+        assert fresh[0][0] == A.comparison_probability(12, 9, 1.0 - 0.35, 1)
+        assert fresh[1][0] == A.comparison_probability(13, 8, 1.0 - 0.35, -2)
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(A, "_MEMO", {})
+        want = A.transition_values(30, range(31), 0.5)
+        monkeypatch.setattr(A, "_MEMO", {})
+        monkeypatch.setattr(A, "_MEMO_MAX_VALUES", 8)
+        for start in range(0, 31, 5):
+            keep, adopt = A.transition_values(30, range(start, min(start + 5, 31)), 0.5)
+            assert np.array_equal(keep, want[0][start:start + 5])
+            assert np.array_equal(adopt, want[1][start:start + 5])
+            assert sum(map(len, A._MEMO.values())) <= 8
+
+    def test_returned_arrays_are_the_callers_own(self):
+        keep, adopt = A.transition_values(40, [3, 20, 3], 0.3)
+        before = keep.copy(), adopt.copy()
+        keep[:] = 0.5
+        adopt[:] = 0.5
+        again = A.transition_values(40, [3, 20, 3], 0.3)
+        assert np.array_equal(again[0], before[0]) and np.array_equal(again[1], before[1])
 
     def test_small_systems_and_validation(self):
-        keep, adopt = A.transition_tables(1, 0.3)
+        keep, adopt = A.transition_values(1, [0, 1], 0.3)
         assert list(keep) == [0.0, 1.0] and list(adopt) == [0.0, 0.0]
-        keep, adopt = A.transition_tables(4, 0.5)
-        assert keep[2] == A.keep_zero_probability(2, 2, 0.5)
-        assert adopt[3] == A.adopt_zero_probability(3, 1, 0.5)
+        keep, adopt = A.transition_values(4, [2, 3], 0.5)
+        assert keep[0] == A.keep_zero_probability(2, 2, 0.5)
+        assert adopt[1] == A.adopt_zero_probability(3, 1, 0.5)
+        assert [len(v) for v in A.transition_values(4, [], 0.5)] == [0, 0]
         with pytest.raises(ValueError):
-            A.transition_tables(0, 0.5)
+            A.transition_values(0, [0], 0.5)
         with pytest.raises(ValueError):
-            A.transition_tables(4, 1.5)
+            A.transition_values(4, [2], 1.5)
+        with pytest.raises(ValueError):
+            A.transition_values(4, [5], 0.5)
+        with pytest.raises(ValueError):
+            A.transition_values(4, [-1], 0.5)
+        with pytest.raises(ValueError, match="2\\^27"):
+            A.transition_values(A.MAX_BINOMIAL_TRIALS, [1], 0.5)
 
-
-class TestTransitionCache:
-    def test_cache_transparency(self):
-        A.keep_zero_probability.cache_clear()
-        A.adopt_zero_probability.cache_clear()
-        for _ in range(2):  # a miss, then a hit
-            assert A.keep_zero_probability(13, 9, 0.35) == A._keep_zero_exact(13, 9, 0.35)
-            assert A.adopt_zero_probability(13, 9, 0.35) == A._adopt_zero_exact(13, 9, 0.35)
-
-    def test_cache_hits(self):
-        A.keep_zero_probability.cache_clear()
-        A.keep_zero_probability(11, 7, 0.4)
-        A.keep_zero_probability(11, 7, 0.4)
-        assert A.keep_zero_probability.cache_info().hits >= 1
-
-    def test_capacity(self):
-        assert A.keep_zero_probability.cache_info().maxsize == 1 << 20
-        assert A.adopt_zero_probability.cache_info().maxsize == 1 << 20
-        assert A.transition_tables.cache_info().maxsize == 8
-
-    def test_concurrent_access(self):
+    def test_concurrent_access(self, monkeypatch):
         from concurrent.futures import ThreadPoolExecutor
 
-        A.keep_zero_probability.cache_clear()
+        monkeypatch.setattr(A, "_MEMO", {})
         args = [(z, 24 - z, 0.4) for z in range(1, 24)] * 40
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(lambda a: A.keep_zero_probability(*a), args))
-        expected = {a: A._keep_zero_exact(*a) for a in set(args)}
+        expected = {a: A.comparison_probability(a[0] - 1, a[1], 1.0 - 0.4, 1) for a in set(args)}
         assert all(r == expected[a] for r, a in zip(results, args))
 
 

@@ -314,6 +314,21 @@ class TestRejectedBeforeWork:
         assert out == ""
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--n", "4611686018427387904", "--q", "0.5"),
+            ("bounds", "stirling", "--m", "9223372036854775807", "--p", "0.5", "--k", "3"),
+        ],
+    )
+    def test_oversized_binomial_exits_1(self, capsys, monkeypatch, argv):
+        # a binomial of 2^27 or more trials is refused before any array is built
+        monkeypatch.setattr(engine, "run_trials_batch", _no_trials)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("smpsim: error: ") and "2^27" in err
+        assert out == ""
+
 #: A tiny valid config per leaf command: n <= 4 and trials <= 20, so a run
 #: is one chunk and starts no process pool.
 BASE_CONFIGS = {

@@ -117,6 +117,10 @@ class TestNetworkAndConfig:
             ProtocolConfig(n=3, delta=4, rounds=1, network=net)
         with pytest.raises(ValueError):
             ProtocolConfig(n=3, delta=0, rounds=0, network=net)
+        ProtocolConfig(n=(1 << 26) - 1, delta=0, rounds=1, network=net)
+        for n in (1 << 26, np.int64(1 << 62)):
+            with pytest.raises(ValueError, match="2n must be below 2\\^27"):
+                ProtocolConfig(n=n, delta=0, rounds=1, network=net)
 
     @pytest.mark.parametrize("name", ["n", "delta", "rounds"])
     @pytest.mark.parametrize("value", [2.0, 2.5, True, "2"])
