@@ -19,12 +19,6 @@ def binomial_pmf_direct(m: int, p: float, k: int) -> float:
     return math.comb(m, k) * p**k * (1.0 - p) ** (m - k)
 
 
-def binomial_cdf_direct(m: int, p: float, k: int) -> float:
-    if k < 0:
-        return 0.0
-    return sum(binomial_pmf_direct(m, p, j) for j in range(0, min(k, m) + 1))
-
-
 def comparison_direct(m1: int, m2: int, p: float, offset: int) -> float:
     """P{Bin(m1,p) + offset >= Bin(m2,p)} by summing the joint PMF."""
     total = 0.0

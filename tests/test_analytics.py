@@ -264,14 +264,21 @@ class TestTransitionValues:
             A.transition_values(A.MAX_BINOMIAL_TRIALS, [1], 0.5)
 
     def test_concurrent_access(self, monkeypatch):
+        import sys
         from concurrent.futures import ThreadPoolExecutor
 
         monkeypatch.setattr(A, "_MEMO", {})
         args = [(z, 24 - z, 0.4) for z in range(1, 24)] * 40
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(lambda a: A.keep_zero_probability(*a), args))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(lambda a: A.keep_zero_probability(*a), args, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
         expected = {a: A.comparison_probability(a[0] - 1, a[1], 1.0 - 0.4, 1) for a in set(args)}
         assert all(r == expected[a] for r, a in zip(results, args))
+        assert sorted(A._MEMO[24, 0.4]) == list(range(1, 24))  # no store was lost
 
 
 class TestKlBernoulli:
