@@ -214,29 +214,6 @@ class TestTransitionValues:
             A.adopt_zero_probability(z, total - z, q) == alone[z][1] for z in range(total)
         )
 
-    def test_memo_hit_equals_fresh_evaluation(self, monkeypatch):
-        monkeypatch.setattr(A, "_MEMO", {})
-        zs = [13, 0, 22, 5, 13]
-        fresh = A.transition_values(22, zs, 0.35)
-        assert sorted(A._MEMO[22, 0.35]) == [0, 5, 13, 22]
-        hit = A.transition_values(22, zs, 0.35)
-        assert np.array_equal(hit[0], fresh[0]) and np.array_equal(hit[1], fresh[1])
-        assert A.keep_zero_probability(13, 9, 0.35) == fresh[0][0]
-        assert A.adopt_zero_probability(13, 9, 0.35) == fresh[1][0]
-        assert fresh[0][0] == A.comparison_probability(12, 9, 1.0 - 0.35, 1)
-        assert fresh[1][0] == A.comparison_probability(13, 8, 1.0 - 0.35, -2)
-
-    def test_memo_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(A, "_MEMO", {})
-        want = A.transition_values(30, range(31), 0.5)
-        monkeypatch.setattr(A, "_MEMO", {})
-        monkeypatch.setattr(A, "_MEMO_MAX_VALUES", 8)
-        for start in range(0, 31, 5):
-            keep, adopt = A.transition_values(30, range(start, min(start + 5, 31)), 0.5)
-            assert np.array_equal(keep, want[0][start:start + 5])
-            assert np.array_equal(adopt, want[1][start:start + 5])
-            assert sum(map(len, A._MEMO.values())) <= 8
-
     def test_returned_arrays_are_the_callers_own(self):
         keep, adopt = A.transition_values(40, [3, 20, 3], 0.3)
         before = keep.copy(), adopt.copy()
@@ -262,6 +239,63 @@ class TestTransitionValues:
             A.transition_values(4, [-1], 0.5)
         with pytest.raises(ValueError, match="2\\^27"):
             A.transition_values(A.MAX_BINOMIAL_TRIALS, [1], 0.5)
+
+
+class TestTransitionCache:
+    def test_cache_transparency(self, monkeypatch):
+        monkeypatch.setattr(A, "_MEMO", {})
+        zs = [13, 0, 22, 5, 13]
+        fresh = A.transition_values(22, zs, 0.35)
+        assert sorted(A._MEMO[22, 0.35]) == [0, 5, 13, 22]
+        hit = A.transition_values(22, zs, 0.35)
+        assert np.array_equal(hit[0], fresh[0]) and np.array_equal(hit[1], fresh[1])
+        assert A.keep_zero_probability(13, 9, 0.35) == fresh[0][0]
+        assert A.adopt_zero_probability(13, 9, 0.35) == fresh[1][0]
+        assert fresh[0][0] == A.comparison_probability(12, 9, 1.0 - 0.35, 1)
+        assert fresh[1][0] == A.comparison_probability(13, 8, 1.0 - 0.35, -2)
+
+    def test_cache_hits(self, monkeypatch):
+        monkeypatch.setattr(A, "_MEMO", {})
+        calls = []
+        kernel = A._pair_comparisons
+
+        def counted(size, queries, p):
+            calls.append(sorted(queries))
+            return kernel(size, queries, p)
+
+        monkeypatch.setattr(A, "_pair_comparisons", counted)
+        A.transition_values(18, [4, 9], 0.4)
+        assert calls == [[(3, 1), (4, -2), (8, 1), (9, -2)]]
+        A.transition_values(18, [9, 4, 4], 0.4)
+        A.keep_zero_probability(4, 14, 0.4)
+        assert len(calls) == 1  # every value came from the memo
+        A.transition_values(18, [4, 18, 9], 0.4)
+        assert calls[1:] == [[(17, 1)]]  # only the missing z is evaluated
+
+    def test_capacity(self):
+        assert A._MEMO_MAX_VALUES == 1 << 20
+
+    def test_keys_separate_size_and_q(self, monkeypatch):
+        monkeypatch.setattr(A, "_MEMO", {})
+        a = A.transition_values(20, [7], 0.3)
+        b = A.transition_values(20, [7], 0.7)
+        c = A.transition_values(21, [7], 0.3)
+        assert sorted(A._MEMO) == [(20, 0.3), (20, 0.7), (21, 0.3)]
+        assert a[0][0] == A.comparison_probability(6, 13, 0.7, 1)
+        assert b[0][0] == A.comparison_probability(6, 13, 0.3, 1)
+        assert c[0][0] == A.comparison_probability(6, 14, 0.7, 1)
+        assert len({a[0][0], b[0][0], c[0][0]}) == 3
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(A, "_MEMO", {})
+        want = A.transition_values(30, range(31), 0.5)
+        monkeypatch.setattr(A, "_MEMO", {})
+        monkeypatch.setattr(A, "_MEMO_MAX_VALUES", 8)
+        for start in range(0, 31, 5):
+            keep, adopt = A.transition_values(30, range(start, min(start + 5, 31)), 0.5)
+            assert np.array_equal(keep, want[0][start:start + 5])
+            assert np.array_equal(adopt, want[1][start:start + 5])
+            assert sum(map(len, A._MEMO.values())) <= 8
 
     def test_concurrent_access(self, monkeypatch):
         import sys
