@@ -64,11 +64,14 @@ def _flag(name: str) -> str:
     return f"--{name.replace('_', '-')}"
 
 
-def _integer(label: str, value: Any, low: float = INT64_MIN, high: float = INT64_MAX) -> int:
+def _integer(
+    label: str, value: Any, low: float = INT64_MIN, high: float = INT64_MAX, why: str = ""
+) -> int:
     """``value`` as an int in [low, high]; CliError unless it is integral.
 
     Accepts ints, integral floats such as 1e4 from a JSON config, and
-    integer strings; never truncates, and a bool is not an integer.
+    integer strings; never truncates, and a bool is not an integer.  ``why``
+    follows the range in the error message.
     """
     number = value
     if isinstance(value, float) and value.is_integer():
@@ -81,7 +84,7 @@ def _integer(label: str, value: Any, low: float = INT64_MIN, high: float = INT64
     if not isinstance(number, numbers.Integral) or isinstance(number, bool):
         raise CliError(f"{label} must be an integer, got {value!r}")
     if not low <= number <= high:
-        raise CliError(f"{label} must be an integer in [{low}, {high}], got {value!r}")
+        raise CliError(f"{label} must be an integer in [{low}, {high}]{why}, got {value!r}")
     return int(number)
 
 
@@ -103,13 +106,13 @@ def _real(label: str, value: Any) -> float:
     return number
 
 
-def _int_list(label: str, value: Any) -> list[int]:
-    """A comma-separated string or a JSON list of integers."""
+def _int_list(label: str, value: Any, **bounds) -> list[int]:
+    """A comma-separated string or a JSON list of integers, each within ``bounds``."""
     if isinstance(value, str):
         value = [token for token in value.split(",") if token]
     if not isinstance(value, list):
         raise CliError(f"{label} must be a comma list of integers, got {value!r}")
-    return [_integer(label, v) for v in value]
+    return [_integer(label, v, **bounds) for v in value]
 
 
 def _path(label: str, value: Any) -> str:
@@ -385,7 +388,14 @@ _SWEEP_OPTIONS = {
 _INT = (_integer, _REQUIRED)
 _REAL = (_real, _REQUIRED)
 _Q = (_real, 0.5)
-_PROTOCOL = {"n": _INT, "delta": (_integer, 0), "q": _REAL, "rounds": (_integer, 3)}
+#: Sizes keep every binomial below analytics.MAX_BINOMIAL_TRIALS trials:
+#: n agents per side draw from binomials of up to 2n trials.
+_BELOW_2_27 = ", so that every binomial has fewer than 2^27 trials"
+_N_RANGE = {"low": 1, "high": analytics.MAX_BINOMIAL_TRIALS // 2 - 1, "why": _BELOW_2_27}
+_N = (partial(_integer, **_N_RANGE), _REQUIRED)
+_N_GRID = partial(_int_list, **_N_RANGE)
+_M = (partial(_integer, low=0, high=analytics.MAX_BINOMIAL_TRIALS - 1, why=_BELOW_2_27), _REQUIRED)
+_PROTOCOL = {"n": _N, "delta": (_integer, 0), "q": _REAL, "rounds": (_integer, 3)}
 _MODE = (_choice(MODE_AGGREGATED, MODE_PER_AGENT), MODE_AGGREGATED)
 _N_GRID_HELP = "comma list of n values"
 
@@ -413,11 +423,11 @@ _COMMANDS: dict[str, tuple[str | None, Any, dict[str, tuple]]] = {
     "sweep trichotomy": ("exact keep probability per regime", partial(_sweep, "trichotomy"), {
         "regimes": (_regimes, ["zero", "sqrt:1.0", "power:0.75"],
                     "comma list: zero,log,sqrt:ALPHA,power:BETA"),
-        "n_grid": (_int_list, [100, 1_000, 10_000], _N_GRID_HELP),
+        "n_grid": (_N_GRID, [100, 1_000, 10_000], _N_GRID_HELP),
         "q": _Q,
     }),
     "sweep max-error": ("consensus error across imbalances", partial(_sweep, "max-error"), {
-        "n": _INT,
+        "n": _N,
         "q": _Q,
         "rounds": (_integer, 3),
         "trials": (_integer, 1_000),
@@ -425,28 +435,28 @@ _COMMANDS: dict[str, tuple[str | None, Any, dict[str, tuple]]] = {
     }),
     "sweep return-to-symmetry": (
         "round-1 return-to-tie rate", partial(_sweep, "return-to-symmetry"), {
-            "n_grid": (_int_list, [100, 400, 1_600], _N_GRID_HELP),
+            "n_grid": (_N_GRID, [100, 400, 1_600], _N_GRID_HELP),
             "q": _Q,
             "trials": (_integer, 100_000),
         }),
     "sweep theorem1": (
         "one/two/three-round achievability suite", partial(_sweep, "theorem1"), {
-            "n_grid": (_int_list, [10_000], _N_GRID_HELP),
+            "n_grid": (_N_GRID, [10_000], _N_GRID_HELP),
             "q": _Q,
             "trials": (_integer, 1_000, "trials for the multi-round presets"),
             "trials_single_round": (_integer, 100_000),
             "alpha": (_real, 1.0),
         }),
     "sweep theorem2": ("two-round consensus decay suite", partial(_sweep, "theorem2"), {
-        "n_grid": (_int_list, [100, 1_000, 10_000], _N_GRID_HELP),
+        "n_grid": (_N_GRID, [100, 1_000, 10_000], _N_GRID_HELP),
         "q": _Q,
         "trials": (_integer, 1_000),
     }),
-    "bounds prop1": (None, partial(_bounds, "prop1"), {"n": _INT, "a": _INT, "q": _REAL}),
-    "bounds prop4": (None, partial(_bounds, "prop4"), {"n": _INT, "b": _INT}),
-    "bounds prop5": (None, partial(_bounds, "prop5"), {"n": _INT, "c": _INT, "q": _REAL}),
-    "bounds pn-sandwich": (None, partial(_bounds, "pn-sandwich"), {"n": _INT, "q": _REAL}),
-    "bounds stirling": (None, partial(_bounds, "stirling"), {"m": _INT, "p": _REAL, "k": _INT}),
+    "bounds prop1": (None, partial(_bounds, "prop1"), {"n": _N, "a": _INT, "q": _REAL}),
+    "bounds prop4": (None, partial(_bounds, "prop4"), {"n": _N, "b": _INT}),
+    "bounds prop5": (None, partial(_bounds, "prop5"), {"n": _N, "c": _INT, "q": _REAL}),
+    "bounds pn-sandwich": (None, partial(_bounds, "pn-sandwich"), {"n": _N, "q": _REAL}),
+    "bounds stirling": (None, partial(_bounds, "stirling"), {"m": _M, "p": _REAL, "k": _INT}),
     "oracle exhaustive": ("enumerate all loss patterns (2n <= 6)", _exhaustive, {
         "zeros": _INT, "ones": _INT, "q": _REAL,
     }),

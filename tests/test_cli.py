@@ -319,6 +319,7 @@ class TestRejectedBeforeWork:
         [
             ("simulate", "--n", "4611686018427387904", "--q", "0.5"),
             ("bounds", "stirling", "--m", "9223372036854775807", "--p", "0.5", "--k", "3"),
+            ("sweep", "trichotomy", "--n-grid", "100000000"),
         ],
     )
     def test_oversized_binomial_exits_1(self, capsys, monkeypatch, argv):
@@ -328,6 +329,9 @@ class TestRejectedBeforeWork:
         assert code == 1
         assert err.startswith("smpsim: error: ") and "2^27" in err
         assert out == ""
+        # the message names the oversized option: --n, --m or --n-grid
+        flag = next(a for a, v in zip(argv, argv[1:]) if v.isdigit() and int(v) >= 2**26)
+        assert err.startswith(f"smpsim: error: {flag} ")
 
 #: A tiny valid config per leaf command: n <= 4 and trials <= 20, so a run
 #: is one chunk and starts no process pool.
