@@ -2,14 +2,17 @@
 
 Every random draw in this package is a pure function of
 ``(master_seed, trial, round, group, slot)``.  The generator is
-Philox-4x64 with 10 rounds, keyed by the master seed, with the counter
-words carrying ``(slot, trial, round, group)``.  Distinct paths therefore
-give statistically independent streams, and results are bit-identical no
-matter how trials are batched or scheduled across workers.
+Philox-4x64 with 10 rounds, keyed by ``(master_seed mod 2^64, _DOMAIN)``,
+with the counter words carrying ``(trial, slot, round, group)``.  Distinct
+paths therefore give statistically independent streams, and results are
+bit-identical no matter how trials are batched or scheduled across workers.
 
-The implementation is vectorized over lanes (one lane per trial) so a
-million draws cost a handful of numpy calls.  The block function is
-validated against numpy's own Philox bit generator in the test suite.
+numpy's own Philox bit generator computes the blocks.  Trial is the low
+counter word, so a chunk of consecutive trials on one path is a run of
+consecutive counters: one ``random_raw`` call.  numpy keeps the output of
+its bit generators stable across releases, so the stream does not depend on
+the numpy version.  The test suite checks the blocks against a Philox
+written out in uint64 arithmetic, and that one against numpy.
 
 Binomial draws use exact CDF inversion for m <= 1024 (one uniform per
 draw, table cached per (m, p)) and transformed rejection with an exact
@@ -34,74 +37,73 @@ import threading
 import numpy as np
 from scipy.special import gammaln
 
+from .analytics import MAX_BINOMIAL_TRIALS
+
 __all__ = ["philox4x64", "uniform_lanes", "sample_binomial_lanes"]
 
-_MASK32 = np.uint64(0xFFFFFFFF)
-_SH32 = np.uint64(32)
 _MASK64 = (1 << 64) - 1
-
-_PHILOX_M0 = 0xD2E7470EE14C6C93
-_PHILOX_M1 = 0xCA5A826395121157
-_WEYL_0 = 0x9E3779B97F4A7C15
-_WEYL_1 = 0xBB67AE8584CAA73B
-_ROUNDS = 10
 
 #: Fixed key word mixed with the master seed so package streams never
 #: collide with a bare Philox(seed) stream.
 _DOMAIN = int.from_bytes(b"smp-sim\x01", "big")
 
-
-def _make_mulhi(a: int):
-    a_lo = np.uint64(a & 0xFFFFFFFF)
-    a_hi = np.uint64(a >> 32)
-
-    def mulhi(x: np.ndarray) -> np.ndarray:
-        x_lo = x & _MASK32
-        x_hi = x >> _SH32
-        t1 = a_hi * x_lo
-        t2 = a_lo * x_hi
-        carry = (((a_lo * x_lo) >> _SH32) + (t1 & _MASK32) + (t2 & _MASK32)) >> _SH32
-        return a_hi * x_hi + (t1 >> _SH32) + (t2 >> _SH32) + carry
-
-    return mulhi
+#: A run of lanes on one (c1, c2, c3) is split where c0 jumps by more than
+#: this, so a run never generates more than this many blocks per lane.  One
+#: numpy call costs about as much as 500 blocks.
+_RUN_GAP = 64
 
 
-_mulhi_m0 = _make_mulhi(_PHILOX_M0)
-_mulhi_m1 = _make_mulhi(_PHILOX_M1)
-_M0 = np.uint64(_PHILOX_M0)
-_M1 = np.uint64(_PHILOX_M1)
+def _run_blocks(first: tuple[int, int, int, int], count: int, key: np.ndarray) -> np.ndarray:
+    """Blocks (count, 4) at counters ``first`` + j, j < count, in word c0.
 
-
-@functools.lru_cache(maxsize=64)
-def _round_keys(key0: int, key1: int) -> tuple[tuple[np.uint64, np.uint64], ...]:
-    keys = []
-    for r in range(_ROUNDS):
-        keys.append(
-            (
-                np.uint64((key0 + r * _WEYL_0) & _MASK64),
-                np.uint64((key1 + r * _WEYL_1) & _MASK64),
-            )
-        )
-    return tuple(keys)
+    numpy's Philox adds 1 to its 256-bit counter before each block, so it
+    starts at ``first`` - 1 mod 2^256.
+    """
+    wide = (sum(c << (64 * i) for i, c in enumerate(first)) - 1) % (1 << 256)
+    counter = np.array([(wide >> (64 * i)) & _MASK64 for i in range(4)], dtype=np.uint64)
+    raw = np.random.Philox(counter=counter, key=key).random_raw(4 * count)
+    return raw.reshape(count, 4)
 
 
 def philox4x64(
     c0: np.ndarray, c1: np.ndarray, c2: np.ndarray, c3: np.ndarray, key0: int, key1: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Philox-4x64-10 block function, vectorized over counter arrays."""
-    c0, c1, c2, c3 = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(c0, dtype=np.uint64)),
-        np.atleast_1d(np.asarray(c1, dtype=np.uint64)),
-        np.atleast_1d(np.asarray(c2, dtype=np.uint64)),
-        np.atleast_1d(np.asarray(c3, dtype=np.uint64)),
-    )
-    for k0, k1 in _round_keys(key0 & _MASK64, key1 & _MASK64):
-        hi0 = _mulhi_m0(c0)
-        lo0 = _M0 * c0
-        hi1 = _mulhi_m1(c2)
-        lo1 = _M1 * c2
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return c0, c1, c2, c3
+    """Philox-4x64-10 block function, vectorized over counter arrays.
+
+    numpy's Philox generator computes the blocks.  Lanes that share
+    (c1, c2, c3) form runs, split where c0 jumps by more than _RUN_GAP; one
+    call per run generates every block from its lowest c0 to its highest,
+    and the run's lanes are read from them.  Lanes given in c0 order on one
+    (c1, c2, c3) are not sorted, and consecutive ones are not indexed.
+    """
+    counters = [np.asarray(c, dtype=np.uint64) for c in (c0, c1, c2, c3)]
+    shape = np.broadcast_shapes(*(c.shape for c in counters)) or (1,)
+    lanes = [np.broadcast_to(c, shape).reshape(-1) for c in counters]
+    if not lanes[0].size:
+        return tuple(np.empty(shape, dtype=np.uint64) for _ in range(4))
+    key = np.array([key0 & _MASK64, key1 & _MASK64], dtype=np.uint64)
+    high_fixed = all(np.all(c == c.flat[0]) for c in counters[1:])
+    in_order = high_fixed and np.all(lanes[0][1:] >= lanes[0][:-1])
+    if not in_order:
+        order = np.lexsort(lanes)
+        lanes = [c[order] for c in lanes]
+    low = lanes[0]
+    step = np.diff(low)
+    split = step > _RUN_GAP
+    if not high_fixed:
+        for c in lanes[1:]:
+            split |= np.diff(c) != 0
+    repeats = not np.all(step)
+    starts = [0, *(np.flatnonzero(split) + 1).tolist()]
+    runs = []
+    for lo, hi in zip(starts, starts[1:] + [low.size]):
+        count = int(low[hi - 1] - low[lo]) + 1
+        blocks = _run_blocks([int(c[lo]) for c in lanes], count, key)
+        runs.append(blocks[low[lo:hi] - low[lo]] if repeats or count != hi - lo else blocks)
+    words = runs[0] if len(runs) == 1 else np.concatenate(runs)
+    if not in_order:
+        words[order] = words.copy()
+    return tuple(words[:, i].reshape(shape) for i in range(4))
 
 
 def _to_uniform(words: np.ndarray) -> np.ndarray:
@@ -111,12 +113,12 @@ def _to_uniform(words: np.ndarray) -> np.ndarray:
 
 def _block_words(
     master_seed: int,
-    slot,
     trial,
+    slot,
     round_index,
     group,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    return philox4x64(slot, trial, round_index, group, master_seed & _MASK64, _DOMAIN)
+    return philox4x64(trial, slot, round_index, group, master_seed & _MASK64, _DOMAIN)
 
 
 def uniform_lanes(
@@ -130,7 +132,7 @@ def uniform_lanes(
     """Per-lane uniforms in [0, 1): words ``0..n_words-1`` of one counter block."""
     if not 1 <= n_words <= 4:
         raise ValueError(f"a block holds 4 words, asked for {n_words}")
-    words = _block_words(master_seed, slot, trial, round_index, group)
+    words = _block_words(master_seed, trial, slot, round_index, group)
     return tuple(_to_uniform(w) for w in words[:n_words])
 
 
@@ -146,14 +148,18 @@ _LOG_FACT = np.zeros(1)  # _LOG_FACT[i] = log(i!)
 
 
 def _log_factorials(upto: int) -> np.ndarray:
-    """Table t with t[i] = log(i!) for i = 0..upto, grown geometrically."""
+    """Table t with t[i] = log(i!) for i = 0..upto < MAX_BINOMIAL_TRIALS.
+
+    The table grows geometrically up to MAX_BINOMIAL_TRIALS entries, so it
+    never holds more than 8 * 2^27 bytes.
+    """
     global _LOG_FACT
     table = _LOG_FACT
     if len(table) > upto:
         return table
     with _LOG_FACT_LOCK:
         if len(_LOG_FACT) <= upto:
-            size = max(upto + 1, 2 * len(_LOG_FACT), 1024)
+            size = min(max(upto + 1, 2 * len(_LOG_FACT), 1024), MAX_BINOMIAL_TRIALS)
             _LOG_FACT = gammaln(np.arange(1, size + 1, dtype=np.float64))
         return _LOG_FACT
 
@@ -284,8 +290,8 @@ def sample_binomial_lanes(
     trial = np.asarray(trial, dtype=np.uint64)
     m = np.broadcast_to(np.asarray(m, dtype=np.int64), trial.shape).copy()
     p = np.broadcast_to(np.asarray(p, dtype=np.float64), trial.shape).copy()
-    if np.any(m < 0):
-        raise ValueError("m must be nonnegative")
+    if np.any((m < 0) | (m >= MAX_BINOMIAL_TRIALS)):
+        raise ValueError("m must be in [0, 2^27)")
     if np.any((p < 0.0) | (p > 1.0)):
         raise ValueError("p must be in [0, 1]")
 

@@ -3,10 +3,13 @@
 Everything here is deliberately naive: direct enumeration, exact integer
 combinatorics, or scipy's own binomial distribution, with none of the
 log-space machinery of the package under test and no import from it.
+The Philox block function is written out in uint64 arithmetic, apart from
+the numpy generator that the package uses.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -199,3 +202,71 @@ def consensus_from_tie_probability(n: int, q: float, rounds: int) -> float:
         p00, p10 = _keep_adopt_zero(z, o, p)
         result += dist[z] * (p00**z * p10**o + (1.0 - p00) ** z * (1.0 - p10) ** o)
     return float(result)
+
+
+# --------------------------------------------------------------------------
+# Philox-4x64-10 (Salmon et al., SC'11) in numpy uint64 arithmetic, with the
+# 64-bit high multiply emulated from 32-bit halves: the reference for the
+# package's stream, which numpy's C generator computes.
+# --------------------------------------------------------------------------
+
+_MASK32 = np.uint64(0xFFFFFFFF)
+_SH32 = np.uint64(32)
+_MASK64 = (1 << 64) - 1
+
+_PHILOX_M0 = 0xD2E7470EE14C6C93
+_PHILOX_M1 = 0xCA5A826395121157
+_WEYL_0 = 0x9E3779B97F4A7C15
+_WEYL_1 = 0xBB67AE8584CAA73B
+_ROUNDS = 10
+
+
+def _make_mulhi(a: int):
+    a_lo = np.uint64(a & 0xFFFFFFFF)
+    a_hi = np.uint64(a >> 32)
+
+    def mulhi(x: np.ndarray) -> np.ndarray:
+        x_lo = x & _MASK32
+        x_hi = x >> _SH32
+        t1 = a_hi * x_lo
+        t2 = a_lo * x_hi
+        carry = (((a_lo * x_lo) >> _SH32) + (t1 & _MASK32) + (t2 & _MASK32)) >> _SH32
+        return a_hi * x_hi + (t1 >> _SH32) + (t2 >> _SH32) + carry
+
+    return mulhi
+
+
+_mulhi_m0 = _make_mulhi(_PHILOX_M0)
+_mulhi_m1 = _make_mulhi(_PHILOX_M1)
+_M0 = np.uint64(_PHILOX_M0)
+_M1 = np.uint64(_PHILOX_M1)
+
+
+@functools.lru_cache(maxsize=64)
+def _round_keys(key0: int, key1: int) -> tuple[tuple[np.uint64, np.uint64], ...]:
+    keys = []
+    for r in range(_ROUNDS):
+        keys.append(
+            (
+                np.uint64((key0 + r * _WEYL_0) & _MASK64),
+                np.uint64((key1 + r * _WEYL_1) & _MASK64),
+            )
+        )
+    return tuple(keys)
+
+
+def philox4x64(c0, c1, c2, c3, key0: int, key1: int):
+    """Philox-4x64-10 block function, vectorized over counter arrays."""
+    c0, c1, c2, c3 = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(c0, dtype=np.uint64)),
+        np.atleast_1d(np.asarray(c1, dtype=np.uint64)),
+        np.atleast_1d(np.asarray(c2, dtype=np.uint64)),
+        np.atleast_1d(np.asarray(c3, dtype=np.uint64)),
+    )
+    for k0, k1 in _round_keys(key0 & _MASK64, key1 & _MASK64):
+        hi0 = _mulhi_m0(c0)
+        lo0 = _M0 * c0
+        hi1 = _mulhi_m1(c2)
+        lo1 = _M1 * c2
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return c0, c1, c2, c3

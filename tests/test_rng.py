@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
+import oracles
 import pytest
 from scipy import stats
 
 from smpsim import analytics
 from smpsim.rng import philox4x64, sample_binomial_lanes, uniform_lanes
+
+U64_MAX = 2**64 - 1
 
 
 def _u64(*values):
@@ -29,8 +34,42 @@ class TestPhilox:
         wide = sum(w << (64 * i) for i, w in enumerate(counter))
         wide = (wide + 1) % 2**256
         bumped = tuple((wide >> (64 * i)) & (2**64 - 1) for i in range(4))
-        ours = philox4x64(*_u64(*bumped), key[0], key[1])
-        assert [int(w[0]) for w in ours] == [int(r) for r in reference]
+        oracle = oracles.philox4x64(*_u64(*bumped), key[0], key[1])
+        assert [int(w[0]) for w in oracle] == [int(r) for r in reference]
+
+    @pytest.mark.parametrize(
+        "c0,c1,c2,c3",
+        [
+            ([0], 0, 0, 0),  # counter - 1 borrows through every word
+            ([0, 1, 2], [5], 6, 7),
+            ([U64_MAX], 5, 6, U64_MAX),
+            ([U64_MAX, 0, U64_MAX - 3], U64_MAX, U64_MAX, U64_MAX),
+            # mixed (c1, c2, c3) in one call
+            ([3, 1, 3, 2, 100, 1], [1, 1, 2, 1, 1, 1], 0, [4, 4, 4, 4, 5, 4]),
+            # unsorted lanes and duplicates
+            ([9, 4, 4, 200, 0, 9, 1], 2, 3, 1),
+            (list(range(1000)), 0, 1, 0),
+            (list(range(0, 1000, 7)) + list(range(5000, 5300, 90)), 3, 1, 0),
+        ],
+    )
+    def test_matches_oracle(self, c0, c1, c2, c3):
+        counters = [np.asarray(c, dtype=np.uint64) for c in (c0, c1, c2, c3)]
+        ours = philox4x64(*counters, 987654321, 2**64 - 5)
+        oracle = oracles.philox4x64(*counters, 987654321, 2**64 - 5)
+        assert all(np.array_equal(a, b) for a, b in zip(ours, oracle))
+
+    def test_sparse_lanes_skip_the_gap(self):
+        # 2^62 blocks lie between the two lanes; none of them is generated
+        c0 = np.array([0, 2**62], dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            ours = philox4x64(c0, np.uint64(1), np.uint64(2), np.uint64(3), 5, 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        oracle = oracles.philox4x64(c0, np.uint64(1), np.uint64(2), np.uint64(3), 5, 6)
+        assert all(np.array_equal(a, b) for a, b in zip(ours, oracle))
 
     def test_vector_consistency(self):
         # lane i of a vector call equals a scalar call at that counter
@@ -52,6 +91,16 @@ class TestPhilox:
                              slot=np.arange(10_000, dtype=np.uint64))
         assert u.min() >= 0.0 and u.max() < 1.0
         assert abs(u.mean() - 0.5) < 0.02
+
+    def test_uniform_lanes_match_oracle(self):
+        # counter (trial, slot, round, group), key (seed mod 2^64, "smp-sim\x01"),
+        # uniform = top 53 bits of a word
+        seed, trial = 2**64 + 12345, np.array([0, 1, 2, 40, 41], dtype=np.uint64)
+        domain = int.from_bytes(b"smp-sim\x01", "big")
+        words = oracles.philox4x64(trial, 3, 2, 1, seed % 2**64, domain)
+        expected = [(w >> np.uint64(11)).astype(np.float64) / 2.0**53 for w in words]
+        ours = uniform_lanes(seed, trial, np.uint64(2), np.uint64(1), slot=np.uint64(3), n_words=4)
+        assert all(np.array_equal(a, b) for a, b in zip(ours, expected))
 
     def test_streams_reproducible(self):
         trials = np.arange(32, dtype=np.uint64)
@@ -81,6 +130,8 @@ class TestSampleBinomial:
             sample_binomial_lanes(-1, 0.5, 1, np.arange(2, dtype=np.uint64), 0, np.uint64(0))
         with pytest.raises(ValueError):
             sample_binomial_lanes(5, 1.5, 1, np.arange(2, dtype=np.uint64), 0, np.uint64(0))
+        with pytest.raises(ValueError):
+            sample_binomial_lanes(2**27, 0.5, 1, np.arange(2, dtype=np.uint64), 0, np.uint64(0))
 
     def test_empirical_mean(self):
         draws = sample_binomial_lanes(
