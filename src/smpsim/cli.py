@@ -64,9 +64,7 @@ def _flag(name: str) -> str:
     return f"--{name.replace('_', '-')}"
 
 
-def _integer(
-    label: str, value: Any, low: float = INT64_MIN, high: float = INT64_MAX, why: str = ""
-) -> int:
+def _integer(label: str, value: Any, low=INT64_MIN, high=INT64_MAX, why: str = "") -> int:
     """``value`` as an int in [low, high]; CliError unless it is integral.
 
     Accepts ints, integral floats such as 1e4 from a JSON config, and
@@ -388,8 +386,7 @@ _SWEEP_OPTIONS = {
 _INT = (_integer, _REQUIRED)
 _REAL = (_real, _REQUIRED)
 _Q = (_real, 0.5)
-#: Sizes keep every binomial below analytics.MAX_BINOMIAL_TRIALS trials:
-#: n agents per side draw from binomials of up to 2n trials.
+#: n (binomials of up to 2n trials) and m stay below MAX_BINOMIAL_TRIALS.
 _BELOW_2_27 = ", so that every binomial has fewer than 2^27 trials"
 _N_RANGE = {"low": 1, "high": analytics.MAX_BINOMIAL_TRIALS // 2 - 1, "why": _BELOW_2_27}
 _N = (partial(_integer, **_N_RANGE), _REQUIRED)

@@ -47,22 +47,10 @@ _MASK64 = (1 << 64) - 1
 #: collide with a bare Philox(seed) stream.
 _DOMAIN = int.from_bytes(b"smp-sim\x01", "big")
 
-#: A run of lanes on one (c1, c2, c3) is split where c0 jumps by more than
-#: this, so a run never generates more than this many blocks per lane.  One
-#: numpy call costs about as much as 500 blocks.
+#: Lanes on one (c1, c2, c3) whose c0 values step by 1 to this share one
+#: numpy call, which costs about as much as 500 blocks; so a call never
+#: generates more than this many blocks per lane it returns.
 _RUN_GAP = 64
-
-
-def _run_blocks(first: tuple[int, int, int, int], count: int, key: np.ndarray) -> np.ndarray:
-    """Blocks (count, 4) at counters ``first`` + j, j < count, in word c0.
-
-    numpy's Philox adds 1 to its 256-bit counter before each block, so it
-    starts at ``first`` - 1 mod 2^256.
-    """
-    wide = (sum(c << (64 * i) for i, c in enumerate(first)) - 1) % (1 << 256)
-    counter = np.array([(wide >> (64 * i)) & _MASK64 for i in range(4)], dtype=np.uint64)
-    raw = np.random.Philox(counter=counter, key=key).random_raw(4 * count)
-    return raw.reshape(count, 4)
 
 
 def philox4x64(
@@ -70,36 +58,37 @@ def philox4x64(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Philox-4x64-10 block function, vectorized over counter arrays.
 
-    numpy's Philox generator computes the blocks.  Lanes that share
-    (c1, c2, c3) form runs, split where c0 jumps by more than _RUN_GAP; one
-    call per run generates every block from its lowest c0 to its highest,
-    and the run's lanes are read from them.  Lanes given in c0 order on one
-    (c1, c2, c3) are not sorted, and consecutive ones are not indexed.
+    numpy's Philox generator computes the blocks, one ``random_raw`` call
+    per run: lanes, sorted by (c3, c2, c1, c0), that share (c1, c2, c3) and
+    whose c0 values step by 1 to _RUN_GAP.  The call generates every block
+    from the run's first c0 to its last; numpy adds 1 to its 256-bit counter
+    before each block, so it starts one below.  Lanes already in that order
+    are not sorted, and a run of consecutive lanes is not indexed.
     """
     counters = [np.asarray(c, dtype=np.uint64) for c in (c0, c1, c2, c3)]
     shape = np.broadcast_shapes(*(c.shape for c in counters)) or (1,)
     lanes = [np.broadcast_to(c, shape).reshape(-1) for c in counters]
     if not lanes[0].size:
         return tuple(np.empty(shape, dtype=np.uint64) for _ in range(4))
-    key = np.array([key0 & _MASK64, key1 & _MASK64], dtype=np.uint64)
     high_fixed = all(np.all(c == c.flat[0]) for c in counters[1:])
     in_order = high_fixed and np.all(lanes[0][1:] >= lanes[0][:-1])
     if not in_order:
         order = np.lexsort(lanes)
         lanes = [c[order] for c in lanes]
-    low = lanes[0]
-    step = np.diff(low)
-    split = step > _RUN_GAP
+    low, step = lanes[0], np.diff(lanes[0])
+    split = (step == 0) | (step > _RUN_GAP)
     if not high_fixed:
         for c in lanes[1:]:
             split |= np.diff(c) != 0
-    repeats = not np.all(step)
     starts = [0, *(np.flatnonzero(split) + 1).tolist()]
+    key = np.array([key0 & _MASK64, key1 & _MASK64], dtype=np.uint64)
     runs = []
     for lo, hi in zip(starts, starts[1:] + [low.size]):
+        below = sum(int(c[lo]) << (64 * i) for i, c in enumerate(lanes)) - 1
+        counter = np.array([(below >> (64 * i)) & _MASK64 for i in range(4)], dtype=np.uint64)
         count = int(low[hi - 1] - low[lo]) + 1
-        blocks = _run_blocks([int(c[lo]) for c in lanes], count, key)
-        runs.append(blocks[low[lo:hi] - low[lo]] if repeats or count != hi - lo else blocks)
+        blocks = np.random.Philox(counter=counter, key=key).random_raw(4 * count).reshape(-1, 4)
+        runs.append(blocks if count == hi - lo else blocks[low[lo:hi] - low[lo]])
     words = runs[0] if len(runs) == 1 else np.concatenate(runs)
     if not in_order:
         words[order] = words.copy()
@@ -109,16 +98,6 @@ def philox4x64(
 def _to_uniform(words: np.ndarray) -> np.ndarray:
     """Map 64-bit words to doubles in [0, 1) using the top 53 bits."""
     return (words >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-
-
-def _block_words(
-    master_seed: int,
-    trial,
-    slot,
-    round_index,
-    group,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    return philox4x64(trial, slot, round_index, group, master_seed & _MASK64, _DOMAIN)
 
 
 def uniform_lanes(
@@ -132,7 +111,7 @@ def uniform_lanes(
     """Per-lane uniforms in [0, 1): words ``0..n_words-1`` of one counter block."""
     if not 1 <= n_words <= 4:
         raise ValueError(f"a block holds 4 words, asked for {n_words}")
-    words = _block_words(master_seed, trial, slot, round_index, group)
+    words = philox4x64(trial, slot, round_index, group, master_seed & _MASK64, _DOMAIN)
     return tuple(_to_uniform(w) for w in words[:n_words])
 
 
