@@ -161,6 +161,53 @@ class TestSampleBinomial:
         assert np.all(draws >= 0) and np.all(draws <= m)
 
 
+#: Draws of version 0.2.0 (log-factorial CDF inversion at every (m, p) below),
+#: lanes 0..31 at seed 2021, round 3, group 1.  Inversion on Loader windows
+#: reads the same uniform per lane and must reproduce them.
+PINNED_DRAWS = {
+    (1, 0.1): [0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+               0, 0, 0, 0],
+    (1, 0.5): [0, 1, 0, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 1, 1, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 1,
+               1, 1, 1, 0],
+    (1, 0.75): [1, 0, 1, 1, 1, 1, 1, 0, 0, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1,
+                1, 1, 1, 1],
+    (7, 0.1): [0, 4, 0, 0, 0, 1, 0, 1, 2, 1, 0, 0, 2, 2, 1, 1, 0, 1, 1, 0, 0, 1, 0, 2, 0, 0, 0, 1,
+               1, 1, 1, 0],
+    (7, 0.5): [2, 7, 3, 3, 3, 4, 3, 5, 5, 4, 3, 3, 5, 5, 5, 5, 2, 4, 4, 3, 3, 4, 3, 5, 2, 3, 2, 4,
+               4, 4, 4, 3],
+    (7, 0.75): [6, 1, 6, 5, 6, 5, 6, 4, 4, 5, 6, 6, 4, 4, 4, 4, 7, 5, 5, 6, 6, 5, 6, 4, 6, 6, 7, 5,
+                5, 5, 5, 6],
+    (64, 0.1): [4, 15, 5, 6, 6, 7, 6, 8, 10, 7, 6, 6, 9, 9, 8, 8, 3, 7, 8, 5, 6, 7, 5, 9, 4, 5, 3,
+                7, 7, 8, 7, 5],
+    (64, 0.5): [28, 45, 31, 32, 31, 33, 31, 35, 38, 33, 31, 31, 36, 36, 35, 35, 26, 33, 34, 30, 31,
+                33, 30, 37, 28, 31, 26, 33, 33, 34, 34, 29],
+    (64, 0.75): [52, 36, 49, 48, 49, 47, 49, 45, 43, 47, 49, 49, 44, 44, 45, 45, 53, 47, 46, 50,
+                 49, 48, 49, 44, 51, 49, 53, 47, 47, 46, 46, 50],
+    (1024, 0.1): [93, 134, 99, 101, 100, 104, 100, 110, 117, 104, 100, 100, 112, 112, 110, 110, 88,
+                  106, 108, 96, 100, 104, 99, 113, 94, 99, 89, 106, 106, 108, 107, 96],
+    (1024, 0.5): [496, 563, 506, 510, 508, 515, 508, 525, 535, 516, 508, 507, 529, 529, 524, 525,
+                  488, 518, 521, 502, 508, 514, 506, 530, 497, 506, 489, 518, 518, 521, 520, 502],
+    (1024, 0.75): [782, 723, 773, 769, 771, 765, 772, 756, 748, 765, 772, 772, 754, 753, 757, 757,
+                   788, 763, 760, 777, 771, 766, 773, 752, 781, 773, 788, 763, 763, 761, 761, 777],
+    (5000, 0.001): [3, 13, 4, 5, 4, 5, 4, 7, 8, 5, 4, 4, 7, 7, 7, 7, 2, 6, 6, 4, 4, 5, 4, 8, 3, 4,
+                    2, 6, 6, 6, 6, 3],
+}
+
+
+@pytest.mark.parametrize("m,p", sorted(PINNED_DRAWS))
+def test_pinned_draws(m, p):
+    draws = sample_binomial_lanes(m, p, 2021, np.arange(32, dtype=np.uint64), 3, np.uint64(1))
+    assert draws.tolist() == PINNED_DRAWS[(m, p)]
+
+
+def test_pinned_draws_in_one_mixed_call():
+    ms, ps = map(np.array, zip(*PINNED_DRAWS))
+    for trial in (0, 7, 31):
+        lanes = np.full(len(ms), trial, dtype=np.uint64)
+        mixed = sample_binomial_lanes(ms, ps, 2021, lanes, 3, np.uint64(1))
+        assert mixed.tolist() == [draws[trial] for draws in PINNED_DRAWS.values()]
+
+
 def _chi_square_pvalue(m: int, p: float, n_draws: int, seed: int) -> float:
     draws = sample_binomial_lanes(
         m, p, seed, np.arange(n_draws, dtype=np.uint64), 1, np.uint64(0)
