@@ -9,7 +9,7 @@ runners, exhaustive and Markov-chain oracles, preset experiment sweeps,
 and a command-line interface with a self-verification suite.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 #: Default master seed for bare invocations; fixed so runs are reproducible
 #: without any flags.  Pass ``--seed random`` to the CLI to opt into entropy.

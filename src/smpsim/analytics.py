@@ -187,16 +187,18 @@ def _log_pmf(m: np.ndarray, p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np
     return out
 
 
-def _window_bounds(m: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """[lo, hi] outside which Bin(m, p) has mass below 1e-340 on each side.
+def _window_bounds(
+    m: np.ndarray, p: np.ndarray, log_tail: float = _WINDOW_LOG_TAIL
+) -> tuple[np.ndarray, np.ndarray]:
+    """[lo, hi] outside which Bin(m, p) has mass below exp(-log_tail) on each side.
 
     The half-width t solves the Bernstein bound exp(-t^2 / (2 (var + t/3)))
-    = 1e-340; unlike a multiple of the standard deviation it stays valid
-    in the Poisson-like tails of small p.
+    = exp(-log_tail), 1e-340 by default; unlike a multiple of the standard
+    deviation it stays valid in the Poisson-like tails of small p.
     """
     mean = m * p
-    a = _WINDOW_LOG_TAIL / 3.0
-    t = a + np.sqrt(a * a + 2.0 * _WINDOW_LOG_TAIL * mean * (1.0 - p))
+    a = log_tail / 3.0
+    t = a + np.sqrt(a * a + 2.0 * log_tail * mean * (1.0 - p))
     lo = np.where(p == 1.0, m, np.maximum(np.floor(mean - t), 0.0))
     hi = np.where(p == 0.0, 0.0, np.minimum(np.ceil(mean + t), m))
     return lo.astype(np.int64), hi.astype(np.int64)

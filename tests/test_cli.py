@@ -447,7 +447,8 @@ GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
 #: stdout and the result file must match ``tests/golden/cli/NAME.*``.  The
 #: files were first written by the CLI before its options moved into one
 #: table; the Monte Carlo ones were rewritten by the CLI of version 0.2.0,
-#: whose random stream puts the trial in the low Philox counter word.
+#: whose random stream puts the trial in the low Philox counter word.  The
+#: single binomial sampler of version 0.3.0 changed only their tool_version.
 TRANSCRIPTS = {
     "simulate": ("simulate", "--n", "3", "--delta", "2", "--q", "0.5", "--rounds", "3",
                  "--trial", "5", "--seed", "0x2a"),

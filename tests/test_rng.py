@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import oracles
 import pytest
 from scipy import stats
 
-from smpsim import analytics
+import smpsim
+from smpsim import analytics, rng
 from smpsim.rng import philox4x64, sample_binomial_lanes, uniform_lanes
 
 U64_MAX = 2**64 - 1
@@ -84,28 +89,24 @@ class TestPhilox:
             assert other != base
 
     def test_uniform_range(self):
-        (u,) = uniform_lanes(3, np.uint64(0), np.uint64(0), np.uint64(0),
-                             slot=np.arange(10_000, dtype=np.uint64))
+        u = uniform_lanes(3, np.arange(10_000, dtype=np.uint64), np.uint64(0), np.uint64(0))
         assert u.min() >= 0.0 and u.max() < 1.0
         assert abs(u.mean() - 0.5) < 0.02
 
     def test_uniform_lanes_match_oracle(self):
-        # counter (trial, slot, round, group), key (seed mod 2^64, "smp-sim\x01"),
-        # uniform = top 53 bits of a word
+        # counter (trial, 0, round, group), key (seed mod 2^64, "smp-sim\x01"),
+        # uniform = top 53 bits of word 0
         seed, trial = 2**64 + 12345, np.array([0, 1, 2, 40, 41], dtype=np.uint64)
         domain = int.from_bytes(b"smp-sim\x01", "big")
-        words = oracles.philox4x64(trial, 3, 2, 1, seed % 2**64, domain)
-        expected = [(w >> np.uint64(11)).astype(np.float64) / 2.0**53 for w in words]
-        ours = uniform_lanes(seed, trial, np.uint64(2), np.uint64(1), slot=np.uint64(3), n_words=4)
-        assert all(np.array_equal(a, b) for a, b in zip(ours, expected))
+        word = oracles.philox4x64(trial, 0, 2, 1, seed % 2**64, domain)[0]
+        expected = (word >> np.uint64(11)).astype(np.float64) / 2.0**53
+        assert np.array_equal(uniform_lanes(seed, trial, np.uint64(2), np.uint64(1)), expected)
 
     def test_streams_reproducible(self):
         trials = np.arange(32, dtype=np.uint64)
-        a = uniform_lanes(9, trials, np.uint64(2), np.uint64(1), n_words=4)
-        b = uniform_lanes(9, trials, np.uint64(2), np.uint64(1), n_words=4)
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
-        with pytest.raises(ValueError):
-            uniform_lanes(9, trials, np.uint64(2), np.uint64(1), n_words=5)
+        a = uniform_lanes(9, trials, np.uint64(2), np.uint64(1))
+        b = uniform_lanes(9, trials, np.uint64(2), np.uint64(1))
+        assert np.array_equal(a, b)
 
 
 class TestSampleBinomial:
@@ -152,13 +153,42 @@ class TestSampleBinomial:
             single = sample_binomial_lanes(m, 0.44, 31, trials[17:18], 2, np.uint64(1))
             assert single[0] == vector[17]
 
-    def test_mixed_lane_parameters(self):
-        m = np.array([10, 3000, 0, 1500], dtype=np.int64)
-        p = np.array([0.5, 0.5, 0.9, 0.001], dtype=np.float64)
-        draws = sample_binomial_lanes(
-            m, p, 13, np.arange(4, dtype=np.uint64), 1, np.uint64(0)
-        )
+    @pytest.mark.parametrize(
+        "m,p",
+        [
+            ([10, 3000, 0, 1500], [0.5, 0.5, 0.9, 0.001]),
+            # tables of about 1.1e5 entries: more than one block
+            ([10, 2**27 - 1, 0, 10**6, 70_000, 1500, 5, 2**27 - 1],
+             [0.5, 0.5, 0.9, 0.3, 0.999, 0.001, 0.2, 1e-6]),
+        ],
+    )
+    def test_mixed_lane_parameters(self, m, p):
+        m, p = np.array(m, dtype=np.int64), np.array(p, dtype=np.float64)
+        trials = np.arange(len(m), dtype=np.uint64)
+        draws = sample_binomial_lanes(m, p, 13, trials, 1, np.uint64(0))
         assert np.all(draws >= 0) and np.all(draws <= m)
+        for i in range(len(m)):
+            alone = sample_binomial_lanes(m[i], p[i], 13, trials[i : i + 1], 1, np.uint64(0))
+            assert alone[0] == draws[i]
+
+
+@pytest.mark.parametrize("p", [1e-6, 0.5, 1 - 1e-9])
+@pytest.mark.parametrize("m", [1, 10, 1000, 10**6, 2**27 - 1])
+def test_sampling_window_drops_below_a_uniform_step(m, p):
+    lo, hi = analytics._window_bounds(np.array([float(m)]), np.array([p]), rng._SAMPLING_LOG_TAIL)
+    assert 0 <= lo[0] <= hi[0] <= m
+    assert stats.binom.cdf(lo[0] - 1, m, p) < 2.0**-54
+    assert stats.binom.sf(hi[0], m, p) < 2.0**-54
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported lazily, by Clopper-Pearson intervals only
+    src = str(Path(smpsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, smpsim; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 #: Draws of version 0.2.0 (log-factorial CDF inversion at every (m, p) below),
@@ -226,6 +256,8 @@ def _chi_square_pvalue(m: int, p: float, n_draws: int, seed: int) -> float:
     return float(pvalue)
 
 
-@pytest.mark.parametrize("m,p", [(10, 0.5), (100, 0.3), (2000, 0.9)])
+@pytest.mark.parametrize(
+    "m,p", [(10, 0.5), (100, 0.3), (2000, 0.9), (20_000, 0.5), (100_000, 0.3), (5_000, 0.001)]
+)
 def test_goodness_of_fit(m, p):
     assert _chi_square_pvalue(m, p, 1_000_000, 1234) > 0.001
