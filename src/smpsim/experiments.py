@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -171,10 +172,6 @@ class SweepResult:
 # --------------------------------------------------------------------------
 
 
-def _chunk_ranges(trials: int) -> list[tuple[int, int]]:
-    return [(start, min(CHUNK_TRIALS, trials - start)) for start in range(0, trials, CHUNK_TRIALS)]
-
-
 def _event_mask(batch: BatchOutcome, event: str) -> np.ndarray:
     if event == "consensus":
         return batch.consensus_mask()
@@ -188,14 +185,14 @@ def _event_mask(batch: BatchOutcome, event: str) -> np.ndarray:
 
 
 def _count_event_chunk(args) -> int:
-    config, start, size, master_seed, mode, event = args
+    start, size, config, master_seed, mode, event = args
     ids = np.arange(start, start + size, dtype=np.uint64)
     batch = run_trials_batch(config, ids, master_seed, mode=mode)
     return int(_event_mask(batch, event).sum())
 
 
 def _final_zeros_chunk(args) -> np.ndarray:
-    config, start, size, master_seed, mode = args
+    start, size, config, master_seed, mode = args
     ids = np.arange(start, start + size, dtype=np.uint64)
     return run_trials_batch(config, ids, master_seed, mode=mode).final_zeros
 
@@ -205,12 +202,29 @@ def _pool_size(workers: int, chunks: int) -> int:
     return max(1, min(workers, chunks, os.cpu_count() or 1))
 
 
-def _map_chunks(fn, args_list: list, workers: int) -> list:
-    size = _pool_size(workers, len(args_list))
+def _map_chunks(fn, trials: int, workers: int, *fixed) -> Iterator:
+    """``fn((start, size, *fixed))`` over the chunks of ``trials``, in trial order.
+
+    Chunks are made as results are taken, so memory does not grow with
+    ``trials``: inline, one chunk is held at a time; a pool has at most two
+    chunks per worker in flight.
+    """
+    args = (
+        (start, min(CHUNK_TRIALS, trials - start), *fixed)
+        for start in range(0, trials, CHUNK_TRIALS)
+    )
+    size = _pool_size(workers, -(-trials // CHUNK_TRIALS))
     if size <= 1:
-        return [fn(a) for a in args_list]
+        yield from map(fn, args)
+        return
     with ProcessPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(fn, args_list))
+        in_flight = deque()
+        for a in args:
+            in_flight.append(pool.submit(fn, a))
+            if len(in_flight) == 2 * size:
+                yield in_flight.popleft().result()
+        while in_flight:
+            yield in_flight.popleft().result()
 
 
 def estimate_event_probability(
@@ -227,11 +241,9 @@ def estimate_event_probability(
     """Estimate P{event} over independent runs of ``config``; ``event`` is one of EVENT_NAMES."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    args = [
-        (config, start, size, master_seed, mode, event)
-        for start, size in _chunk_ranges(trials)
-    ]
-    successes = sum(_map_chunks(_count_event_chunk, args, workers))
+    successes = sum(
+        _map_chunks(_count_event_chunk, trials, workers, config, master_seed, mode, event)
+    )
     return Estimate.from_counts(successes, trials, confidence, method)
 
 
@@ -246,10 +258,8 @@ def final_zeros_sample(
     """Final-round zero-counts of ``trials`` independent runs, in trial order."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    args = [
-        (config, start, size, master_seed, mode) for start, size in _chunk_ranges(trials)
-    ]
-    return np.concatenate(_map_chunks(_final_zeros_chunk, args, workers))
+    chunks = _map_chunks(_final_zeros_chunk, trials, workers, config, master_seed, mode)
+    return np.concatenate(list(chunks))
 
 
 def _single_round_final_zeros(

@@ -22,10 +22,14 @@ Loader log-PMF, exponentiated, over the window from
 on each side, half the 2^-53 step of the uniform, which resolves no finer;
 the last CDF entry is set to 1.  Lanes
 with p > 1/2 draw m - Bin(m, 1 - p), so a uniform maps to the same draw as
-in every version that inverted the CDF at that (m, p).  One call builds
-the tables of all its distinct (m, p) in packed passes of about
-``analytics._BLOCK_ELEMENTS`` entries and keeps none of them; a lane draws
-the same alone as in any batch.
+in every version that inverted the CDF at that (m, p).  m and p are
+checked, and the flips decided, on the arrays as passed, before they are
+broadcast to the lanes.  One call builds the tables of all its distinct
+(m, p) in packed passes of about ``analytics._BLOCK_ELEMENTS`` entries and
+keeps none of them.  A call whose lanes share one (m, p), as every round
+from a tie does, searches its lanes in place; otherwise one argsort of a
+single int64 key per lane, m over the top bits of p, puts each pair's lanes
+together.  A lane draws the same alone as in any batch.
 """
 
 from __future__ import annotations
@@ -60,8 +64,10 @@ def philox4x64(
     per run: lanes, sorted by (c3, c2, c1, c0), that share (c1, c2, c3) and
     whose c0 values step by 1 to _RUN_GAP.  The call generates every block
     from the run's first c0 to its last; numpy adds 1 to its 256-bit counter
-    before each block, so it starts one below.  Lanes already in that order
-    are not sorted, and a run of consecutive lanes is not indexed.
+    before each block, so it starts one below.  One generator, seeded once
+    per call with a fixed seed, takes each run's counter and key as its
+    state, with an empty output buffer.  Lanes already in that order are not
+    sorted, and a run of consecutive lanes is not indexed.
     """
     counters = [np.asarray(c, dtype=np.uint64) for c in (c0, c1, c2, c3)]
     shape = np.broadcast_shapes(*(c.shape for c in counters)) or (1,)
@@ -79,13 +85,18 @@ def philox4x64(
         for c in lanes[1:]:
             split |= np.diff(c) != 0
     starts = [0, *(np.flatnonzero(split) + 1).tolist()]
-    key = np.array([key0 & _MASK64, key1 & _MASK64], dtype=np.uint64)
+    generator = np.random.Philox(0)
+    state = generator.state
+    state["state"]["key"] = np.array([key0 & _MASK64, key1 & _MASK64], dtype=np.uint64)
     runs = []
     for lo, hi in zip(starts, starts[1:] + [low.size]):
         below = sum(int(c[lo]) << (64 * i) for i, c in enumerate(lanes)) - 1
-        counter = np.array([(below >> (64 * i)) & _MASK64 for i in range(4)], dtype=np.uint64)
+        state["state"]["counter"] = np.array(
+            [(below >> (64 * i)) & _MASK64 for i in range(4)], dtype=np.uint64
+        )
+        generator.state = state
         count = int(low[hi - 1] - low[lo]) + 1
-        blocks = np.random.Philox(counter=counter, key=key).random_raw(4 * count).reshape(-1, 4)
+        blocks = generator.random_raw(4 * count).reshape(-1, 4)
         runs.append(blocks if count == hi - lo else blocks[low[lo:hi] - low[lo]])
     words = runs[0] if len(runs) == 1 else np.concatenate(runs)
     if not in_order:
@@ -105,20 +116,38 @@ _SAMPLING_LOG_TAIL = 54.0 * math.log(2.0)
 
 
 def _invert(m: np.ndarray, p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Least k with u < CDF(k) of Bin(m[i], p[i]) at u[i], for m >= 1 and 0 < p <= 1/2.
+    """Least k with u < CDF(k) of Bin(m, p) at each uniform of ``u``, for m >= 1, 0 < p <= 1/2.
 
-    Lanes are grouped by (m, p), and each group's CDF is built once, from
-    log-PMF windows evaluated in blocks of about _BLOCK_ELEMENTS entries.
+    ``m`` and ``p`` broadcast against ``u``.  When they hold one (m, p), its
+    lanes are searched in place, with no gather or scatter.  Otherwise one
+    unstable argsort of the int64 key m * 2^36 + (p's IEEE bits >> 26),
+    below 2^36 for 0 < p <= 1/2, puts each (m, p)'s lanes together.  Only
+    if one key holds several p (equal in those bits) are the lanes sorted
+    again, stably, by p and then by key, so that each distinct (m, p)'s CDF
+    is still built once.  The CDFs come from log-PMF windows evaluated in
+    blocks of about _BLOCK_ELEMENTS entries.
     """
-    order = np.lexsort((p, m))
-    m_ord, p_ord, u_ord = m[order], p[order], u[order]
-    new_pair = np.r_[True, (np.diff(m_ord) != 0) | (np.diff(p_ord) != 0)]
-    bounds = np.r_[np.flatnonzero(new_pair), len(order)].tolist()
-    pair_m, pair_p = m_ord[new_pair].astype(np.float64), p_ord[new_pair]
+    shape, u = u.shape, u.reshape(-1)
+    if np.ptp(m) == 0 and np.ptp(p) == 0:
+        order, bounds = None, [0, u.size]
+        pair_m, pair_p = m.reshape(-1)[:1].astype(np.float64), p.reshape(-1)[:1]
+    else:
+        m, p = (np.broadcast_to(a, shape).reshape(-1) for a in (m, p))
+        key = (m << 36) | (p.view(np.int64) >> 26)
+        order = np.argsort(key)
+        key_ord, p_ord = key[order], p[order]
+        if np.any((key_ord[1:] == key_ord[:-1]) & (p_ord[1:] != p_ord[:-1])):
+            order = order[np.argsort(p_ord, kind="stable")]
+            order = order[np.argsort(key[order], kind="stable")]
+            key_ord, p_ord = key[order], p[order]
+        new_pair = (key_ord[1:] != key_ord[:-1]) | (p_ord[1:] != p_ord[:-1])
+        starts = np.flatnonzero(np.r_[True, new_pair])
+        bounds = np.r_[starts, u.size].tolist()
+        pair_m, pair_p, u = m[order[starts]].astype(np.float64), p_ord[starts], u[order]
     lo, hi = analytics._window_bounds(pair_m, pair_p, _SAMPLING_LOG_TAIL)
     sizes = hi - lo + 1
     block = np.cumsum(sizes) // analytics._BLOCK_ELEMENTS
-    draws = np.empty(len(order), dtype=np.int64)
+    draws = np.empty(u.size, dtype=np.int64)
     for chunk in np.split(np.arange(len(sizes)), np.flatnonzero(np.diff(block)) + 1):
         pmf = np.exp(analytics._log_pmf(pair_m[chunk], pair_p[chunk], lo[chunk], hi[chunk]))
         ends = np.cumsum(sizes[chunk]).tolist()
@@ -126,10 +155,10 @@ def _invert(m: np.ndarray, p: np.ndarray, u: np.ndarray) -> np.ndarray:
             cdf = np.cumsum(pmf[start:end])
             cdf[-1] = 1.0
             a, b = bounds[j], bounds[j + 1]
-            draws[a:b] = lo[j] + np.searchsorted(cdf, u_ord[a:b], side="right")
-    out = np.empty_like(draws)
-    out[order] = draws
-    return out
+            draws[a:b] = lo[j] + np.searchsorted(cdf, u[a:b], side="right")
+    if order is not None:
+        draws[order] = draws.copy()
+    return draws.reshape(shape)
 
 
 def sample_binomial_lanes(
@@ -143,21 +172,31 @@ def sample_binomial_lanes(
     """Per-lane exact Bin(m, p) draws; m, p broadcast against the trial lanes.
 
     ``trial`` (and optionally ``group``) are arrays of path labels; each
-    lane inverts the CDF at the uniform of its own counter block.
+    lane inverts the CDF at the uniform of its own counter block.  m and p
+    are checked, and the p > 1/2 lanes found, on the arrays as passed.
     """
     trial = np.asarray(trial, dtype=np.uint64)
-    m = np.broadcast_to(np.asarray(m, dtype=np.int64), trial.shape)
-    p = np.broadcast_to(np.asarray(p, dtype=np.float64), trial.shape)
+    m = np.asarray(m, dtype=np.int64)
+    p = np.asarray(p, dtype=np.float64)
+    if np.broadcast_shapes(m.shape, p.shape, trial.shape) != trial.shape:
+        raise ValueError(f"m {m.shape} and p {p.shape} must broadcast to trial {trial.shape}")
     if np.any((m < 0) | (m >= MAX_BINOMIAL_TRIALS)):
         raise ValueError("m must be in [0, 2^27)")
-    if np.any((p < 0.0) | (p > 1.0)):
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("p must be in [0, 1]")
 
     flipped = p > 0.5
     p_eff = np.where(flipped, 1.0 - p, p)
-    out = np.zeros(trial.shape, dtype=np.int64)
     active = (m > 0) & (p_eff > 0.0)
-    if np.any(active):
+    out = np.zeros(trial.shape, dtype=np.int64)
+    if trial.size and np.any(active):
         u = uniform_lanes(master_seed, trial, np.uint64(round_index), group).reshape(trial.shape)
-        out[active] = _invert(m[active], p_eff[active], u[active])
-    return np.where(flipped, m - out, out)
+        if np.all(active):
+            out = _invert(m, p_eff, u)
+        else:
+            active = np.broadcast_to(active, trial.shape)
+            lanes = (np.broadcast_to(a, trial.shape)[active] for a in (m, p_eff, u))
+            out[active] = _invert(*lanes)
+    if np.any(flipped):
+        out = m - out if np.all(flipped) else np.where(flipped, m - out, out)
+    return out

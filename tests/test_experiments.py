@@ -1,12 +1,17 @@
 import math
 import os
+import tracemalloc
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from smpsim import analytics
+from smpsim import analytics, experiments
 from smpsim.engine import exact_chain_consensus_probability
 from smpsim.experiments import (
+    CHUNK_TRIALS,
     Estimate,
+    _map_chunks,
     _pool_size,
     clopper_pearson_interval,
     estimate_event_probability,
@@ -125,6 +130,40 @@ class TestEstimateEventProbability:
         assert _pool_size(1, 100) == 1
         assert _pool_size(8, 1) == 1
         assert _pool_size(8, 0) == 1
+
+    def test_chunks_are_made_as_they_are_run(self, monkeypatch):
+        # 2^30 trials are 16,384 chunks; the run stops at the third, holding one
+        calls = []
+
+        def batch(config, ids, master_seed, mode):
+            calls.append(len(ids))
+            if len(calls) == 3:
+                raise RuntimeError("third chunk")
+            return SimpleNamespace(consensus_mask=lambda: np.ones(len(ids), dtype=bool))
+
+        monkeypatch.setattr(experiments, "run_trials_batch", batch)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="third chunk"):
+                estimate_event_probability(_config(10, 0, 2, 0.5), "consensus", 2**30, SEED)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert calls == [CHUNK_TRIALS] * 3
+        assert peak < 2 << 20
+
+    def test_pool_keeps_few_chunks_in_flight(self):
+        # a pool that took every chunk of 2^30 trials at once would hold 16,384 futures
+        tracemalloc.start()
+        chunks = _map_chunks(len, 2**30, 2, "fixed")
+        try:
+            first = [next(chunks) for _ in range(3)]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            chunks.close()
+            tracemalloc.stop()
+        assert first == [3, 3, 3]
+        assert peak < 2 << 20
 
     def test_relabeling_symmetry_within_ci(self):
         est_pos = estimate_event_probability(_config(30, 4, 2, 0.5), "consensus", 4_000, SEED)

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import smpsim
@@ -130,6 +132,12 @@ class TestSampleBinomial:
             sample_binomial_lanes(5, 1.5, 1, np.arange(2, dtype=np.uint64), 0, np.uint64(0))
         with pytest.raises(ValueError):
             sample_binomial_lanes(2**27, 0.5, 1, np.arange(2, dtype=np.uint64), 0, np.uint64(0))
+        with pytest.raises(ValueError):
+            sample_binomial_lanes(5, np.nan, 1, [0, 1, 2], 1, 0)
+        with pytest.raises(ValueError):
+            sample_binomial_lanes(5, [0.3, np.nan], 1, [0, 1], 0, np.uint64(0))
+        with pytest.raises(ValueError):  # m of 3 lanes for 2 trials
+            sample_binomial_lanes([5, 5, 5], 0.3, 1, [0, 1], 0, np.uint64(0))
 
     def test_empirical_mean(self):
         draws = sample_binomial_lanes(
@@ -160,6 +168,8 @@ class TestSampleBinomial:
             # tables of about 1.1e5 entries: more than one block
             ([10, 2**27 - 1, 0, 10**6, 70_000, 1500, 5, 2**27 - 1],
              [0.5, 0.5, 0.9, 0.3, 0.999, 0.001, 0.2, 1e-6]),
+            # one m, p equal in their top 36 bits but not below: one grouping key
+            ([700] * 6, [0.3, np.nextafter(0.3, 1), 0.3, 0.3 + 2e-12, np.nextafter(0.3, 1), 0.7]),
         ],
     )
     def test_mixed_lane_parameters(self, m, p):
@@ -171,6 +181,57 @@ class TestSampleBinomial:
             alone = sample_binomial_lanes(m[i], p[i], 13, trials[i : i + 1], 1, np.uint64(0))
             assert alone[0] == draws[i]
 
+
+_LANE_P = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.5, 1e-9]),
+    st.floats(0.5, 1.0, exclude_min=True),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mixed_call_equals_each_lane_alone(data):
+    # repeated trial ids, 1-D and 2-D lanes, scalar or per-lane m and p
+    shape = data.draw(st.sampled_from([(1,), (7,), (16,), (2, 5), (3, 4)]))
+    size = int(np.prod(shape))
+    trial = np.array(data.draw(st.lists(st.integers(0, 5), min_size=size, max_size=size)),
+                     dtype=np.uint64).reshape(shape)
+
+    def scalar_or_lanes(values):
+        lanes = st.lists(values, min_size=size, max_size=size).map(
+            lambda v: np.array(v).reshape(shape))
+        return data.draw(st.one_of(values.map(np.array), lanes))
+
+    m = scalar_or_lanes(st.just(0) | st.integers(0, 3000))
+    p = scalar_or_lanes(_LANE_P)
+    draws = sample_binomial_lanes(m, p, 99, trial, 2, np.uint64(3))
+    assert draws.shape == shape and draws.dtype == np.int64
+    m_lanes, p_lanes = np.broadcast_to(m, shape), np.broadcast_to(p, shape)
+    for i in np.ndindex(shape):
+        alone = sample_binomial_lanes(m_lanes[i], p_lanes[i], 99, [trial[i]], 2, np.uint64(3))
+        assert alone[0] == draws[i]
+        assert 0 <= draws[i] <= m_lanes[i]
+
+
+def test_p_sharing_a_grouping_key_keeps_its_own_cdf(monkeypatch):
+    # adjacent doubles share the sampler's int64 grouping key; at m = 1 the
+    # draw of trial 2 flips between two of them, so a table shared by both shows
+    u = uniform_lanes(2021, np.array([2], dtype=np.uint64), np.uint64(1), np.uint64(0))[0]
+    ps = (1 - u) + np.arange(-32, 33) * np.spacing(1 - u)
+    alone = [int(sample_binomial_lanes(1, p, 2021, [2], 1, np.uint64(0))[0]) for p in ps]
+    flip = alone.index(1)
+    assert flip > 0
+    pair = [ps[flip - 1], ps[flip]]
+    tables = []
+    window_bounds = analytics._window_bounds
+    monkeypatch.setattr(analytics, "_window_bounds",
+                        lambda m, p, tail: tables.append(len(m)) or window_bounds(m, p, tail))
+    for lanes in (pair, pair[::-1], pair * 40):
+        mixed = sample_binomial_lanes(1, lanes, 2021, [2] * len(lanes), 1, np.uint64(0))
+        assert mixed.tolist() == [int(p == pair[1]) for p in lanes]
+    # one table per distinct p, however the lanes interleave
+    assert tables == [2, 2, 2]
 
 @pytest.mark.parametrize("p", [1e-6, 0.5, 1 - 1e-9])
 @pytest.mark.parametrize("m", [1, 10, 1000, 10**6, 2**27 - 1])
