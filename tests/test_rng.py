@@ -233,6 +233,7 @@ def test_p_sharing_a_grouping_key_keeps_its_own_cdf(monkeypatch):
     # one table per distinct p, however the lanes interleave
     assert tables == [2, 2, 2]
 
+
 @pytest.mark.parametrize("p", [1e-6, 0.5, 1 - 1e-9])
 @pytest.mark.parametrize("m", [1, 10, 1000, 10**6, 2**27 - 1])
 def test_sampling_window_drops_below_a_uniform_step(m, p):
