@@ -26,10 +26,10 @@ in every version that inverted the CDF at that (m, p).  m and p are
 checked, and the flips decided, on the arrays as passed, before they are
 broadcast to the lanes.  One call builds the tables of all its distinct
 (m, p) in packed passes of about ``analytics._BLOCK_ELEMENTS`` entries and
-keeps none of them.  A call whose lanes share one (m, p), as every round
-from a tie does, searches its lanes in place; otherwise one argsort of a
-single int64 key per lane, m over the top bits of p, puts each pair's lanes
-together.  A lane draws the same alone as in any batch.
+keeps none of them.  A call whose lanes share one (m, p), as the first
+round from a tie does, searches its lanes in place; otherwise a lexsort by
+(m, p) puts each pair's lanes together.  A lane draws the same alone as in
+any batch.
 """
 
 from __future__ import annotations
@@ -119,13 +119,9 @@ def _invert(m: np.ndarray, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Least k with u < CDF(k) of Bin(m, p) at each uniform of ``u``, for m >= 1, 0 < p <= 1/2.
 
     ``m`` and ``p`` broadcast against ``u``.  When they hold one (m, p), its
-    lanes are searched in place, with no gather or scatter.  Otherwise one
-    unstable argsort of the int64 key m * 2^36 + (p's IEEE bits >> 26),
-    below 2^36 for 0 < p <= 1/2, puts each (m, p)'s lanes together.  Only
-    if one key holds several p (equal in those bits) are the lanes sorted
-    again, stably, by p and then by key, so that each distinct (m, p)'s CDF
-    is still built once.  The CDFs come from log-PMF windows evaluated in
-    blocks of about _BLOCK_ELEMENTS entries.
+    lanes are searched in place, with no sort, gather or scatter.  Otherwise
+    the lanes are grouped by (m, p).  Each group's CDF is built once, from
+    log-PMF windows evaluated in blocks of about _BLOCK_ELEMENTS entries.
     """
     shape, u = u.shape, u.reshape(-1)
     if np.ptp(m) == 0 and np.ptp(p) == 0:
@@ -133,17 +129,11 @@ def _invert(m: np.ndarray, p: np.ndarray, u: np.ndarray) -> np.ndarray:
         pair_m, pair_p = m.reshape(-1)[:1].astype(np.float64), p.reshape(-1)[:1]
     else:
         m, p = (np.broadcast_to(a, shape).reshape(-1) for a in (m, p))
-        key = (m << 36) | (p.view(np.int64) >> 26)
-        order = np.argsort(key)
-        key_ord, p_ord = key[order], p[order]
-        if np.any((key_ord[1:] == key_ord[:-1]) & (p_ord[1:] != p_ord[:-1])):
-            order = order[np.argsort(p_ord, kind="stable")]
-            order = order[np.argsort(key[order], kind="stable")]
-            key_ord, p_ord = key[order], p[order]
-        new_pair = (key_ord[1:] != key_ord[:-1]) | (p_ord[1:] != p_ord[:-1])
-        starts = np.flatnonzero(np.r_[True, new_pair])
-        bounds = np.r_[starts, u.size].tolist()
-        pair_m, pair_p, u = m[order[starts]].astype(np.float64), p_ord[starts], u[order]
+        order = np.lexsort((p, m))
+        m, p, u = m[order], p[order], u[order]
+        new_pair = np.r_[True, (np.diff(m) != 0) | (np.diff(p) != 0)]
+        bounds = np.r_[np.flatnonzero(new_pair), u.size].tolist()
+        pair_m, pair_p = m[new_pair].astype(np.float64), p[new_pair]
     lo, hi = analytics._window_bounds(pair_m, pair_p, _SAMPLING_LOG_TAIL)
     sizes = hi - lo + 1
     block = np.cumsum(sizes) // analytics._BLOCK_ELEMENTS
@@ -197,6 +187,4 @@ def sample_binomial_lanes(
             active = np.broadcast_to(active, trial.shape)
             lanes = (np.broadcast_to(a, trial.shape)[active] for a in (m, p_eff, u))
             out[active] = _invert(*lanes)
-    if np.any(flipped):
-        out = m - out if np.all(flipped) else np.where(flipped, m - out, out)
-    return out
+    return np.where(flipped, m - out, out)

@@ -152,8 +152,10 @@ class TestEstimateEventProbability:
         assert calls == [CHUNK_TRIALS] * 3
         assert peak < 2 << 20
 
-    def test_pool_keeps_few_chunks_in_flight(self):
+    def test_pool_keeps_few_chunks_in_flight(self, monkeypatch):
         # a pool that took every chunk of 2^30 trials at once would hold 16,384 futures
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert _pool_size(2, 2**30 // CHUNK_TRIALS) == 2
         tracemalloc.start()
         chunks = _map_chunks(len, 2**30, 2, "fixed")
         try:

@@ -168,7 +168,7 @@ class TestSampleBinomial:
             # tables of about 1.1e5 entries: more than one block
             ([10, 2**27 - 1, 0, 10**6, 70_000, 1500, 5, 2**27 - 1],
              [0.5, 0.5, 0.9, 0.3, 0.999, 0.001, 0.2, 1e-6]),
-            # one m, p equal in their top 36 bits but not below: one grouping key
+            # one m, p a few ulps apart: one table per distinct p
             ([700] * 6, [0.3, np.nextafter(0.3, 1), 0.3, 0.3 + 2e-12, np.nextafter(0.3, 1), 0.7]),
         ],
     )
@@ -212,26 +212,6 @@ def test_mixed_call_equals_each_lane_alone(data):
         alone = sample_binomial_lanes(m_lanes[i], p_lanes[i], 99, [trial[i]], 2, np.uint64(3))
         assert alone[0] == draws[i]
         assert 0 <= draws[i] <= m_lanes[i]
-
-
-def test_p_sharing_a_grouping_key_keeps_its_own_cdf(monkeypatch):
-    # adjacent doubles share the sampler's int64 grouping key; at m = 1 the
-    # draw of trial 2 flips between two of them, so a table shared by both shows
-    u = uniform_lanes(2021, np.array([2], dtype=np.uint64), np.uint64(1), np.uint64(0))[0]
-    ps = (1 - u) + np.arange(-32, 33) * np.spacing(1 - u)
-    alone = [int(sample_binomial_lanes(1, p, 2021, [2], 1, np.uint64(0))[0]) for p in ps]
-    flip = alone.index(1)
-    assert flip > 0
-    pair = [ps[flip - 1], ps[flip]]
-    tables = []
-    window_bounds = analytics._window_bounds
-    monkeypatch.setattr(analytics, "_window_bounds",
-                        lambda m, p, tail: tables.append(len(m)) or window_bounds(m, p, tail))
-    for lanes in (pair, pair[::-1], pair * 40):
-        mixed = sample_binomial_lanes(1, lanes, 2021, [2] * len(lanes), 1, np.uint64(0))
-        assert mixed.tolist() == [int(p == pair[1]) for p in lanes]
-    # one table per distinct p, however the lanes interleave
-    assert tables == [2, 2, 2]
 
 
 @pytest.mark.parametrize("p", [1e-6, 0.5, 1 - 1e-9])
