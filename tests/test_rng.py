@@ -170,6 +170,9 @@ class TestSampleBinomial:
              [0.5, 0.5, 0.9, 0.3, 0.999, 0.001, 0.2, 1e-6]),
             # one m, p a few ulps apart: one table per distinct p
             ([700] * 6, [0.3, np.nextafter(0.3, 1), 0.3, 0.3 + 2e-12, np.nextafter(0.3, 1), 0.7]),
+            # one m with several p, and one p with several m: not one-pair calls
+            ([100] * 4, [0.1, 0.4, 0.1, 0.9]),
+            ([10, 100, 10, 1000], [0.4] * 4),
         ],
     )
     def test_mixed_lane_parameters(self, m, p):
