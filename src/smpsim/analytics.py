@@ -94,8 +94,8 @@ _LOG_2PI = math.log(2.0 * math.pi)
 #: Half-width of a binomial window solves exp(-t^2 / (2 (var + t/3))) = 1e-340
 #: (Bernstein), so each tail outside it holds less than 1e-340.
 _WINDOW_LOG_TAIL = 340.0 * math.log(10.0)
-#: Window entries evaluated together where many binomials are needed at once
-#: (keep/adopt batches and the exact chain's rows), bounding the memory held.
+#: Window entries that ``_windows`` evaluates in one pass, for keep/adopt
+#: batches, the exact chain's rows and the sampler's CDFs alike.
 _BLOCK_ELEMENTS = 1 << 15
 #: Terms of the bd0 series near x = mu, where |v| < 0.1: the first dropped
 #: one is below 1e-20 of the sum.
@@ -204,36 +204,33 @@ def _window_bounds(
     return lo.astype(np.int64), hi.astype(np.int64)
 
 
-def _windowed_log_pmfs(m, p) -> list[tuple[int, np.ndarray]]:
-    """[(lo, log pmf over k = lo..hi)] of Bin(m[i], p[i]) on each window.
+def _windows(m, p, log_tail: float = _WINDOW_LOG_TAIL):
+    """Yield (lo, log pmf over k = lo..hi) of Bin(m[i], p[i]) for each i, in order.
 
-    All windows are evaluated in one packed pass, so that many small
-    binomials cost a few numpy calls; callers needing many windows pass
-    them in blocks of about _BLOCK_ELEMENTS entries.
+    [lo, hi] is the ``_window_bounds`` window for ``log_tail``.  Windows are
+    evaluated lazily, in passes of about _BLOCK_ELEMENTS entries that bound
+    the memory held: a pass starts with the window that takes the running
+    total past a multiple of it.  A window's entries do not depend on which
+    pass it falls in.
     """
     m = np.atleast_1d(np.asarray(m, dtype=np.float64))
     p = np.broadcast_to(np.asarray(p, dtype=np.float64), m.shape)
-    lo, hi = _window_bounds(m, p)
-    pieces = np.split(_log_pmf(m, p, lo, hi), np.cumsum(hi - lo + 1)[:-1])
-    return list(zip(lo.tolist(), pieces))
+    lo, hi = _window_bounds(m, p, log_tail)
+    sizes = hi - lo + 1
+    starts = np.flatnonzero(np.diff(np.cumsum(sizes) // _BLOCK_ELEMENTS, prepend=-1)).tolist()
+    for a, b in zip(starts, starts[1:] + [len(m)]):
+        log_pmf = _log_pmf(m[a:b], p[a:b], lo[a:b], hi[a:b])
+        yield from zip(lo[a:b].tolist(), np.split(log_pmf, np.cumsum(sizes[a:b])[:-1]))
 
 
-def _pmf_windows(m, p) -> list[tuple[int, np.ndarray]]:
-    """[(lo, pmf over k = lo..hi)] of Bin(m[i], p[i]) on each window."""
-    return [(lo, np.exp(log_pmf)) for lo, log_pmf in _windowed_log_pmfs(m, p)]
-
-
-def _scaled_windows(m, p) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """[(lo, w, c)] of Bin(m[i], p[i]): w = pmf / max pmf on the window, c = cumsum(w).
+def _scaled(lo: int, log_pmf: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(lo, w, c) of one window: w = pmf / max pmf on the window, c = cumsum(w).
 
     The scale cancels wherever w and c are used, because results are
     normalised by the window total c[-1].
     """
-    out = []
-    for lo, log_pmf in _windowed_log_pmfs(m, p):
-        w = np.exp(log_pmf - log_pmf.max())
-        out.append((lo, w, np.cumsum(w)))
-    return out
+    w = np.exp(log_pmf - log_pmf.max())
+    return lo, w, np.cumsum(w)
 
 
 def _log_pmf_array(m: int, p: float) -> np.ndarray:
@@ -296,29 +293,22 @@ def _pair_comparisons(size: int, queries: list[tuple[int, int]], p: float) -> li
 
     Certain outcomes are exact: offset >= size - a gives 1, a + offset < 0
     gives 0.  Pairs a and size - a hold the same two windows, so the other
-    queries are grouped by min(a, size - a) and each window is built once,
-    in blocks of about _BLOCK_ELEMENTS window entries: a block starts with the
-    pair whose windows take the running total past a multiple of it.  A
-    value does not depend on which other queries are evaluated with it.
+    queries are grouped by min(a, size - a) and each window is built once.
+    A value does not depend on which other queries are evaluated with it.
     """
     out = [1.0 if off >= size - a else 0.0 if a + off < 0 else math.nan for a, off in queries]
     by_pair: dict[int, list[int]] = {}
     for i, (a, _) in enumerate(queries):
         if math.isnan(out[i]):
             by_pair.setdefault(min(a, size - a), []).append(i)
-    if not by_pair:
-        return out
     pairs = np.array(sorted(by_pair), dtype=np.int64)
-    lo, hi = _window_bounds(np.concatenate([pairs, size - pairs]).astype(np.float64), p)
-    entries = (hi - lo + 1).reshape(2, -1).sum(axis=0)
-    block = np.cumsum(entries) // _BLOCK_ELEMENTS
-    for chunk in np.split(pairs, np.flatnonzero(np.diff(block)) + 1):
-        wins = _scaled_windows(np.concatenate([chunk, size - chunk]), p)
-        for c, win_c, win_rest in zip(chunk.tolist(), wins, wins[len(chunk):]):
-            for i in by_pair[c]:
-                a, offset = queries[i]
-                win1, win2 = (win_c, win_rest) if a == c else (win_rest, win_c)
-                out[i] = _compare_windows(win1, win2, offset)
+    windows = _windows(np.column_stack([pairs, size - pairs]).ravel(), p)
+    scaled = (_scaled(lo, log_pmf) for lo, log_pmf in windows)
+    for c, win_c, win_rest in zip(pairs.tolist(), scaled, scaled):
+        for i in by_pair[c]:
+            a, offset = queries[i]
+            win1, win2 = (win_c, win_rest) if a == c else (win_rest, win_c)
+            out[i] = _compare_windows(win1, win2, offset)
     return out
 
 

@@ -105,12 +105,11 @@ def _real(label: str, value: Any) -> float:
 
 
 def _int_list(label: str, value: Any, **bounds) -> list[int]:
-    """A comma-separated string or a JSON list of integers, each within ``bounds``."""
-    if isinstance(value, str):
-        value = [token for token in value.split(",") if token]
-    if not isinstance(value, list):
-        raise CliError(f"{label} must be a comma list of integers, got {value!r}")
-    return [_integer(label, v, **bounds) for v in value]
+    """A nonempty comma-separated string or JSON list of integers, each within ``bounds``."""
+    items = [token for token in value.split(",") if token] if isinstance(value, str) else value
+    if not (isinstance(items, list) and items):
+        raise CliError(f"{label} must be a comma list of one or more integers, got {value!r}")
+    return [_integer(label, v, **bounds) for v in items]
 
 
 def _path(label: str, value: Any) -> str:
@@ -167,13 +166,12 @@ def _parse_regime(token: str) -> AsymmetryRegime:
 
 
 def _regimes(label: str, value: Any) -> list[str]:
-    """A comma list of regime tokens, each checked; the tokens are returned."""
-    if not isinstance(value, str):
-        raise CliError(f"{label} must be a comma list of regimes, got {value!r}")
-    tokens = value.split(",")
+    """A nonempty comma list of regime tokens, each checked; the tokens are returned."""
+    tokens = [token for token in value.split(",") if token] if isinstance(value, str) else []
+    if not tokens:
+        raise CliError(f"{label} must be a comma list of one or more regimes, got {value!r}")
     for token in tokens:
-        if token:
-            _parse_regime(token)
+        _parse_regime(token)
     return tokens
 
 
@@ -281,7 +279,7 @@ def _sweep(kind: str, o: argparse.Namespace):
     if kind == "trichotomy":
         labeled = [
             (tok, experiments.trichotomy_sweep(_parse_regime(tok), o.n_grid, o.q))
-            for tok in o.regimes if tok
+            for tok in o.regimes
         ]
         sweep = _merge_sweeps("trichotomy", labeled)
     elif kind == "max-error":
@@ -384,6 +382,7 @@ _SWEEP_OPTIONS = {
 }
 
 _INT = (_integer, _REQUIRED)
+_TRIALS = partial(_integer, low=1)
 _REAL = (_real, _REQUIRED)
 _Q = (_real, 0.5)
 #: n (binomials of up to 2n trials) and m stay below MAX_BINOMIAL_TRIALS.
@@ -413,7 +412,7 @@ _COMMANDS: dict[str, tuple[str | None, Any, dict[str, tuple]]] = {
     "estimate": ("Monte Carlo event probability", _estimate, {
         **_PROTOCOL,
         "event": (_choice(*experiments.EVENT_NAMES), "consensus"),
-        "trials": (_integer, 10_000),
+        "trials": (_TRIALS, 10_000),
         "mode": _MODE,
         "interval": (_choice("wilson", "clopper_pearson"), "wilson"),
     }),
@@ -427,27 +426,27 @@ _COMMANDS: dict[str, tuple[str | None, Any, dict[str, tuple]]] = {
         "n": _N,
         "q": _Q,
         "rounds": (_integer, 3),
-        "trials": (_integer, 1_000),
+        "trials": (_TRIALS, 1_000),
         "delta_stride": (partial(_integer, low=1), 1),
     }),
     "sweep return-to-symmetry": (
         "round-1 return-to-tie rate", partial(_sweep, "return-to-symmetry"), {
             "n_grid": (_N_GRID, [100, 400, 1_600], _N_GRID_HELP),
             "q": _Q,
-            "trials": (_integer, 100_000),
+            "trials": (_TRIALS, 100_000),
         }),
     "sweep theorem1": (
         "one/two/three-round achievability suite", partial(_sweep, "theorem1"), {
             "n_grid": (_N_GRID, [10_000], _N_GRID_HELP),
             "q": _Q,
-            "trials": (_integer, 1_000, "trials for the multi-round presets"),
-            "trials_single_round": (_integer, 100_000),
+            "trials": (_TRIALS, 1_000, "trials for the multi-round presets"),
+            "trials_single_round": (_TRIALS, 100_000),
             "alpha": (_real, 1.0),
         }),
     "sweep theorem2": ("two-round consensus decay suite", partial(_sweep, "theorem2"), {
         "n_grid": (_N_GRID, [100, 1_000, 10_000], _N_GRID_HELP),
         "q": _Q,
-        "trials": (_integer, 1_000),
+        "trials": (_TRIALS, 1_000),
     }),
     "bounds prop1": (None, partial(_bounds, "prop1"), {"n": _N, "a": _INT, "q": _REAL}),
     "bounds prop4": (None, partial(_bounds, "prop4"), {"n": _N, "b": _INT}),

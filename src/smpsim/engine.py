@@ -271,27 +271,29 @@ def run_trial(
 # --------------------------------------------------------------------------
 
 
-def _round_laws(total: int, zs, p00, p10) -> list[np.ndarray]:
+def _round_laws(total: int, zs, p00, p10) -> list[tuple[int, np.ndarray]]:
     """Exact one-round laws Bin(z, p00) * Bin(total - z, p10) of the zero-count.
 
-    One law per entry of ``zs``; both binomials are evaluated on their
-    windows, outside which every term is below the smallest double.
+    One (lo, law) per entry of ``zs``: law[i] is the probability of lo + i
+    zeros, and every count outside the window has probability below the
+    smallest double.  Both binomials are evaluated on their windows.
     """
     zs = np.asarray(zs)
-    windows = analytics._pmf_windows(np.concatenate([zs, total - zs]), np.concatenate([p00, p10]))
-    laws = []
-    for (lo_keep, keep), (lo_gain, gain) in zip(windows, windows[len(zs):]):
-        law = np.zeros(total + 1)
-        part = np.convolve(keep, gain)
-        law[lo_keep + lo_gain : lo_keep + lo_gain + len(part)] = part
-        laws.append(law)
-    return laws
+    windows = analytics._windows(
+        np.column_stack([zs, total - zs]).ravel(), np.column_stack([p00, p10]).ravel()
+    )
+    return [
+        (lo_keep + lo_gain, np.convolve(np.exp(keep), np.exp(gain)))
+        for (lo_keep, keep), (lo_gain, gain) in zip(windows, windows)
+    ]
 
 
 def aggregated_round_distribution(counts: OpinionCounts, q: float) -> CountDistribution:
     """Exact one-round law Bin(z, p_keep) * Bin(o, p_adopt) of the zero-count."""
     p00, p10 = analytics.transition_values(counts.total, [counts.zeros], q)
-    (law,) = _round_laws(counts.total, [counts.zeros], p00, p10)
+    ((lo, part),) = _round_laws(counts.total, [counts.zeros], p00, p10)
+    law = np.zeros(counts.total + 1)
+    law[lo : lo + len(part)] = part
     return CountDistribution(probabilities=law)
 
 
@@ -346,7 +348,7 @@ def exact_chain_consensus_probability(
     """Exact (P{consensus}, P{majority consensus}) via the count Markov chain.
 
     The kernel row at z is the convolution Bin(z, p_keep) * Bin(2n - z,
-    p_adopt), with keep/adopt for every z = 0..2n from one
+    p_adopt), kept on its window, with keep/adopt for every z = 0..2n from one
     ``analytics.transition_values`` call; the start distribution is a
     point mass at n + delta and the chain is advanced ``rounds`` times.
     Consensus states are absorbing rows, exact point masses.
@@ -361,20 +363,17 @@ def exact_chain_consensus_probability(
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     p00, p10 = analytics.transition_values(total, np.arange(total + 1), q)
-    # rows built together, about _BLOCK_ELEMENTS window entries per block
-    block_rows = max(1, analytics._BLOCK_ELEMENTS // (total + 1))
     dist = np.zeros(total + 1)
     dist[n + delta] = 1.0
-    rows: dict[int, np.ndarray] = {}
+    rows: dict[int, tuple[int, np.ndarray]] = {}
     for _ in range(rounds):
         live = np.flatnonzero(dist > 0.0)
         missing = np.array([z for z in live.tolist() if z not in rows], dtype=np.int64)
-        for i in range(0, len(missing), block_rows):
-            block = missing[i : i + block_rows]
-            rows.update(zip(block.tolist(), _round_laws(total, block, p00[block], p10[block])))
+        rows.update(zip(missing.tolist(), _round_laws(total, missing, p00[missing], p10[missing])))
         new = np.zeros(total + 1)
         for z in live.tolist():
-            new += dist[z] * rows[z]
+            lo, part = rows[z]
+            new[lo : lo + len(part)] += dist[z] * part
         dist = new
     p_consensus = float(dist[0] + dist[total])
     if delta > 0:

@@ -106,13 +106,6 @@ class ProtocolConfig:
         return make_initial_state(self.n, self.delta)
 
 
-#: Classification of the initial-imbalance growth rate relative to sqrt(n).
-#: Case 1: a_n/sqrt(n) -> 0, single-round keep probability tends to 1/2.
-#: Case 2: a_n/sqrt(n) -> alpha > 0, it tends to a constant in (1/2, 1).
-#: Case 3: a_n/sqrt(n) -> infinity, it tends to 1.
-FACT1_CASES = (1, 2, 3)
-
-
 @dataclass(frozen=True)
 class AsymmetryRegime:
     """A sequence of initial imbalances a_n and its growth-rate class.
@@ -158,7 +151,12 @@ class AsymmetryRegime:
             raise ValueError(f"custom regime table has no entry for n={n}") from None
 
     def fact1_case(self) -> int | None:
-        """Growth-rate class of a_n relative to sqrt(n); None if unknown."""
+        """Growth-rate class of a_n relative to sqrt(n); None if unknown.
+
+        Case 1: a_n/sqrt(n) -> 0, single-round keep probability tends to 1/2.
+        Case 2: a_n/sqrt(n) -> alpha > 0, it tends to a constant in (1/2, 1).
+        Case 3: a_n/sqrt(n) -> infinity, it tends to 1.
+        """
         if self.kind in ("zero", "logarithmic"):
             return 1
         if self.kind == "sqrt_scaled":

@@ -25,8 +25,8 @@ with p > 1/2 draw m - Bin(m, 1 - p), so a uniform maps to the same draw as
 in every version that inverted the CDF at that (m, p).  m and p are
 checked, and the flips decided, on the arrays as passed, before they are
 broadcast to the lanes.  One call builds the tables of all its distinct
-(m, p) in packed passes of about ``analytics._BLOCK_ELEMENTS`` entries and
-keeps none of them.  A call whose lanes share one (m, p), as the first
+(m, p) from ``analytics._windows``, which packs the windows into passes,
+and keeps none of them.  A call whose lanes share one (m, p), as the first
 round from a tie does, searches its lanes in place; otherwise a lexsort by
 (m, p) puts each pair's lanes together.  A lane draws the same alone as in
 any batch.
@@ -121,31 +121,25 @@ def _invert(m: np.ndarray, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     ``m`` and ``p`` broadcast against ``u``.  When they hold one (m, p), its
     lanes are searched in place, with no sort, gather or scatter.  Otherwise
     the lanes are grouped by (m, p).  Each group's CDF is built once, from
-    log-PMF windows evaluated in blocks of about _BLOCK_ELEMENTS entries.
+    its log-PMF window; ``analytics._windows`` packs the windows into passes.
     """
     shape, u = u.shape, u.reshape(-1)
     if np.ptp(m) == 0 and np.ptp(p) == 0:
         order, bounds = None, [0, u.size]
-        pair_m, pair_p = m.reshape(-1)[:1].astype(np.float64), p.reshape(-1)[:1]
+        pair_m, pair_p = m.reshape(-1)[:1], p.reshape(-1)[:1]
     else:
         m, p = (np.broadcast_to(a, shape).reshape(-1) for a in (m, p))
         order = np.lexsort((p, m))
         m, p, u = m[order], p[order], u[order]
         new_pair = np.r_[True, (np.diff(m) != 0) | (np.diff(p) != 0)]
         bounds = np.r_[np.flatnonzero(new_pair), u.size].tolist()
-        pair_m, pair_p = m[new_pair].astype(np.float64), p[new_pair]
-    lo, hi = analytics._window_bounds(pair_m, pair_p, _SAMPLING_LOG_TAIL)
-    sizes = hi - lo + 1
-    block = np.cumsum(sizes) // analytics._BLOCK_ELEMENTS
+        pair_m, pair_p = m[new_pair], p[new_pair]
     draws = np.empty(u.size, dtype=np.int64)
-    for chunk in np.split(np.arange(len(sizes)), np.flatnonzero(np.diff(block)) + 1):
-        pmf = np.exp(analytics._log_pmf(pair_m[chunk], pair_p[chunk], lo[chunk], hi[chunk]))
-        ends = np.cumsum(sizes[chunk]).tolist()
-        for j, start, end in zip(chunk.tolist(), [0, *ends[:-1]], ends):
-            cdf = np.cumsum(pmf[start:end])
-            cdf[-1] = 1.0
-            a, b = bounds[j], bounds[j + 1]
-            draws[a:b] = lo[j] + np.searchsorted(cdf, u[a:b], side="right")
+    windows = analytics._windows(pair_m, pair_p, _SAMPLING_LOG_TAIL)
+    for a, b, (lo, log_pmf) in zip(bounds, bounds[1:], windows):
+        cdf = np.cumsum(np.exp(log_pmf))
+        cdf[-1] = 1.0
+        draws[a:b] = lo + np.searchsorted(cdf, u[a:b], side="right")
     if order is not None:
         draws[order] = draws.copy()
     return draws.reshape(shape)

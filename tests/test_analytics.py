@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smpsim import analytics as A
+from smpsim import engine, rng
+from smpsim.model import OpinionCounts
 
 from oracles import (
     binomial_pmf_direct,
@@ -239,6 +241,33 @@ class TestTransitionValues:
             A.transition_values(4, [-1], 0.5)
         with pytest.raises(ValueError, match="2\\^27"):
             A.transition_values(A.MAX_BINOMIAL_TRIALS, [1], 0.5)
+
+
+def _window_caller_outputs() -> list[bytes]:
+    """The bytes of one output of each caller of ``A._windows``, with a fresh memo."""
+    A._MEMO.clear()
+    lanes = np.random.default_rng(3)
+    m, p = lanes.integers(0, 2000, 300), lanes.random(300)
+    return [
+        np.stack(A.transition_values(2000, np.arange(2001), 0.3)).tobytes(),
+        np.array(engine.exact_chain_consensus_probability(100, 3, 0.5, 3)).tobytes(),
+        engine.aggregated_round_distribution(OpinionCounts(700, 500), 0.4).probabilities.tobytes(),
+        rng.sample_binomial_lanes(m, p, 11, np.arange(300), 2, 0).tobytes(),
+    ]
+
+
+class TestWindowPasses:
+    def test_outputs_do_not_depend_on_pass_size(self, monkeypatch):
+        # a window's entries do not depend on its pass, even where the two
+        # windows of a keep/adopt or round-law pair fall in different passes
+        monkeypatch.setattr(A, "_MEMO", {})
+        default = _window_caller_outputs()
+        for block in (1, 7):
+            monkeypatch.setattr(A, "_BLOCK_ELEMENTS", block)
+            assert _window_caller_outputs() == default
+
+    def test_empty_input_yields_nothing(self):
+        assert list(A._windows([], 0.5)) == []
 
 
 class TestTransitionCache:

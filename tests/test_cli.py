@@ -297,6 +297,14 @@ class TestRejectedBeforeWork:
             (("estimate",), {"n": 2, "q": 0.5, "trials": 10, "interval": "x"}, "--interval"),
             (("estimate", "--n", "2", "--q", "0.5", "--workers", "0"), None, "--workers"),
             (("sweep", "theorem1", "--n-grid", "4", "--alpha", "inf"), None, "--alpha"),
+            (("verify", "--criteria", ","), None, "--criteria"),
+            (("sweep", "return-to-symmetry", "--n-grid", ","), None, "--n-grid"),
+            (("sweep", "theorem2", "--n-grid", ","), None, "--n-grid"),
+            (("sweep", "theorem2"), {"n_grid": []}, "--n-grid"),
+            (("sweep", "trichotomy", "--regimes", ","), None, "--regimes"),
+            (("estimate", "--n", "2", "--q", "0.5", "--trials", "0"), None, "--trials"),
+            (("sweep", "theorem1", "--n-grid", "4", "--trials-single-round", "0"), None,
+             "--trials-single-round"),
         ],
     )
     def test_exits_1_naming_the_option(
@@ -361,15 +369,15 @@ WRONG_VALUES = {
     "real": [[0.5], {"q": 0.5}, True, "half"],
     "choice": [["json"], {"a": 1}, True, "xml", 1],
     "path": [["out"], {"a": 1}, True, 1e308],
-    "int list": [{"n": 2}, True, "four", 2.5, 1e308, [2.5], ["x"]],
+    "int list": [{"n": 2}, True, "four", 2.5, 1e308, [2.5], ["x"], [], ","],
     "seed": [[1], {"a": 1}, True, "banana", 2.5],
-    "regimes": [["zero"], {"a": 1}, True, "banana", 1],
+    "regimes": [["zero"], {"a": 1}, True, "banana", 1, ","],
     "suite": [["all"], {"a": 1}, True, "nonesuch"],
 }
 OPTION_KINDS = {
-    **dict.fromkeys(["n", "delta", "rounds", "trials", "trials_single_round",
-                     "a", "b", "c", "m", "k", "zeros", "ones"], "integer"),
-    **dict.fromkeys(["trial", "delta_stride", "workers"], "bounded integer"),
+    **dict.fromkeys(["n", "delta", "rounds", "a", "b", "c", "m", "k", "zeros", "ones"], "integer"),
+    **dict.fromkeys(["trial", "delta_stride", "workers", "trials", "trials_single_round"],
+                    "bounded integer"),
     **dict.fromkeys(["q", "p", "alpha"], "real"),
     **dict.fromkeys(["mode", "event", "interval", "format"], "choice"),
     **dict.fromkeys(["out", "plot_data", "out_dir"], "path"),
