@@ -102,48 +102,63 @@ _BLOCK_ELEMENTS = 1 << 15
 _BD0_SERIES_TERMS = 9
 
 
-def _stirlerr(n: np.ndarray) -> np.ndarray:
+def _stirlerr(n: np.ndarray, out: np.ndarray | None = None, big: np.ndarray | None = None):
     """Stirling-formula error log(n!) - log(sqrt(2 pi n) (n/e)^n) at integers n >= 0.
 
-    The series is evaluated to the same length for every n, so a value
-    never depends on which other values are computed with it.
+    Written into ``out``, with ``big`` as working space, both of n's shape
+    and made here if not given.  The series is evaluated to the same length
+    for every n, so a value never depends on which other values are
+    computed with it.
     """
     n = np.atleast_1d(np.asarray(n, dtype=np.float64))
-    big = np.maximum(n, 16.0)
-    inv_nn = 1.0 / (big * big)
-    acc = _STIRLING_SERIES[-1]
+    acc = np.empty_like(n) if out is None else out
+    big = np.empty_like(n) if big is None else big
+    np.maximum(n, 16.0, out=big)
+    np.multiply(big, big, out=big)
+    inv_nn = np.divide(1.0, big, out=big)
+    acc.fill(_STIRLING_SERIES[-1])
     for c in _STIRLING_SERIES[-2::-1]:
-        acc = c - acc * inv_nn
-    out = acc / big
+        np.multiply(acc, inv_nn, out=acc)
+        np.subtract(c, acc, out=acc)
+    np.divide(acc, np.maximum(n, 16.0, out=big), out=acc)
     small = np.flatnonzero(n <= 15.0)
-    out[small] = _STIRLERR_SMALL[n[small].astype(np.int64)]
-    return out
+    acc[small] = _STIRLERR_SMALL[n[small].astype(np.int64)]
+    return acc
 
 
-def _bd0(x: np.ndarray, mu: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _bd0(x: np.ndarray, mu: np.ndarray, d: np.ndarray, scratch, near: np.ndarray) -> np.ndarray:
     """Deviance term x log(x/mu) + mu - x for x >= 1, mu > 0 (Loader 2000).
 
     ``d`` is x - mu to full relative accuracy.  Near x = mu, where the direct
     form cancels, d v + 2x sum_{j>=1} v^(2j+1)/(2j+1) with v = d/(x + mu) is
-    used instead, with _BD0_SERIES_TERMS terms.
+    used instead, with _BD0_SERIES_TERMS terms.  The work is done in
+    ``mu`` (overwritten), the three arrays of ``scratch`` and the boolean
+    ``near``, all of x's shape; the result is one of them.
     """
-    near = np.abs(d) < 0.1 * (x + mu)
-    if not near.any():
-        return x * np.log(x / mu) - d
-    v = d / (2.0 * x - d)
-    v2 = v * v
-    poly = v2 * (1.0 / (2 * _BD0_SERIES_TERMS + 1))
+    direct, a, v = scratch
+    np.less(np.abs(d, out=a), np.multiply(np.add(x, mu, out=direct), 0.1, out=direct), out=near)
+    if not near.all():
+        np.divide(x, mu, out=direct)
+        np.log(direct, out=direct)
+        np.multiply(direct, x, out=direct)
+        np.subtract(direct, d, out=direct)
+        if not near.any():
+            return direct
+    np.divide(d, np.subtract(np.multiply(x, 2.0, out=a), d, out=a), out=v)
+    v2 = np.multiply(v, v, out=a)
+    poly = np.multiply(v2, 1.0 / (2 * _BD0_SERIES_TERMS + 1), out=mu)
     for j in range(_BD0_SERIES_TERMS - 1, 1, -1):
         poly += 1.0 / (2 * j + 1)
         poly *= v2
     poly += 1.0 / 3.0
     poly *= v2
-    poly *= 2.0 * x
+    poly *= np.multiply(x, 2.0, out=a)
     poly += d
-    series = poly * v
+    series = np.multiply(poly, v, out=poly)
     if near.all():
         return series
-    return np.where(near, series, x * np.log(x / mu) - d)
+    np.copyto(direct, series, where=near)
+    return direct
 
 
 def _log_pmf_base(m: np.ndarray) -> np.ndarray:
@@ -152,38 +167,83 @@ def _log_pmf_base(m: np.ndarray) -> np.ndarray:
         return _stirlerr(m) + 0.5 * (np.log(m) - _LOG_2PI)
 
 
-def _log_pmf(m: np.ndarray, p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _end_log_pmfs(m, p) -> tuple[np.ndarray, np.ndarray]:
+    """(log P{Bin(m, p) = 0}, log P{Bin(m, p) = m}) = (m log(1-p), m log p).
+
+    0 log 0 = 0, so a binomial with m = 0 has log-mass 0 at both ends.
+    """
+    m = np.asarray(m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        low, top = m * np.log1p(-p), m * np.log(p)
+    low[m == 0] = top[m == 0] = 0.0
+    return low, top
+
+
+#: Float rows of a ``_scratch``: 0, 1, 2, ... and the seven temporaries of ``_log_pmf``.
+_SCRATCH_ROWS = 8
+
+
+def _scratch(entries: int) -> tuple[np.ndarray, np.ndarray]:
+    """Working space for ``_log_pmf`` passes of up to ``entries`` entries, in one buffer.
+
+    (rows, mask): _SCRATCH_ROWS float rows, the first holding 0..entries-1,
+    and one boolean row.
+    """
+    buffer = np.empty((8 * _SCRATCH_ROWS + 1) * entries, dtype=np.uint8)
+    rows = buffer[: 8 * _SCRATCH_ROWS * entries].view(np.float64).reshape(_SCRATCH_ROWS, -1)
+    rows[0] = np.arange(entries)
+    return rows, buffer[8 * _SCRATCH_ROWS * entries :].view(np.bool_)
+
+
+def _log_pmf(
+    m: np.ndarray, p: np.ndarray, lo: np.ndarray, hi: np.ndarray, scratch=None
+) -> np.ndarray:
     """log P{Bin(m[i], p[i]) = k} for k = lo[i]..hi[i], the windows concatenated.
 
     Loader's saddle-point form: log pmf = base(m) - stirlerr(k) -
     stirlerr(m-k) - bd0(k, mp) - bd0(m-k, m(1-p)) - log(k (m-k)) / 2 for
     0 < k < m, where base(m) is ``_log_pmf_base(m)``; the end points are
-    m log(1-p) and m log(p), with 0 log 0 = 0.  Every term is O(1) or
-    computed with relative accuracy, so the error does not grow with m.
-    k - mp is formed exactly from a split of p, for m < MAX_BINOMIAL_TRIALS.
-    Per-window quantities are computed once and spread over their window,
-    so an entry never depends on which other windows are evaluated with it.
+    ``_end_log_pmfs``.  Every term is O(1) or computed with relative
+    accuracy, so the error does not grow with m.  k - mp is formed exactly
+    from a split of p, for m < MAX_BINOMIAL_TRIALS.  Per-window quantities
+    are computed once and gathered over their window through one index
+    array, so an entry never depends on which other windows are evaluated
+    with it.  The temporaries are written into ``scratch``, a ``_scratch``
+    of at least the windows' total size (made here if not given), so a
+    pass allocates little beside its index and output.  The output is a
+    new array on every call: callers keep views of it.
     """
     sizes = hi - lo + 1
     starts = np.cumsum(sizes) - sizes
+    entries = int(sizes.sum())
+    rows, near = _scratch(entries) if scratch is None else scratch
+    ramp, k, rest_k, d, *tmp = rows[:, :entries]
+    near = near[:entries]
     split = 134217729.0 * p  # Veltkamp: p = p_hi + p_lo with 26-bit halves
     p_hi = split - (split - p)
     mp_hi, mp_lo = m * p_hi, m * (p - p_hi)
     mean = mp_hi + mp_lo
-    per_window = np.stack([lo - starts, m, mp_hi, mp_lo, mean, m - mean, _log_pmf_base(m)])
-    shift, m_k, mp_hi, mp_lo, mean, rest, base = np.repeat(per_window, sizes, axis=1)
-    k = np.arange(float(sizes.sum())) + shift
-    d = (k - mp_hi) - mp_lo
+    index = np.repeat(np.arange(len(sizes)), sizes)  # window of each entry
+
+    def spread(per_window: np.ndarray, into: np.ndarray) -> np.ndarray:
+        return per_window.take(index, out=into, mode="clip")
+
+    np.add(ramp, spread((lo - starts).astype(np.float64), k), out=k)
+    np.subtract(spread(m, rest_k), k, out=rest_k)
+    np.subtract(k, spread(mp_hi, d), out=d)
+    np.subtract(d, spread(mp_lo, tmp[0]), out=d)
+    out = spread(_log_pmf_base(m), np.empty(entries))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = (
-            base - _stirlerr(k) - _stirlerr(m_k - k)
-            - _bd0(k, mean, d) - _bd0(m_k - k, rest, -d)
-            - 0.5 * np.log(k * (m_k - k))
-        )
-        top, low = hi == m, lo == 0
-        out[(starts + sizes - 1)[top]] = m[top] * np.log(p[top])
-        out[starts[low]] = m[low] * np.log1p(-p[low])
-    out[starts[m == 0]] = 0.0  # Bin(0, p) is a point mass at 0 for every p
+        out -= _stirlerr(k, tmp[0], tmp[1])
+        out -= _stirlerr(rest_k, tmp[0], tmp[1])
+        out -= _bd0(k, spread(mean, tmp[3]), d, tmp[:3], near)
+        out -= _bd0(rest_k, spread(m - mean, tmp[3]), np.negative(d, out=d), tmp[:3], near)
+        log_km = np.log(np.multiply(k, rest_k, out=tmp[0]), out=tmp[0])
+        out -= np.multiply(log_km, 0.5, out=log_km)
+    low, top = _end_log_pmfs(m, p)
+    out[starts[lo == 0]] = low[lo == 0]
+    ends = hi == m
+    out[(starts + sizes - 1)[ends]] = top[ends]
     return out
 
 
@@ -210,16 +270,23 @@ def _windows(m, p, log_tail: float = _WINDOW_LOG_TAIL):
     [lo, hi] is the ``_window_bounds`` window for ``log_tail``.  Windows are
     evaluated lazily, in passes of about _BLOCK_ELEMENTS entries that bound
     the memory held: a pass starts with the window that takes the running
-    total past a multiple of it.  A window's entries do not depend on which
-    pass it falls in.
+    total past a multiple of it.  The passes of a call share one
+    ``_scratch``, sized once to the call's largest pass, so a pass makes
+    few new temporaries.  Each pass's output is a new array, and the
+    yielded windows are views of it that later passes leave as they are.
+    A window's entries do not depend on which pass it falls in.
     """
     m = np.atleast_1d(np.asarray(m, dtype=np.float64))
+    if not len(m):
+        return
     p = np.broadcast_to(np.asarray(p, dtype=np.float64), m.shape)
     lo, hi = _window_bounds(m, p, log_tail)
     sizes = hi - lo + 1
-    starts = np.flatnonzero(np.diff(np.cumsum(sizes) // _BLOCK_ELEMENTS, prepend=-1)).tolist()
+    starts = np.flatnonzero(np.diff(np.cumsum(sizes) // _BLOCK_ELEMENTS, prepend=-1))
+    scratch = _scratch(int(np.add.reduceat(sizes, starts).max()))
+    starts = starts.tolist()
     for a, b in zip(starts, starts[1:] + [len(m)]):
-        log_pmf = _log_pmf(m[a:b], p[a:b], lo[a:b], hi[a:b])
+        log_pmf = _log_pmf(m[a:b], p[a:b], lo[a:b], hi[a:b], scratch)
         yield from zip(lo[a:b].tolist(), np.split(log_pmf, np.cumsum(sizes[a:b])[:-1]))
 
 

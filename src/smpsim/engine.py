@@ -13,7 +13,11 @@ Two sampling paths produce protocol runs:
 
 Two oracles pin the dynamics down exactly: an exhaustive enumeration of
 all loss patterns for systems of up to 6 agents, and an exact Markov chain
-on the zero-count for systems of up to 1000 agents.
+on the zero-count for systems of up to 1000 agents.  The chain builds its
+one-round row laws lazily and keeps a row only while a later full round
+may reuse it; its last round needs only the masses at the two consensus
+counts, which it takes in closed form from the rows' end entries, so three
+rounds from a point mass hold one row.
 
 All runs are keyed by (master_seed, trial); batching trials or changing
 worker counts never changes any draw.
@@ -21,6 +25,7 @@ worker counts never changes any draw.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,21 +276,20 @@ def run_trial(
 # --------------------------------------------------------------------------
 
 
-def _round_laws(total: int, zs, p00, p10) -> list[tuple[int, np.ndarray]]:
+def _round_laws(total: int, zs, p00, p10) -> Iterator[tuple[int, np.ndarray]]:
     """Exact one-round laws Bin(z, p00) * Bin(total - z, p10) of the zero-count.
 
-    One (lo, law) per entry of ``zs``: law[i] is the probability of lo + i
-    zeros, and every count outside the window has probability below the
-    smallest double.  Both binomials are evaluated on their windows.
+    Yields one (lo, law) per entry of ``zs``, in order and lazily: law[i] is
+    the probability of lo + i zeros, and every count outside the window has
+    probability below the smallest double.  Both binomials are evaluated on
+    their windows.
     """
     zs = np.asarray(zs)
     windows = analytics._windows(
         np.column_stack([zs, total - zs]).ravel(), np.column_stack([p00, p10]).ravel()
     )
-    return [
-        (lo_keep + lo_gain, np.convolve(np.exp(keep), np.exp(gain)))
-        for (lo_keep, keep), (lo_gain, gain) in zip(windows, windows)
-    ]
+    for (lo_keep, keep), (lo_gain, gain) in zip(windows, windows):
+        yield lo_keep + lo_gain, np.convolve(np.exp(keep), np.exp(gain))
 
 
 def aggregated_round_distribution(counts: OpinionCounts, q: float) -> CountDistribution:
@@ -347,11 +351,19 @@ def exact_chain_consensus_probability(
 ) -> tuple[float, float]:
     """Exact (P{consensus}, P{majority consensus}) via the count Markov chain.
 
-    The kernel row at z is the convolution Bin(z, p_keep) * Bin(2n - z,
-    p_adopt), kept on its window, with keep/adopt for every z = 0..2n from one
-    ``analytics.transition_values`` call; the start distribution is a
-    point mass at n + delta and the chain is advanced ``rounds`` times.
-    Consensus states are absorbing rows, exact point masses.
+    The start distribution is a point mass at n + delta.  Each full round,
+    every round but the last, adds for every live z in ascending order the
+    kernel row at z (the convolution Bin(z, p_keep) * Bin(2n - z, p_adopt),
+    kept on its window) weighted by the mass at z.  keep/adopt come from
+    one ``analytics.transition_values`` call per round, at that round's
+    live z (in a full round, those without a kept row).  Rows are built
+    lazily, and a row is kept only while another full round follows, so
+    three rounds from a point mass hold one row.  Only counts 0 and 2n
+    matter after the last round: their masses from z are the end entries
+    of the row at z, exp(z log(1 - p_keep)) exp(o log(1 - p_adopt)) and
+    exp(z log p_keep) exp(o log p_adopt) with o = 2n - z, summed over the
+    live z in the same order, so the last round builds no row.  Consensus
+    states are absorbing rows, exact point masses.
     """
     total = 2 * n
     if total > EXACT_CHAIN_MAX_AGENTS:
@@ -362,24 +374,32 @@ def exact_chain_consensus_probability(
         raise ValueError(f"|delta| must be <= n, got {delta}")
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    p00, p10 = analytics.transition_values(total, np.arange(total + 1), q)
     dist = np.zeros(total + 1)
     dist[n + delta] = 1.0
     rows: dict[int, tuple[int, np.ndarray]] = {}
-    for _ in range(rounds):
-        live = np.flatnonzero(dist > 0.0)
-        missing = np.array([z for z in live.tolist() if z not in rows], dtype=np.int64)
-        rows.update(zip(missing.tolist(), _round_laws(total, missing, p00[missing], p10[missing])))
+    for full_round in range(1, rounds):
+        live = np.flatnonzero(dist > 0.0).tolist()
+        missing = np.array([z for z in live if z not in rows], dtype=np.int64)
+        laws = _round_laws(total, missing, *analytics.transition_values(total, missing, q))
+        keep_rows = full_round < rounds - 1
         new = np.zeros(total + 1)
-        for z in live.tolist():
-            lo, part = rows[z]
+        for z in live:
+            lo, part = rows[z] if z in rows else next(laws)
+            if keep_rows:
+                rows[z] = lo, part
             new[lo : lo + len(part)] += dist[z] * part
         dist = new
-    p_consensus = float(dist[0] + dist[total])
+    live = np.flatnonzero(dist > 0.0)
+    p00, p10 = analytics.transition_values(total, live, q)
+    keep_ends = np.exp(analytics._end_log_pmfs(live, p00))
+    gain_ends = np.exp(analytics._end_log_pmfs(total - live, p10))
+    # cumsum adds in z order, as adding each row in turn does; np.sum would add pairwise
+    at_zero, at_total = np.cumsum(dist[live] * (keep_ends * gain_ends), axis=1)[:, -1].tolist()
+    p_consensus = at_zero + at_total
     if delta > 0:
-        p_majority = float(dist[total])
+        p_majority = at_total
     elif delta < 0:
-        p_majority = float(dist[0])
+        p_majority = at_zero
     else:
         p_majority = p_consensus
     return min(p_consensus, 1.0), min(p_majority, 1.0)

@@ -4,7 +4,9 @@ Everything here is deliberately naive: direct enumeration, exact integer
 combinatorics, or scipy's own binomial distribution, with none of the
 log-space machinery of the package under test and no import from it.
 The Philox block function is written out in uint64 arithmetic, apart from
-the numpy generator that the package uses.
+the numpy generator that the package uses.  The one exception is
+``chain_forward_loop``, a reference for the exact chain's bookkeeping,
+which takes the package's evaluators as arguments.
 """
 
 from __future__ import annotations
@@ -202,6 +204,45 @@ def consensus_from_tie_probability(n: int, q: float, rounds: int) -> float:
         p00, p10 = _keep_adopt_zero(z, o, p)
         result += dist[z] * (p00**z * p10**o + (1.0 - p00) ** z * (1.0 - p10) ** o)
     return float(result)
+
+
+def chain_forward_loop(n: int, delta: int, q: float, rounds: int, transition_values, windows):
+    """(P{consensus}, P{majority consensus}) after each of rounds 1..``rounds``.
+
+    The exact chain's first bookkeeping, kept as the byte-for-byte
+    reference for its bounded-memory form: keep/adopt at every z = 0..2n
+    from one ``transition_values(2n, zs, q)`` call, every row law
+    Bin(z, p_keep) * Bin(2n - z, p_adopt) built from ``windows(m, p)`` (the
+    package's ``(lo, log pmf)`` windows) and stored, and each round adding
+    the stored rows of all live z, in ascending order, into a new
+    distribution started from a point mass at n + delta.
+    """
+    total = 2 * n
+    p00, p10 = transition_values(total, np.arange(total + 1), q)
+    dist = np.zeros(total + 1)
+    dist[n + delta] = 1.0
+    rows: dict[int, tuple[int, np.ndarray]] = {}
+    out = []
+    for _ in range(rounds):
+        live = np.flatnonzero(dist > 0.0)
+        missing = np.array([z for z in live.tolist() if z not in rows], dtype=np.int64)
+        laws = windows(
+            np.column_stack([missing, total - missing]).ravel(),
+            np.column_stack([p00[missing], p10[missing]]).ravel(),
+        )
+        for z, (lo_keep, keep), (lo_gain, gain) in zip(missing.tolist(), laws, laws):
+            rows[z] = lo_keep + lo_gain, np.convolve(np.exp(keep), np.exp(gain))
+        new = np.zeros(total + 1)
+        for z in live.tolist():
+            lo, part = rows[z]
+            new[lo : lo + len(part)] += dist[z] * part
+        dist = new
+        p_consensus = float(dist[0] + dist[total])
+        p_majority = (
+            float(dist[total]) if delta > 0 else float(dist[0]) if delta < 0 else p_consensus
+        )
+        out.append((min(p_consensus, 1.0), min(p_majority, 1.0)))
+    return out
 
 
 # --------------------------------------------------------------------------

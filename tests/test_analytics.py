@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -268,6 +269,28 @@ class TestWindowPasses:
 
     def test_empty_input_yields_nothing(self):
         assert list(A._windows([], 0.5)) == []
+
+    def test_kept_windows_equal_windows_dropped_as_taken(self):
+        # every pass returns a new array: a consumer that keeps all the
+        # windows sees the bytes of one that copies each before the next
+        lanes = np.random.default_rng(4)
+        m, p = lanes.integers(0, 3000, 200), lanes.random(200)
+        dropped = [(lo, log_pmf.tobytes()) for lo, log_pmf in A._windows(m, p)]
+        kept = list(A._windows(m, p))
+        assert sum(log_pmf.size for _, log_pmf in kept) > 3 * A._BLOCK_ELEMENTS
+        assert [(lo, log_pmf.tobytes()) for lo, log_pmf in kept] == dropped
+
+    def test_pass_holds_little_beside_its_output(self):
+        # 64 windows of m = 500 fill one pass; spreading seven per-window rows
+        # and fresh temporaries held about 18 times the output
+        tracemalloc.start()
+        try:
+            entries = sum(log_pmf.size for _, log_pmf in A._windows(np.full(64, 500), 0.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert entries == 64 * 501
+        assert peak <= 12 * 8 * entries
 
 
 class TestTransitionCache:

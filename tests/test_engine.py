@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from smpsim.engine import (
 )
 from smpsim.model import NetworkModel, OpinionCounts, ProtocolConfig
 
-from oracles import consensus_from_tie_probability, global_pattern_round_law
+from oracles import chain_forward_loop, consensus_from_tie_probability, global_pattern_round_law
 
 SEED = 20_240_601
 
@@ -225,6 +227,32 @@ class TestExactChain:
     def test_size_limit(self):
         with pytest.raises(UnsupportedSizeError):
             exact_chain_consensus_probability(501, 0, 0.5, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 40, 100])
+    def test_bytes_equal_the_forward_loop(self, n):
+        # the closed-form last round, rows built lazily and keep/adopt at the
+        # live z only give the bytes of storing every row and advancing the
+        # whole law every round
+        for q in (0.0, 1e-9, 0.05, 0.5, 0.95, 1.0 - 1e-9, 1.0):
+            for delta in sorted({-n, -1, 0, 1, n}):
+                reference = chain_forward_loop(
+                    n, delta, q, 6, analytics.transition_values, analytics._windows
+                )
+                for rounds, expected in enumerate(reference, start=1):
+                    got = exact_chain_consensus_probability(n, delta, q, rounds)
+                    assert [v.hex() for v in got] == [v.hex() for v in expected], (q, delta, rounds)
+
+    def test_three_rounds_at_the_cap_hold_little_memory(self, monkeypatch):
+        # from a point mass, three rounds keep one row law and build none for
+        # the last round; storing every row peaked near 10 MB
+        monkeypatch.setattr(analytics, "_MEMO", {})
+        tracemalloc.start()
+        try:
+            exact_chain_consensus_probability(500, 0, 0.8, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
 
     def test_consensus_rows_are_exact_point_masses(self):
         for z, total in [(0, 20), (20, 20)]:
