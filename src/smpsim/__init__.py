@@ -20,10 +20,8 @@ from .model import (  # noqa: E402,F401
     NetworkModel,
     OpinionCounts,
     ProtocolConfig,
-    is_consensus,
-    is_majority_consensus,
+    event_mask,
     majority_update,
-    make_initial_state,
 )
 from .analytics import (  # noqa: E402,F401
     BoundReport,
@@ -37,7 +35,6 @@ from .analytics import (  # noqa: E402,F401
     prop1_error_bound,
     prop4_bound,
     prop5_bound,
-    q_function,
     std_normal_cdf,
     t_zero,
 )

@@ -48,7 +48,6 @@ __all__ = [
     "adopt_zero_probability",
     "kl_bernoulli",
     "std_normal_cdf",
-    "q_function",
     "t_zero",
     "prop1_error_bound",
     "prop4_bound",
@@ -459,11 +458,6 @@ def kl_bernoulli(a: float, b: float) -> float:
 def std_normal_cdf(t: float) -> float:
     """Standard normal CDF via erfc, complementary form to avoid cancellation."""
     return 0.5 * math.erfc(-t / math.sqrt(2.0))
-
-
-def q_function(t: float) -> float:
-    """Upper tail 1 - Phi(t) of a standard normal."""
-    return 0.5 * math.erfc(t / math.sqrt(2.0))
 
 
 def t_zero(alpha: float, q: float) -> float:

@@ -9,7 +9,13 @@ Two sampling paths produce protocol runs:
   ``analytics.transition_values``, the evaluator and memo the exact
   oracles use too;
 * the per-agent path simulates every receiver's received counts and applies
-  the decision rule, serving as the reference implementation.
+  the decision rule, serving as the reference implementation; it holds
+  three trials x agents matrices per batch, so it stops at
+  ``PER_AGENT_MAX_AGENTS``.
+
+Both return the zero-count of every trial after every round as one
+(rounds + 1, trials) array; ``model.event_mask`` scores its last row, and
+``run_trial`` wraps one column as a ``TrialOutcome``.
 
 Two oracles pin the dynamics down exactly: an exhaustive enumeration of
 all loss patterns for systems of up to 6 agents, and an exact Markov chain
@@ -31,20 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics
-from .model import (
-    OpinionCounts,
-    ProtocolConfig,
-    is_consensus,
-    is_majority_consensus,
-    majority_update,
-)
+from .model import OpinionCounts, ProtocolConfig, event_mask, majority_update
 from .rng import sample_binomial_lanes
 
 __all__ = [
     "UnsupportedSizeError",
     "TrialOutcome",
     "CountDistribution",
-    "BatchOutcome",
     "run_trial",
     "run_trials_batch",
     "aggregated_round_distribution",
@@ -52,10 +51,15 @@ __all__ = [
     "exact_chain_consensus_probability",
     "EXHAUSTIVE_MAX_AGENTS",
     "EXACT_CHAIN_MAX_AGENTS",
+    "PER_AGENT_MAX_AGENTS",
 ]
 
 EXHAUSTIVE_MAX_AGENTS = 6
 EXACT_CHAIN_MAX_AGENTS = 1000
+# The per-agent path holds three int8 matrices of trials x 2n per batch (the
+# tiled bits, the active rows and their update); at the estimate chunk of
+# 2^16 trials and 2n = 1000 that is 3 * 65,536 * 1000 bytes, about 197 MB.
+PER_AGENT_MAX_AGENTS = 1000
 
 MODE_AGGREGATED = "aggregated"
 MODE_PER_AGENT = "per_agent"
@@ -185,79 +189,35 @@ def _per_agent_rounds(
     return traj
 
 
-@dataclass(frozen=True)
-class BatchOutcome:
-    """Vectorized outcomes of many trials with a shared configuration."""
-
-    initial: OpinionCounts
-    zeros_trajectory: np.ndarray  # (rounds+1, trials)
-    trial_ids: np.ndarray
-
-    @property
-    def total(self) -> int:
-        return self.initial.total
-
-    @property
-    def final_zeros(self) -> np.ndarray:
-        return self.zeros_trajectory[-1]
-
-    def consensus_mask(self) -> np.ndarray:
-        z = self.final_zeros
-        return (z == 0) | (z == self.total)
-
-    def majority_consensus_mask(self) -> np.ndarray:
-        z = self.final_zeros
-        if self.initial.zeros > self.initial.ones:
-            return z == self.total
-        if self.initial.ones > self.initial.zeros:
-            return z == 0
-        return (z == 0) | (z == self.total)
-
-    def outcome(self, lane: int) -> TrialOutcome:
-        traj = tuple(
-            OpinionCounts(zeros=int(z), ones=self.total - int(z))
-            for z in self.zeros_trajectory[:, lane]
-        )
-        return TrialOutcome(
-            trajectory=traj,
-            consensus=is_consensus(traj[-1]),
-            majority_consensus=is_majority_consensus(traj[0], traj[-1]),
-            final_value=_final_value(int(self.final_zeros[lane]), self.total),
-        )
-
-
-def _final_value(zeros: int, total: int) -> int | None:
-    if zeros == total:
-        return 0
-    if zeros == 0:
-        return 1
-    return None
-
-
 def run_trials_batch(
     config: ProtocolConfig,
     trial_ids,
     master_seed: int,
     mode: str = MODE_AGGREGATED,
-) -> BatchOutcome:
-    """Run one trial per entry of ``trial_ids``, all draws counter-addressed.
+) -> np.ndarray:
+    """Zero-counts (rounds + 1, len(trial_ids)), one column per trial id.
 
-    Output is bit-identical however the ids are split into batches.
+    Row 0 is the initial state and row r the state after round r.  All
+    draws are counter-addressed, so the output is bit-identical however the
+    ids are split into batches.
     """
     trial_ids = np.asarray(trial_ids, dtype=np.uint64)
     initial = config.initial_state()
     q = config.network.q
     if mode == MODE_AGGREGATED:
         zeros0 = np.full(len(trial_ids), initial.zeros)
-        traj = _aggregated_rounds(
+        return _aggregated_rounds(
             zeros0, initial.total, q, config.rounds, master_seed, trial_ids
         )
-    elif mode == MODE_PER_AGENT:
+    if mode == MODE_PER_AGENT:
+        if initial.total > PER_AGENT_MAX_AGENTS:
+            raise UnsupportedSizeError(
+                f"per-agent mode supports at most {PER_AGENT_MAX_AGENTS} agents "
+                f"(n <= {PER_AGENT_MAX_AGENTS // 2}), got n={config.n}"
+            )
         bits0 = (0,) * initial.zeros + (1,) * initial.ones
-        traj = _per_agent_rounds(bits0, q, config.rounds, master_seed, trial_ids)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return BatchOutcome(initial=initial, zeros_trajectory=traj, trial_ids=trial_ids)
+        return _per_agent_rounds(bits0, q, config.rounds, master_seed, trial_ids)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def run_trial(
@@ -267,8 +227,15 @@ def run_trial(
     mode: str = MODE_AGGREGATED,
 ) -> TrialOutcome:
     """One deterministic protocol run for (master_seed, trial_index)."""
-    batch = run_trials_batch(config, [trial_index], master_seed, mode=mode)
-    return batch.outcome(0)
+    zeros = run_trials_batch(config, [trial_index], master_seed, mode=mode)[:, 0]
+    initial = config.initial_state()
+    total = initial.total
+    return TrialOutcome(
+        trajectory=tuple(OpinionCounts(zeros=int(z), ones=total - int(z)) for z in zeros),
+        consensus=bool(event_mask("consensus", initial, zeros[-1])),
+        majority_consensus=bool(event_mask("majority_consensus", initial, zeros[-1])),
+        final_value={total: 0, 0: 1}.get(int(zeros[-1])),
+    )
 
 
 # --------------------------------------------------------------------------

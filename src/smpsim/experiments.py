@@ -5,8 +5,10 @@ default; Clopper-Pearson available), which stay honest at observed rates
 of exactly 0 or 1 - the strongly asymmetric presets produce both.
 
 Trials are split into fixed-size chunks processed either inline or by a
-process pool; every chunk is keyed by absolute trial indices, and success
-counting is associative, so results are identical for any worker count.
+process pool.  Every chunk is keyed by absolute trial indices and returns
+its trials' final zero-counts; estimates count ``model.event_mask`` over
+them, and counting is associative, so results are identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -25,11 +27,10 @@ from . import analytics
 from .engine import (
     EXACT_CHAIN_MAX_AGENTS,
     MODE_AGGREGATED,
-    BatchOutcome,
     exact_chain_consensus_probability,
     run_trials_batch,
 )
-from .model import AsymmetryRegime, NetworkModel, ProtocolConfig
+from .model import EVENT_NAMES, AsymmetryRegime, NetworkModel, ProtocolConfig, event_mask
 
 __all__ = [
     "Estimate",
@@ -49,13 +50,6 @@ __all__ = [
 ]
 
 CHUNK_TRIALS = 1 << 16
-
-EVENT_NAMES = (
-    "consensus",
-    "majority_consensus",
-    "consensus_failure",
-    "majority_consensus_failure",
-)
 
 
 def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
@@ -84,6 +78,8 @@ def clopper_pearson_interval(
 
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes must be in [0, trials], got {successes}/{trials}")
     alpha = 1.0 - confidence
     low = 0.0 if successes == 0 else float(beta.ppf(alpha / 2.0, successes, trials - successes + 1))
     high = (
@@ -132,11 +128,6 @@ class Estimate:
             method=method,
         )
 
-    def complement(self) -> "Estimate":
-        return Estimate.from_counts(
-            self.trials - self.successes, self.trials, self.confidence, self.method
-        )
-
     @property
     def half_width(self) -> float:
         return (self.ci_high - self.ci_low) / 2.0
@@ -172,29 +163,10 @@ class SweepResult:
 # --------------------------------------------------------------------------
 
 
-def _event_mask(batch: BatchOutcome, event: str) -> np.ndarray:
-    if event == "consensus":
-        return batch.consensus_mask()
-    if event == "consensus_failure":
-        return ~batch.consensus_mask()
-    if event == "majority_consensus":
-        return batch.majority_consensus_mask()
-    if event == "majority_consensus_failure":
-        return ~batch.majority_consensus_mask()
-    raise ValueError(f"unknown event {event!r}, expected one of {EVENT_NAMES}")
-
-
-def _count_event_chunk(args) -> int:
-    start, size, config, master_seed, mode, event = args
-    ids = np.arange(start, start + size, dtype=np.uint64)
-    batch = run_trials_batch(config, ids, master_seed, mode=mode)
-    return int(_event_mask(batch, event).sum())
-
-
 def _final_zeros_chunk(args) -> np.ndarray:
     start, size, config, master_seed, mode = args
     ids = np.arange(start, start + size, dtype=np.uint64)
-    return run_trials_batch(config, ids, master_seed, mode=mode).final_zeros
+    return run_trials_batch(config, ids, master_seed, mode=mode)[-1]
 
 
 def _pool_size(workers: int, chunks: int) -> int:
@@ -241,9 +213,10 @@ def estimate_event_probability(
     """Estimate P{event} over independent runs of ``config``; ``event`` is one of EVENT_NAMES."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    successes = sum(
-        _map_chunks(_count_event_chunk, trials, workers, config, master_seed, mode, event)
-    )
+    initial = config.initial_state()
+    event_mask(event, initial, ())  # an unknown event fails before any trial runs
+    chunks = _map_chunks(_final_zeros_chunk, trials, workers, config, master_seed, mode)
+    successes = sum(int(np.count_nonzero(event_mask(event, initial, z))) for z in chunks)
     return Estimate.from_counts(successes, trials, confidence, method)
 
 

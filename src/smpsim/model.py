@@ -9,16 +9,19 @@ fixed number of rounds every agent decides on its current opinion.
 
 Because the graph is complete and losses are i.i.d., the law of a run
 depends on the initial state only through the opinion counts, so counts
-(:class:`OpinionCounts`) are the only state representation.  All types
-here are immutable values and all operations are pure functions, safe to
-call concurrently.
+(:class:`OpinionCounts`) are the only state representation, and
+:func:`event_mask` scores any number of runs by their initial state and
+final zero-counts.  All types here are immutable values and all
+operations are pure functions, safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .analytics import MAX_BINOMIAL_TRIALS
 
@@ -69,11 +72,6 @@ class NetworkModel:
         if not 0.0 <= self.q <= 1.0:
             raise ValueError(f"loss probability q must be in [0, 1], got {self.q}")
 
-    @property
-    def q_prime(self) -> float:
-        """Delivery probability 1 - q."""
-        return 1.0 - self.q
-
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -103,7 +101,8 @@ class ProtocolConfig:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
 
     def initial_state(self) -> OpinionCounts:
-        return make_initial_state(self.n, self.delta)
+        """State with n + delta zeros and n - delta ones."""
+        return OpinionCounts(zeros=self.n + self.delta, ones=self.n - self.delta)
 
 
 @dataclass(frozen=True)
@@ -115,15 +114,13 @@ class AsymmetryRegime:
       * ``logarithmic``: a_n = ceil(log n)
       * ``sqrt_scaled``: a_n = ceil(alpha * sqrt(n)), alpha > 0
       * ``power``:       a_n = ceil(n ** beta), beta in (0, 1)
-      * ``custom``:      a_n given by an explicit table {n: a_n}
     """
 
     kind: str
     alpha: float | None = None
     beta: float | None = None
-    table: dict[int, int] = field(default_factory=dict)
 
-    _KINDS = ("zero", "logarithmic", "sqrt_scaled", "power", "custom")
+    _KINDS = ("zero", "logarithmic", "sqrt_scaled", "power")
 
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
@@ -132,8 +129,6 @@ class AsymmetryRegime:
             raise ValueError("sqrt_scaled regime requires alpha > 0")
         if self.kind == "power" and (self.beta is None or not 0.0 < self.beta < 1.0):
             raise ValueError("power regime requires beta in (0, 1)")
-        if self.kind == "custom" and not self.table:
-            raise ValueError("custom regime requires a nonempty table")
 
     def offset(self, n: int) -> int:
         """Imbalance a_n for a given n, rounded up to an integer."""
@@ -143,15 +138,10 @@ class AsymmetryRegime:
             return math.ceil(math.log(n))
         if self.kind == "sqrt_scaled":
             return math.ceil(self.alpha * math.sqrt(n))
-        if self.kind == "power":
-            return math.ceil(n ** self.beta)
-        try:
-            return self.table[n]
-        except KeyError:
-            raise ValueError(f"custom regime table has no entry for n={n}") from None
+        return math.ceil(n ** self.beta)
 
-    def fact1_case(self) -> int | None:
-        """Growth-rate class of a_n relative to sqrt(n); None if unknown.
+    def fact1_case(self) -> int:
+        """Growth-rate class of a_n relative to sqrt(n).
 
         Case 1: a_n/sqrt(n) -> 0, single-round keep probability tends to 1/2.
         Case 2: a_n/sqrt(n) -> alpha > 0, it tends to a constant in (1/2, 1).
@@ -161,16 +151,14 @@ class AsymmetryRegime:
             return 1
         if self.kind == "sqrt_scaled":
             return 2
-        if self.kind == "power":
-            if self.beta < 0.5:
-                return 1
-            if self.beta == 0.5:
-                return 2
-            return 3
-        return None
+        if self.beta < 0.5:
+            return 1
+        if self.beta == 0.5:
+            return 2
+        return 3
 
-    def limit(self, q: float) -> float | None:
-        """Predicted limit of the single-round keep probability, or None.
+    def limit(self, q: float) -> float:
+        """Predicted limit of the single-round keep probability.
 
         The case-2 limit is reported as the normal CDF at the scale
         constant for the effective alpha (``label: limit (asymptotic
@@ -183,10 +171,8 @@ class AsymmetryRegime:
             return 0.5
         if case == 3:
             return 1.0
-        if case == 2:
-            alpha = self.alpha if self.kind == "sqrt_scaled" else 1.0
-            return analytics.std_normal_cdf(analytics.t_zero(alpha, q))
-        return None
+        alpha = self.alpha if self.kind == "sqrt_scaled" else 1.0
+        return analytics.std_normal_cdf(analytics.t_zero(alpha, q))
 
 
 def majority_update(own: Bit, n0: int, n1: int) -> Bit:
@@ -211,29 +197,28 @@ def majority_update(own: Bit, n0: int, n1: int) -> Bit:
     return own
 
 
-def is_consensus(counts: OpinionCounts) -> bool:
-    """True iff all agents hold the same opinion."""
-    return counts.zeros == 0 or counts.ones == 0
+EVENT_NAMES = (
+    "consensus",
+    "majority_consensus",
+    "consensus_failure",
+    "majority_consensus_failure",
+)
 
 
-def is_majority_consensus(initial: OpinionCounts, final: OpinionCounts) -> bool:
-    """True iff ``final`` is a consensus on the initial majority opinion.
+def event_mask(event: str, initial: OpinionCounts, final_zeros) -> np.ndarray:
+    """Which runs from ``initial`` that end with ``final_zeros`` zeros show ``event``.
 
-    Under an exact initial tie, consensus on either value qualifies.
+    ``event`` is one of EVENT_NAMES.  Consensus means every agent holds one
+    opinion; majority consensus means every agent holds the initial
+    majority opinion, and under an exact initial tie consensus on either
+    value qualifies.  A ``_failure`` event is the complement.
     """
-    if initial.total != final.total:
-        raise ValueError(
-            f"initial and final totals differ: {initial.total} != {final.total}"
-        )
-    if initial.zeros > initial.ones:
-        return final.ones == 0
-    if initial.ones > initial.zeros:
-        return final.zeros == 0
-    return is_consensus(final)
-
-
-def make_initial_state(n: int, delta: int) -> OpinionCounts:
-    """State with n + delta zeros and n - delta ones."""
-    if abs(delta) > n:
-        raise ValueError(f"|delta| must be <= n, got delta={delta}, n={n}")
-    return OpinionCounts(zeros=n + delta, ones=n - delta)
+    if event not in EVENT_NAMES:
+        raise ValueError(f"unknown event {event!r}, expected one of {EVENT_NAMES}")
+    z = np.asarray(final_zeros)
+    all_ones, all_zeros = z == 0, z == initial.total
+    if event.startswith("majority") and initial.zeros != initial.ones:
+        hit = all_zeros if initial.zeros > initial.ones else all_ones
+    else:
+        hit = all_ones | all_zeros
+    return ~hit if event.endswith("_failure") else hit

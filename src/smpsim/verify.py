@@ -10,6 +10,7 @@ any draw, and timing information is kept out of the files).
 from __future__ import annotations
 
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -30,6 +31,7 @@ from .engine import (
 from .experiments import (
     estimate_event_probability,
     final_zeros_sample,
+    return_to_symmetry_rate,
     symmetry_break_statistics,
     theorem2_suite,
     wilson_interval,
@@ -299,11 +301,8 @@ def _criterion_9(seed: int, workers: int) -> tuple[bool, dict[str, Any]]:
 def _criterion_10(seed: int, workers: int) -> tuple[bool, dict[str, Any]]:
     """Return-to-tie probability decays like 1/sqrt(n): 4x agents halve it."""
     trials = 1_000_000
-    rates = {}
-    for n in (100, 400, 1_600):
-        config = ProtocolConfig(n=n, delta=0, rounds=1, network=NetworkModel(q=0.5))
-        zeros = final_zeros_sample(config, trials, seed, workers=workers)
-        rates[n] = int(np.count_nonzero(zeros == n)) / trials
+    sweep = return_to_symmetry_rate((100, 400, 1_600), 0.5, trials, seed, workers=workers)
+    rates = {row.n: row.estimate.p_hat for row in sweep.rows}
     ratios = {
         "100_vs_400": rates[100] / rates[400],
         "400_vs_1600": rates[400] / rates[1_600],
@@ -322,6 +321,9 @@ def _criterion_11(seed: int, workers: int) -> tuple[bool, dict[str, Any]]:
     sub_criteria = "4,8"
     contents: list[dict[str, bytes]] = []
     exit_codes = []
+    # the reruns import this package, not whichever smpsim a bare interpreter finds
+    path = (str(Path(__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     with tempfile.TemporaryDirectory() as tmp:
         for i, w in enumerate((1, 1, 2)):
             out_dir = Path(tmp) / f"run{i}"
@@ -332,7 +334,7 @@ def _criterion_11(seed: int, workers: int) -> tuple[bool, dict[str, Any]]:
                 "--workers", str(w),
                 "--out-dir", str(out_dir),
             ]
-            proc = subprocess.run(cmd, capture_output=True, text=True)
+            proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
             exit_codes.append(proc.returncode)
             files = sorted(out_dir.glob("criterion_*.json"))
             contents.append({f.name: f.read_bytes() for f in files})

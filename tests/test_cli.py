@@ -341,6 +341,21 @@ class TestRejectedBeforeWork:
         flag = next(a for a, v in zip(argv, argv[1:]) if v.isdigit() and int(v) >= 2**26)
         assert err.startswith(f"smpsim: error: {flag} ")
 
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_per_agent_ceiling_exits_1(self, capsys, monkeypatch, command):
+        # 2n = 1002 is one past the per-agent ceiling; no bit matrix is built
+        def no_rounds(*args, **kwargs):
+            raise AssertionError("the per-agent path ran past its ceiling")
+
+        monkeypatch.setattr(engine, "_per_agent_rounds", no_rounds)
+        code, out, err = run_cli(
+            capsys, command, "--n", "501", "--q", "0.5", "--mode", "per_agent"
+        )
+        assert code == 1
+        assert err.startswith("smpsim: error: per-agent mode supports at most 1000 agents")
+        assert "n=501" in err
+        assert out == ""
+
 #: A tiny valid config per leaf command: n <= 4 and trials <= 20, so a run
 #: is one chunk and starts no process pool.
 BASE_CONFIGS = {

@@ -3,20 +3,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smpsim import analytics
+from smpsim import analytics, engine
 from smpsim.engine import (
     CountDistribution,
     TrialOutcome,
     UnsupportedSizeError,
     MODE_AGGREGATED,
     MODE_PER_AGENT,
+    PER_AGENT_MAX_AGENTS,
     aggregated_round_distribution,
     exact_chain_consensus_probability,
     exhaustive_round_distribution,
     run_trial,
     run_trials_batch,
 )
-from smpsim.model import NetworkModel, OpinionCounts, ProtocolConfig
+from smpsim.model import NetworkModel, OpinionCounts, ProtocolConfig, event_mask
 
 from oracles import chain_forward_loop, consensus_from_tie_probability, global_pattern_round_law
 
@@ -84,7 +85,7 @@ def _one_round(counts, q, trials, mode):
     """Zero-count trajectories (2, trials) of one round from ``counts``."""
     n, delta = counts.half, (counts.zeros - counts.ones) // 2
     cfg = ProtocolConfig(n=n, delta=delta, rounds=1, network=NetworkModel(q=q))
-    return run_trials_batch(cfg, range(trials), SEED, mode=mode).zeros_trajectory
+    return run_trials_batch(cfg, range(trials), SEED, mode=mode)
 
 
 MODES = [MODE_AGGREGATED, MODE_PER_AGENT]
@@ -153,14 +154,12 @@ class TestRunTrial:
         b = run_trial(cfg, 11, SEED)
         assert a == b
         batch = run_trials_batch(cfg, np.arange(20, dtype=np.uint64), SEED)
-        assert batch.outcome(11) == a
+        assert batch.shape == (4, 20)
+        assert [c.zeros for c in a.trajectory] == batch[:, 11].tolist()
         # splitting the batch does not change any lane
         left = run_trials_batch(cfg, np.arange(10, dtype=np.uint64), SEED)
         right = run_trials_batch(cfg, np.arange(10, 20, dtype=np.uint64), SEED)
-        assert np.array_equal(
-            batch.zeros_trajectory,
-            np.concatenate([left.zeros_trajectory, right.zeros_trajectory], axis=1),
-        )
+        assert np.array_equal(batch, np.concatenate([left, right], axis=1))
 
     def test_per_agent_mode(self):
         cfg = ProtocolConfig(n=3, delta=1, rounds=2, network=NetworkModel(q=0.4))
@@ -176,14 +175,29 @@ class TestRunTrial:
         assert all(c == OpinionCounts(4, 0) for c in out.trajectory)
 
     def test_outcome_flags_match_predicates(self):
-        cfg = ProtocolConfig(n=4, delta=2, rounds=3, network=NetworkModel(q=0.5))
-        batch = run_trials_batch(cfg, np.arange(200, dtype=np.uint64), SEED)
-        cons = batch.consensus_mask()
-        maj = batch.majority_consensus_mask()
+        # at q = 0.8 some lanes of (5, 3) reach consensus in three rounds and some do not
+        cfg = ProtocolConfig(n=4, delta=1, rounds=3, network=NetworkModel(q=0.8))
+        final = run_trials_batch(cfg, np.arange(200, dtype=np.uint64), SEED)[-1]
+        cons = event_mask("consensus", cfg.initial_state(), final)
+        maj = event_mask("majority_consensus", cfg.initial_state(), final)
+        assert cons.any() and not cons.all()
         for lane in range(0, 200, 17):
-            out = batch.outcome(lane)
+            out = run_trial(cfg, lane, SEED)
             assert out.consensus == bool(cons[lane])
             assert out.majority_consensus == bool(maj[lane])
+            assert out.final_value == {8: 0, 0: 1}.get(int(final[lane]))
+
+    def test_per_agent_ceiling_checked_before_work(self, monkeypatch):
+        def no_rounds(*args, **kwargs):
+            raise AssertionError("the per-agent path ran past its ceiling")
+
+        monkeypatch.setattr(engine, "_per_agent_rounds", no_rounds)
+        n = PER_AGENT_MAX_AGENTS // 2 + 1
+        cfg = ProtocolConfig(n=n, delta=0, rounds=1, network=NetworkModel(q=0.5))
+        with pytest.raises(UnsupportedSizeError, match=f"n={n}"):
+            run_trials_batch(cfg, range(4), SEED, mode=MODE_PER_AGENT)
+        # the aggregated path has no such ceiling
+        assert run_trials_batch(cfg, range(4), SEED).shape == (2, 4)
 
 
 class TestTrialOutcomeType:
@@ -283,7 +297,7 @@ class TestPerAgentVsExhaustive:
         # trial version is an acceptance criterion)
         cfg = ProtocolConfig(n=2, delta=0, rounds=1, network=NetworkModel(q=0.5))
         batch = run_trials_batch(cfg, np.arange(100_000, dtype=np.uint64), SEED, mode=MODE_PER_AGENT)
-        empirical = np.bincount(batch.final_zeros, minlength=5) / 100_000
+        empirical = np.bincount(batch[-1], minlength=5) / 100_000
         exact = exhaustive_round_distribution(OpinionCounts(2, 2), 0.5).probabilities
         tv = 0.5 * np.abs(empirical - exact).sum()
         assert tv <= 0.02
@@ -291,7 +305,7 @@ class TestPerAgentVsExhaustive:
     def test_aggregated_matches_exhaustive_distribution(self):
         cfg = ProtocolConfig(n=2, delta=1, rounds=1, network=NetworkModel(q=0.25))
         batch = run_trials_batch(cfg, np.arange(100_000, dtype=np.uint64), SEED)
-        empirical = np.bincount(batch.final_zeros, minlength=5) / 100_000
+        empirical = np.bincount(batch[-1], minlength=5) / 100_000
         exact = exhaustive_round_distribution(OpinionCounts(3, 1), 0.25).probabilities
         tv = 0.5 * np.abs(empirical - exact).sum()
         assert tv <= 0.02
@@ -303,7 +317,7 @@ class TestPerAgentVsExhaustive:
         batch = run_trials_batch(
             cfg, np.arange(100_000, dtype=np.uint64), SEED, mode=MODE_PER_AGENT
         )
-        empirical = np.bincount(batch.final_zeros, minlength=21) / 100_000
+        empirical = np.bincount(batch[-1], minlength=21) / 100_000
         exact = aggregated_round_distribution(OpinionCounts(12, 8), 0.5).probabilities
         tv = 0.5 * np.abs(empirical - exact).sum()
         assert tv <= 0.02

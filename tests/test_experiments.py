@@ -1,8 +1,6 @@
 import math
 import os
 import tracemalloc
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -51,6 +49,12 @@ class TestIntervals:
         with pytest.raises(ValueError):
             wilson_interval(7, 5)
 
+    @pytest.mark.parametrize("interval", [wilson_interval, clopper_pearson_interval])
+    @pytest.mark.parametrize("successes,trials", [(5, 3), (-1, 10)])
+    def test_successes_outside_trials_rejected(self, interval, successes, trials):
+        with pytest.raises(ValueError, match=r"successes must be in \[0, trials\]"):
+            interval(successes, trials)
+
     def test_clopper_pearson_contains_wilson_point(self):
         for s, t in [(0, 20), (3, 17), (20, 20), (50, 100)]:
             w_low, w_high = wilson_interval(s, t)
@@ -63,8 +67,6 @@ class TestIntervals:
         est = Estimate.from_counts(3, 10)
         assert est.p_hat == 0.3
         assert est.ci_low <= est.p_hat <= est.ci_high
-        assert est.complement().p_hat == pytest.approx(0.7)
-        assert est.complement().ci_low == pytest.approx(1.0 - est.ci_high, abs=1e-12)
         with pytest.raises(ValueError):
             Estimate.from_counts(3, 10, method="magic")
 
@@ -139,7 +141,7 @@ class TestEstimateEventProbability:
             calls.append(len(ids))
             if len(calls) == 3:
                 raise RuntimeError("third chunk")
-            return SimpleNamespace(consensus_mask=lambda: np.ones(len(ids), dtype=bool))
+            return np.broadcast_to(np.int64(0), (config.rounds + 1, len(ids)))
 
         monkeypatch.setattr(experiments, "run_trials_batch", batch)
         tracemalloc.start()
@@ -172,8 +174,12 @@ class TestEstimateEventProbability:
         est_neg = estimate_event_probability(_config(30, -4, 2, 0.5), "consensus", 4_000, SEED + 1)
         assert est_pos.ci_low <= est_neg.ci_high and est_neg.ci_low <= est_pos.ci_high
 
-    def test_unknown_event(self):
-        with pytest.raises(ValueError):
+    def test_unknown_event(self, monkeypatch):
+        def batch(*args, **kwargs):
+            raise AssertionError("a trial ran before the event was checked")
+
+        monkeypatch.setattr(experiments, "run_trials_batch", batch)
+        with pytest.raises(ValueError, match="unknown event 'nope'"):
             estimate_event_probability(_config(4, 0, 1, 0.5), "nope", 10, SEED)
 
 
@@ -217,7 +223,8 @@ class TestTrichotomySweep:
 
     def test_offset_exceeding_n_rejected(self):
         with pytest.raises(ValueError):
-            trichotomy_sweep(AsymmetryRegime(kind="custom", table={4: 9}), [4], 0.5)
+            # ceil(10 * sqrt(4)) = 20 > 4
+            trichotomy_sweep(AsymmetryRegime(kind="sqrt_scaled", alpha=10.0), [4], 0.5)
 
 
 class TestSymmetryBreakStatistics:

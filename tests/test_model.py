@@ -8,10 +8,8 @@ from smpsim.model import (
     NetworkModel,
     OpinionCounts,
     ProtocolConfig,
-    is_consensus,
-    is_majority_consensus,
+    event_mask,
     majority_update,
-    make_initial_state,
 )
 
 
@@ -60,20 +58,35 @@ class TestCounts:
         assert OpinionCounts(zeros=3, ones=1).swapped() == OpinionCounts(zeros=1, ones=3)
 
 
-class TestConsensusPredicates:
-    def test_is_consensus(self):
-        assert is_consensus(OpinionCounts(zeros=4, ones=0))
-        assert not is_consensus(OpinionCounts(zeros=3, ones=1))
-        assert is_consensus(OpinionCounts(zeros=0, ones=2))
+class TestEventMask:
+    def test_consensus_examples(self):
+        mask = event_mask("consensus", OpinionCounts(3, 1), [4, 3, 0])
+        assert mask.tolist() == [True, False, True]
+        assert event_mask("consensus", OpinionCounts(1, 1), 2)
+        assert not event_mask("consensus", OpinionCounts(1, 1), 1)
 
     def test_majority_consensus_examples(self):
-        assert is_majority_consensus(OpinionCounts(3, 1), OpinionCounts(4, 0))
-        assert is_majority_consensus(OpinionCounts(2, 2), OpinionCounts(0, 4))
-        assert not is_majority_consensus(OpinionCounts(3, 1), OpinionCounts(0, 4))
+        # a tie qualifies consensus on either value
+        assert event_mask("majority_consensus", OpinionCounts(2, 2), [0, 4, 2]).tolist() == [
+            True, True, False,
+        ]
+        assert event_mask("majority_consensus", OpinionCounts(3, 1), [4, 0]).tolist() == [
+            True, False,
+        ]
+        assert event_mask("majority_consensus", OpinionCounts(1, 3), [4, 0]).tolist() == [
+            False, True,
+        ]
 
-    def test_majority_consensus_total_mismatch(self):
-        with pytest.raises(ValueError):
-            is_majority_consensus(OpinionCounts(2, 2), OpinionCounts(3, 3))
+    @pytest.mark.parametrize("initial", [OpinionCounts(3, 1), OpinionCounts(2, 2), OpinionCounts(0, 4)])
+    @pytest.mark.parametrize("event", ["consensus", "majority_consensus"])
+    def test_failure_events_complement(self, initial, event):
+        zeros = np.arange(initial.total + 1)
+        hit = event_mask(event, initial, zeros)
+        assert np.array_equal(event_mask(f"{event}_failure", initial, zeros), ~hit)
+
+    def test_unknown_event(self):
+        with pytest.raises(ValueError, match="unknown event 'nope'"):
+            event_mask("nope", OpinionCounts(2, 2), [0])
 
     @given(
         zeros_i=st.integers(0, 8),
@@ -81,28 +94,30 @@ class TestConsensusPredicates:
     )
     def test_majority_consensus_implies_consensus(self, zeros_i, zeros_f):
         initial = OpinionCounts(zeros=zeros_i, ones=8 - zeros_i)
-        final = OpinionCounts(zeros=zeros_f, ones=8 - zeros_f)
-        if is_majority_consensus(initial, final):
-            assert is_consensus(final)
+        if event_mask("majority_consensus", initial, zeros_f):
+            assert event_mask("consensus", initial, zeros_f)
 
 
 class TestInitialState:
+    @staticmethod
+    def _initial(n, delta):
+        return ProtocolConfig(n=n, delta=delta, rounds=1, network=NetworkModel(q=0.5)).initial_state()
+
     def test_examples(self):
-        assert make_initial_state(100, 0) == OpinionCounts(100, 100)
-        assert make_initial_state(100, 10) == OpinionCounts(110, 90)
-        assert make_initial_state(4, -4) == OpinionCounts(0, 8)
+        assert self._initial(100, 0) == OpinionCounts(100, 100)
+        assert self._initial(100, 10) == OpinionCounts(110, 90)
+        assert self._initial(4, -4) == OpinionCounts(0, 8)
 
     def test_bounds(self):
         with pytest.raises(ValueError):
-            make_initial_state(4, 5)
+            self._initial(4, 5)
         with pytest.raises(ValueError):
-            make_initial_state(4, -5)
+            self._initial(4, -5)
 
 
 class TestNetworkAndConfig:
     def test_network(self):
-        net = NetworkModel(q=0.3)
-        assert net.q_prime == pytest.approx(0.7)
+        assert NetworkModel(q=0.3).q == 0.3
         NetworkModel(q=0.0)
         NetworkModel(q=1.0)
         with pytest.raises(ValueError):
@@ -146,7 +161,6 @@ class TestAsymmetryRegime:
         assert AsymmetryRegime(kind="logarithmic").offset(100) == 5  # ceil(log 100)
         assert AsymmetryRegime(kind="sqrt_scaled", alpha=1.0).offset(10_000) == 100
         assert AsymmetryRegime(kind="power", beta=0.75).offset(10_000) == 1_000
-        assert AsymmetryRegime(kind="custom", table={8: 3}).offset(8) == 3
 
     def test_cases(self):
         assert AsymmetryRegime(kind="zero").fact1_case() == 1
@@ -171,5 +185,3 @@ class TestAsymmetryRegime:
             AsymmetryRegime(kind="nope")
         with pytest.raises(ValueError):
             AsymmetryRegime(kind="custom")
-        with pytest.raises(ValueError):
-            AsymmetryRegime(kind="custom", table={4: 1}).offset(8)
