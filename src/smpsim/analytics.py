@@ -286,7 +286,8 @@ def _windows(m, p, log_tail: float = _WINDOW_LOG_TAIL):
     starts = starts.tolist()
     for a, b in zip(starts, starts[1:] + [len(m)]):
         log_pmf = _log_pmf(m[a:b], p[a:b], lo[a:b], hi[a:b], scratch)
-        yield from zip(lo[a:b].tolist(), np.split(log_pmf, np.cumsum(sizes[a:b])[:-1]))
+        ends = np.cumsum(sizes[a:b]).tolist()
+        yield from zip(lo[a:b].tolist(), [log_pmf[s:e] for s, e in zip([0, *ends], ends)])
 
 
 def _scaled(lo: int, log_pmf: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:

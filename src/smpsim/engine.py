@@ -46,6 +46,7 @@ __all__ = [
     "CountDistribution",
     "run_trial",
     "run_trials_batch",
+    "check_per_agent_size",
     "aggregated_round_distribution",
     "exhaustive_round_distribution",
     "exact_chain_consensus_probability",
@@ -189,6 +190,15 @@ def _per_agent_rounds(
     return traj
 
 
+def check_per_agent_size(config: ProtocolConfig) -> None:
+    """Raise UnsupportedSizeError if ``config`` has more agents than the per-agent path holds."""
+    if config.initial_state().total > PER_AGENT_MAX_AGENTS:
+        raise UnsupportedSizeError(
+            f"per-agent mode supports at most {PER_AGENT_MAX_AGENTS} agents "
+            f"(n <= {PER_AGENT_MAX_AGENTS // 2}), got n={config.n}"
+        )
+
+
 def run_trials_batch(
     config: ProtocolConfig,
     trial_ids,
@@ -210,11 +220,7 @@ def run_trials_batch(
             zeros0, initial.total, q, config.rounds, master_seed, trial_ids
         )
     if mode == MODE_PER_AGENT:
-        if initial.total > PER_AGENT_MAX_AGENTS:
-            raise UnsupportedSizeError(
-                f"per-agent mode supports at most {PER_AGENT_MAX_AGENTS} agents "
-                f"(n <= {PER_AGENT_MAX_AGENTS // 2}), got n={config.n}"
-            )
+        check_per_agent_size(config)
         bits0 = (0,) * initial.zeros + (1,) * initial.ones
         return _per_agent_rounds(bits0, q, config.rounds, master_seed, trial_ids)
     raise ValueError(f"unknown mode {mode!r}")

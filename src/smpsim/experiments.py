@@ -27,6 +27,8 @@ from . import analytics
 from .engine import (
     EXACT_CHAIN_MAX_AGENTS,
     MODE_AGGREGATED,
+    MODE_PER_AGENT,
+    check_per_agent_size,
     exact_chain_consensus_probability,
     run_trials_batch,
 )
@@ -166,7 +168,16 @@ class SweepResult:
 def _final_zeros_chunk(args) -> np.ndarray:
     start, size, config, master_seed, mode = args
     ids = np.arange(start, start + size, dtype=np.uint64)
-    return run_trials_batch(config, ids, master_seed, mode=mode)[-1]
+    # a copy, so the chunk's whole trajectory is freed before the next one
+    return run_trials_batch(config, ids, master_seed, mode=mode)[-1].copy()
+
+
+def _check_run(trials: int, config: ProtocolConfig, mode: str) -> None:
+    """Fail on a bad trial count or an oversized per-agent run before any chunk starts."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if mode == MODE_PER_AGENT:
+        check_per_agent_size(config)
 
 
 def _pool_size(workers: int, chunks: int) -> int:
@@ -211,8 +222,7 @@ def estimate_event_probability(
     method: str = "wilson",
 ) -> Estimate:
     """Estimate P{event} over independent runs of ``config``; ``event`` is one of EVENT_NAMES."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_run(trials, config, mode)
     initial = config.initial_state()
     event_mask(event, initial, ())  # an unknown event fails before any trial runs
     chunks = _map_chunks(_final_zeros_chunk, trials, workers, config, master_seed, mode)
@@ -229,8 +239,7 @@ def final_zeros_sample(
     mode: str = MODE_AGGREGATED,
 ) -> np.ndarray:
     """Final-round zero-counts of ``trials`` independent runs, in trial order."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_run(trials, config, mode)
     chunks = _map_chunks(_final_zeros_chunk, trials, workers, config, master_seed, mode)
     return np.concatenate(list(chunks))
 

@@ -28,8 +28,11 @@ broadcast to the lanes.  One call builds the tables of all its distinct
 (m, p) from ``analytics._windows``, which packs the windows into passes,
 and keeps none of them.  A call whose lanes share one (m, p), as the first
 round from a tie does, searches its lanes in place; otherwise a lexsort by
-(m, p) puts each pair's lanes together.  A lane draws the same alone as in
-any batch.
+(m, p) puts each pair's lanes together.  A group of at least
+_GUIDED_MIN_LANES lanes starts each search at a guide table over its CDF
+and steps up from there; a smaller group, where building the table costs
+more than it saves, uses ``np.searchsorted``.  Both return the least k with
+u < CDF(k), so a lane draws the same alone as in any batch.
 """
 
 from __future__ import annotations
@@ -115,6 +118,41 @@ def uniform_lanes(master_seed: int, trial, round_index, group) -> np.ndarray:
 _SAMPLING_LOG_TAIL = 54.0 * math.log(2.0)
 
 
+#: Groups of at least this many lanes start their search at a guide table;
+#: smaller ones use ``np.searchsorted`` alone.  From 8,192 lanes on, the
+#: guided search was no slower on CDFs of 2 to 8,000 entries, and 3 to 5
+#: times faster from 179 entries on; at 4,096 lanes it was slower on 2 to
+#: 11 entries (2-core x86-64 host, numpy 2.4).
+_GUIDED_MIN_LANES = 8192
+
+
+def _search(cdf: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
+    """Write the least k with u < cdf[k] at each uniform of ``u`` into ``out``.
+
+    ``cdf`` is nondecreasing and ends at 1, and every u is in [0, 1).  A
+    group of at least _GUIDED_MIN_LANES lanes starts from a guide table
+    (Chen and Asau 1974): with G the next power of two >= len(cdf), entry j
+    is the answer at u = j / G, so no more than the answer of any u in
+    [j / G, (j + 1) / G), and u * G is exact.  Two steps up finish most
+    lanes; ``searchsorted`` finishes the rest, such as a flat tail's.  The
+    answers equal ``searchsorted(cdf, u, side="right")``.
+    """
+    if u.size < _GUIDED_MIN_LANES:
+        out[:] = np.searchsorted(cdf, u, side="right")
+        return
+    size = 1 << (len(cdf) - 1).bit_length()
+    guide = np.searchsorted(cdf, np.arange(size) / size, side="right")
+    np.take(guide, (u * size).astype(np.intp), out=out)
+    short = cdf[out] <= u
+    out += short
+    short = np.flatnonzero(short)
+    short = short[cdf[out[short]] <= u[short]]
+    out[short] += 1
+    short = short[cdf[out[short]] <= u[short]]
+    if short.size:
+        out[short] = np.searchsorted(cdf, u[short], side="right")
+
+
 def _invert(m: np.ndarray, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Least k with u < CDF(k) of Bin(m, p) at each uniform of ``u``, for m >= 1, 0 < p <= 1/2.
 
@@ -139,7 +177,8 @@ def _invert(m: np.ndarray, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     for a, b, (lo, log_pmf) in zip(bounds, bounds[1:], windows):
         cdf = np.cumsum(np.exp(log_pmf))
         cdf[-1] = 1.0
-        draws[a:b] = lo + np.searchsorted(cdf, u[a:b], side="right")
+        _search(cdf, u[a:b], draws[a:b])
+        draws[a:b] += lo
     if order is not None:
         draws[order] = draws.copy()
     return draws.reshape(shape)

@@ -311,3 +311,27 @@ def philox4x64(c0, c1, c2, c3, key0: int, key1: int):
         lo1 = _M1 * c2
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
     return c0, c1, c2, c3
+
+
+# --------------------------------------------------------------------------
+# CDF inversion
+# --------------------------------------------------------------------------
+
+
+def cdf_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Least k with u < cdf[k] at each uniform of ``u``, by plain binary search."""
+    return np.searchsorted(cdf, u, side="right")
+
+
+def binomial_inversion(m: int, p: float, u: np.ndarray) -> np.ndarray:
+    """Bin(m, p) draws by inverting scipy's CDF over k = 0..m at each uniform of ``u``.
+
+    Like the package's sampler, p > 1/2 draws m - Bin(m, 1 - p) at the same
+    uniform, so both read a uniform the same way.
+    """
+    flipped = p > 0.5
+    q = 1.0 - p if flipped else p
+    cdf = binom.cdf(np.arange(m + 1), m, q)
+    cdf[-1] = 1.0
+    draws = cdf_search(cdf, u)
+    return m - draws if flipped else draws

@@ -352,8 +352,23 @@ class TestRejectedBeforeWork:
             capsys, command, "--n", "501", "--q", "0.5", "--mode", "per_agent"
         )
         assert code == 1
-        assert err.startswith("smpsim: error: per-agent mode supports at most 1000 agents")
-        assert "n=501" in err
+        assert err.startswith("smpsim: error: --n must be at most 500 with --mode per_agent")
+        assert "at most 1000 agents, got 501" in err
+        assert out == ""
+
+    def test_per_agent_ceiling_starts_no_pool(self, capsys, monkeypatch):
+        # several chunks and two workers would start a process pool; nothing may run
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(experiments, "run_trials_batch", _no_trials)
+        code, out, err = run_cli(
+            capsys, "estimate", "--n", "501", "--q", "0.5", "--mode", "per_agent",
+            "--workers", "2", "--trials", str(3 * experiments.CHUNK_TRIALS),
+        )
+        assert code == 1
+        assert err.startswith("smpsim: error: --n ")
         assert out == ""
 
 #: A tiny valid config per leaf command: n <= 4 and trials <= 20, so a run

@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from smpsim import analytics, experiments
-from smpsim.engine import exact_chain_consensus_probability
+from smpsim.engine import (
+    MODE_PER_AGENT,
+    UnsupportedSizeError,
+    exact_chain_consensus_probability,
+)
 from smpsim.experiments import (
     CHUNK_TRIALS,
     Estimate,
@@ -168,6 +172,40 @@ class TestEstimateEventProbability:
             tracemalloc.stop()
         assert first == [3, 3, 3]
         assert peak < 2 << 20
+
+    def test_final_zeros_hold_one_row_per_chunk(self):
+        # a chunk's whole (rounds + 1) x 2^16 trajectory is freed once its last row is taken
+        config = _config(50, 0, 3, 0.5)
+        peaks = []
+        for chunks in (1, 4):
+            tracemalloc.start()
+            try:
+                zeros = final_zeros_sample(config, chunks * CHUNK_TRIALS, SEED)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # three held rows and the result: under twice the result; whole
+        # trajectories held until the end cost three times it
+        assert zeros.nbytes == 4 * CHUNK_TRIALS * 8
+        assert peaks[1] - peaks[0] < 2 * zeros.nbytes
+
+    @pytest.mark.parametrize("estimate", [True, False])
+    def test_per_agent_ceiling_checked_before_any_chunk(self, monkeypatch, estimate):
+        # three chunks on two workers would start a process pool; nothing may run
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the per-agent ceiling was checked")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(experiments, "run_trials_batch", no_work)
+        config, trials = _config(501, 0, 1, 0.5), 3 * CHUNK_TRIALS
+        with pytest.raises(UnsupportedSizeError, match="n=501"):
+            if estimate:
+                estimate_event_probability(
+                    config, "consensus", trials, SEED, workers=2, mode=MODE_PER_AGENT
+                )
+            else:
+                final_zeros_sample(config, trials, SEED, workers=2, mode=MODE_PER_AGENT)
 
     def test_relabeling_symmetry_within_ci(self):
         est_pos = estimate_event_probability(_config(30, 4, 2, 0.5), "consensus", 4_000, SEED)

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -306,3 +307,134 @@ def _chi_square_pvalue(m: int, p: float, n_draws: int, seed: int) -> float:
 )
 def test_goodness_of_fit(m, p):
     assert _chi_square_pvalue(m, p, 1_000_000, 1234) > 0.001
+
+
+# --------------------------------------------------------------------------
+# Guided CDF search: groups of at least rng._GUIDED_MIN_LANES lanes start at
+# a guide table, and every answer must equal the plain binary search.
+# --------------------------------------------------------------------------
+
+_THRESHOLD = rng._GUIDED_MIN_LANES
+
+
+def _sampler_cdf(m: int, p: float) -> np.ndarray:
+    """The CDF that ``rng._invert`` searches for Bin(m, p), p <= 1/2."""
+    ((_, log_pmf),) = analytics._windows(np.array([m]), np.array([p]), rng._SAMPLING_LOG_TAIL)
+    cdf = np.cumsum(np.exp(log_pmf))
+    cdf[-1] = 1.0
+    return cdf
+
+
+def _flat_cdf() -> np.ndarray:
+    """300 entries below 1e-27 (all in the guide's bucket 0), then runs of equal entries."""
+    cdf = np.cumsum(np.r_[np.full(300, 1e-30), 0.0, 0.0, 0.25, 0.0, 0.0, 0.25, 0.5])
+    cdf[-1] = 1.0
+    return cdf
+
+
+def _edge_uniforms(cdf: np.ndarray) -> np.ndarray:
+    """0, the largest uniform, and every CDF entry and bucket edge with both neighbours."""
+    size = 1 << (len(cdf) - 1).bit_length()
+    points = np.r_[cdf, np.arange(size) / size]
+    near = np.r_[0.0, 1.0 - 2.0**-53, points, np.nextafter(points, 0), np.nextafter(points, 1)]
+    return near[(near >= 0.0) & (near < 1.0)]
+
+
+def _lanes(u: np.ndarray, count: int, seed: int) -> np.ndarray:
+    """``count`` uniforms: every one of ``u`` (while they fit), then random ones, shuffled."""
+    rs = np.random.default_rng(seed)
+    extra = rs.integers(0, 2**53, max(count - len(u), 0)) * 2.0**-53
+    return rs.permutation(np.r_[u, extra][:count])
+
+
+_SEARCH_CDFS = {
+    "m=1": (1, 0.5),
+    "m=1 tiny p": (1, 1e-9),
+    "m=2": (2, 0.5),
+    "m=2 small p": (2, 0.01),
+    "m=30": (30, 0.5),
+    "m=800": (800, 0.5),
+    "m=1e5": (100_000, 0.3),
+    "m=1e6": (1_000_000, 0.5),
+    "m=1e6 Poisson-like": (1_000_000, 1e-5),
+}
+
+
+@pytest.mark.parametrize("name", [*_SEARCH_CDFS, "flat"])
+@pytest.mark.parametrize("offset", [-1, 0, 1, 12 * _THRESHOLD])
+def test_guided_search_equals_binary_search(name, offset):
+    cdf = _flat_cdf() if name == "flat" else _sampler_cdf(*_SEARCH_CDFS[name])
+    edges = _edge_uniforms(cdf)
+    # both sides of the threshold; the edge uniforms spread over calls that fit
+    count = _THRESHOLD + offset
+    for start in range(0, len(edges), count):
+        u = _lanes(edges[start : start + count], count, seed=start)
+        out = np.empty(count, dtype=np.int64)
+        rng._search(cdf, u, out)
+        assert np.array_equal(out, oracles.cdf_search(cdf, u))
+
+
+def test_guided_search_writes_into_a_slice():
+    cdf = _sampler_cdf(800, 0.5)
+    u = _lanes(_edge_uniforms(cdf), 2 * _THRESHOLD, seed=1)
+    draws = np.full(3 * _THRESHOLD, -1, dtype=np.int64)
+    rng._search(cdf, u, draws[_THRESHOLD:])
+    assert np.all(draws[:_THRESHOLD] == -1)
+    assert np.array_equal(draws[_THRESHOLD:], oracles.cdf_search(cdf, u))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    weights=st.lists(
+        st.sampled_from([0.0, 1e-300, 1e-20, 1e-3, 0.3, 1.0]) | st.floats(0.0, 1.0),
+        min_size=1, max_size=600,
+    ),
+    steps=st.lists(st.integers(0, 2**53 - 1), max_size=64),
+)
+def test_guided_search_on_any_cdf(weights, steps):
+    cdf = np.cumsum(np.r_[weights, 1.0])
+    cdf /= cdf[-1]
+    cdf[-1] = 1.0
+    u = np.r_[np.array(steps, dtype=np.float64) * 2.0**-53, _edge_uniforms(cdf)]
+    u = _lanes(u[: 2 * _THRESHOLD], _THRESHOLD + len(steps), seed=len(weights))
+    out = np.empty(len(u), dtype=np.int64)
+    rng._search(cdf, u, out)
+    assert np.array_equal(out, oracles.cdf_search(cdf, u))
+
+
+def test_mixed_call_with_groups_on_both_sides_of_the_threshold():
+    # 800 and 2 each above the threshold, 30 below; each lane equals the oracle at its uniform
+    ms = np.r_[np.full(_THRESHOLD + 3, 800), np.full(17, 30), np.full(_THRESHOLD, 2)]
+    ps = np.r_[np.full(_THRESHOLD + 3, 0.5), np.full(17, 0.7), np.full(_THRESHOLD, 0.25)]
+    order = np.random.default_rng(5).permutation(len(ms))
+    ms, ps = ms[order], ps[order]
+    trials = np.arange(len(ms), dtype=np.uint64)
+    draws = sample_binomial_lanes(ms, ps, 2021, trials, 3, np.uint64(1))
+    u = uniform_lanes(2021, trials, np.uint64(3), np.uint64(1))
+    for m, p in {(800, 0.5), (30, 0.7), (2, 0.25)}:
+        lanes = (ms == m) & (ps == p)
+        assert np.array_equal(draws[lanes], oracles.binomial_inversion(m, p, u[lanes]))
+
+
+#: CRC-32 of the int64 draws of lanes 0..9999 at seed 2021, round 3, group 1,
+#: recorded from the binary search before the guided one; every call takes
+#: the guided path.
+PINNED_GUIDED_CRC32 = {
+    (1, 0.3): 486150220,
+    (2, 0.5): 3746750464,
+    (7, 0.75): 2787604187,
+    (800, 0.5): 3984478819,
+    (3200, 0.3): 2288906340,
+    (5000, 0.001): 331438501,
+    (1_000_000, 0.5): 2132769566,
+}
+
+
+@pytest.mark.parametrize("m,p", sorted(PINNED_GUIDED_CRC32))
+def test_pinned_draws_on_the_guided_path(m, p):
+    trials = np.arange(10_000, dtype=np.uint64)
+    assert len(trials) >= _THRESHOLD
+    draws = sample_binomial_lanes(m, p, 2021, trials, 3, np.uint64(1))
+    u = uniform_lanes(2021, trials, np.uint64(3), np.uint64(1))
+    assert np.array_equal(draws, oracles.binomial_inversion(m, p, u))
+    assert zlib.crc32(draws.tobytes()) == PINNED_GUIDED_CRC32[(m, p)]
