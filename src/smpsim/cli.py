@@ -34,6 +34,8 @@ from .engine import (
     MODE_AGGREGATED,
     MODE_PER_AGENT,
     PER_AGENT_MAX_AGENTS,
+    UnsupportedSizeError,
+    _check_per_agent_size,
     exact_chain_consensus_probability,
     exhaustive_round_distribution,
     run_trial,
@@ -230,12 +232,16 @@ def _timestamp() -> str:
 
 def _protocol(o: argparse.Namespace) -> ProtocolConfig:
     """The run's protocol; a per-agent run past its ceiling fails here, before any work."""
-    if o.mode == MODE_PER_AGENT and 2 * o.n > PER_AGENT_MAX_AGENTS:
-        raise CliError(
-            f"--n must be at most {PER_AGENT_MAX_AGENTS // 2} with --mode {MODE_PER_AGENT}, "
-            f"which supports at most {PER_AGENT_MAX_AGENTS} agents, got {o.n}"
-        )
-    return ProtocolConfig(n=o.n, delta=o.delta, rounds=o.rounds, network=NetworkModel(q=o.q))
+    config = ProtocolConfig(n=o.n, delta=o.delta, rounds=o.rounds, network=NetworkModel(q=o.q))
+    if o.mode == MODE_PER_AGENT:
+        try:
+            _check_per_agent_size(config)
+        except UnsupportedSizeError:
+            raise CliError(
+                f"--n must be at most {PER_AGENT_MAX_AGENTS // 2} with --mode {MODE_PER_AGENT}, "
+                f"which supports at most {PER_AGENT_MAX_AGENTS} agents, got {o.n}"
+            ) from None
+    return config
 
 
 def _simulate(o: argparse.Namespace):

@@ -46,7 +46,6 @@ __all__ = [
     "CountDistribution",
     "run_trial",
     "run_trials_batch",
-    "check_per_agent_size",
     "aggregated_round_distribution",
     "exhaustive_round_distribution",
     "exact_chain_consensus_probability",
@@ -190,7 +189,7 @@ def _per_agent_rounds(
     return traj
 
 
-def check_per_agent_size(config: ProtocolConfig) -> None:
+def _check_per_agent_size(config: ProtocolConfig) -> None:
     """Raise UnsupportedSizeError if ``config`` has more agents than the per-agent path holds."""
     if config.initial_state().total > PER_AGENT_MAX_AGENTS:
         raise UnsupportedSizeError(
@@ -220,7 +219,7 @@ def run_trials_batch(
             zeros0, initial.total, q, config.rounds, master_seed, trial_ids
         )
     if mode == MODE_PER_AGENT:
-        check_per_agent_size(config)
+        _check_per_agent_size(config)
         bits0 = (0,) * initial.zeros + (1,) * initial.ones
         return _per_agent_rounds(bits0, q, config.rounds, master_seed, trial_ids)
     raise ValueError(f"unknown mode {mode!r}")

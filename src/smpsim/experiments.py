@@ -28,7 +28,7 @@ from .engine import (
     EXACT_CHAIN_MAX_AGENTS,
     MODE_AGGREGATED,
     MODE_PER_AGENT,
-    check_per_agent_size,
+    _check_per_agent_size,
     exact_chain_consensus_probability,
     run_trials_batch,
 )
@@ -177,7 +177,7 @@ def _check_run(trials: int, config: ProtocolConfig, mode: str) -> None:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if mode == MODE_PER_AGENT:
-        check_per_agent_size(config)
+        _check_per_agent_size(config)
 
 
 def _pool_size(workers: int, chunks: int) -> int:

@@ -122,7 +122,10 @@ _SAMPLING_LOG_TAIL = 54.0 * math.log(2.0)
 #: smaller ones use ``np.searchsorted`` alone.  From 8,192 lanes on, the
 #: guided search was no slower on CDFs of 2 to 8,000 entries, and 3 to 5
 #: times faster from 179 entries on; at 4,096 lanes it was slower on 2 to
-#: 11 entries (2-core x86-64 host, numpy 2.4).
+#: 11 entries (2-core x86-64 host, numpy 2.4).  Mixed calls put most lanes
+#: in small groups, where a table would cost more than the search: with
+#: every group guided, the search time of ``smpsim estimate --n 10000 --q
+#: 0.5 --rounds 3 --trials 65536`` rose from 0.04-0.06 s to 0.22-0.34 s.
 _GUIDED_MIN_LANES = 8192
 
 

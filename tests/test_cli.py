@@ -341,34 +341,28 @@ class TestRejectedBeforeWork:
         flag = next(a for a, v in zip(argv, argv[1:]) if v.isdigit() and int(v) >= 2**26)
         assert err.startswith(f"smpsim: error: {flag} ")
 
-    @pytest.mark.parametrize("command", ["simulate", "estimate"])
-    def test_per_agent_ceiling_exits_1(self, capsys, monkeypatch, command):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate",),
+            ("estimate",),
+            # several chunks on two workers, where a pool would start
+            ("estimate", "--workers", "2", "--trials", str(3 * experiments.CHUNK_TRIALS)),
+        ],
+        ids=["simulate", "estimate", "estimate-chunks"],
+    )
+    def test_per_agent_ceiling_exits_1(self, capsys, monkeypatch, argv):
         # 2n = 1002 is one past the per-agent ceiling; no bit matrix is built
         def no_rounds(*args, **kwargs):
             raise AssertionError("the per-agent path ran past its ceiling")
 
         monkeypatch.setattr(engine, "_per_agent_rounds", no_rounds)
         code, out, err = run_cli(
-            capsys, command, "--n", "501", "--q", "0.5", "--mode", "per_agent"
+            capsys, *argv, "--n", "501", "--q", "0.5", "--mode", "per_agent"
         )
         assert code == 1
         assert err.startswith("smpsim: error: --n must be at most 500 with --mode per_agent")
         assert "at most 1000 agents, got 501" in err
-        assert out == ""
-
-    def test_per_agent_ceiling_starts_no_pool(self, capsys, monkeypatch):
-        # several chunks and two workers would start a process pool; nothing may run
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started")
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(experiments, "run_trials_batch", _no_trials)
-        code, out, err = run_cli(
-            capsys, "estimate", "--n", "501", "--q", "0.5", "--mode", "per_agent",
-            "--workers", "2", "--trials", str(3 * experiments.CHUNK_TRIALS),
-        )
-        assert code == 1
-        assert err.startswith("smpsim: error: --n ")
         assert out == ""
 
 #: A tiny valid config per leaf command: n <= 4 and trials <= 20, so a run
