@@ -247,13 +247,14 @@ def _log_pmf(
 
 
 def _window_bounds(
-    m: np.ndarray, p: np.ndarray, log_tail: float = _WINDOW_LOG_TAIL
+    m: np.ndarray, p: np.ndarray, log_tail=_WINDOW_LOG_TAIL
 ) -> tuple[np.ndarray, np.ndarray]:
     """[lo, hi] outside which Bin(m, p) has mass below exp(-log_tail) on each side.
 
     The half-width t solves the Bernstein bound exp(-t^2 / (2 (var + t/3)))
     = exp(-log_tail), 1e-340 by default; unlike a multiple of the standard
     deviation it stays valid in the Poisson-like tails of small p.
+    ``log_tail`` is a scalar or broadcasts against m.
     """
     mean = m * p
     a = log_tail / 3.0
@@ -263,13 +264,13 @@ def _window_bounds(
     return lo.astype(np.int64), hi.astype(np.int64)
 
 
-def _windows(m, p, log_tail: float = _WINDOW_LOG_TAIL):
+def _windows(m, p, log_tail=_WINDOW_LOG_TAIL):
     """Yield (lo, log pmf over k = lo..hi) of Bin(m[i], p[i]) for each i, in order.
 
-    [lo, hi] is the ``_window_bounds`` window for ``log_tail``.  Windows are
-    evaluated lazily, in passes of about _BLOCK_ELEMENTS entries that bound
-    the memory held: a pass starts with the window that takes the running
-    total past a multiple of it.  The passes of a call share one
+    [lo, hi] is the ``_window_bounds`` window for ``log_tail``, a scalar or
+    one value per binomial.  Windows are evaluated lazily, in passes of
+    about _BLOCK_ELEMENTS entries that bound the memory held: a pass starts
+    with the window that takes the running total past a multiple of it.  The passes of a call share one
     ``_scratch``, sized once to the call's largest pass, so a pass makes
     few new temporaries.  Each pass's output is a new array, and the
     yielded windows are views of it that later passes leave as they are.

@@ -35,7 +35,9 @@ from .engine import (
     MODE_PER_AGENT,
     PER_AGENT_MAX_AGENTS,
     UnsupportedSizeError,
+    _MONTE_CARLO_MAX_ROUNDS,
     _check_per_agent_size,
+    _check_rounds,
     exact_chain_consensus_probability,
     exhaustive_round_distribution,
     run_trial,
@@ -230,9 +232,21 @@ def _timestamp() -> str:
 # --------------------------------------------------------------------------
 
 
+def _check_monte_carlo_rounds(config: ProtocolConfig) -> None:
+    """CliError naming --rounds if a Monte Carlo run of ``config`` is past the rounds ceiling."""
+    try:
+        _check_rounds(config)
+    except UnsupportedSizeError:
+        raise CliError(
+            f"--rounds must be at most {_MONTE_CARLO_MAX_ROUNDS} for a Monte Carlo run, "
+            f"got {config.rounds}"
+        ) from None
+
+
 def _protocol(o: argparse.Namespace) -> ProtocolConfig:
-    """The run's protocol; a per-agent run past its ceiling fails here, before any work."""
+    """The run's protocol; a run past a ceiling fails here, before any work."""
     config = ProtocolConfig(n=o.n, delta=o.delta, rounds=o.rounds, network=NetworkModel(q=o.q))
+    _check_monte_carlo_rounds(config)
     if o.mode == MODE_PER_AGENT:
         try:
             _check_per_agent_size(config)
@@ -296,6 +310,9 @@ def _sweep(kind: str, o: argparse.Namespace):
         ]
         sweep = _merge_sweeps("trichotomy", labeled)
     elif kind == "max-error":
+        _check_monte_carlo_rounds(
+            ProtocolConfig(n=o.n, delta=0, rounds=o.rounds, network=NetworkModel(q=o.q))
+        )
         sweep = experiments.max_error_sweep(
             o.n, o.q, o.rounds, o.trials, o.seed,
             deltas=range(0, o.n + 1, o.delta_stride), workers=o.workers,

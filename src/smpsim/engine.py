@@ -23,7 +23,15 @@ on the zero-count for systems of up to 1000 agents.  The chain builds its
 one-round row laws lazily and keeps a row only while a later full round
 may reuse it; its last round needs only the masses at the two consensus
 counts, which it takes in closed form from the rows' end entries, so three
-rounds from a point mass hold one row.
+rounds from a point mass hold one row.  It stops once every live state is
+absorbing.  States lighter than the floor 2^-80 get no row, and rows built
+for the last full round are cut where their weight makes the tails
+negligible; the solve bounds the mass this drops, and its result is
+returned only if the bound is at most 2^-55 of each probability, else the
+unpruned solve's result is.
+
+Both sampling paths hold a (rounds + 1) x trials trajectory, so a Monte
+Carlo run stops at ``_MONTE_CARLO_MAX_ROUNDS`` rounds.
 
 All runs are keyed by (master_seed, trial); batching trials or changing
 worker counts never changes any draw.
@@ -60,6 +68,16 @@ EXACT_CHAIN_MAX_AGENTS = 1000
 # tiled bits, the active rows and their update); at the estimate chunk of
 # 2^16 trials and 2n = 1000 that is 3 * 65,536 * 1000 bytes, about 197 MB.
 PER_AGENT_MAX_AGENTS = 1000
+# Both sampling paths hold one (rounds + 1) x trials int64 trajectory per
+# batch; at the estimate chunk of 2^16 trials, 255 rounds make 256 rows of
+# 2^19 bytes, 128 MiB.  The exact chain holds no trajectory and has no ceiling.
+_MONTE_CARLO_MAX_ROUNDS = 255
+#: States lighter than this get no row in the exact chain (see
+#: ``exact_chain_consensus_probability``).
+_CHAIN_FLOOR = 2.0**-80
+#: Largest dropped-mass bound, as a share of both chain probabilities, at
+#: which a pruned chain result is returned.
+_CHAIN_CERTIFIED_SHARE = 2.0**-55
 
 MODE_AGGREGATED = "aggregated"
 MODE_PER_AGENT = "per_agent"
@@ -198,6 +216,15 @@ def _check_per_agent_size(config: ProtocolConfig) -> None:
         )
 
 
+def _check_rounds(config: ProtocolConfig) -> None:
+    """Raise UnsupportedSizeError if ``config`` has more rounds than a Monte Carlo run holds."""
+    if config.rounds > _MONTE_CARLO_MAX_ROUNDS:
+        raise UnsupportedSizeError(
+            f"Monte Carlo runs support at most {_MONTE_CARLO_MAX_ROUNDS} rounds, "
+            f"got rounds={config.rounds}"
+        )
+
+
 def run_trials_batch(
     config: ProtocolConfig,
     trial_ids,
@@ -208,8 +235,11 @@ def run_trials_batch(
 
     Row 0 is the initial state and row r the state after round r.  All
     draws are counter-addressed, so the output is bit-identical however the
-    ids are split into batches.
+    ids are split into batches.  A run past the rounds ceiling, or a
+    per-agent run past its agent ceiling, raises UnsupportedSizeError before
+    any array is built.
     """
+    _check_rounds(config)
     trial_ids = np.asarray(trial_ids, dtype=np.uint64)
     initial = config.initial_state()
     q = config.network.q
@@ -248,17 +278,23 @@ def run_trial(
 # --------------------------------------------------------------------------
 
 
-def _round_laws(total: int, zs, p00, p10) -> Iterator[tuple[int, np.ndarray]]:
+def _round_laws(
+    total: int, zs, p00, p10, log_tail=analytics._WINDOW_LOG_TAIL
+) -> Iterator[tuple[int, np.ndarray]]:
     """Exact one-round laws Bin(z, p00) * Bin(total - z, p10) of the zero-count.
 
     Yields one (lo, law) per entry of ``zs``, in order and lazily: law[i] is
-    the probability of lo + i zeros, and every count outside the window has
-    probability below the smallest double.  Both binomials are evaluated on
-    their windows.
+    the probability of lo + i zeros.  Both binomials are evaluated on their
+    ``analytics._windows`` windows for ``log_tail`` (a scalar or one value
+    per entry of ``zs``), outside which each tail holds less than
+    exp(-log_tail), so a law lacks less than 4 exp(-log_tail) of its mass;
+    at the default, less than the smallest double.
     """
     zs = np.asarray(zs)
     windows = analytics._windows(
-        np.column_stack([zs, total - zs]).ravel(), np.column_stack([p00, p10]).ravel()
+        np.column_stack([zs, total - zs]).ravel(),
+        np.column_stack([p00, p10]).ravel(),
+        np.repeat(np.broadcast_to(log_tail, zs.shape), 2),
     )
     for (lo_keep, keep), (lo_gain, gain) in zip(windows, windows):
         yield lo_keep + lo_gain, np.convolve(np.exp(keep), np.exp(gain))
@@ -328,14 +364,25 @@ def exact_chain_consensus_probability(
     kernel row at z (the convolution Bin(z, p_keep) * Bin(2n - z, p_adopt),
     kept on its window) weighted by the mass at z.  keep/adopt come from
     one ``analytics.transition_values`` call per round, at that round's
-    live z (in a full round, those without a kept row).  Rows are built
-    lazily, and a row is kept only while another full round follows, so
-    three rounds from a point mass hold one row.  Only counts 0 and 2n
-    matter after the last round: their masses from z are the end entries
-    of the row at z, exp(z log(1 - p_keep)) exp(o log(1 - p_adopt)) and
-    exp(z log p_keep) exp(o log p_adopt) with o = 2n - z, summed over the
-    live z in the same order, so the last round builds no row.  Consensus
-    states are absorbing rows, exact point masses.
+    live z.  Rows are built lazily, and a row is kept only while another
+    full round follows, so three rounds from a point mass hold one row.
+    Only counts 0 and 2n matter after the last round: their masses from z
+    are the end entries of the row at z, exp(z log(1 - p_keep))
+    exp(o log(1 - p_adopt)) and exp(z log p_keep) exp(o log p_adopt) with
+    o = 2n - z, summed over the live z in the same order, so the last round
+    builds no row.  A state whose row is the point mass at itself is
+    absorbing (0 and 2n always are); once every live state is, the law
+    stops changing and the chain stops.
+
+    The solve is pruned at the floor ``_CHAIN_FLOOR`` = 2^-80: a state
+    lighter than it is not live, so it gets no row and no keep/adopt, and
+    a row built for the last full round, which keeps no rows, drops each
+    binomial tail below weight * exp(-L) with L = log(weight / floor).  The
+    mass dropped is at most the pruned states' mass plus 4 weight exp(-L)
+    per trimmed row.  The pruned result is returned only if that bound is
+    at most ``_CHAIN_CERTIFIED_SHARE`` = 2^-55 of both probabilities, well
+    under an ulp of either; otherwise the same solve runs with the floor
+    at 0, which prunes nothing and builds every row on its 1e-340 windows.
     """
     total = 2 * n
     if total > EXACT_CHAIN_MAX_AGENTS:
@@ -346,23 +393,50 @@ def exact_chain_consensus_probability(
         raise ValueError(f"|delta| must be <= n, got {delta}")
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
+    p_consensus, p_majority, dropped = _chain(n, delta, q, rounds, _CHAIN_FLOOR)
+    # p_majority <= p_consensus, so this certifies both; a zero value only with nothing dropped
+    if dropped > _CHAIN_CERTIFIED_SHARE * p_majority:
+        p_consensus, p_majority, _ = _chain(n, delta, q, rounds, 0.0)
+    return min(p_consensus, 1.0), min(p_majority, 1.0)
+
+
+def _chain(n: int, delta: int, q: float, rounds: int, floor: float) -> tuple[float, float, float]:
+    """(P{consensus}, P{majority consensus}, bound on the mass dropped) with ``floor``.
+
+    The solve of ``exact_chain_consensus_probability``, states lighter than
+    ``floor`` pruned; at floor 0 nothing is dropped and the bound is 0.
+    """
+    total = 2 * n
     dist = np.zeros(total + 1)
     dist[n + delta] = 1.0
+    dropped = 0.0
     rows: dict[int, tuple[int, np.ndarray]] = {}
-    for full_round in range(1, rounds):
-        live = np.flatnonzero(dist > 0.0).tolist()
-        missing = np.array([z for z in live if z not in rows], dtype=np.int64)
-        laws = _round_laws(total, missing, *analytics.transition_values(total, missing, q))
-        keep_rows = full_round < rounds - 1
+    for round_index in range(1, rounds + 1):
+        live = np.flatnonzero(dist > 0.0)
+        light = dist[live] < floor
+        dropped += float(dist[live[light]].sum())
+        live = live[~light]
+        p00, p10 = analytics.transition_values(total, live, q)
+        absorbing = ((p00 == 1.0) | (live == 0)) & ((p10 == 0.0) | (live == total))
+        if round_index == rounds or absorbing.all():
+            break
+        keep_rows = round_index < rounds - 1
+        missing = np.array([z not in rows for z in live.tolist()], dtype=bool)
+        log_tail = analytics._WINDOW_LOG_TAIL
+        if not keep_rows:
+            weight = dist[live[missing]]
+            with np.errstate(divide="ignore"):
+                log_tail = np.minimum(np.log(weight / floor), log_tail)
+            dropped += float(np.sum(4.0 * weight * np.exp(-log_tail)))
+        laws = _round_laws(total, live[missing], p00[missing], p10[missing], log_tail)
         new = np.zeros(total + 1)
-        for z in live:
+        for z in live.tolist():
             lo, part = rows[z] if z in rows else next(laws)
             if keep_rows:
                 rows[z] = lo, part
             new[lo : lo + len(part)] += dist[z] * part
+        laws.close()  # frees its last pass's scratch before the next round's evaluation
         dist = new
-    live = np.flatnonzero(dist > 0.0)
-    p00, p10 = analytics.transition_values(total, live, q)
     keep_ends = np.exp(analytics._end_log_pmfs(live, p00))
     gain_ends = np.exp(analytics._end_log_pmfs(total - live, p10))
     # cumsum adds in z order, as adding each row in turn does; np.sum would add pairwise
@@ -374,4 +448,4 @@ def exact_chain_consensus_probability(
         p_majority = at_zero
     else:
         p_majority = p_consensus
-    return min(p_consensus, 1.0), min(p_majority, 1.0)
+    return p_consensus, p_majority, dropped

@@ -29,6 +29,7 @@ from .engine import (
     MODE_AGGREGATED,
     MODE_PER_AGENT,
     _check_per_agent_size,
+    _check_rounds,
     exact_chain_consensus_probability,
     run_trials_batch,
 )
@@ -173,9 +174,10 @@ def _final_zeros_chunk(args) -> np.ndarray:
 
 
 def _check_run(trials: int, config: ProtocolConfig, mode: str) -> None:
-    """Fail on a bad trial count or an oversized per-agent run before any chunk starts."""
+    """Fail on a bad trial count or an oversized run before any chunk starts."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_rounds(config)
     if mode == MODE_PER_AGENT:
         _check_per_agent_size(config)
 

@@ -1,4 +1,5 @@
 import json
+import signal
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,25 @@ class TestOracle:
         )
         assert code == 0
         assert "P[consensus] = 0" in out
+
+    def test_exact_chain_stops_once_absorbed(self, capsys):
+        # 10^8 rounds ran until killed before the chain stopped at absorbing
+        # states; the alarm fails the test after 1 s
+        def too_slow(signum, frame):
+            raise TimeoutError("the chain ran on past absorption")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            code, out, _ = run_cli(
+                capsys, "oracle", "exact-chain", "--n", "2", "--q", "0.5",
+                "--rounds", "100000000",
+            )
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 0
+        assert out.splitlines() == ["P[consensus] = 1", "P[majority consensus] = 1"]
 
     def test_exhaustive(self, capsys):
         code, out, _ = run_cli(
@@ -340,6 +360,30 @@ class TestRejectedBeforeWork:
         # the message names the oversized option: --n, --m or --n-grid
         flag = next(a for a, v in zip(argv, argv[1:]) if v.isdigit() and int(v) >= 2**26)
         assert err.startswith(f"smpsim: error: {flag} ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--n", "2", "--q", "0.5"),
+            ("estimate", "--n", "2", "--q", "0.5"),
+            ("estimate", "--n", "2", "--q", "0.5", "--mode", "per_agent"),
+            ("sweep", "max-error", "--n", "2"),
+        ],
+        ids=["simulate", "estimate", "estimate-per-agent", "sweep-max-error"],
+    )
+    @pytest.mark.parametrize("rounds", [engine._MONTE_CARLO_MAX_ROUNDS + 1, 10**15])
+    def test_rounds_ceiling_exits_1(self, capsys, monkeypatch, argv, rounds):
+        # a Monte Carlo run holds a (rounds + 1) x trials trajectory; 10^15
+        # rounds once died in numpy's allocator asking for 7.11 PiB
+        monkeypatch.setattr(engine, "run_trials_batch", _no_trials)
+        monkeypatch.setattr(experiments, "run_trials_batch", _no_trials)
+        code, out, err = run_cli(capsys, *argv, "--rounds", str(rounds))
+        assert code == 1
+        assert err.startswith(
+            f"smpsim: error: --rounds must be at most {engine._MONTE_CARLO_MAX_ROUNDS} "
+        )
+        assert f"got {rounds}" in err
+        assert out == ""
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,3 +1,5 @@
+import math
+import signal
 import tracemalloc
 
 import numpy as np
@@ -22,6 +24,14 @@ from smpsim.model import NetworkModel, OpinionCounts, ProtocolConfig, event_mask
 from oracles import chain_forward_loop, consensus_from_tie_probability, global_pattern_round_law
 
 SEED = 20_240_601
+#: The q values of the exact chain's byte-equality grid.
+CHAIN_QS = (0.0, 1e-9, 0.05, 0.5, 0.95, 1.0 - 1e-9, 1.0)
+#: (n, delta, q) of the pruning check: the byte-equality grid, then 2n = 500
+#: and 1000 from a tie.
+PRUNING_GRID = [
+    (n, delta, q) for n in (1, 2, 3, 7, 40, 100) for q in CHAIN_QS
+    for delta in sorted({-n, -1, 0, 1, n})
+] + [(n, 0, q) for n in (250, 500) for q in (0.2, 0.5, 0.8, 0.95, 0.99)]
 
 
 class TestExhaustiveOracle:
@@ -199,6 +209,18 @@ class TestRunTrial:
         # the aggregated path has no such ceiling
         assert run_trials_batch(cfg, range(4), SEED).shape == (2, 4)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rounds_ceiling_checked_before_work(self, monkeypatch, mode):
+        def no_rounds(*args, **kwargs):
+            raise AssertionError("a trajectory was built past the rounds ceiling")
+
+        monkeypatch.setattr(engine, "_aggregated_rounds", no_rounds)
+        monkeypatch.setattr(engine, "_per_agent_rounds", no_rounds)
+        rounds = engine._MONTE_CARLO_MAX_ROUNDS + 1
+        cfg = ProtocolConfig(n=2, delta=0, rounds=rounds, network=NetworkModel(q=0.5))
+        with pytest.raises(UnsupportedSizeError, match=f"rounds={rounds}"):
+            run_trials_batch(cfg, range(4), SEED, mode=mode)
+
 
 class TestTrialOutcomeType:
     def test_conservation_check(self):
@@ -244,17 +266,62 @@ class TestExactChain:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 40, 100])
     def test_bytes_equal_the_forward_loop(self, n):
-        # the closed-form last round, rows built lazily and keep/adopt at the
-        # live z only give the bytes of storing every row and advancing the
-        # whole law every round
-        for q in (0.0, 1e-9, 0.05, 0.5, 0.95, 1.0 - 1e-9, 1.0):
+        # the closed-form last round, rows built lazily, keep/adopt at the
+        # live z only and the stop at absorbing states give, with the floor
+        # at 0, the bytes of storing every row and advancing the whole law
+        # every round
+        for q in CHAIN_QS:
             for delta in sorted({-n, -1, 0, 1, n}):
                 reference = chain_forward_loop(
                     n, delta, q, 6, analytics.transition_values, analytics._windows
                 )
                 for rounds, expected in enumerate(reference, start=1):
-                    got = exact_chain_consensus_probability(n, delta, q, rounds)
-                    assert [v.hex() for v in got] == [v.hex() for v in expected], (q, delta, rounds)
+                    *got, dropped = engine._chain(n, delta, q, rounds, 0.0)
+                    got = [min(v, 1.0).hex() for v in got]
+                    assert got == [v.hex() for v in expected], (q, delta, rounds)
+                    assert dropped == 0.0
+
+    @pytest.mark.parametrize("n, delta, q", PRUNING_GRID)
+    def test_pruned_chain_is_within_its_bound(self, n, delta, q):
+        # the floor and the trimmed rows move a value by at most the mass
+        # they report dropped, plus one rounding; a returned value either
+        # certifies or is the unpruned solve's own bytes
+        for rounds in range(1, 7):
+            unpruned = engine._chain(n, delta, q, rounds, 0.0)[:2]
+            *pruned, dropped = engine._chain(n, delta, q, rounds, engine._CHAIN_FLOOR)
+            for got, exact in zip(pruned, unpruned):
+                assert abs(got - exact) <= dropped + math.ulp(exact), (rounds, got, exact)
+            returned = exact_chain_consensus_probability(n, delta, q, rounds)
+            if dropped <= engine._CHAIN_CERTIFIED_SHARE * min(pruned):
+                assert returned == tuple(min(v, 1.0) for v in pruned)
+            else:
+                assert returned == tuple(min(v, 1.0) for v in unpruned)
+
+    def test_dropped_mass_counts_each_trimmed_row(self):
+        # two rounds from a point mass at 2n = 4: round 1 trims its one row,
+        # of weight 1, at L = log(1 / floor), and every count it reaches is
+        # above the floor, so the bound is that row's 4 exp(-L) = 4 floor
+        *_, dropped = engine._chain(2, 0, 0.5, 2, engine._CHAIN_FLOOR)
+        assert dropped == pytest.approx(4 * engine._CHAIN_FLOOR, rel=1e-12, abs=0.0)
+
+    def test_pruning_pays_off_at_the_cap(self):
+        # at 2n = 1000 the round-1 law from a tie is positive at every count,
+        # but only 319 counts reach the floor
+        dist = aggregated_round_distribution(OpinionCounts(500, 500), 0.5).probabilities
+        assert np.count_nonzero(dist) == 1001
+        assert np.count_nonzero(dist >= engine._CHAIN_FLOOR) == 319
+        *_, dropped = engine._chain(500, 0, 0.5, 3, engine._CHAIN_FLOOR)
+        assert 0.0 < dropped <= engine._CHAIN_CERTIFIED_SHARE * 0.89
+
+    def test_uncertified_value_falls_back_to_the_unpruned_bytes(self):
+        # P2 ~ 3.1e-12 is too small for the dropped-mass bound to certify it
+        unpruned = engine._chain(40, 0, 0.95, 2, 0.0)[:2]
+        *pruned, dropped = engine._chain(40, 0, 0.95, 2, engine._CHAIN_FLOOR)
+        assert dropped > engine._CHAIN_CERTIFIED_SHARE * min(pruned)
+        assert pruned != unpruned
+        got = exact_chain_consensus_probability(40, 0, 0.95, 2)
+        assert [v.hex() for v in got] == [v.hex() for v in unpruned]
+        assert got[0] == pytest.approx(3.08e-12, rel=1e-3, abs=0.0)
 
     def test_three_rounds_at_the_cap_hold_little_memory(self, monkeypatch):
         # from a point mass, three rounds keep one row law and build none for
@@ -267,6 +334,36 @@ class TestExactChain:
         finally:
             tracemalloc.stop()
         assert peak < 5_000_000
+
+    def test_five_rounds_at_the_cap_free_each_round(self, monkeypatch):
+        # each round's row generator is closed before the next round's
+        # keep/adopt evaluation: this peaked near 5.9 MB, and 7.6 MB with a
+        # generator left holding its last pass's scratch
+        monkeypatch.setattr(analytics, "_MEMO", {})
+        tracemalloc.start()
+        try:
+            exact_chain_consensus_probability(500, 0, 0.05, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6_600_000
+
+    def test_stops_once_every_live_state_is_absorbing(self):
+        # 10^8 rounds would take hours; the alarm fails the test after 1 s
+        def too_slow(signum, frame):
+            raise TimeoutError("the chain ran on past absorption")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            # at 2n = 4 the chain is absorbed after a few hundred rounds
+            assert exact_chain_consensus_probability(2, 0, 0.5, 100_000_000) == (1.0, 1.0)
+            # a split pair and an undelivered network are fixed points from the start
+            assert exact_chain_consensus_probability(1, 0, 0.5, 100_000_000) == (0.0, 0.0)
+            assert exact_chain_consensus_probability(50, 3, 1.0, 100_000_000) == (0.0, 0.0)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_consensus_rows_are_exact_point_masses(self):
         for z, total in [(0, 20), (20, 20)]:

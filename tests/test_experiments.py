@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smpsim import analytics, experiments
+from smpsim import analytics, engine, experiments
 from smpsim.engine import (
+    MODE_AGGREGATED,
     MODE_PER_AGENT,
     UnsupportedSizeError,
     exact_chain_consensus_probability,
@@ -190,22 +191,28 @@ class TestEstimateEventProbability:
         assert peaks[1] - peaks[0] < 2 * zeros.nbytes
 
     @pytest.mark.parametrize("estimate", [True, False])
-    def test_per_agent_ceiling_checked_before_any_chunk(self, monkeypatch, estimate):
+    @pytest.mark.parametrize(
+        "n, rounds, mode, match",
+        [
+            (501, 1, MODE_PER_AGENT, "n=501"),
+            (2, engine._MONTE_CARLO_MAX_ROUNDS + 1, MODE_AGGREGATED, "rounds=256"),
+        ],
+        ids=["per-agent-agents", "rounds"],
+    )
+    def test_ceilings_checked_before_any_chunk(self, monkeypatch, estimate, n, rounds, mode, match):
         # three chunks on two workers would start a process pool; nothing may run
         def no_work(*args, **kwargs):
-            raise AssertionError("work started before the per-agent ceiling was checked")
+            raise AssertionError("work started before the ceilings were checked")
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_work)
         monkeypatch.setattr(experiments, "run_trials_batch", no_work)
-        config, trials = _config(501, 0, 1, 0.5), 3 * CHUNK_TRIALS
-        with pytest.raises(UnsupportedSizeError, match="n=501"):
+        config, trials = _config(n, 0, rounds, 0.5), 3 * CHUNK_TRIALS
+        with pytest.raises(UnsupportedSizeError, match=match):
             if estimate:
-                estimate_event_probability(
-                    config, "consensus", trials, SEED, workers=2, mode=MODE_PER_AGENT
-                )
+                estimate_event_probability(config, "consensus", trials, SEED, workers=2, mode=mode)
             else:
-                final_zeros_sample(config, trials, SEED, workers=2, mode=MODE_PER_AGENT)
+                final_zeros_sample(config, trials, SEED, workers=2, mode=mode)
 
     def test_relabeling_symmetry_within_ci(self):
         est_pos = estimate_event_probability(_config(30, 4, 2, 0.5), "consensus", 4_000, SEED)
