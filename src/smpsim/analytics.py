@@ -4,11 +4,17 @@ Everything here is deterministic closed-form math.  Binomial log-PMFs use
 Loader's saddle-point form (``stirlerr`` and ``bd0``), whose error does
 not grow with the number of trials.  The comparison kernel behind the
 transition probabilities works in linear space on windows that hold all
-but 1e-340 of each binomial's mass, each scaled by its own maximum: its
-relative error against a 40-digit reference measured below 5e-14 up to
-m = 2e5, and only results below about 1e-300 lose relative precision.
-A plain ``float`` in log space stands in for a log-probability: value
-<= 0, with ``-inf`` representing probability zero.
+but 1e-340 of each binomial's mass, each scaled by its own maximum.
+Against a 40-digit reference its relative error measured below 5e-14 at
+the tested points with m up to 2e5 and values down to 4e-204.  Deeper in
+a tail at large m it grows with |ln P|: the log-PMF carries an absolute
+error of a few ulps of |ln pmf|, which exp turns into relative error,
+measured up to 8.3 u (1 + |ln P|) with u = 2^-53 (-4.95e-13 for keep at
+(7709, 12291), q = 0.5, a value near 2e-232).  Results below about
+1e-300 lose relative precision to underflow, and a value near 1 is good
+to a few ulps of 1, not of its distance from 1.  A plain ``float`` in
+log space stands in for a log-probability: value <= 0, with ``-inf``
+representing probability zero.
 
 The two transition probabilities driving the whole protocol are, for a
 state with ``z`` zeros, ``o`` ones and delivery probability q' = 1 - q:
@@ -343,11 +349,13 @@ def comparison_probability(m1: int, m2: int, p: float, offset: int) -> float:
     Evaluated as sum_k pmf(m1, p, k) * P{Bin(m2, p) <= k + offset} in linear
     space, each binomial restricted to the window outside which its mass is
     below 1e-340 and scaled by its own maximum.  Against a 40-digit mpmath
-    reference the relative error measured below 5e-14 at every tested point
-    with m up to 2e5, deep tails near 1e-200 included (the test bound is
-    1e-13); results below about 1e-300 lose relative precision to
-    underflow.  Certain comparisons short-circuit exactly: offset >= m2
-    gives 1, m1 + offset < 0 gives 0.
+    reference the relative error measured below 5e-14 at the tested points
+    with m up to 2e5 and values down to 4e-204 (the test bound is 1e-13).
+    Deeper tails at large m lose relative precision in proportion to
+    |ln P|: up to 8.3 u (1 + |ln P|) with u = 2^-53, measured at m ~ 2e4
+    and P ~ 1e-232 (the test bound there is 16 u (1 + |ln P|)), and
+    results below about 1e-300 lose it to underflow.  Certain comparisons
+    short-circuit exactly: offset >= m2 gives 1, m1 + offset < 0 gives 0.
     """
     if not (0 <= m1 < MAX_BINOMIAL_TRIALS and 0 <= m2 < MAX_BINOMIAL_TRIALS):
         raise ValueError(f"m1 and m2 must be in [0, 2^27), got ({m1}, {m2})")
@@ -421,6 +429,72 @@ def transition_values(total: int, zs, q: float) -> tuple[np.ndarray, np.ndarray]
             _MEMO.setdefault(key, {}).update((z, found[z]) for z in missing)
     keep, adopt = np.array([found[z] for z in uniq], dtype=np.float64).reshape(-1, 2).T
     return keep[inverse], adopt[inverse]
+
+
+#: Slack added to a Chernoff log-bound per unit of its terms' magnitude, far
+#: above their rounding error, so the computed value is a bound too.
+_BOUND_SLACK = 2.0**-40
+
+
+def _comparison_log_bound(m1, m2, p: float, s) -> np.ndarray:
+    """log of an upper bound on P{Bin(m1, p) - Bin(m2, p) >= s}, elementwise.
+
+    Chernoff (1952): for every lambda > 0 the probability is at most
+    exp(-lambda s + m1 log(1 - p + p t) + m2 log(1 - p + p / t)) with
+    t = e^lambda.  The minimising t is the positive root of
+    p(1-p)(m1 - s) t^2 + (p^2 (m1 - m2) - s (p^2 + (1-p)^2)) t - p(1-p)(s + m2),
+    taken here when s lies strictly between the mean p (m1 - m2) and m1;
+    at or below the mean the bound is 1.  The value is exact where the
+    comparison is certain or p is 0 or 1: 0 for s <= -m2, -inf for s > m1,
+    and m1 log p + m2 log(1 - p) for s = m1.  Temporaries are O(len(m1)).
+    """
+    m1, m2, s = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64) for a in (m1, m2, s)))
+    q = 1.0 - p
+    out = np.zeros(m1.shape)
+    if p in (0.0, 1.0):
+        out[p * (m1 - m2) < s] = -np.inf
+        return out
+    out[s > m1] = -np.inf
+    top = s == m1
+    out[top] = (m1[top] * math.log(p) + m2[top] * math.log1p(-p)) * (1.0 - _BOUND_SLACK)
+    tail = np.flatnonzero((s > p * (m1 - m2)) & (s < m1))
+    m1, m2, s = m1[tail], m2[tail], s[tail]
+    pq = p * q
+    a = pq * (m1 - s)
+    b = p * p * (m1 - m2) - s * (p * p + q * q)
+    root = np.sqrt(b * b + 4.0 * a * pq * (s + m2))
+    with np.errstate(divide="ignore"):  # the branch not taken may divide by b + root = 0
+        t = np.where(b > 0.0, 2.0 * pq * (s + m2) / (b + root), (root - b) / (2.0 * a))
+    t = np.maximum(t, 1.0)  # t <= 1 is no Chernoff bound; t = 1 gives the trivial 1
+    terms = (
+        -s * np.log(t),
+        m1 * np.log1p(p * (t - 1.0)),
+        m2 * np.log1p(-p * ((t - 1.0) / t)),
+    )
+    bound = terms[0] + terms[1] + terms[2]
+    bound += _BOUND_SLACK * (np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2]))
+    out[tail] = np.minimum(bound, 0.0)
+    return out
+
+
+def _transition_log_bounds(total: int, zs, q: float) -> tuple[np.ndarray, ...]:
+    """log-bounds on (keep, adopt, 1 - keep, 1 - adopt) at each interior z of ``zs``.
+
+    Each is ``_comparison_log_bound`` of the comparison behind it, with
+    delivery probability p = 1 - q as ``transition_values`` takes it and
+    o = total - z: keep is P{Bin(z - 1) - Bin(o) >= -1}, adopt
+    P{Bin(z) - Bin(o - 1) >= 2}, 1 - keep P{Bin(o) - Bin(z - 1) >= 2} and
+    1 - adopt P{Bin(o - 1) - Bin(z) >= -1}.
+    """
+    z = np.asarray(zs, dtype=np.int64)
+    o = total - z
+    p = 1.0 - q
+    return (
+        _comparison_log_bound(z - 1, o, p, -1),
+        _comparison_log_bound(z, o - 1, p, 2),
+        _comparison_log_bound(o, z - 1, p, 2),
+        _comparison_log_bound(o - 1, z, p, -1),
+    )
 
 
 def keep_zero_probability(z: int, o: int, q: float) -> float:

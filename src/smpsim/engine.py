@@ -23,12 +23,15 @@ on the zero-count for systems of up to 1000 agents.  The chain builds its
 one-round row laws lazily and keeps a row only while a later full round
 may reuse it; its last round needs only the masses at the two consensus
 counts, which it takes in closed form from the rows' end entries, so three
-rounds from a point mass hold one row.  It stops once every live state is
-absorbing.  States lighter than the floor 2^-80 get no row, and rows built
-for the last full round are cut where their weight makes the tails
-negligible; the solve bounds the mass this drops, and its result is
-returned only if the bound is at most 2^-55 of each probability, else the
-unpruned solve's result is.
+rounds from a point mass hold one row.  Most last-round states are
+decided: a Chernoff bound shows that they reach one consensus with
+probability within 2^-60 of 1, so their end masses are exactly (1.0, 0.0)
+or (0.0, 1.0), and only the other states need keep/adopt.  It stops once
+every live state is absorbing.  States lighter than the floor 2^-80 get
+no row, and rows built for the last full round are cut where their weight
+makes the tails negligible; the solve bounds the mass this drops, and its
+result is returned only if the bound is at most 2^-55 of each
+probability, else the unpruned solve's result is.
 
 Both sampling paths hold a (rounds + 1) x trials trajectory, so a Monte
 Carlo run stops at ``_MONTE_CARLO_MAX_ROUNDS`` rounds.
@@ -78,6 +81,11 @@ _CHAIN_FLOOR = 2.0**-80
 #: Largest dropped-mass bound, as a share of both chain probabilities, at
 #: which a pruned chain result is returned.
 _CHAIN_CERTIFIED_SHARE = 2.0**-55
+#: ``_decided_ends`` decides a last-round state when bounds on the
+#: probabilities of its losing outcome, summed over its agents, are below
+#: _DECIDED_SHARE, and their logs, summed likewise, below _DECIDED_LOG.
+_DECIDED_SHARE = 2.0**-60
+_DECIDED_LOG = -750.0
 
 MODE_AGGREGATED = "aggregated"
 MODE_PER_AGENT = "per_agent"
@@ -174,6 +182,15 @@ def _per_agent_rounds(
     Each receiver draws its delivered zero- and one-counts from its own
     (trial, round, agent-side) stream; independence across receivers holds
     because every message's loss is a distinct i.i.d. variable.
+
+    Each agent side gets its own sampler call.  One call per round over all
+    2 * 2n groups draws the same bytes, but it was slower: on 300,000
+    trials at n = 2 (the per-agent part of the ``mc-sampling`` benchmark)
+    it took 0.94-1.06 s against 0.24-0.32 s (2-core x86-64, numpy 2.4).
+    A call's lanes are then not in counter order, so ``rng.philox4x64``
+    lexsorts and gathers the 8 x 65,536 lanes of each chunk (0.51 of
+    1.08 s under cProfile), and ``rng._invert`` groups them by (m, p)
+    (0.14 s).
     """
     bits = np.tile(np.asarray(bits0, dtype=np.int8), (len(trial_ids), 1))
     total = bits.shape[1]
@@ -370,9 +387,19 @@ def exact_chain_consensus_probability(
     are the end entries of the row at z, exp(z log(1 - p_keep))
     exp(o log(1 - p_adopt)) and exp(z log p_keep) exp(o log p_adopt) with
     o = 2n - z, summed over the live z in the same order, so the last round
-    builds no row.  A state whose row is the point mass at itself is
-    absorbing (0 and 2n always are); once every live state is, the law
-    stops changing and the chain stops.
+    builds no row.  Where a Chernoff bound decides the last round from z
+    (``_decided_ends``), those two masses are their correctly rounded
+    values, (1.0, 0.0) or (0.0, 1.0), and keep/adopt are evaluated only at
+    the undecided z: at 2n = 1000, three rounds from a tie decide 692 of
+    the last round's 1001 live states at q = 0.5 and 410 at q = 0.8.  A
+    decision toward count 0 gives the bytes the kernel's keep/adopt give;
+    one toward 2n replaces a keep^z adopt^o that the kernel, a few ulps
+    low near 1, put up to about 1e-12 below 1.0.  So one round from
+    (500, 160) at q = 0.5 returns exactly 1.0, but 1 - P is still not a
+    failure probability: the true one there is 8.6e-22, and P carries the
+    kernel's absolute error wherever it is not decided.  A state whose row
+    is the point mass at itself is absorbing (0 and 2n always are); once
+    every live state is, the law stops changing and the chain stops.
 
     The solve is pruned at the floor ``_CHAIN_FLOOR`` = 2^-80: a state
     lighter than it is not live, so it gets no row and no keep/adopt, and
@@ -400,6 +427,39 @@ def exact_chain_consensus_probability(
     return min(p_consensus, 1.0), min(p_majority, 1.0)
 
 
+def _decided_ends(total: int, zs, q: float) -> np.ndarray:
+    """(2, len(zs)) masses at counts 0 and ``total`` one round after each z of ``zs``.
+
+    Where a Chernoff (1952) bound, ``analytics._transition_log_bounds``,
+    decides the round, the masses are their correctly rounded values:
+    (1.0, 0.0) when K and A, bounds on keep and adopt at z, have
+    z K + o A < _DECIDED_SHARE = 2^-60 and z ln K + o ln A < _DECIDED_LOG
+    = -750, and (0.0, 1.0) when bounds on 1 - keep and 1 - adopt do.  The
+    mass at 0, (1 - keep)^z (1 - adopt)^o, is then at least
+    1 - (z keep + o adopt) > 1 - 2^-60, and doubles above 1 - 2^-54 round
+    to 1.0; the mass at 2n, keep^z adopt^o, is below e^-750, under half
+    the smallest subnormal (e^-745.13), so it rounds to 0.0.  The factor-64
+    margin between 2^-60 and 2^-54 also covers the kernel's own relative
+    error, at most 8.3 u (1 + |ln P|) measured with u = 2^-53 (5e-13 deep
+    in the tails): where the low side decides, the kernel's keep and adopt
+    give the same 1.0 and 0.0 (np.exp returns 1.0 on [-2^-60, 0] and 0.0
+    from -750 down), so a low-side decision changes no byte.  Undecided
+    states, and z = 0 and z = total, get NaN.  Temporaries are O(len(zs)).
+    """
+    zs = np.asarray(zs, dtype=np.int64)
+    ends = np.full((2, len(zs)), np.nan)
+    inner = np.flatnonzero((zs > 0) & (zs < total))
+    z = zs[inner].astype(np.float64)
+    o = total - z
+    keep, adopt, keep_fails, adopt_fails = analytics._transition_log_bounds(total, zs[inner], q)
+    for log_a, log_b, masses in ((keep, adopt, (1.0, 0.0)), (keep_fails, adopt_fails, (0.0, 1.0))):
+        certain = (z * np.exp(log_a) + o * np.exp(log_b) < _DECIDED_SHARE) & (
+            z * log_a + o * log_b < _DECIDED_LOG
+        )
+        ends[:, inner[certain]] = np.array(masses)[:, None]
+    return ends
+
+
 def _chain(n: int, delta: int, q: float, rounds: int, floor: float) -> tuple[float, float, float]:
     """(P{consensus}, P{majority consensus}, bound on the mass dropped) with ``floor``.
 
@@ -416,9 +476,11 @@ def _chain(n: int, delta: int, q: float, rounds: int, floor: float) -> tuple[flo
         light = dist[live] < floor
         dropped += float(dist[live[light]].sum())
         live = live[~light]
+        if round_index == rounds:
+            break
         p00, p10 = analytics.transition_values(total, live, q)
         absorbing = ((p00 == 1.0) | (live == 0)) & ((p10 == 0.0) | (live == total))
-        if round_index == rounds or absorbing.all():
+        if absorbing.all():
             break
         keep_rows = round_index < rounds - 1
         missing = np.array([z not in rows for z in live.tolist()], dtype=bool)
@@ -437,10 +499,16 @@ def _chain(n: int, delta: int, q: float, rounds: int, floor: float) -> tuple[flo
             new[lo : lo + len(part)] += dist[z] * part
         laws.close()  # frees its last pass's scratch before the next round's evaluation
         dist = new
-    keep_ends = np.exp(analytics._end_log_pmfs(live, p00))
-    gain_ends = np.exp(analytics._end_log_pmfs(total - live, p10))
+    # the last round's masses at 0 and 2n: decided, or the end entries of the row at z
+    ends = _decided_ends(total, live, q)
+    undecided = np.flatnonzero(np.isnan(ends[0]))
+    zs = live[undecided]
+    p00, p10 = analytics.transition_values(total, zs, q)
+    keep_ends = np.exp(analytics._end_log_pmfs(zs, p00))
+    gain_ends = np.exp(analytics._end_log_pmfs(total - zs, p10))
+    ends[:, undecided] = keep_ends * gain_ends
     # cumsum adds in z order, as adding each row in turn does; np.sum would add pairwise
-    at_zero, at_total = np.cumsum(dist[live] * (keep_ends * gain_ends), axis=1)[:, -1].tolist()
+    at_zero, at_total = np.cumsum(dist[live] * ends, axis=1)[:, -1].tolist()
     p_consensus = at_zero + at_total
     if delta > 0:
         p_majority = at_total

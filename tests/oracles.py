@@ -3,6 +3,7 @@
 Everything here is deliberately naive: direct enumeration, exact integer
 combinatorics, or scipy's own binomial distribution, with none of the
 log-space machinery of the package under test and no import from it.
+``chain_mpmath`` advances the exact chain in 50-digit arithmetic.
 The Philox block function is written out in uint64 arithmetic, apart from
 the numpy generator that the package uses.  The one exception is
 ``chain_forward_loop``, a reference for the exact chain's bookkeeping,
@@ -206,7 +207,9 @@ def consensus_from_tie_probability(n: int, q: float, rounds: int) -> float:
     return float(result)
 
 
-def chain_forward_loop(n: int, delta: int, q: float, rounds: int, transition_values, windows):
+def chain_forward_loop(
+    n: int, delta: int, q: float, rounds: int, transition_values, windows, decided_ends
+):
     """(P{consensus}, P{majority consensus}) after each of rounds 1..``rounds``.
 
     The exact chain's first bookkeeping, kept as the byte-for-byte
@@ -215,7 +218,11 @@ def chain_forward_loop(n: int, delta: int, q: float, rounds: int, transition_val
     Bin(z, p_keep) * Bin(2n - z, p_adopt) built from ``windows(m, p)`` (the
     package's ``(lo, log pmf)`` windows) and stored, and each round adding
     the stored rows of all live z, in ascending order, into a new
-    distribution started from a point mass at n + delta.
+    distribution started from a point mass at n + delta.  The value after
+    a round adds, in the same order, each live z's masses at counts 0 and
+    2n: ``decided_ends(2n, live, q)`` (the package's end-mass rule for a
+    last round, NaN where it does not decide) where given, else the row's
+    own end entries.
     """
     total = 2 * n
     p00, p10 = transition_values(total, np.arange(total + 1), q)
@@ -232,17 +239,93 @@ def chain_forward_loop(n: int, delta: int, q: float, rounds: int, transition_val
         )
         for z, (lo_keep, keep), (lo_gain, gain) in zip(missing.tolist(), laws, laws):
             rows[z] = lo_keep + lo_gain, np.convolve(np.exp(keep), np.exp(gain))
+        decided = decided_ends(total, live, q)
         new = np.zeros(total + 1)
-        for z in live.tolist():
+        at_zero = at_total = 0.0
+        for i, z in enumerate(live.tolist()):
             lo, part = rows[z]
             new[lo : lo + len(part)] += dist[z] * part
+            if np.isnan(decided[0, i]):
+                end_zero = part[0] if lo == 0 else 0.0
+                end_total = part[-1] if lo + len(part) - 1 == total else 0.0
+            else:
+                end_zero, end_total = decided[:, i]
+            at_zero += dist[z] * end_zero
+            at_total += dist[z] * end_total
         dist = new
-        p_consensus = float(dist[0] + dist[total])
-        p_majority = (
-            float(dist[total]) if delta > 0 else float(dist[0]) if delta < 0 else p_consensus
-        )
+        p_consensus = at_zero + at_total
+        p_majority = at_total if delta > 0 else at_zero if delta < 0 else p_consensus
         out.append((min(p_consensus, 1.0), min(p_majority, 1.0)))
     return out
+
+
+def comparison_exact(m1: int, m2: int, p, offset: int, dps: int = 40):
+    """``comparison_mpmath`` as an mpf; at p = 0 or 1, Bin(m, p) = p m and the value is 0 or 1."""
+    import mpmath
+
+    if p in (0, 1):
+        return mpmath.mpf(int(p * m1 + offset >= p * m2))
+    return comparison_mpmath(m1, m2, p, offset, dps)
+
+
+@functools.lru_cache(maxsize=32)
+def _mpmath_rows(total: int, q: float, dps: int) -> tuple:
+    """Row laws of the zero-count chain at every z = 0..total, in mpmath at ``dps`` digits.
+
+    keep, adopt and both complements are each summed directly with
+    delivery probability 1 - q (q taken exactly), so a probability near 1
+    keeps its distance from 1.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps + 10):
+        p = 1 - mpmath.mpf(q)
+
+        def pmf(m, x, not_x):
+            return [mpmath.binomial(m, k) * x**k * not_x ** (m - k) for k in range(m + 1)]
+
+        rows = []
+        for z in range(total + 1):
+            o = total - z
+            keep, keep_c = (0, 1) if z == 0 else (
+                comparison_exact(z - 1, o, p, 1, dps), comparison_exact(o, z - 1, p, -2, dps)
+            )
+            adopt, adopt_c = (0, 1) if o == 0 else (
+                comparison_exact(z, o - 1, p, -2, dps), comparison_exact(o - 1, z, p, 1, dps)
+            )
+            kept, gained = pmf(z, keep, keep_c), pmf(o, adopt, adopt_c)
+            row = [mpmath.mpf(0)] * (total + 1)
+            for i, a in enumerate(kept):
+                for j, b in enumerate(gained):
+                    row[i + j] += a * b
+            rows.append(row)
+        return tuple(rows)
+
+
+def chain_mpmath(n: int, delta: int, q: float, rounds: int, dps: int = 50):
+    """(P{consensus}, P{majority consensus}) after each of rounds 1..``rounds``, as mpf.
+
+    The zero-count chain from a point mass at n + delta, every row law
+    stored in full at ``dps`` digits (``_mpmath_rows``) and the whole law
+    advanced each round.  For 2n up to about 40: the rows cost O((2n)^3).
+    Needs mpmath.
+    """
+    import mpmath
+
+    total = 2 * n
+    rows = _mpmath_rows(total, q, dps)
+    with mpmath.workdps(dps + 10):
+        dist = [mpmath.mpf(0)] * (total + 1)
+        dist[n + delta] = mpmath.mpf(1)
+        out = []
+        for _ in range(rounds):
+            dist = [
+                mpmath.fsum(dist[z] * rows[z][k] for z in range(total + 1) if dist[z])
+                for k in range(total + 1)
+            ]
+            both = dist[0] + dist[total]
+            out.append((both, dist[total] if delta > 0 else dist[0] if delta < 0 else both))
+        return out
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from smpsim.model import OpinionCounts
 from oracles import (
     binomial_pmf_direct,
     comparison_direct,
+    comparison_exact,
     comparison_fraction,
     comparison_mpmath,
     normal_cdf_quadrature,
@@ -173,24 +174,126 @@ MPMATH_POINTS = [
                  (1, 40), (40, 1), (500, 500))
     for kind in ("keep", "adopt")
 ] + [("keep", 60, 940, 0.5), ("adopt", 60, 940, 0.5)]
+#: Deep tails at 2n = 2e4, near 1e-232 and 1e-222, where the kernel's
+#: relative error grows with |ln P|: keep at (7709, 12291) measured -4.95e-13,
+#: 8.3 u (1 + |ln P|) with u = 2^-53.
+DEEP_TAIL_POINTS = [
+    (kind, z, o, 0.5) for z, o in ((7709, 12291), (7760, 12240)) for kind in ("keep", "adopt")
+]
+#: The bound c u (1 + |ln P|) on the deep-tail points, twice the worst measured c.
+DEEP_TAIL_ULPS = 16.0
+
+
+def _kernel_and_mpmath(kind, z, o, q):
+    """(package value, 40-digit value) of keep or adopt at (z, o, q)."""
+    mpmath = pytest.importorskip("mpmath")
+    p = 1 - mpmath.mpf(q)
+    if kind == "keep":
+        return A.keep_zero_probability(z, o, q), comparison_mpmath(z - 1, o, p, 1)
+    return A.adopt_zero_probability(z, o, q), comparison_mpmath(z, o - 1, p, -2)
 
 
 class TestAgainstMpmath:
     @pytest.mark.parametrize("kind,z,o,q", MPMATH_POINTS)
     def test_transition_probability_relative_error(self, kind, z, o, q):
-        mpmath = pytest.importorskip("mpmath")
-        p = 1 - mpmath.mpf(q)
-        if kind == "keep":
-            got, want = A.keep_zero_probability(z, o, q), comparison_mpmath(z - 1, o, p, 1)
-        else:
-            got, want = A.adopt_zero_probability(z, o, q), comparison_mpmath(z, o - 1, p, -2)
+        got, want = _kernel_and_mpmath(kind, z, o, q)
         if want == 0:
             assert got == 0.0
         else:
             assert abs(got - want) <= 1e-13 * want, (got, want)
 
+    @pytest.mark.parametrize("kind,z,o,q", DEEP_TAIL_POINTS)
+    def test_deep_tail_error_grows_with_log_value(self, kind, z, o, q):
+        import mpmath
+
+        got, want = _kernel_and_mpmath(kind, z, o, q)
+        bound = DEEP_TAIL_ULPS * 2.0**-53 * (1.0 + abs(float(mpmath.log(want))))
+        assert abs(got - want) <= bound * want, (got, want)
+
     def test_deep_tail_is_near_1e_minus_200(self):
         assert 1e-210 < A.adopt_zero_probability(60, 940, 0.5) < 1e-200
+
+
+#: q values of the Chernoff certificate checks: both certain networks, both
+#: near-certain ones and three in between.
+BOUND_QS = (0.0, 1e-9, 0.2, 0.5, 0.8, 1.0 - 1e-9, 1.0)
+
+
+def _transition_comparisons(total: int, z: int):
+    """(m1, m2, offset) of keep, adopt, 1 - keep and 1 - adopt at z, for ``comparison_exact``."""
+    o = total - z
+    return (z - 1, o, 1), (z, o - 1, -2), (o, z - 1, -2), (o - 1, z, 1)
+
+
+def _assert_bounds_dominate(total, zs, q, exact):
+    """Each ``_transition_log_bounds`` value at ``zs`` is at least its exact value."""
+    import mpmath
+
+    bounds = A._transition_log_bounds(total, zs, q)
+    for i, z in enumerate(zs):
+        for bound, args in zip(bounds, _transition_comparisons(total, z)):
+            want = exact(*args)
+            # mpmath's own rounding can put a certain value a few 1e-50 above 1
+            assert want == 0 or mpmath.log(want) <= bound[i] + 1e-30, (z, args, want, bound[i])
+
+
+class TestChernoffCertificate:
+    @pytest.mark.parametrize("q", BOUND_QS)
+    def test_bounds_dominate_every_small_system(self, q):
+        mpmath = pytest.importorskip("mpmath")
+        p = 1 - mpmath.mpf(q)
+        cache = {}
+
+        def exact(m1, m2, offset):
+            # 1 - keep at z is adopt at 2n - z, so each value is asked for twice
+            if (m1, m2, offset) not in cache:
+                cache[m1, m2, offset] = comparison_exact(m1, m2, p, offset)
+            return cache[m1, m2, offset]
+
+        for total in range(2, 41, 2):
+            _assert_bounds_dominate(total, list(range(1, total)), q, exact)
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
+    def test_decided_states_at_2n_1000_round_correctly(self, q):
+        # the last decided z on each side and the first undecided one: every
+        # bound holds, and each decided state's exact end masses round to
+        # the doubles the rule gives them
+        mpmath = pytest.importorskip("mpmath")
+        total = 1000
+        p = 1 - mpmath.mpf(q)
+        zs = np.arange(1, total)
+        ends = engine._decided_ends(total, zs, q)
+        low = zs[ends[0] == 1.0].max()
+        high = zs[ends[1] == 1.0].min()
+        assert low < high - 1
+        edge = [int(low), int(low) + 1, int(high) - 1, int(high)]
+        _assert_bounds_dominate(
+            total, edge, q, lambda m1, m2, offset: comparison_exact(m1, m2, p, offset)
+        )
+        for z, side in ((int(low), 0), (int(high), 1)):
+            keep, adopt, keep_c, adopt_c = (
+                comparison_exact(m1, m2, p, offset)
+                for m1, m2, offset in _transition_comparisons(total, z)
+            )
+            o = total - z
+            masses = (keep_c**z * adopt_c**o, keep**z * adopt**o)
+            expected = (1.0, 0.0) if side == 0 else (0.0, 1.0)
+            assert tuple(float(m) for m in masses) == expected, (z, masses)
+            assert list(ends[:, z - 1]) == list(expected)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 33, 64, 1000, 1003])
+    def test_exp_rounds_as_the_certificate_assumes(self, size):
+        # numpy's exp runs a SIMD body over full vectors and a scalar or
+        # masked tail over the rest; both must give exactly 1.0 for
+        # x in [-2^-60, 0] and 0.0 for x <= -750
+        near_zero = -np.linspace(0.0, 2.0**-60, size)
+        near_zero[-1] = -(2.0**-60)
+        assert np.all(np.exp(near_zero) == 1.0)
+        assert np.all(np.exp(near_zero[::-1].copy()) == 1.0)
+        deep = -np.geomspace(750.0, 1e300, size)
+        deep[0] = -750.0
+        assert np.all(np.exp(deep) == 0.0)
+        assert np.all(np.exp(np.r_[deep, -np.inf]) == 0.0)
 
 
 class TestTransitionValues:

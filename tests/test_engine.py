@@ -21,11 +21,25 @@ from smpsim.engine import (
 )
 from smpsim.model import NetworkModel, OpinionCounts, ProtocolConfig, event_mask
 
-from oracles import chain_forward_loop, consensus_from_tie_probability, global_pattern_round_law
+from oracles import (
+    chain_forward_loop,
+    chain_mpmath,
+    consensus_from_tie_probability,
+    global_pattern_round_law,
+)
 
 SEED = 20_240_601
 #: The q values of the exact chain's byte-equality grid.
 CHAIN_QS = (0.0, 1e-9, 0.05, 0.5, 0.95, 1.0 - 1e-9, 1.0)
+#: Absolute error bounds, in units of u = 2^-53, of the chain against the
+#: 50-digit chain on the byte grid's cases with n <= 20.  Measured worst:
+#: 7.4 u at q = 0.95, 6.9 u at 0.5, 5.4 u at 0.05, 0.16 u at 1 - 1e-9, 0 at
+#: q = 0 and 1, and 269 u at q = 1e-9, where P{consensus} ~ 4e-7 is carried
+#: by 1 - keep ~ 6e-9 and the kernel's keep is good to a few ulps of 1, not
+#: of 1 - keep.  Relative precision for small values needs complements
+#: carried through the chain.
+MPMATH_CHAIN_ULPS = {1e-9: 320.0}
+MPMATH_CHAIN_DEFAULT_ULPS = 10.0
 #: (n, delta, q) of the pruning check: the byte-equality grid, then 2n = 500
 #: and 1000 from a tie.
 PRUNING_GRID = [
@@ -273,13 +287,72 @@ class TestExactChain:
         for q in CHAIN_QS:
             for delta in sorted({-n, -1, 0, 1, n}):
                 reference = chain_forward_loop(
-                    n, delta, q, 6, analytics.transition_values, analytics._windows
+                    n, delta, q, 6, analytics.transition_values, analytics._windows,
+                    engine._decided_ends,
                 )
                 for rounds, expected in enumerate(reference, start=1):
                     *got, dropped = engine._chain(n, delta, q, rounds, 0.0)
                     got = [min(v, 1.0).hex() for v in got]
                     assert got == [v.hex() for v in expected], (q, delta, rounds)
                     assert dropped == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_matches_the_50_digit_chain(self, n):
+        mpmath = pytest.importorskip("mpmath")
+
+        for q in CHAIN_QS:
+            bound = MPMATH_CHAIN_ULPS.get(q, MPMATH_CHAIN_DEFAULT_ULPS) * 2.0**-53
+            for delta in sorted({-n, -1, 0, 1, n}):
+                for rounds, exact in enumerate(chain_mpmath(n, delta, q, 6), start=1):
+                    got = exact_chain_consensus_probability(n, delta, q, rounds)
+                    for value, want in zip(got, exact):
+                        assert abs(mpmath.mpf(value) - want) <= bound, (q, delta, rounds, value)
+
+    def test_last_round_decides_certain_states(self, monkeypatch):
+        # three rounds from a tie at 2n = 1000: the Chernoff certificate
+        # settles most last-round states (692 of 1001), and only the rest
+        # reach the kernel
+        asked, decided = [], []
+        real_values, real_decided = analytics.transition_values, engine._decided_ends
+
+        def values(total, zs, q):
+            asked.append(len(zs))
+            return real_values(total, zs, q)
+
+        def decide(total, zs, q):
+            ends = real_decided(total, zs, q)
+            decided.append(ends.copy())  # the chain fills in the undecided entries
+            return ends
+
+        monkeypatch.setattr(analytics, "transition_values", values)
+        monkeypatch.setattr(engine, "_decided_ends", decide)
+        exact_chain_consensus_probability(500, 0, 0.5, 3)
+        (ends,) = decided
+        assert asked[-1] == np.isnan(ends[0]).sum() < ends.shape[1] / 2
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
+    def test_low_side_decisions_keep_the_kernels_bytes(self, q, monkeypatch):
+        # where the rule gives (1.0, 0.0), the kernel's own end masses are
+        # the same doubles; where it gives (0.0, 1.0), they are up to 1.4e-12
+        # from them: z times the kernel's error of a few ulps near 1
+        monkeypatch.setattr(analytics, "_MEMO", {})
+        total = 1000
+        zs = np.arange(total + 1)
+        decided = engine._decided_ends(total, zs, q)
+        keep, adopt = analytics.transition_values(total, zs, q)
+        kernel = np.exp(analytics._end_log_pmfs(zs, keep)) * np.exp(
+            analytics._end_log_pmfs(total - zs, adopt)
+        )
+        low, high = decided[0] == 1.0, decided[1] == 1.0
+        assert low.sum() > 200 and high.sum() > 200
+        assert np.array_equal(kernel[:, low], decided[:, low])
+        assert np.abs(kernel[:, high] - decided[:, high]).max() < 1e-11
+
+    def test_one_decided_round_is_exactly_certain(self):
+        # one round from (500, 160) at q = 0.5: the true failure probability
+        # is 8.6e-22, so P{consensus} rounds to 1.0; the kernel's keep, 7 ulps
+        # below 1, gave 1 - 7.8e-13
+        assert exact_chain_consensus_probability(500, 160, 0.5, 1) == (1.0, 1.0)
 
     @pytest.mark.parametrize("n, delta, q", PRUNING_GRID)
     def test_pruned_chain_is_within_its_bound(self, n, delta, q):
