@@ -297,6 +297,22 @@ def _windows(m, p, log_tail=_WINDOW_LOG_TAIL):
         yield from zip(lo[a:b].tolist(), [log_pmf[s:e] for s, e in zip([0, *ends], ends)])
 
 
+def _binomial_tail(m: int, p: float, s: int, upper: bool) -> float:
+    """P{Bin(m, p) >= s} if ``upper``, else P{Bin(m, p) <= s}.
+
+    Sums exp(log pmf) over the ``_windows`` window on the side asked for
+    only, so a small tail keeps its relative precision.  Outside the window
+    the result is exactly 0 or 1: each side holds less than 1e-340 there.
+    """
+    lo, log_pmf = next(_windows(m, p))
+    cut = s - lo if upper else s - lo + 1  # log_pmf[:cut] lies below the upper side
+    if cut <= 0:
+        return 1.0 if upper else 0.0
+    if cut >= len(log_pmf):
+        return 0.0 if upper else 1.0
+    return float(np.exp(log_pmf[cut:] if upper else log_pmf[:cut]).sum())
+
+
 def _scaled(lo: int, log_pmf: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """(lo, w, c) of one window: w = pmf / max pmf on the window, c = cumsum(w).
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -55,12 +56,34 @@ __all__ = [
 CHUNK_TRIALS = 1 << 16
 
 
-def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def _check_counts(successes: int, trials: int) -> None:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes must be in [0, trials], got {successes}/{trials}")
+
+
+def _check_interval(trials: int, confidence: float, method: str) -> None:
+    """Fail on an interval ``method`` cannot give for ``trials`` at ``confidence``.
+
+    Clopper-Pearson bounds come from binomial tails of ``trials`` trials,
+    so they need trials below ``MAX_BINOMIAL_TRIALS``.
+    """
+    if method not in _INTERVALS:
+        raise ValueError(f"unknown interval method {method!r}")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    if method == "clopper_pearson" and trials >= analytics.MAX_BINOMIAL_TRIALS:
+        raise ValueError(
+            f"clopper_pearson intervals need trials below 2^27 = {analytics.MAX_BINOMIAL_TRIALS}, "
+            f"got trials={trials}"
+        )
+
+
+def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion."""
+    _check_counts(successes, trials)
+    _check_interval(trials, confidence, "wilson")
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
@@ -73,22 +96,54 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
     return low, high
 
 
+#: The doubles in [0, 1] are the bit patterns 0.._ONE_BITS, in the same order.
+_ONE_BITS = struct.unpack("<q", struct.pack("<d", 1.0))[0]
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _crossing(holds) -> tuple[float, float]:
+    """Adjacent doubles (x, y) in [0, 1] with holds(x) false and holds(y) true.
+
+    ``holds`` is false at 0 and true at 1.  One bisection over the bit
+    patterns of the doubles in between: at most 62 steps.
+    """
+    below, above = 0, _ONE_BITS
+    while above - below > 1:
+        mid = (below + above) // 2
+        if holds(_double(mid)):
+            above = mid
+        else:
+            below = mid
+    return _double(below), _double(above)
+
+
 def clopper_pearson_interval(
     successes: int, trials: int, confidence: float = 0.95
 ) -> tuple[float, float]:
-    """Exact (conservative) binomial interval from beta quantiles."""
-    from scipy.stats import beta
+    """Exact (conservative) binomial interval of Clopper and Pearson (1934).
 
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not 0 <= successes <= trials:
-        raise ValueError(f"successes must be in [0, trials], got {successes}/{trials}")
-    alpha = 1.0 - confidence
-    low = 0.0 if successes == 0 else float(beta.ppf(alpha / 2.0, successes, trials - successes + 1))
-    high = (
-        1.0 if successes == trials else float(beta.ppf(1.0 - alpha / 2.0, successes + 1, trials - successes))
-    )
+    With alpha = 1 - confidence, low is the largest p with P{Bin(trials, p)
+    >= successes} <= alpha/2 and high the smallest p with P{Bin(trials, p)
+    <= successes} <= alpha/2, each tail from ``analytics._binomial_tail``:
+    both bounds are rounded outward against the computed tail.  Observed
+    rates 0 and 1 give the exact end points 0 and 1.
+    """
+    _check_counts(successes, trials)
+    _check_interval(trials, confidence, "clopper_pearson")
+    half_alpha = (1.0 - confidence) / 2.0
+
+    def tail(p: float, upper: bool) -> float:
+        return analytics._binomial_tail(trials, p, successes, upper)
+
+    low = 0.0 if successes == 0 else _crossing(lambda p: tail(p, True) > half_alpha)[0]
+    high = 1.0 if successes == trials else _crossing(lambda p: tail(p, False) <= half_alpha)[1]
     return low, high
+
+
+_INTERVALS = {"wilson": wilson_interval, "clopper_pearson": clopper_pearson_interval}
 
 
 @dataclass(frozen=True)
@@ -115,12 +170,8 @@ class Estimate:
         confidence: float = 0.95,
         method: str = "wilson",
     ) -> "Estimate":
-        if method == "wilson":
-            low, high = wilson_interval(successes, trials, confidence)
-        elif method == "clopper_pearson":
-            low, high = clopper_pearson_interval(successes, trials, confidence)
-        else:
-            raise ValueError(f"unknown interval method {method!r}")
+        _check_interval(trials, confidence, method)
+        low, high = _INTERVALS[method](successes, trials, confidence)
         return cls(
             successes=successes,
             trials=trials,
@@ -225,6 +276,7 @@ def estimate_event_probability(
 ) -> Estimate:
     """Estimate P{event} over independent runs of ``config``; ``event`` is one of EVENT_NAMES."""
     _check_run(trials, config, mode)
+    _check_interval(trials, confidence, method)
     initial = config.initial_state()
     event_mask(event, initial, ())  # an unknown event fails before any trial runs
     chunks = _map_chunks(_final_zeros_chunk, trials, workers, config, master_seed, mode)

@@ -23,18 +23,19 @@ import numpy as np
 
 from . import DEFAULT_MASTER_SEED, analytics, io
 from .engine import (
+    CountDistribution,
     aggregated_round_distribution,
     exact_chain_consensus_probability,
     exhaustive_round_distribution,
     MODE_PER_AGENT,
 )
 from .experiments import (
+    Estimate,
     estimate_event_probability,
     final_zeros_sample,
     return_to_symmetry_rate,
     symmetry_break_statistics,
     theorem2_suite,
-    wilson_interval,
 )
 from .model import NetworkModel, OpinionCounts, ProtocolConfig
 
@@ -87,10 +88,9 @@ def _criterion_1(seed: int, workers: int) -> tuple[bool, dict[str, Any]]:
         zeros = final_zeros_sample(
             config, trials, seed, workers=workers, mode=MODE_PER_AGENT
         )
-        empirical = np.bincount(zeros, minlength=5) / trials
-        exact = exhaustive_round_distribution(config.initial_state(), q).probabilities
-        tv = 0.5 * float(np.abs(empirical - exact).sum())
-        tv_values[f"delta={delta},q={q}"] = tv
+        empirical = CountDistribution(np.bincount(zeros, minlength=5) / trials)
+        exact = exhaustive_round_distribution(config.initial_state(), q)
+        tv_values[f"delta={delta},q={q}"] = empirical.total_variation(exact)
     tv_ok = all(v <= 0.01 for v in tv_values.values())
 
     return conv_ok and tv_ok, {
@@ -216,10 +216,8 @@ def _criterion_7(seed: int, workers: int) -> tuple[bool, dict[str, Any]]:
     ok = True
     for b in (100, 200, 300):
         delta = b / math.sqrt(n)
-        count = stats.outside_counts[delta]
-        frac = count / trials
-        ci_low, ci_high = wilson_interval(count, trials)
-        half_width = (ci_high - ci_low) / 2.0
+        est = Estimate.from_counts(stats.outside_counts[delta], trials)
+        frac, half_width = est.p_hat, est.half_width
         bound = analytics.prop4_bound(n, b)
         passed = frac <= bound + half_width
         ok = ok and passed

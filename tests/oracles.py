@@ -338,6 +338,34 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _SH32 = np.uint64(32)
 _MASK64 = (1 << 64) - 1
 
+def clopper_pearson_mpmath(successes: int, trials: int, confidence: float, dps: int = 50):
+    """Clopper-Pearson bounds as mpf roots of the regularized incomplete beta at ``dps`` digits.
+
+    With alpha/2 = (1 - confidence)/2 exactly, low solves P{Bin(trials, p)
+    >= successes} = I_p(successes, trials - successes + 1) = alpha/2, and
+    1 - high solves P{Bin(trials, high) <= successes} = I_x(trials -
+    successes, successes + 1) = alpha/2; 0 and trials successes give 0 and 1.
+    scipy's beta quantile only brackets each root, to 1e-8 relative.
+    """
+    import mpmath
+    from scipy.stats import beta
+
+    with mpmath.workdps(dps):
+        half_alpha = (1 - mpmath.mpf(confidence)) / 2
+
+        def root(a: int, b: int, guess: float):
+            x0, width = mpmath.mpf(guess), mpmath.mpf(10) ** -8
+            return mpmath.findroot(
+                lambda x: mpmath.betainc(a, b, 0, x, regularized=True) - half_alpha,
+                (x0 * (1 - width), x0 * (1 + width)), solver="anderson",
+            )
+
+        s, n, h = successes, trials, float(half_alpha)
+        low = mpmath.mpf(0) if s == 0 else root(s, n - s + 1, beta.ppf(h, s, n - s + 1))
+        high = mpmath.mpf(1) if s == n else 1 - root(n - s, s + 1, beta.ppf(h, n - s, s + 1))
+        return +low, +high
+
+
 _PHILOX_M0 = 0xD2E7470EE14C6C93
 _PHILOX_M1 = 0xCA5A826395121157
 _WEYL_0 = 0x9E3779B97F4A7C15

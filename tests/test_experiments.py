@@ -1,6 +1,12 @@
+import functools
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -28,6 +34,8 @@ from smpsim.experiments import (
     wilson_interval,
 )
 from smpsim.model import AsymmetryRegime, NetworkModel, ProtocolConfig
+
+from oracles import clopper_pearson_mpmath
 
 SEED = 77_001
 
@@ -60,6 +68,16 @@ class TestIntervals:
         with pytest.raises(ValueError, match=r"successes must be in \[0, trials\]"):
             interval(successes, trials)
 
+    @pytest.mark.parametrize("interval", [wilson_interval, clopper_pearson_interval])
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.5, math.nan])
+    def test_confidence_outside_unit_interval_rejected(self, interval, confidence):
+        with pytest.raises(ValueError, match=r"confidence must be in \(0, 1\)"):
+            interval(3, 10, confidence)
+
+    def test_clopper_pearson_needs_trials_below_the_binomial_ceiling(self):
+        with pytest.raises(ValueError, match="trials below 2\\^27"):
+            clopper_pearson_interval(1, analytics.MAX_BINOMIAL_TRIALS)
+
     def test_clopper_pearson_contains_wilson_point(self):
         for s, t in [(0, 20), (3, 17), (20, 20), (50, 100)]:
             w_low, w_high = wilson_interval(s, t)
@@ -74,6 +92,108 @@ class TestIntervals:
         assert est.ci_low <= est.p_hat <= est.ci_high
         with pytest.raises(ValueError):
             Estimate.from_counts(3, 10, method="magic")
+
+
+#: (successes, trials) checked against 50-digit roots: both ends and their
+#: neighbours at every size, the golden estimate (282, 300) and the points
+#: where scipy's beta quantiles are furthest from the roots.
+MPMATH_POINTS = [
+    (0, 1), (1, 1),
+    (0, 17), (1, 17), (2, 17), (8, 17), (16, 17), (17, 17),
+    (0, 300), (1, 300), (109, 300), (152, 300), (282, 300), (299, 300), (300, 300),
+    (0, 1000), (1, 1000), (333, 1000), (999, 1000), (1000, 1000),
+    (0, 10**6), (1, 10**6), (10**6 - 1, 10**6), (10**6, 10**6),
+]
+#: Measured worst distance from the 50-digit roots at MPMATH_POINTS: 5.2 ulps,
+#: the low bound at (1, 1000) and confidence 0.999999.
+MPMATH_ULPS = 8
+
+
+def _ulps_from(x: float, root) -> float:
+    import mpmath
+
+    with mpmath.workdps(50):
+        return float(abs(mpmath.mpf(x) - root) / math.ulp(float(root)))
+
+
+@functools.lru_cache(maxsize=None)
+def _grid(trials: int, confidence: float = 0.95) -> tuple[tuple[float, float], ...]:
+    """Clopper-Pearson intervals at every successes = 0..trials."""
+    return tuple(clopper_pearson_interval(s, trials, confidence) for s in range(trials + 1))
+
+
+class TestClopperPearson:
+    @pytest.mark.parametrize("confidence", [0.5, 0.95, 0.999999])
+    @pytest.mark.parametrize("successes,trials", MPMATH_POINTS)
+    def test_within_ulps_of_50_digit_roots(self, successes, trials, confidence):
+        pytest.importorskip("mpmath")
+        got = clopper_pearson_interval(successes, trials, confidence)
+        want = clopper_pearson_mpmath(successes, trials, confidence)
+        assert (got[0] == 0.0) if successes == 0 else _ulps_from(got[0], want[0]) <= MPMATH_ULPS
+        assert (got[1] == 1.0) if successes == trials else _ulps_from(got[1], want[1]) <= MPMATH_ULPS
+
+    @pytest.mark.parametrize("confidence", [0.5, 0.95, 0.999999])
+    @pytest.mark.parametrize("successes,trials", [(1, 17), (282, 300), (333, 1000), (1, 10**6)])
+    def test_rounded_outward_against_the_computed_tail(self, successes, trials, confidence):
+        half_alpha = (1.0 - confidence) / 2.0
+        low, high = clopper_pearson_interval(successes, trials, confidence)
+        upper = functools.partial(analytics._binomial_tail, trials, s=successes, upper=True)
+        lower = functools.partial(analytics._binomial_tail, trials, s=successes, upper=False)
+        assert upper(low) <= half_alpha < upper(math.nextafter(low, 1.0))
+        assert lower(high) <= half_alpha < lower(math.nextafter(high, 0.0))
+
+    @pytest.mark.parametrize("trials", [1, 2, 17, 300])
+    def test_matches_scipy_beta_quantiles(self, trials):
+        # scipy's quantiles are themselves up to 168 ulps (2.1e-14 relative)
+        # from the 50-digit roots, at (152, 300) and 95%; the ulp-level check
+        # is the mpmath test above
+        beta = pytest.importorskip("scipy.stats").beta
+        half_alpha = 0.025
+        for s, (low, high) in enumerate(_grid(trials)):
+            want_low = 0.0 if s == 0 else beta.ppf(half_alpha, s, trials - s + 1)
+            want_high = 1.0 if s == trials else beta.isf(half_alpha, s + 1, trials - s)
+            assert low == pytest.approx(want_low, rel=5e-14, abs=0.0), s
+            assert high == pytest.approx(want_high, rel=5e-14, abs=0.0), s
+
+    @pytest.mark.parametrize("trials", [1, 2, 17, 300])
+    def test_mirrors_the_complementary_count(self, trials):
+        # low(s) + high(n - s) = 1 up to rounding; measured worst 2.25 ulps of
+        # the larger bound, at (66, 300)
+        grid = _grid(trials)
+        for s, (low, _) in enumerate(grid):
+            mirror = grid[trials - s][1]
+            error = abs(Fraction(low) + Fraction(mirror) - 1)
+            assert error <= 4 * Fraction(math.ulp(max(low, mirror))), s
+
+    @pytest.mark.parametrize("successes,trials", [(0, 17), (1, 17), (8, 17), (282, 300), (1, 10**6)])
+    def test_higher_confidence_nests_a_wider_interval(self, successes, trials):
+        intervals = [clopper_pearson_interval(successes, trials, c) for c in (0.5, 0.95, 0.999999)]
+        for (low, high), (wider_low, wider_high) in zip(intervals, intervals[1:]):
+            assert wider_low <= low and high <= wider_high
+            assert wider_high - wider_low > high - low
+
+    def test_estimates_with_scipy_blocked(self):
+        # the library and `smpsim estimate --interval clopper_pearson` with
+        # every scipy import failing: the golden estimate's interval, both ways
+        src = str(Path(experiments.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "from smpsim import cli, experiments, model\n"
+            "config = model.ProtocolConfig(n=4, delta=2, rounds=2, network=model.NetworkModel(q=0.5))\n"
+            "est = experiments.estimate_event_probability(\n"
+            "    config, 'majority_consensus', 300, 7, method='clopper_pearson')\n"
+            "print(est.ci_low, est.ci_high)\n"
+            "sys.exit(cli.main(['estimate', '--n', '4', '--delta', '2', '--q', '0.5', '--rounds', '2',\n"
+            "                   '--trials', '300', '--event', 'majority_consensus',\n"
+            "                   '--interval', 'clopper_pearson', '--seed', '7']))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True, timeout=60)
+        assert out.stdout.splitlines() == [
+            "0.9068297039280114 0.9640561255848613",
+            "P[majority_consensus] = 0.94  (95% CI [0.90683, 0.964056], 282/300)",
+        ]
 
 
 class TestEstimateEventProbability:
@@ -213,6 +333,27 @@ class TestEstimateEventProbability:
                 estimate_event_probability(config, "consensus", trials, SEED, workers=2, mode=mode)
             else:
                 final_zeros_sample(config, trials, SEED, workers=2, mode=mode)
+
+    @pytest.mark.parametrize(
+        "method, confidence, trials, match",
+        [
+            ("bogus", 0.95, 3 * CHUNK_TRIALS, "unknown interval method 'bogus'"),
+            ("wilson", 1.5, 3 * CHUNK_TRIALS, r"confidence must be in \(0, 1\)"),
+            ("clopper_pearson", 0.0, 3 * CHUNK_TRIALS, r"confidence must be in \(0, 1\)"),
+            ("clopper_pearson", 0.95, analytics.MAX_BINOMIAL_TRIALS, "trials below 2\\^27"),
+        ],
+        ids=["method", "wilson-confidence", "clopper-pearson-confidence", "clopper-pearson-trials"],
+    )
+    def test_interval_checked_before_any_chunk(self, monkeypatch, method, confidence, trials, match):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the interval was checked")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(experiments, "run_trials_batch", no_work)
+        with pytest.raises(ValueError, match=match):
+            estimate_event_probability(_config(4, 0, 1, 0.5), "consensus", trials, SEED, workers=2,
+                                       confidence=confidence, method=method)
 
     def test_relabeling_symmetry_within_ci(self):
         est_pos = estimate_event_probability(_config(30, 4, 2, 0.5), "consensus", 4_000, SEED)

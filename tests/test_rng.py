@@ -228,7 +228,7 @@ def test_sampling_window_drops_below_a_uniform_step(m, p):
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported lazily, by Clopper-Pearson intervals only
+    # the runtime needs numpy only: no module of the package imports scipy
     src = str(Path(smpsim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import sys, smpsim; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
