@@ -12,6 +12,7 @@ per entry.  Precedence: a flag overrides ``--config`` (a JSON object keyed
 by option name, whose other keys are ignored), which overrides the default;
 SMPSIM_WORKERS sits between flag and config for the worker count.  Flag and
 config values pass through the same converter before any work starts.
+A run past one of the engine's size ceilings also exits 1, naming its flags.
 Exit codes: 0 success, 1 invalid arguments or config, 2 failed verification.
 """
 
@@ -33,11 +34,7 @@ from . import DEFAULT_MASTER_SEED, __version__, analytics, experiments, io, veri
 from .engine import (
     MODE_AGGREGATED,
     MODE_PER_AGENT,
-    PER_AGENT_MAX_AGENTS,
     UnsupportedSizeError,
-    _MONTE_CARLO_MAX_ROUNDS,
-    _check_per_agent_size,
-    _check_rounds,
     exact_chain_consensus_probability,
     exhaustive_round_distribution,
     run_trial,
@@ -232,30 +229,8 @@ def _timestamp() -> str:
 # --------------------------------------------------------------------------
 
 
-def _check_monte_carlo_rounds(config: ProtocolConfig) -> None:
-    """CliError naming --rounds if a Monte Carlo run of ``config`` is past the rounds ceiling."""
-    try:
-        _check_rounds(config)
-    except UnsupportedSizeError:
-        raise CliError(
-            f"--rounds must be at most {_MONTE_CARLO_MAX_ROUNDS} for a Monte Carlo run, "
-            f"got {config.rounds}"
-        ) from None
-
-
 def _protocol(o: argparse.Namespace) -> ProtocolConfig:
-    """The run's protocol; a run past a ceiling fails here, before any work."""
-    config = ProtocolConfig(n=o.n, delta=o.delta, rounds=o.rounds, network=NetworkModel(q=o.q))
-    _check_monte_carlo_rounds(config)
-    if o.mode == MODE_PER_AGENT:
-        try:
-            _check_per_agent_size(config)
-        except UnsupportedSizeError:
-            raise CliError(
-                f"--n must be at most {PER_AGENT_MAX_AGENTS // 2} with --mode {MODE_PER_AGENT}, "
-                f"which supports at most {PER_AGENT_MAX_AGENTS} agents, got {o.n}"
-            ) from None
-    return config
+    return ProtocolConfig(n=o.n, delta=o.delta, rounds=o.rounds, network=NetworkModel(q=o.q))
 
 
 def _simulate(o: argparse.Namespace):
@@ -310,9 +285,6 @@ def _sweep(kind: str, o: argparse.Namespace):
         ]
         sweep = _merge_sweeps("trichotomy", labeled)
     elif kind == "max-error":
-        _check_monte_carlo_rounds(
-            ProtocolConfig(n=o.n, delta=0, rounds=o.rounds, network=NetworkModel(q=o.q))
-        )
         sweep = experiments.max_error_sweep(
             o.n, o.q, o.rounds, o.trials, o.seed,
             deltas=range(0, o.n + 1, o.delta_stride), workers=o.workers,
@@ -323,8 +295,7 @@ def _sweep(kind: str, o: argparse.Namespace):
         )
     elif kind == "theorem1":
         sweep = experiments.theorem1_suite(
-            o.q, o.n_grid, o.seed, trials_single_round=o.trials_single_round,
-            trials_two_rounds=o.trials, trials_three_rounds=o.trials,
+            o.q, o.n_grid, o.seed, trials_single_round=o.trials_single_round, trials=o.trials,
             alpha=o.alpha, workers=o.workers,
         )
     else:
@@ -356,7 +327,7 @@ def _bounds(kind: str, o: argparse.Namespace):
         )
     elif kind == "pn-sandwich":
         lower, upper = analytics.pn_sandwich(o.n, o.q)
-        exact = analytics.keep_zero_probability(o.n, o.n, o.q) if o.n <= 20_000 else None
+        exact = analytics.keep_zero_probability(o.n, o.n, o.q)
         report = analytics.BoundReport(
             bound_name="pn_sandwich", parameters={"n": o.n, "q": o.q, "lower": lower},
             bound_value=upper, empirical_value=exact,
@@ -483,10 +454,10 @@ _COMMANDS: dict[str, tuple[str | None, Any, dict[str, tuple]]] = {
     "bounds prop5": (None, partial(_bounds, "prop5"), {"n": _N, "c": _INT, "q": _REAL}),
     "bounds pn-sandwich": (None, partial(_bounds, "pn-sandwich"), {"n": _N, "q": _REAL}),
     "bounds stirling": (None, partial(_bounds, "stirling"), {"m": _M, "p": _REAL, "k": _INT}),
-    "oracle exhaustive": ("enumerate all loss patterns (2n <= 6)", _exhaustive, {
+    "oracle exhaustive": ("enumerate all loss patterns", _exhaustive, {
         "zeros": _INT, "ones": _INT, "q": _REAL,
     }),
-    "oracle exact-chain": ("exact count-chain probabilities (2n <= 1000)", _exact_chain, _PROTOCOL),
+    "oracle exact-chain": ("exact count-chain probabilities", _exact_chain, _PROTOCOL),
     "verify": ("run acceptance criteria", _verify, {
         "suite": (_suite, None, "named criterion group (all, oracles, theorem1, theorem2, "
                                 "properties, fluctuations, determinism); default all"),
@@ -552,6 +523,9 @@ def main(argv: list[str] | None = None) -> int:
             )
             io.write_results(io.ResultFile(manifest=manifest, payload=payload), o.format, o.out)
         return 0
+    except UnsupportedSizeError as exc:  # the engine words the ceiling; name its flags
+        print(f"smpsim: error: {' + '.join(map(_flag, exc.names))} {exc.detail}", file=sys.stderr)
+        return 1
     except (CliError, ValueError, OSError) as exc:
         print(f"smpsim: error: {exc}", file=sys.stderr)
         return 1

@@ -34,7 +34,10 @@ result is returned only if the bound is at most 2^-55 of each
 probability, else the unpruned solve's result is.
 
 Both sampling paths hold a (rounds + 1) x trials trajectory, so a Monte
-Carlo run stops at ``_MONTE_CARLO_MAX_ROUNDS`` rounds.
+Carlo run stops at ``_MONTE_CARLO_MAX_ROUNDS`` rounds.  This module owns
+the ceilings of its paths and oracles: ``check_run_size`` and the oracles
+check them before any work, and an UnsupportedSizeError names the
+parameters past one.
 
 All runs are keyed by (master_seed, trial); batching trials or changing
 worker counts never changes any draw.
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics
-from .model import OpinionCounts, ProtocolConfig, event_mask, majority_update
+from .model import NetworkModel, OpinionCounts, ProtocolConfig, event_mask, majority_update
 from .rng import sample_binomial_lanes
 
 __all__ = [
@@ -92,7 +95,26 @@ MODE_PER_AGENT = "per_agent"
 
 
 class UnsupportedSizeError(ValueError):
-    """The requested system size exceeds an oracle's practical ceiling."""
+    """A run past a practical size ceiling.
+
+    ``names`` are the parameters whose value is past it, and the message
+    is their names joined by " + ", then ``detail``: "rounds must be at
+    most 255 for a Monte Carlo run, got 256".
+    """
+
+    def __init__(self, names: tuple[str, ...], detail: str):
+        super().__init__(names, detail)  # as args, so that the error pickles
+        self.names = names
+        self.detail = detail
+
+    def __str__(self) -> str:
+        return f"{' + '.join(self.names)} {self.detail}"
+
+
+def _at_most(names: tuple[str, ...], value: int, limit: int, where: str) -> None:
+    """Raise UnsupportedSizeError if ``value``, of the parameters ``names``, is past ``limit``."""
+    if value > limit:
+        raise UnsupportedSizeError(names, f"must be at most {limit} {where}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -224,21 +246,20 @@ def _per_agent_rounds(
     return traj
 
 
-def _check_per_agent_size(config: ProtocolConfig) -> None:
-    """Raise UnsupportedSizeError if ``config`` has more agents than the per-agent path holds."""
-    if config.initial_state().total > PER_AGENT_MAX_AGENTS:
-        raise UnsupportedSizeError(
-            f"per-agent mode supports at most {PER_AGENT_MAX_AGENTS} agents "
-            f"(n <= {PER_AGENT_MAX_AGENTS // 2}), got n={config.n}"
-        )
+def check_run_size(config: ProtocolConfig, mode: str = MODE_AGGREGATED) -> None:
+    """Fail before any work if a Monte Carlo run of ``config`` in ``mode`` cannot be made.
 
-
-def _check_rounds(config: ProtocolConfig) -> None:
-    """Raise UnsupportedSizeError if ``config`` has more rounds than a Monte Carlo run holds."""
-    if config.rounds > _MONTE_CARLO_MAX_ROUNDS:
-        raise UnsupportedSizeError(
-            f"Monte Carlo runs support at most {_MONTE_CARLO_MAX_ROUNDS} rounds, "
-            f"got rounds={config.rounds}"
+    UnsupportedSizeError names ``rounds`` past ``_MONTE_CARLO_MAX_ROUNDS``
+    or, in per-agent mode, ``n`` past half of ``PER_AGENT_MAX_AGENTS``;
+    ValueError names an unknown mode.
+    """
+    if mode not in (MODE_AGGREGATED, MODE_PER_AGENT):
+        raise ValueError(f"unknown mode {mode!r}")
+    _at_most(("rounds",), config.rounds, _MONTE_CARLO_MAX_ROUNDS, "for a Monte Carlo run")
+    if mode == MODE_PER_AGENT:
+        _at_most(
+            ("n",), config.n, PER_AGENT_MAX_AGENTS // 2,
+            f"with mode {MODE_PER_AGENT}, which supports at most {PER_AGENT_MAX_AGENTS} agents",
         )
 
 
@@ -252,11 +273,10 @@ def run_trials_batch(
 
     Row 0 is the initial state and row r the state after round r.  All
     draws are counter-addressed, so the output is bit-identical however the
-    ids are split into batches.  A run past the rounds ceiling, or a
-    per-agent run past its agent ceiling, raises UnsupportedSizeError before
-    any array is built.
+    ids are split into batches.  ``check_run_size`` runs before any array
+    is built.
     """
-    _check_rounds(config)
+    check_run_size(config, mode)
     trial_ids = np.asarray(trial_ids, dtype=np.uint64)
     initial = config.initial_state()
     q = config.network.q
@@ -265,11 +285,8 @@ def run_trials_batch(
         return _aggregated_rounds(
             zeros0, initial.total, q, config.rounds, master_seed, trial_ids
         )
-    if mode == MODE_PER_AGENT:
-        _check_per_agent_size(config)
-        bits0 = (0,) * initial.zeros + (1,) * initial.ones
-        return _per_agent_rounds(bits0, q, config.rounds, master_seed, trial_ids)
-    raise ValueError(f"unknown mode {mode!r}")
+    bits0 = (0,) * initial.zeros + (1,) * initial.ones
+    return _per_agent_rounds(bits0, q, config.rounds, master_seed, trial_ids)
 
 
 def run_trial(
@@ -335,10 +352,7 @@ def exhaustive_round_distribution(counts: OpinionCounts, q: float) -> CountDistr
     receiver (2^(2n-1) patterns each) and combined as a product law.
     """
     total = counts.total
-    if total > EXHAUSTIVE_MAX_AGENTS:
-        raise UnsupportedSizeError(
-            f"exhaustive oracle supports at most {EXHAUSTIVE_MAX_AGENTS} agents, got {total}"
-        )
+    _at_most(("zeros", "ones"), total, EXHAUSTIVE_MAX_AGENTS, "for the exhaustive oracle")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
     z, o = counts.zeros, counts.ones
@@ -376,6 +390,8 @@ def exact_chain_consensus_probability(
 ) -> tuple[float, float]:
     """Exact (P{consensus}, P{majority consensus}) via the count Markov chain.
 
+    The arguments are checked as a ``ProtocolConfig``, and n past half of
+    ``EXACT_CHAIN_MAX_AGENTS`` raises UnsupportedSizeError naming ``n``.
     The start distribution is a point mass at n + delta.  Each full round,
     every round but the last, adds for every live z in ascending order the
     kernel row at z (the convolution Bin(z, p_keep) * Bin(2n - z, p_adopt),
@@ -411,15 +427,11 @@ def exact_chain_consensus_probability(
     under an ulp of either; otherwise the same solve runs with the floor
     at 0, which prunes nothing and builds every row on its 1e-340 windows.
     """
-    total = 2 * n
-    if total > EXACT_CHAIN_MAX_AGENTS:
-        raise UnsupportedSizeError(
-            f"exact chain supports at most {EXACT_CHAIN_MAX_AGENTS} agents, got {total}"
-        )
-    if abs(delta) > n:
-        raise ValueError(f"|delta| must be <= n, got {delta}")
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    ProtocolConfig(n=n, delta=delta, rounds=rounds, network=NetworkModel(q=q))
+    _at_most(
+        ("n",), n, EXACT_CHAIN_MAX_AGENTS // 2,
+        f"for the exact chain, which supports at most {EXACT_CHAIN_MAX_AGENTS} agents",
+    )
     p_consensus, p_majority, dropped = _chain(n, delta, q, rounds, _CHAIN_FLOOR)
     # p_majority <= p_consensus, so this certifies both; a zero value only with nothing dropped
     if dropped > _CHAIN_CERTIFIED_SHARE * p_majority:

@@ -26,11 +26,9 @@ import numpy as np
 
 from . import analytics
 from .engine import (
-    EXACT_CHAIN_MAX_AGENTS,
     MODE_AGGREGATED,
-    MODE_PER_AGENT,
-    _check_per_agent_size,
-    _check_rounds,
+    UnsupportedSizeError,
+    check_run_size,
     exact_chain_consensus_probability,
     run_trials_batch,
 )
@@ -228,9 +226,7 @@ def _check_run(trials: int, config: ProtocolConfig, mode: str) -> None:
     """Fail on a bad trial count or an oversized run before any chunk starts."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _check_rounds(config)
-    if mode == MODE_PER_AGENT:
-        _check_per_agent_size(config)
+    check_run_size(config, mode)
 
 
 def _pool_size(workers: int, chunks: int) -> int:
@@ -391,12 +387,14 @@ def theorem1_suite(
     master_seed: int,
     *,
     trials_single_round: int = 100_000,
-    trials_two_rounds: int = 1_000,
-    trials_three_rounds: int = 1_000,
+    trials: int = 1_000,
     alpha: float = 1.0,
     workers: int = 1,
 ) -> SweepResult:
     """Three achievability presets: one, two and three communication rounds.
+
+    The single-round preset runs ``trials_single_round`` trials and the
+    multi-round ones ``trials`` each.
 
     1. single round with imbalance n^(3/4): majority-consensus error rate
        next to its closed-form bound;
@@ -427,7 +425,7 @@ def theorem1_suite(
         delta2 = math.ceil(alpha * math.sqrt(n))
         config2 = ProtocolConfig(n=n, delta=delta2, rounds=2, network=NetworkModel(q=q))
         est2 = estimate_event_probability(
-            config2, "majority_consensus", trials_two_rounds, master_seed, workers=workers
+            config2, "majority_consensus", trials, master_seed, workers=workers
         )
         rows.append(
             SweepRow(n=n, delta=delta2, q=q, rounds=2,
@@ -436,7 +434,7 @@ def theorem1_suite(
 
         config3 = ProtocolConfig(n=n, delta=0, rounds=3, network=NetworkModel(q=q))
         est3 = estimate_event_probability(
-            config3, "consensus", trials_three_rounds, master_seed, workers=workers
+            config3, "consensus", trials, master_seed, workers=workers
         )
         rows.append(SweepRow(n=n, delta=0, q=q, rounds=3, event="consensus", estimate=est3))
     return SweepResult(
@@ -466,9 +464,10 @@ def theorem2_suite(
         est = estimate_event_probability(
             config, "consensus", trials, master_seed, workers=workers
         )
-        exact = None
-        if 2 * n <= EXACT_CHAIN_MAX_AGENTS:
+        try:
             exact, _ = exact_chain_consensus_probability(n, 0, q, 2)
+        except UnsupportedSizeError:
+            exact = None
         bound = analytics.BoundReport(
             bound_name="theorem2_envelope",
             parameters={"n": n, "q": q, "exponent": analytics.envelope_exponent(q)},
@@ -504,7 +503,6 @@ def max_error_sweep(
     if deltas is None:
         deltas = range(n + 1)
     rows = []
-    exact_ok = 2 * n <= EXACT_CHAIN_MAX_AGENTS
     for offset, delta in enumerate(deltas):
         config = ProtocolConfig(n=n, delta=delta, rounds=rounds, network=NetworkModel(q=q))
         # distinct seeds per point so points are independent
@@ -512,10 +510,10 @@ def max_error_sweep(
             config, "consensus_failure", trials_per_point, master_seed + offset,
             workers=workers,
         )
-        exact = None
-        if exact_ok:
-            p_cons, _ = exact_chain_consensus_probability(n, delta, q, rounds)
-            exact = 1.0 - p_cons
+        try:
+            exact = 1.0 - exact_chain_consensus_probability(n, delta, q, rounds)[0]
+        except UnsupportedSizeError:
+            exact = None
         rows.append(
             SweepRow(n=n, delta=delta, q=q, rounds=rounds,
                      event="consensus_failure", estimate=est, exact=exact)

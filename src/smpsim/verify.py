@@ -263,12 +263,7 @@ def _criterion_9(seed: int, workers: int) -> tuple[bool, dict[str, Any]]:
     for p in (0.1, 0.3, 0.5, 0.7, 0.9):
         for m in range(2, 201):
             pmf = np.exp(analytics._log_pmf_array(m, p)[1:m])
-            k = np.arange(1, m)
-            shared = np.sqrt(m / (k * (m - k))) * np.exp(
-                -m * np.array([analytics.kl_bernoulli(kk / m, p) for kk in k])
-            )
-            lower = analytics._STIRLING_PREFACTOR_LOWER * shared
-            upper = analytics._STIRLING_PREFACTOR_UPPER * shared
+            lower, upper = np.array([analytics.pmf_stirling_bounds(m, p, k) for k in range(1, m)]).T
             if np.any(pmf < lower) or np.any(pmf > upper):
                 stirling_ok = False
             worst_margin = min(worst_margin, float((pmf / lower).min()), float((upper / pmf).min()))

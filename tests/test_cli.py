@@ -38,6 +38,13 @@ class TestBounds:
     def test_pn_sandwich(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "pn-sandwich", "--n", "100", "--q", "0.5")
         assert code == 0
+
+    def test_pn_sandwich_reports_exact_p_n_at_the_largest_n(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bounds", "pn-sandwich", "--n", str(2**26 - 1), "--q", "0.5"
+        )
+        assert code == 0
+        assert "satisfied = True" in out
         assert "satisfied = True" in out
 
     def test_missing_required_flag(self, capsys):
@@ -374,8 +381,11 @@ class TestRejectedBeforeWork:
     @pytest.mark.parametrize("rounds", [engine._MONTE_CARLO_MAX_ROUNDS + 1, 10**15])
     def test_rounds_ceiling_exits_1(self, capsys, monkeypatch, argv, rounds):
         # a Monte Carlo run holds a (rounds + 1) x trials trajectory; 10^15
-        # rounds once died in numpy's allocator asking for 7.11 PiB
-        monkeypatch.setattr(engine, "run_trials_batch", _no_trials)
+        # rounds once died in numpy's allocator asking for 7.11 PiB.
+        # run_trials_batch checks the ceiling, so the trajectory builders
+        # behind it are what must not run
+        monkeypatch.setattr(engine, "_aggregated_rounds", _no_trials)
+        monkeypatch.setattr(engine, "_per_agent_rounds", _no_trials)
         monkeypatch.setattr(experiments, "run_trials_batch", _no_trials)
         code, out, err = run_cli(capsys, *argv, "--rounds", str(rounds))
         assert code == 1
@@ -405,8 +415,26 @@ class TestRejectedBeforeWork:
             capsys, *argv, "--n", "501", "--q", "0.5", "--mode", "per_agent"
         )
         assert code == 1
-        assert err.startswith("smpsim: error: --n must be at most 500 with --mode per_agent")
+        assert err.startswith("smpsim: error: --n must be at most 500 with mode per_agent")
         assert "at most 1000 agents, got 501" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, work, message",
+        [
+            (("oracle", "exact-chain", "--n", "501"), "_chain",
+             "--n must be at most 500 for the exact chain, which supports at most 1000 agents, "
+             "got 501"),
+            (("oracle", "exhaustive", "--zeros", "4", "--ones", "4"), "majority_update",
+             "--zeros + --ones must be at most 6 for the exhaustive oracle, got 8"),
+        ],
+        ids=["exact-chain", "exhaustive"],
+    )
+    def test_oracle_ceiling_exits_1(self, capsys, monkeypatch, argv, work, message):
+        monkeypatch.setattr(engine, work, _no_trials)
+        code, out, err = run_cli(capsys, *argv, "--q", "0.5")
+        assert code == 1
+        assert err == f"smpsim: error: {message}\n"
         assert out == ""
 
 #: A tiny valid config per leaf command: n <= 4 and trials <= 20, so a run

@@ -1,11 +1,14 @@
+import ast
+import inspect
 import math
+import pickle
 import signal
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from smpsim import analytics, engine
+from smpsim import analytics, cli, engine, experiments
 from smpsim.engine import (
     CountDistribution,
     TrialOutcome,
@@ -218,10 +221,21 @@ class TestRunTrial:
         monkeypatch.setattr(engine, "_per_agent_rounds", no_rounds)
         n = PER_AGENT_MAX_AGENTS // 2 + 1
         cfg = ProtocolConfig(n=n, delta=0, rounds=1, network=NetworkModel(q=0.5))
-        with pytest.raises(UnsupportedSizeError, match=f"n={n}"):
+        with pytest.raises(UnsupportedSizeError, match=f"^n must be at most {n - 1} .*, got {n}$"):
             run_trials_batch(cfg, range(4), SEED, mode=MODE_PER_AGENT)
         # the aggregated path has no such ceiling
         assert run_trials_batch(cfg, range(4), SEED).shape == (2, 4)
+
+    def test_size_error_names_its_parameters_and_pickles(self):
+        # a refusal may cross a process boundary; it keeps its names and message
+        cfg = ProtocolConfig(n=2, delta=0, rounds=256, network=NetworkModel(q=0.5))
+        with pytest.raises(UnsupportedSizeError) as refusal:
+            engine.check_run_size(cfg)
+        copy = pickle.loads(pickle.dumps(refusal.value))
+        assert copy.names == refusal.value.names == ("rounds",)
+        assert str(copy) == str(refusal.value) == (
+            "rounds must be at most 255 for a Monte Carlo run, got 256"
+        )
 
     @pytest.mark.parametrize("mode", MODES)
     def test_rounds_ceiling_checked_before_work(self, monkeypatch, mode):
@@ -232,7 +246,7 @@ class TestRunTrial:
         monkeypatch.setattr(engine, "_per_agent_rounds", no_rounds)
         rounds = engine._MONTE_CARLO_MAX_ROUNDS + 1
         cfg = ProtocolConfig(n=2, delta=0, rounds=rounds, network=NetworkModel(q=0.5))
-        with pytest.raises(UnsupportedSizeError, match=f"rounds={rounds}"):
+        with pytest.raises(UnsupportedSizeError, match=f"^rounds must be at most .*, got {rounds}$"):
             run_trials_batch(cfg, range(4), SEED, mode=mode)
 
 
@@ -277,6 +291,17 @@ class TestExactChain:
     def test_size_limit(self):
         with pytest.raises(UnsupportedSizeError):
             exact_chain_consensus_probability(501, 0, 0.5, 1)
+
+    @pytest.mark.parametrize(
+        "n, delta, q, rounds", [(3, True, 0.5, 2), (3, 0, 0.5, 2.0), (-1, 0, 0.5, 1), (2.5, 0, 0.5, 1)]
+    )
+    def test_arguments_checked_as_a_protocol_config(self, n, delta, q, rounds):
+        with pytest.raises(ValueError) as config_error:
+            ProtocolConfig(n=n, delta=delta, rounds=rounds, network=NetworkModel(q=q))
+        with pytest.raises(ValueError) as chain_error:
+            exact_chain_consensus_probability(n, delta, q, rounds)
+        assert type(chain_error.value) is ValueError
+        assert str(chain_error.value) == str(config_error.value)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 40, 100])
     def test_bytes_equal_the_forward_loop(self, n):
@@ -501,3 +526,19 @@ class TestChainCeiling:
         p3, _ = exact_chain_consensus_probability(500, 0, 0.5, 3)
         assert 0.0 < p2 < 0.01
         assert p3 > 0.8
+
+
+class TestEnginePrivatesStayInside:
+    @pytest.mark.parametrize("module", [cli, experiments], ids=lambda m: m.__name__)
+    def test_no_private_engine_imports(self, module):
+        # the engine checks and words every size ceiling; other modules reach
+        # it through public names only, so none can re-word or skip a check
+        tree = ast.parse(inspect.getsource(module))
+        private = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module in ("engine", "smpsim.engine")
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert private == []

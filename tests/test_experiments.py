@@ -314,8 +314,9 @@ class TestEstimateEventProbability:
     @pytest.mark.parametrize(
         "n, rounds, mode, match",
         [
-            (501, 1, MODE_PER_AGENT, "n=501"),
-            (2, engine._MONTE_CARLO_MAX_ROUNDS + 1, MODE_AGGREGATED, "rounds=256"),
+            (501, 1, MODE_PER_AGENT, "^n must be at most 500 .*, got 501$"),
+            (2, engine._MONTE_CARLO_MAX_ROUNDS + 1, MODE_AGGREGATED,
+             "^rounds must be at most 255 .*, got 256$"),
         ],
         ids=["per-agent-agents", "rounds"],
     )
@@ -438,7 +439,7 @@ class TestTheoremSuites:
     def test_theorem1_structure_and_bounds(self):
         sweep = theorem1_suite(
             0.5, [400], SEED,
-            trials_single_round=2_000, trials_two_rounds=400, trials_three_rounds=400,
+            trials_single_round=2_000, trials=400,
         )
         assert len(sweep.rows) == 3
         sub1, sub2, sub3 = sweep.rows
