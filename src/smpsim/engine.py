@@ -246,7 +246,7 @@ def _per_agent_rounds(
     return traj
 
 
-def check_run_size(config: ProtocolConfig, mode: str = MODE_AGGREGATED) -> None:
+def check_run_size(config: ProtocolConfig, mode: str) -> None:
     """Fail before any work if a Monte Carlo run of ``config`` in ``mode`` cannot be made.
 
     UnsupportedSizeError names ``rounds`` past ``_MONTE_CARLO_MAX_ROUNDS``

@@ -230,7 +230,7 @@ class TestRunTrial:
         # a refusal may cross a process boundary; it keeps its names and message
         cfg = ProtocolConfig(n=2, delta=0, rounds=256, network=NetworkModel(q=0.5))
         with pytest.raises(UnsupportedSizeError) as refusal:
-            engine.check_run_size(cfg)
+            engine.check_run_size(cfg, MODE_AGGREGATED)
         copy = pickle.loads(pickle.dumps(refusal.value))
         assert copy.names == refusal.value.names == ("rounds",)
         assert str(copy) == str(refusal.value) == (
@@ -532,7 +532,8 @@ class TestEnginePrivatesStayInside:
     @pytest.mark.parametrize("module", [cli, experiments], ids=lambda m: m.__name__)
     def test_no_private_engine_imports(self, module):
         # the engine checks and words every size ceiling; other modules reach
-        # it through public names only, so none can re-word or skip a check
+        # it through public names only, so none can re-word or skip a check:
+        # neither `from .engine import _x` nor `engine._x` after `from . import engine`
         tree = ast.parse(inspect.getsource(module))
         private = [
             alias.name
@@ -540,5 +541,10 @@ class TestEnginePrivatesStayInside:
             if isinstance(node, ast.ImportFrom) and node.module in ("engine", "smpsim.engine")
             for alias in node.names
             if alias.name.startswith("_")
+        ] + [
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "engine" and node.attr.startswith("_")
         ]
         assert private == []
