@@ -18,7 +18,7 @@ import os
 import struct
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -367,8 +367,6 @@ def symmetry_break_statistics(
     workers: int = 1,
 ) -> SymmetryBreakStats:
     """Single-round fluctuation statistics from an exactly tied start."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     zeros = _single_round_final_zeros(n, q, trials, master_seed, workers)
     scaled = (zeros - n) / math.sqrt(n)
     mean = float(scaled.mean())
@@ -379,6 +377,32 @@ def symmetry_break_statistics(
     return SymmetryBreakStats(
         n=n, q=q, trials=trials, mean=mean, variance=variance, outside_counts=outside
     )
+
+
+def _mc_row(
+    n: int, delta: int, q: float, rounds: int, event: str, trials: int, master_seed: int,
+    workers: int,
+) -> SweepRow:
+    """One Monte Carlo sweep point: P{event} estimated from (n + delta, n - delta).
+
+    Callers add a bound or an exact value with ``dataclasses.replace``.
+    """
+    config = ProtocolConfig(n=n, delta=delta, rounds=rounds, network=NetworkModel(q=q))
+    est = estimate_event_probability(config, event, trials, master_seed, workers=workers)
+    return SweepRow(n=n, delta=delta, q=q, rounds=rounds, event=event, estimate=est)
+
+
+def _exact_consensus(n: int, delta: int, q: float, rounds: int) -> float | None:
+    """The exact chain's P{consensus}, or None where n is past its ceiling."""
+    try:
+        return exact_chain_consensus_probability(n, delta, q, rounds)[0]
+    except UnsupportedSizeError:
+        return None
+
+
+def _check_theorem_q(q: float) -> None:
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"theorem presets need q strictly inside (0, 1), got {q}")
 
 
 def theorem1_suite(
@@ -400,43 +424,32 @@ def theorem1_suite(
        next to its closed-form bound;
     2. two rounds with imbalance ceil(alpha sqrt(n)): majority-consensus rate;
     3. three rounds from a tie: consensus rate.
+
+    alpha must be positive with ceil(alpha sqrt(n)) <= n at every n.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"theorem presets need q strictly inside (0, 1), got {q}")
+    _check_theorem_q(q)
+    if not alpha > 0:
+        raise ValueError(f"theorem1 needs alpha > 0, got alpha={alpha}")
+    for n in n_grid:
+        if alpha * math.sqrt(n) > n:
+            raise ValueError(
+                f"theorem1 needs ceil(alpha sqrt(n)) <= n, got alpha={alpha} at n={n}"
+            )
     rows = []
     for n in n_grid:
         delta1 = min(n - 1, math.ceil(n ** 0.75))
-        config1 = ProtocolConfig(n=n, delta=delta1, rounds=1, network=NetworkModel(q=q))
-        err = estimate_event_probability(
-            config1, "majority_consensus_failure", trials_single_round, master_seed,
-            workers=workers,
-        )
+        row = _mc_row(n, delta1, q, 1, "majority_consensus_failure", trials_single_round,
+                      master_seed, workers)
         bound = analytics.BoundReport(
             bound_name="prop1",
             parameters={"n": n, "A": delta1, "q": q},
             bound_value=analytics.prop1_error_bound(n, delta1, q),
-            empirical_value=err.p_hat,
+            empirical_value=row.estimate.p_hat,
         )
-        rows.append(
-            SweepRow(n=n, delta=delta1, q=q, rounds=1,
-                     event="majority_consensus_failure", estimate=err, bound=bound)
-        )
-
+        rows.append(replace(row, bound=bound))
         delta2 = math.ceil(alpha * math.sqrt(n))
-        config2 = ProtocolConfig(n=n, delta=delta2, rounds=2, network=NetworkModel(q=q))
-        est2 = estimate_event_probability(
-            config2, "majority_consensus", trials, master_seed, workers=workers
-        )
-        rows.append(
-            SweepRow(n=n, delta=delta2, q=q, rounds=2,
-                     event="majority_consensus", estimate=est2)
-        )
-
-        config3 = ProtocolConfig(n=n, delta=0, rounds=3, network=NetworkModel(q=q))
-        est3 = estimate_event_probability(
-            config3, "consensus", trials, master_seed, workers=workers
-        )
-        rows.append(SweepRow(n=n, delta=0, q=q, rounds=3, event="consensus", estimate=est3))
+        rows.append(_mc_row(n, delta2, q, 2, "majority_consensus", trials, master_seed, workers))
+        rows.append(_mc_row(n, 0, q, 3, "consensus", trials, master_seed, workers))
     return SweepResult(
         kind="theorem1", rows=tuple(rows),
         metadata={"alpha": alpha, "offset_rounding": "ceil"},
@@ -456,28 +469,17 @@ def theorem2_suite(
     Rows carry the exact chain value alongside the estimate wherever the
     system is small enough for the exact chain.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"theorem presets need q strictly inside (0, 1), got {q}")
+    _check_theorem_q(q)
     rows = []
     for n in n_grid:
-        config = ProtocolConfig(n=n, delta=0, rounds=2, network=NetworkModel(q=q))
-        est = estimate_event_probability(
-            config, "consensus", trials, master_seed, workers=workers
-        )
-        try:
-            exact, _ = exact_chain_consensus_probability(n, 0, q, 2)
-        except UnsupportedSizeError:
-            exact = None
+        row = _mc_row(n, 0, q, 2, "consensus", trials, master_seed, workers)
         bound = analytics.BoundReport(
             bound_name="theorem2_envelope",
             parameters={"n": n, "q": q, "exponent": analytics.envelope_exponent(q)},
             bound_value=analytics.theorem2_envelope(n, q),
-            empirical_value=est.p_hat,
+            empirical_value=row.estimate.p_hat,
         )
-        rows.append(
-            SweepRow(n=n, delta=0, q=q, rounds=2, event="consensus",
-                     estimate=est, exact=exact, bound=bound)
-        )
+        rows.append(replace(row, exact=_exact_consensus(n, 0, q, 2), bound=bound))
     return SweepResult(
         kind="theorem2", rows=tuple(rows),
         metadata={"envelope_exponent": analytics.envelope_exponent(q)},
@@ -500,24 +502,16 @@ def max_error_sweep(
     sweep over the imbalance.  Rows carry the exact chain error when the
     system is small enough.
     """
-    if deltas is None:
-        deltas = range(n + 1)
+    deltas = range(n + 1) if deltas is None else list(deltas)
+    if not deltas:
+        raise ValueError("deltas must not be empty")
     rows = []
     for offset, delta in enumerate(deltas):
-        config = ProtocolConfig(n=n, delta=delta, rounds=rounds, network=NetworkModel(q=q))
         # distinct seeds per point so points are independent
-        est = estimate_event_probability(
-            config, "consensus_failure", trials_per_point, master_seed + offset,
-            workers=workers,
-        )
-        try:
-            exact = 1.0 - exact_chain_consensus_probability(n, delta, q, rounds)[0]
-        except UnsupportedSizeError:
-            exact = None
-        rows.append(
-            SweepRow(n=n, delta=delta, q=q, rounds=rounds,
-                     event="consensus_failure", estimate=est, exact=exact)
-        )
+        row = _mc_row(n, delta, q, rounds, "consensus_failure", trials_per_point,
+                      master_seed + offset, workers)
+        p_consensus = _exact_consensus(n, delta, q, rounds)
+        rows.append(row if p_consensus is None else replace(row, exact=1.0 - p_consensus))
     argmax_row = max(rows, key=lambda r: r.estimate.p_hat)
     return SweepResult(
         kind="max_error", rows=tuple(rows),
@@ -538,6 +532,8 @@ def return_to_symmetry_rate(
     The estimates are overlaid with a fitted c/sqrt(n) curve; the fit
     constant is the average of p_hat * sqrt(n) across the grid.
     """
+    if len(n_grid) == 0:
+        raise ValueError("n_grid must not be empty")
     rows = []
     for n in n_grid:
         zeros = _single_round_final_zeros(n, q, trials, master_seed, workers)
@@ -547,12 +543,5 @@ def return_to_symmetry_rate(
             SweepRow(n=n, delta=0, q=q, rounds=1, event="returned_to_tie", estimate=est)
         )
     fit_c = float(np.mean([r.estimate.p_hat * math.sqrt(r.n) for r in rows]))
-    rows = tuple(
-        SweepRow(
-            n=r.n, delta=r.delta, q=r.q, rounds=r.rounds, event=r.event,
-            estimate=r.estimate, exact=r.exact, bound=r.bound,
-            extra={"sqrt_fit": fit_c / math.sqrt(r.n)},
-        )
-        for r in rows
-    )
+    rows = tuple(replace(r, extra={"sqrt_fit": fit_c / math.sqrt(r.n)}) for r in rows)
     return SweepResult(kind="return_to_symmetry", rows=rows, metadata={"sqrt_fit_c": fit_c})

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .analytics import BoundReport
 from .engine import CountDistribution, TrialOutcome
-from .experiments import Estimate, SweepResult, SweepRow, SymmetryBreakStats
+from .experiments import Estimate, SweepResult, SweepRow
 from .model import OpinionCounts
 
 __all__ = [
@@ -104,7 +104,6 @@ _PAYLOAD_CLASSES: dict[str, type] = {
     "sweep": SweepResult,
     "count_distribution": CountDistribution,
     "trial_outcome": TrialOutcome,
-    "symmetry_break_stats": SymmetryBreakStats,
     "table": dict,
 }
 
@@ -133,8 +132,7 @@ def _to_json(hint: Any, value: Any) -> Any:
     """The JSON form of ``value``, read as an instance of the type ``hint``.
 
     Dataclasses become objects of their fields, ``OpinionCounts`` a [zeros,
-    ones] pair, arrays and tuples lists, and a dict keyed by anything but
-    str (``outside_counts``) a sorted list of [key, value] pairs.
+    ones] pair, and arrays and tuples lists.
     """
     if value is None:
         return None
@@ -144,11 +142,8 @@ def _to_json(hint: Any, value: Any) -> Any:
         return {name: _to_json(t, getattr(value, name)) for name, t in _field_types(hint).items()}
     if hint is np.ndarray:
         return [float(x) for x in value]
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is tuple:
-        return [_to_json(args[0], v) for v in value]
-    if origin is dict and args[0] is not str:
-        return [[k, v] for k, v in sorted(value.items())]
+    if typing.get_origin(hint) is tuple:
+        return [_to_json(typing.get_args(hint)[0], v) for v in value]
     return value
 
 
@@ -163,28 +158,9 @@ def _from_json(hint: Any, value: Any) -> Any:
         return hint(**{name: _from_json(hints[name], v) for name, v in value.items()})
     if hint is np.ndarray:
         return np.array(value)
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is tuple:
-        return tuple(_from_json(args[0], v) for v in value)
-    if origin is dict and args[0] is not str:
-        return {args[0](k): args[1](v) for k, v in value}
+    if typing.get_origin(hint) is tuple:
+        return tuple(_from_json(typing.get_args(hint)[0], v) for v in value)
     return value
-
-
-def result_to_jsonable(result: ResultFile) -> dict[str, Any]:
-    kind = result.payload_kind
-    return {
-        "manifest": _to_json(RunManifest, result.manifest),
-        "payload_kind": kind,
-        "payload": _to_json(_PAYLOAD_CLASSES[kind], result.payload),
-    }
-
-
-def result_from_jsonable(doc: dict[str, Any]) -> ResultFile:
-    return ResultFile(
-        manifest=_from_json(RunManifest, doc["manifest"]),
-        payload=_from_json(_PAYLOAD_CLASSES[doc["payload_kind"]], doc["payload"]),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -193,24 +169,28 @@ def result_from_jsonable(doc: dict[str, Any]) -> ResultFile:
 
 
 def _dump_json(result: ResultFile) -> str:
-    return json.dumps(result_to_jsonable(result), indent=2, sort_keys=True) + "\n"
+    kind = result.payload_kind
+    doc = {
+        "manifest": _to_json(RunManifest, result.manifest),
+        "payload_kind": kind,
+        "payload": _to_json(_PAYLOAD_CLASSES[kind], result.payload),
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _row_value(r: SweepRow) -> tuple[float, float, float] | None:
+    """A sweep row's (value, low, high): estimate and interval, else exact thrice, else None."""
+    if r.estimate is not None:
+        return r.estimate.p_hat, r.estimate.ci_low, r.estimate.ci_high
+    if r.exact is not None:
+        return r.exact, r.exact, r.exact
+    return None
 
 
 def _sweep_csv_rows(rows) -> list[list[str]]:
     out = []
     for r in rows:
-        if r.estimate is not None:
-            p_hat = format_float(r.estimate.p_hat)
-            ci_low = format_float(r.estimate.ci_low)
-            ci_high = format_float(r.estimate.ci_high)
-            trials = str(r.estimate.trials)
-        elif r.exact is not None:
-            p_hat = format_float(r.exact)
-            ci_low = ci_high = p_hat
-            trials = "0"
-        else:
-            p_hat = ci_low = ci_high = ""
-            trials = "0"
+        value = _row_value(r)
         out.append(
             [
                 str(r.n),
@@ -218,10 +198,8 @@ def _sweep_csv_rows(rows) -> list[list[str]]:
                 format_float(r.q),
                 "" if r.rounds is None else str(r.rounds),
                 r.event,
-                p_hat,
-                ci_low,
-                ci_high,
-                trials,
+                *(["", "", ""] if value is None else map(format_float, value)),
+                "0" if r.estimate is None else str(r.estimate.trials),
                 "" if r.bound is None else r.bound.bound_name,
                 "" if r.bound is None else format_float(r.bound.bound_value),
             ]
@@ -276,20 +254,6 @@ def _dump_csv(result: ResultFile) -> str:
         writer.writerow(["round", "zeros", "ones"])
         for i, c in enumerate(payload.trajectory):
             writer.writerow([str(i), str(c.zeros), str(c.ones)])
-    elif kind == "symmetry_break_stats":
-        writer.writerow(["n", "q", "trials", "mean", "variance", "delta", "fraction_outside"])
-        for d in sorted(payload.outside_counts):
-            writer.writerow(
-                [
-                    str(payload.n),
-                    format_float(payload.q),
-                    str(payload.trials),
-                    format_float(payload.mean),
-                    format_float(payload.variance),
-                    format_float(d),
-                    format_float(payload.fraction_outside(d)),
-                ]
-            )
     elif kind == "table":
         writer.writerow(["key", "value"])
         for key in sorted(payload):
@@ -321,7 +285,10 @@ def read_result_file(path: str | Path) -> ResultFile:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise OSError(f"failed to read results from {path}: {exc}") from exc
-    return result_from_jsonable(doc)
+    return ResultFile(
+        manifest=_from_json(RunManifest, doc["manifest"]),
+        payload=_from_json(_PAYLOAD_CLASSES[doc["payload_kind"]], doc["payload"]),
+    )
 
 
 def emit_plot_data(sweep: SweepResult, path: str | Path) -> None:
@@ -334,14 +301,11 @@ def emit_plot_data(sweep: SweepResult, path: str | Path) -> None:
     blocks: list[tuple[str, list[tuple[float, float, float]]]] = []
     by_label: dict[str, list[tuple[float, float, float]]] = {}
     for r in sweep.rows:
-        label = str(r.extra.get("regime", sweep.kind))
-        if r.estimate is not None:
-            y, err = r.estimate.p_hat, r.estimate.half_width
-        elif r.exact is not None:
-            y, err = r.exact, 0.0
-        else:
-            continue
-        by_label.setdefault(label, []).append((float(r.n), float(y), float(err)))
+        value = _row_value(r)
+        if value is not None:
+            y, low, high = value
+            label = str(r.extra.get("regime", sweep.kind))
+            by_label.setdefault(label, []).append((float(r.n), float(y), (high - low) / 2.0))
     blocks.extend(sorted(by_label.items()))
 
     by_bound: dict[str, list[tuple[float, float, float]]] = {}

@@ -400,7 +400,6 @@ def run_verification(
     seed: int = DEFAULT_MASTER_SEED,
     workers: int = 1,
     out_dir: str | Path | None = None,
-    echo: Callable[[str], None] = print,
 ) -> list[CriterionResult]:
     """Run the selected criteria, print one line each, write result files.
 
@@ -417,7 +416,7 @@ def run_verification(
         result = run_criterion(cid, seed=seed, workers=workers)
         results.append(result)
         status = "PASS" if result.passed else "FAIL"
-        echo(f"criterion {cid:2d} ({result.title}): {status}  [{result.elapsed_seconds:.1f}s]")
+        print(f"criterion {cid:2d} ({result.title}): {status}  [{result.elapsed_seconds:.1f}s]")
         if out_dir is not None:
             out_dir = Path(out_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -426,7 +425,7 @@ def run_verification(
             )
     failed = [r.criterion for r in results if not r.passed]
     if failed:
-        echo(f"FAILED criteria: {', '.join(map(str, failed))}")
+        print(f"FAILED criteria: {', '.join(map(str, failed))}")
     else:
-        echo("all criteria passed")
+        print("all criteria passed")
     return results

@@ -369,6 +369,17 @@ class TestRejectedBeforeWork:
         assert err.startswith(f"smpsim: error: {flag} ")
 
     @pytest.mark.parametrize(
+        "grid,alpha", [("16", "0"), ("16", "-2"), ("4", "3")]  # ceil(3 sqrt(4)) = 6 > 4
+    )
+    def test_theorem1_alpha_out_of_range_exits_1(self, capsys, monkeypatch, grid, alpha):
+        monkeypatch.setattr(engine, "run_trials_batch", _no_trials)
+        monkeypatch.setattr(experiments, "run_trials_batch", _no_trials)
+        code, out, err = run_cli(capsys, "sweep", "theorem1", "--n-grid", grid, "--alpha", alpha)
+        assert code == 1
+        assert err.startswith("smpsim: error: ") and "alpha" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("simulate", "--n", "2", "--q", "0.5"),

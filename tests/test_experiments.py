@@ -435,6 +435,10 @@ class TestSymmetryBreakStatistics:
         )
 
 
+def _no_trials(*args, **kwargs):
+    raise AssertionError("a trial ran before the inputs were checked")
+
+
 class TestTheoremSuites:
     def test_theorem1_structure_and_bounds(self):
         sweep = theorem1_suite(
@@ -468,6 +472,28 @@ class TestTheoremSuites:
                 3.0 / row.n ** (1.0 / 128.0), rel=1e-12
             )
         assert sweep.rows[0].exact > sweep.rows[1].exact
+
+    @pytest.mark.parametrize("alpha", [0.0, -2.0, 3.0])  # ceil(3 sqrt(4)) = 6 > 4
+    def test_theorem1_refuses_alpha_before_any_trial(self, monkeypatch, alpha):
+        monkeypatch.setattr(experiments, "run_trials_batch", _no_trials)
+        with pytest.raises(ValueError, match="alpha"):
+            theorem1_suite(0.5, [16, 4], SEED, trials_single_round=10, trials=10, alpha=alpha)
+
+    def test_past_the_chain_ceiling_rows_have_no_exact(self):
+        assert theorem2_suite(0.5, [501], 10, SEED).rows[0].exact is None
+        assert max_error_sweep(501, 0.5, 1, 10, SEED, deltas=[0]).rows[0].exact is None
+
+
+class TestEmptyGrids:
+    def test_max_error_sweep_needs_a_delta(self, monkeypatch):
+        monkeypatch.setattr(experiments, "run_trials_batch", _no_trials)
+        with pytest.raises(ValueError, match="deltas"):
+            max_error_sweep(3, 0.5, 1, 10, 1, deltas=[])
+
+    def test_return_to_symmetry_needs_an_n(self, monkeypatch):
+        monkeypatch.setattr(experiments, "run_trials_batch", _no_trials)
+        with pytest.raises(ValueError, match="n_grid"):
+            return_to_symmetry_rate([], 0.5, 10, 1)
 
 
 class TestMaxErrorSweep:

@@ -8,6 +8,7 @@ from smpsim.analytics import BoundReport
 from smpsim.engine import CountDistribution, TrialOutcome
 from smpsim.experiments import Estimate, SweepResult, SweepRow, SymmetryBreakStats
 from smpsim.io import (
+    _PAYLOAD_CLASSES,
     CSV_SWEEP_COLUMNS,
     ResultFile,
     RunManifest,
@@ -59,10 +60,6 @@ PAYLOADS = {
         trajectory=(OpinionCounts(3, 1), OpinionCounts(4, 0)),
         consensus=True, majority_consensus=True, final_value=0,
     ),
-    "symmetry_break_stats": SymmetryBreakStats(
-        n=100, q=0.5, trials=1000, mean=0.01, variance=0.49,
-        outside_counts={0.5: 600, 1.0: 170},
-    ),
 }
 
 
@@ -104,8 +101,28 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError):
             write_results(result, "xml", tmp_path / "r.xml")
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_symmetry_break_stats_is_no_payload(self, tmp_path, fmt):
+        # criteria 4 and 7 read these statistics; no command writes them
+        stats = SymmetryBreakStats(
+            n=100, q=0.5, trials=1000, mean=0.01, variance=0.49,
+            outside_counts={0.5: 600, 1.0: 170},
+        )
+        path = tmp_path / f"r.{fmt}"
+        with pytest.raises(TypeError, match="SymmetryBreakStats"):
+            write_results(ResultFile(manifest=_manifest(), payload=stats), fmt, path)
+        assert not path.exists()
+
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_every_payload_kind_has_a_writer():
+    """The payload kinds are exactly those the CLI and verify golden files hold."""
+    paths = [*GOLDEN.glob("cli/*.json"), *GOLDEN.glob("verify/*.json")]
+    docs = [json.loads(p.read_text()) for p in paths]
+    written = {doc["payload_kind"] for doc in docs if "payload_kind" in doc}
+    assert set(_PAYLOAD_CLASSES) == written
 
 
 class TestGoldenFiles:
