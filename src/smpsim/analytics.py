@@ -564,9 +564,7 @@ def t_zero(alpha: float, q: float) -> float:
 def prop1_error_bound(n: int, a: int, q: float) -> float:
     """Single-round majority-consensus error bound from an n+A / n-A start.
 
-    Evaluates 2n * sqrt((n+A)/(n-A)) * exp(-(1-q) A^2 / n).  Valid for
-    0 <= A < n; callers wanting A = n clamp to n - 1, where the true error
-    probability is dominated by the bound at any smaller imbalance.
+    Evaluates 2n * sqrt((n+A)/(n-A)) * exp(-(1-q) A^2 / n), for 0 <= A < n.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -353,8 +354,7 @@ def exhaustive_round_distribution(counts: OpinionCounts, q: float) -> CountDistr
     """
     total = counts.total
     _at_most(("zeros", "ones"), total, EXHAUSTIVE_MAX_AGENTS, "for the exhaustive oracle")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
+    NetworkModel(q=q)
     z, o = counts.zeros, counts.ones
 
     def p_next_zero(own: int) -> float:
@@ -529,12 +529,10 @@ def _chain(n: int, delta: int, q: float, rounds: int, floor: float) -> tuple[flo
     gain_ends = np.exp(analytics._end_log_pmfs(total - zs, p10))
     ends[:, undecided] = keep_ends * gain_ends
     # cumsum adds in z order, as adding each row in turn does; np.sum would add pairwise
-    at_zero, at_total = np.cumsum(dist[live] * ends, axis=1)[:, -1].tolist()
-    p_consensus = at_zero + at_total
-    if delta > 0:
-        p_majority = at_total
-    elif delta < 0:
-        p_majority = at_zero
-    else:
-        p_majority = p_consensus
+    masses = np.cumsum(dist[live] * ends, axis=1)[:, -1].tolist()
+    initial = OpinionCounts(zeros=n + delta, ones=n - delta)
+    p_consensus, p_majority = (
+        sum(compress(masses, event_mask(e, initial, [0, total])))
+        for e in ("consensus", "majority_consensus")
+    )
     return p_consensus, p_majority, dropped

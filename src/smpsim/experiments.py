@@ -318,8 +318,6 @@ def trichotomy_sweep(
     limit = regime.limit(q)
     for n in n_grid:
         a_n = regime.offset(n)
-        if a_n > n:
-            raise ValueError(f"regime offset {a_n} exceeds n={n}")
         p_n = analytics.keep_zero_probability(n + a_n, n - a_n, q)
         rows.append(
             SweepRow(
@@ -418,38 +416,38 @@ def theorem1_suite(
     """Three achievability presets: one, two and three communication rounds.
 
     The single-round preset runs ``trials_single_round`` trials and the
-    multi-round ones ``trials`` each.
+    multi-round ones ``trials`` each.  Each starts from its regime's a_n:
 
-    1. single round with imbalance n^(3/4): majority-consensus error rate
-       next to its closed-form bound;
-    2. two rounds with imbalance ceil(alpha sqrt(n)): majority-consensus rate;
+    1. one round from ceil(n^(3/4)): majority-consensus error rate next to
+       its Prop. 1 bound, which needs a_n < n, so n >= 4;
+    2. two rounds from ceil(alpha sqrt(n)) <= n: majority-consensus rate;
     3. three rounds from a tie: consensus rate.
-
-    alpha must be positive with ceil(alpha sqrt(n)) <= n at every n.
     """
     _check_theorem_q(q)
-    if not alpha > 0:
-        raise ValueError(f"theorem1 needs alpha > 0, got alpha={alpha}")
+    one_round = AsymmetryRegime(kind="power", beta=0.75)
+    presets = (
+        (one_round, 1, "majority_consensus_failure", trials_single_round),
+        (AsymmetryRegime(kind="sqrt_scaled", alpha=alpha), 2, "majority_consensus", trials),
+        (AsymmetryRegime(kind="zero"), 3, "consensus", trials),
+    )
     for n in n_grid:
-        if alpha * math.sqrt(n) > n:
-            raise ValueError(
-                f"theorem1 needs ceil(alpha sqrt(n)) <= n, got alpha={alpha} at n={n}"
-            )
+        if one_round.offset(n) >= n:
+            raise ValueError(f"theorem1 needs ceil(n^(3/4)) < n for the Prop. 1 bound, got n={n}")
+        for regime, *_ in presets:
+            regime.offset(n)
     rows = []
     for n in n_grid:
-        delta1 = min(n - 1, math.ceil(n ** 0.75))
-        row = _mc_row(n, delta1, q, 1, "majority_consensus_failure", trials_single_round,
-                      master_seed, workers)
-        bound = analytics.BoundReport(
-            bound_name="prop1",
-            parameters={"n": n, "A": delta1, "q": q},
-            bound_value=analytics.prop1_error_bound(n, delta1, q),
-            empirical_value=row.estimate.p_hat,
-        )
-        rows.append(replace(row, bound=bound))
-        delta2 = math.ceil(alpha * math.sqrt(n))
-        rows.append(_mc_row(n, delta2, q, 2, "majority_consensus", trials, master_seed, workers))
-        rows.append(_mc_row(n, 0, q, 3, "consensus", trials, master_seed, workers))
+        for regime, rounds, event, preset_trials in presets:
+            delta = regime.offset(n)
+            row = _mc_row(n, delta, q, rounds, event, preset_trials, master_seed, workers)
+            if regime is one_round:
+                row = replace(row, bound=analytics.BoundReport(
+                    bound_name="prop1",
+                    parameters={"n": n, "A": delta, "q": q},
+                    bound_value=analytics.prop1_error_bound(n, delta, q),
+                    empirical_value=row.estimate.p_hat,
+                ))
+            rows.append(row)
     return SweepResult(
         kind="theorem1", rows=tuple(rows),
         metadata={"alpha": alpha, "offset_rounding": "ceil"},

@@ -29,11 +29,6 @@ from .analytics import MAX_BINOMIAL_TRIALS
 Bit = int
 
 
-def _check_bit(value: int, name: str) -> None:
-    if value not in (0, 1):
-        raise ValueError(f"{name} must be 0 or 1, got {value!r}")
-
-
 @dataclass(frozen=True)
 class OpinionCounts:
     """Aggregate system state: how many agents hold 0 and how many hold 1."""
@@ -52,15 +47,6 @@ class OpinionCounts:
     def total(self) -> int:
         return self.zeros + self.ones
 
-    @property
-    def half(self) -> int:
-        """n, half the agent count."""
-        return self.total // 2
-
-    def swapped(self) -> OpinionCounts:
-        """The state with opinions 0 and 1 relabeled."""
-        return OpinionCounts(zeros=self.ones, ones=self.zeros)
-
 
 @dataclass(frozen=True)
 class NetworkModel:
@@ -77,8 +63,7 @@ class NetworkModel:
 class ProtocolConfig:
     """One protocol run: 2n agents, initial split n+delta / n-delta, r rounds.
 
-    ``delta`` may be negative (ones-majority); analytics reduce that case to
-    the zeros-majority case by the 0/1 relabeling symmetry.
+    ``delta`` may be negative (ones-majority).
     """
 
     n: int
@@ -112,8 +97,11 @@ class AsymmetryRegime:
     Kinds:
       * ``zero``:        a_n = 0
       * ``logarithmic``: a_n = ceil(log n)
-      * ``sqrt_scaled``: a_n = ceil(alpha * sqrt(n)), alpha > 0
+      * ``sqrt_scaled``: a_n = ceil(alpha * sqrt(n)), alpha > 0 finite
       * ``power``:       a_n = ceil(n ** beta), beta in (0, 1)
+
+    ``offset(n)`` refuses a_n > n, which no start (n + a_n, n - a_n) can
+    have; of these kinds only ``sqrt_scaled`` with alpha > sqrt(n) gets there.
     """
 
     kind: str
@@ -125,19 +113,24 @@ class AsymmetryRegime:
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown regime kind {self.kind!r}, expected one of {self._KINDS}")
-        if self.kind == "sqrt_scaled" and (self.alpha is None or self.alpha <= 0):
-            raise ValueError("sqrt_scaled regime requires alpha > 0")
+        if self.kind == "sqrt_scaled" and (self.alpha is None or not 0.0 < self.alpha < math.inf):
+            raise ValueError(f"sqrt_scaled regime needs finite alpha > 0, got alpha={self.alpha}")
         if self.kind == "power" and (self.beta is None or not 0.0 < self.beta < 1.0):
             raise ValueError("power regime requires beta in (0, 1)")
 
     def offset(self, n: int) -> int:
         """Imbalance a_n for a given n, rounded up to an integer."""
+        if n < 1:
+            raise ValueError(f"{self.kind} regime needs n >= 1, got n={n}")
         if self.kind == "zero":
             return 0
         if self.kind == "logarithmic":
             return math.ceil(math.log(n))
         if self.kind == "sqrt_scaled":
-            return math.ceil(self.alpha * math.sqrt(n))
+            a_n = math.ceil(self.alpha * math.sqrt(n))
+            if a_n > n:
+                raise ValueError(f"sqrt_scaled regime alpha={self.alpha}: a_n={a_n} > n={n}")
+            return a_n
         return math.ceil(n ** self.beta)
 
     def fact1_case(self) -> int:
@@ -183,7 +176,8 @@ def majority_update(own: Bit, n0: int, n1: int) -> Bit:
     side is always at least 1.  Returns the more common value, keeping
     ``own`` on a tie.
     """
-    _check_bit(own, "own")
+    if own not in (0, 1):
+        raise ValueError(f"own must be 0 or 1, got {own!r}")
     if n0 < 0 or n1 < 0:
         raise ValueError(f"enumerators must be nonnegative, got ({n0}, {n1})")
     if own == 0 and n0 < 1:

@@ -29,3 +29,9 @@ def test_criterion(criterion, tmp_path):
     path = tmp_path / "result.json"
     io.write_results(criterion_result_file(result, DEFAULT_MASTER_SEED), "json", path)
     assert path.read_bytes() == (GOLDEN / f"criterion_{criterion:02d}.json").read_bytes()
+
+
+@pytest.mark.parametrize("criterion", [0, len(CRITERIA) + 1])
+def test_unknown_criterion_refused(criterion):
+    with pytest.raises(ValueError, match=f"^unknown criterion {criterion}, expected 1"):
+        run_criterion(criterion)

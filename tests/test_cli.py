@@ -379,6 +379,15 @@ class TestRejectedBeforeWork:
         assert err.startswith("smpsim: error: ") and "alpha" in err
         assert out == ""
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_theorem1_without_a_prop1_bound_exits_1(self, capsys, monkeypatch, n):
+        # ceil(n^(3/4)) = n: the one-round preset once started n = 1 from a tie
+        monkeypatch.setattr(experiments, "run_trials_batch", _no_trials)
+        code, out, err = run_cli(capsys, "sweep", "theorem1", f"--n-grid={n}")
+        assert code == 1
+        assert err.startswith("smpsim: error: ") and f"n={n}" in err
+        assert out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [

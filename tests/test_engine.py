@@ -82,6 +82,14 @@ class TestExhaustiveOracle:
         with pytest.raises(UnsupportedSizeError):
             exhaustive_round_distribution(OpinionCounts(4, 4), 0.5)
 
+    @pytest.mark.parametrize("q", [1.5, -0.5, float("nan")])
+    def test_q_checked_as_a_network_model(self, q):
+        with pytest.raises(ValueError) as network_error:
+            NetworkModel(q=q)
+        with pytest.raises(ValueError) as oracle_error:
+            exhaustive_round_distribution(OpinionCounts(1, 1), q)
+        assert str(oracle_error.value) == str(network_error.value)
+
     def test_aggregated_equivalence_all_tiny_systems(self):
         for total in (2, 4, 6):
             for z in range(total + 1):
@@ -110,7 +118,7 @@ class TestCountDistribution:
 
 def _one_round(counts, q, trials, mode):
     """Zero-count trajectories (2, trials) of one round from ``counts``."""
-    n, delta = counts.half, (counts.zeros - counts.ones) // 2
+    n, delta = counts.total // 2, (counts.zeros - counts.ones) // 2
     cfg = ProtocolConfig(n=n, delta=delta, rounds=1, network=NetworkModel(q=q))
     return run_trials_batch(cfg, range(trials), SEED, mode=mode)
 
@@ -236,6 +244,11 @@ class TestRunTrial:
         assert str(copy) == str(refusal.value) == (
             "rounds must be at most 255 for a Monte Carlo run, got 256"
         )
+
+    def test_unknown_mode_refused(self):
+        cfg = ProtocolConfig(n=2, delta=0, rounds=1, network=NetworkModel(q=0.5))
+        with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+            engine.check_run_size(cfg, "bogus")
 
     @pytest.mark.parametrize("mode", MODES)
     def test_rounds_ceiling_checked_before_work(self, monkeypatch, mode):

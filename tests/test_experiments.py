@@ -356,6 +356,15 @@ class TestEstimateEventProbability:
             estimate_event_probability(_config(4, 0, 1, 0.5), "consensus", trials, SEED, workers=2,
                                        confidence=confidence, method=method)
 
+    @pytest.mark.parametrize("estimate", [True, False])
+    def test_trials_checked_before_any_chunk(self, monkeypatch, estimate):
+        monkeypatch.setattr(experiments, "run_trials_batch", _no_trials)
+        with pytest.raises(ValueError, match="^trials must be >= 1$"):
+            if estimate:
+                estimate_event_probability(_config(4, 0, 1, 0.5), "consensus", 0, SEED)
+            else:
+                final_zeros_sample(_config(4, 0, 1, 0.5), 0, SEED)
+
     def test_relabeling_symmetry_within_ci(self):
         est_pos = estimate_event_probability(_config(30, 4, 2, 0.5), "consensus", 4_000, SEED)
         est_neg = estimate_event_probability(_config(30, -4, 2, 0.5), "consensus", 4_000, SEED + 1)
@@ -478,6 +487,22 @@ class TestTheoremSuites:
         monkeypatch.setattr(experiments, "run_trials_batch", _no_trials)
         with pytest.raises(ValueError, match="alpha"):
             theorem1_suite(0.5, [16, 4], SEED, trials_single_round=10, trials=10, alpha=alpha)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])  # ceil(n^(3/4)) = n: no start below a_n = n
+    def test_theorem1_refuses_n_without_a_prop1_bound_before_any_trial(self, monkeypatch, n):
+        monkeypatch.setattr(experiments, "run_trials_batch", _no_trials)
+        with pytest.raises(ValueError, match=rf"ceil\(n\^\(3/4\)\) < n .*, got n={n}$"):
+            theorem1_suite(0.5, [16, n], SEED, trials_single_round=10, trials=10)
+
+    @pytest.mark.parametrize("q", [0.0, 1.0])
+    @pytest.mark.parametrize("theorem", [1, 2])
+    def test_theorem_suites_refuse_q_at_the_ends_before_any_trial(self, monkeypatch, theorem, q):
+        monkeypatch.setattr(experiments, "run_trials_batch", _no_trials)
+        with pytest.raises(ValueError, match=rf"q strictly inside \(0, 1\), got {q}$"):
+            if theorem == 1:
+                theorem1_suite(q, [16], SEED, trials_single_round=10, trials=10)
+            else:
+                theorem2_suite(q, [16], 10, SEED)
 
     def test_past_the_chain_ceiling_rows_have_no_exact(self):
         assert theorem2_suite(0.5, [501], 10, SEED).rows[0].exact is None

@@ -60,6 +60,7 @@ PAYLOADS = {
         trajectory=(OpinionCounts(3, 1), OpinionCounts(4, 0)),
         consensus=True, majority_consensus=True, final_value=0,
     ),
+    "table": {"n": 5, "delta": 2, "q": 0.5, "p_consensus": 0.9330561353600877},
 }
 
 
@@ -115,6 +116,10 @@ class TestJsonRoundTrip:
 
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_every_payload_kind_is_pinned():
+    assert set(PAYLOADS) == set(_PAYLOAD_CLASSES)
 
 
 def test_every_payload_kind_has_a_writer():

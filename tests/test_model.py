@@ -54,9 +54,6 @@ class TestCounts:
         with pytest.raises(ValueError):
             OpinionCounts(zeros=0, ones=0)
 
-    def test_swapped(self):
-        assert OpinionCounts(zeros=3, ones=1).swapped() == OpinionCounts(zeros=1, ones=3)
-
 
 class TestEventMask:
     def test_consensus_examples(self):
@@ -185,3 +182,27 @@ class TestAsymmetryRegime:
             AsymmetryRegime(kind="nope")
         with pytest.raises(ValueError):
             AsymmetryRegime(kind="custom")
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_refuses_alpha_without_an_offset(self, alpha):
+        # a NaN alpha once constructed and failed later in math.ceil
+        with pytest.raises(ValueError, match="alpha"):
+            AsymmetryRegime(kind="sqrt_scaled", alpha=alpha)
+
+    @pytest.mark.parametrize("n", [0, -4])
+    @pytest.mark.parametrize(
+        "regime",
+        [AsymmetryRegime(kind="zero"), AsymmetryRegime(kind="logarithmic"),
+         AsymmetryRegime(kind="sqrt_scaled", alpha=1.0), AsymmetryRegime(kind="power", beta=0.75)],
+        ids=lambda r: r.kind,
+    )
+    def test_offset_needs_a_positive_n(self, regime, n):
+        # (-4) ** 0.75 is complex: the power regime once failed with a TypeError
+        with pytest.raises(ValueError, match=f"^{regime.kind} regime needs n >= 1, got n={n}$"):
+            regime.offset(n)
+
+    def test_offset_above_n_names_the_regime(self):
+        regime = AsymmetryRegime(kind="sqrt_scaled", alpha=3.0)
+        assert regime.offset(9) == 9  # a_n = n is the all-zeros start
+        with pytest.raises(ValueError, match=r"sqrt_scaled regime alpha=3.0: a_n=6 > n=4"):
+            regime.offset(4)
