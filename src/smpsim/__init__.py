@@ -53,7 +53,6 @@ from .experiments import (  # noqa: E402,F401
     estimate_event_probability,
     max_error_sweep,
     return_to_symmetry_rate,
-    symmetry_break_statistics,
     theorem1_suite,
     theorem2_suite,
     trichotomy_sweep,

@@ -52,7 +52,9 @@ from itertools import compress
 import numpy as np
 
 from . import analytics
-from .model import NetworkModel, OpinionCounts, ProtocolConfig, event_mask, majority_update
+from .model import (
+    NetworkModel, OpinionCounts, ProtocolConfig, event_mask, majority_rule, majority_update,
+)
 from .rng import sample_binomial_lanes
 
 __all__ = [
@@ -241,7 +243,7 @@ def _per_agent_rounds(
                 )
                 n0 = d0 + own_zero
                 n1 = d1 + ~own_zero
-                new[:, j] = np.where(n0 > n1, 0, np.where(n1 > n0, 1, sub[:, j]))
+                new[:, j] = majority_rule(sub[:, j], n0, n1)
             bits[rows] = new
         traj[round_index] = total - bits.sum(axis=1)
     return traj

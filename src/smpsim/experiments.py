@@ -38,12 +38,10 @@ __all__ = [
     "Estimate",
     "SweepRow",
     "SweepResult",
-    "SymmetryBreakStats",
     "wilson_interval",
     "clopper_pearson_interval",
     "estimate_event_probability",
     "trichotomy_sweep",
-    "symmetry_break_statistics",
     "theorem1_suite",
     "theorem2_suite",
     "max_error_sweep",
@@ -294,13 +292,6 @@ def final_zeros_sample(
     return np.concatenate(list(chunks))
 
 
-def _single_round_final_zeros(
-    n: int, q: float, trials: int, master_seed: int, workers: int
-) -> np.ndarray:
-    config = ProtocolConfig(n=n, delta=0, rounds=1, network=NetworkModel(q=q))
-    return final_zeros_sample(config, trials, master_seed, workers=workers)
-
-
 # --------------------------------------------------------------------------
 # Preset experiments
 # --------------------------------------------------------------------------
@@ -337,43 +328,6 @@ def trichotomy_sweep(
             "limit_label": "limit (asymptotic reading)" if regime.fact1_case() == 2 else "limit",
             "offset_rounding": "ceil",
         },
-    )
-
-
-@dataclass(frozen=True)
-class SymmetryBreakStats:
-    """Sample law of the scaled round-1 fluctuation (N0 - n)/sqrt(n) from a tie."""
-
-    n: int
-    q: float
-    trials: int
-    mean: float
-    variance: float
-    outside_counts: dict[float, int]
-
-    def fraction_outside(self, delta: float) -> float:
-        return self.outside_counts[delta] / self.trials
-
-
-def symmetry_break_statistics(
-    n: int,
-    q: float,
-    trials: int,
-    master_seed: int,
-    *,
-    deltas: Sequence[float] = (0.1, 0.25, 0.5, 1.0, 2.0, 3.0),
-    workers: int = 1,
-) -> SymmetryBreakStats:
-    """Single-round fluctuation statistics from an exactly tied start."""
-    zeros = _single_round_final_zeros(n, q, trials, master_seed, workers)
-    scaled = (zeros - n) / math.sqrt(n)
-    mean = float(scaled.mean())
-    variance = float(scaled.var(ddof=1)) if trials > 1 else 0.0
-    outside = {
-        float(d): int(np.count_nonzero(np.abs(scaled) >= d)) for d in deltas
-    }
-    return SymmetryBreakStats(
-        n=n, q=q, trials=trials, mean=mean, variance=variance, outside_counts=outside
     )
 
 
@@ -534,7 +488,8 @@ def return_to_symmetry_rate(
         raise ValueError("n_grid must not be empty")
     rows = []
     for n in n_grid:
-        zeros = _single_round_final_zeros(n, q, trials, master_seed, workers)
+        config = ProtocolConfig(n=n, delta=0, rounds=1, network=NetworkModel(q=q))
+        zeros = final_zeros_sample(config, trials, master_seed, workers=workers)
         successes = int(np.count_nonzero(zeros == n))
         est = Estimate.from_counts(successes, trials)
         rows.append(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import MAX_BINOMIAL_TRIALS
+from .analytics import MAX_BINOMIAL_TRIALS, std_normal_cdf, t_zero
 
 
 Bit = int
@@ -157,15 +157,13 @@ class AsymmetryRegime:
         constant for the effective alpha (``label: limit (asymptotic
         reading)`` in sweep output); cases 1 and 3 give 1/2 and 1.
         """
-        from . import analytics
-
         case = self.fact1_case()
         if case == 1:
             return 0.5
         if case == 3:
             return 1.0
         alpha = self.alpha if self.kind == "sqrt_scaled" else 1.0
-        return analytics.std_normal_cdf(analytics.t_zero(alpha, q))
+        return std_normal_cdf(t_zero(alpha, q))
 
 
 def majority_update(own: Bit, n0: int, n1: int) -> Bit:
@@ -184,11 +182,16 @@ def majority_update(own: Bit, n0: int, n1: int) -> Bit:
         raise ValueError("an agent holding 0 counts itself: n0 must be >= 1")
     if own == 1 and n1 < 1:
         raise ValueError("an agent holding 1 counts itself: n1 must be >= 1")
-    if n0 > n1:
-        return 0
-    if n1 > n0:
-        return 1
-    return own
+    return int(majority_rule(own, n0, n1))
+
+
+def majority_rule(own, n0, n1):
+    """The majority rule elementwise over arrays of agents, unchecked.
+
+    0 where ``n0 > n1``, 1 where ``n1 > n0`` and ``own`` on a tie; the
+    checks are :func:`majority_update`'s, kept out of per-lane loops.
+    """
+    return np.where(n0 > n1, 0, np.where(n1 > n0, 1, own))
 
 
 EVENT_NAMES = (

@@ -34,10 +34,9 @@ from .experiments import (
     estimate_event_probability,
     final_zeros_sample,
     return_to_symmetry_rate,
-    symmetry_break_statistics,
     theorem2_suite,
 )
-from .model import NetworkModel, OpinionCounts, ProtocolConfig
+from .model import AsymmetryRegime, NetworkModel, OpinionCounts, ProtocolConfig
 
 __all__ = [
     "CriterionResult", "CRITERIA", "criterion_result_file", "run_criterion", "run_verification",
@@ -55,9 +54,6 @@ _P3_REFERENCE_10000 = {
     0.5: 0.9715859008369633,
     0.8: 0.8866878989034689,
 }
-
-_PHI_SQRT2 = analytics.std_normal_cdf(math.sqrt(2.0))
-
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -104,7 +100,8 @@ def _criterion_1(seed: int, workers: int) -> tuple[bool, dict[str, Any]]:
 
 def _criterion_2(seed: int, workers: int) -> tuple[bool, dict[str, Any]]:
     """Single-round majority consensus under a strong n^(3/4) imbalance."""
-    n, delta, q = 10_000, 1_000, 0.5
+    n, q = 10_000, 0.5
+    delta = AsymmetryRegime(kind="power", beta=0.75).offset(n)
     config = ProtocolConfig(n=n, delta=delta, rounds=1, network=NetworkModel(q=q))
     err = estimate_event_probability(
         config, "majority_consensus_failure", 100_000, seed, workers=workers
@@ -127,28 +124,34 @@ def _criterion_2(seed: int, workers: int) -> tuple[bool, dict[str, Any]]:
 def _criterion_3(seed: int, workers: int) -> tuple[bool, dict[str, Any]]:
     """Growth-rate trichotomy via exact keep probabilities, no sampling."""
     n, q = 10_000, 0.5
-    keep, _ = analytics.transition_values(2 * n, [n, n + 100, n + 1_000], q)
+    sqrt_scaled = AsymmetryRegime(kind="sqrt_scaled", alpha=1.0)
+    regimes = (AsymmetryRegime(kind="zero"), sqrt_scaled, AsymmetryRegime(kind="power", beta=0.75))
+    keep, _ = analytics.transition_values(2 * n, [n + r.offset(n) for r in regimes], q)
     p_tied, p_sqrt, p_power = keep.tolist()
+    limit = sqrt_scaled.limit(q)
     ok_tied = 0.5 < p_tied < 0.52
-    ok_sqrt = abs(p_sqrt - _PHI_SQRT2) <= 0.01
+    ok_sqrt = abs(p_sqrt - limit) <= 0.01
     ok_power = p_power >= 0.999
     return ok_tied and ok_sqrt and ok_power, {
         "p_tied": p_tied,
         "p_sqrt_scaled": p_sqrt,
         "p_power": p_power,
-        "normal_cdf_sqrt2": _PHI_SQRT2,
+        "normal_cdf_sqrt2": limit,
         "tolerances": {"tied": "(0.5, 0.52)", "sqrt": 0.01, "power": 0.999},
     }
 
 
 def _criterion_4(seed: int, workers: int) -> tuple[bool, dict[str, Any]]:
     """Round-1 fluctuation law from a tie: variance near 1/2, mean near 0."""
-    stats = symmetry_break_statistics(10_000, 0.5, 10_000, seed, workers=workers)
-    ok = 0.45 <= stats.variance <= 0.55 and -0.03 <= stats.mean <= 0.03
+    n, trials = 10_000, 10_000
+    config = ProtocolConfig(n=n, delta=0, rounds=1, network=NetworkModel(q=0.5))
+    scaled = (final_zeros_sample(config, trials, seed, workers=workers) - n) / math.sqrt(n)
+    mean, variance = float(scaled.mean()), float(scaled.var(ddof=1))
+    ok = 0.45 <= variance <= 0.55 and -0.03 <= mean <= 0.03
     return ok, {
-        "mean": stats.mean,
-        "variance": stats.variance,
-        "trials": stats.trials,
+        "mean": mean,
+        "variance": variance,
+        "trials": trials,
         "variance_window": [0.45, 0.55],
         "mean_window": [-0.03, 0.03],
     }
@@ -209,14 +212,12 @@ def _criterion_6(seed: int, workers: int) -> tuple[bool, dict[str, Any]]:
 def _criterion_7(seed: int, workers: int) -> tuple[bool, dict[str, Any]]:
     """Round-1 spread from a tie stays under the 2 exp(-B^2/n) bound."""
     n, q, trials = 10_000, 0.5, 100_000
-    stats = symmetry_break_statistics(
-        n, q, trials, seed, deltas=(1.0, 2.0, 3.0), workers=workers
-    )
+    config = ProtocolConfig(n=n, delta=0, rounds=1, network=NetworkModel(q=q))
+    spread = np.abs(final_zeros_sample(config, trials, seed, workers=workers) - n)
     checks = {}
     ok = True
     for b in (100, 200, 300):
-        delta = b / math.sqrt(n)
-        est = Estimate.from_counts(stats.outside_counts[delta], trials)
+        est = Estimate.from_counts(int(np.count_nonzero(spread >= b)), trials)
         frac, half_width = est.p_hat, est.half_width
         bound = analytics.prop4_bound(n, b)
         passed = frac <= bound + half_width

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smpsim import analytics, cli, engine, experiments
+from smpsim import analytics, cli, engine, experiments, verify
 from smpsim.engine import (
     CountDistribution,
     TrialOutcome,
@@ -497,6 +497,16 @@ class TestExactChain:
         # binomials only, with the last round in closed form
         p_cons, _ = exact_chain_consensus_probability(n, 0, q, 3)
         assert p_cons == pytest.approx(consensus_from_tie_probability(n, q, 3), abs=1e-9)
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
+    def test_criterion_5_references_match_the_chain(self, monkeypatch, q):
+        # criterion 5 pins P3(10^4, q) from the scipy oracle above; the chain
+        # agrees at 2n = 20,000. The agent ceiling is a cost limit, lifted
+        # here only to compute the reference (about 1 s per q)
+        monkeypatch.setattr(engine, "EXACT_CHAIN_MAX_AGENTS", 20_000)
+        monkeypatch.setattr(analytics, "_MEMO", {})
+        p_cons, _ = exact_chain_consensus_probability(10_000, 0, q, 3)
+        assert p_cons == pytest.approx(verify._P3_REFERENCE_10000[q], rel=2e-12, abs=0.0)
 
 
 class TestPerAgentVsExhaustive:

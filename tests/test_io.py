@@ -6,7 +6,7 @@ import pytest
 
 from smpsim.analytics import BoundReport
 from smpsim.engine import CountDistribution, TrialOutcome
-from smpsim.experiments import Estimate, SweepResult, SweepRow, SymmetryBreakStats
+from smpsim.experiments import Estimate, SweepResult, SweepRow
 from smpsim.io import (
     _PAYLOAD_CLASSES,
     CSV_SWEEP_COLUMNS,
@@ -103,15 +103,10 @@ class TestJsonRoundTrip:
             write_results(result, "xml", tmp_path / "r.xml")
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_symmetry_break_stats_is_no_payload(self, tmp_path, fmt):
-        # criteria 4 and 7 read these statistics; no command writes them
-        stats = SymmetryBreakStats(
-            n=100, q=0.5, trials=1000, mean=0.01, variance=0.49,
-            outside_counts={0.5: 600, 1.0: 170},
-        )
+    def test_unsupported_payload_is_refused(self, tmp_path, fmt):
         path = tmp_path / f"r.{fmt}"
-        with pytest.raises(TypeError, match="SymmetryBreakStats"):
-            write_results(ResultFile(manifest=_manifest(), payload=stats), fmt, path)
+        with pytest.raises(TypeError, match="unsupported payload type OpinionCounts"):
+            write_results(ResultFile(manifest=_manifest(), payload=OpinionCounts(3, 1)), fmt, path)
         assert not path.exists()
 
 
