@@ -27,7 +27,6 @@ from .analytics import (  # noqa: E402,F401
     BoundReport,
     adopt_zero_probability,
     binomial_log_pmf,
-    comparison_probability,
     keep_zero_probability,
     kl_bernoulli,
     pmf_stirling_bounds,

@@ -43,12 +43,10 @@ from typing import Any
 import numpy as np
 
 __all__ = [
-    "LogProb",
     "BoundReport",
     "BOUND_NAMES",
     "MAX_BINOMIAL_TRIALS",
     "binomial_log_pmf",
-    "comparison_probability",
     "transition_values",
     "keep_zero_probability",
     "adopt_zero_probability",
@@ -64,9 +62,6 @@ __all__ = [
     "pn_sandwich",
     "pmf_stirling_bounds",
 ]
-
-#: Log-probability: float <= 0 in natural-log space, -inf meaning probability 0.
-LogProb = float
 
 #: Binomials have fewer trials than this: below it ``_log_pmf`` forms k - mp
 #: exactly from a 26-bit split of p, which its accuracy rests on.
@@ -323,15 +318,6 @@ def _scaled(lo: int, log_pmf: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     return lo, w, np.cumsum(w)
 
 
-def _log_pmf_array(m: int, p: float) -> np.ndarray:
-    """log P{Bin(m, p) = k} for k = 0..m, with exact 0**0 = 1 conventions."""
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    return _log_pmf(np.array([float(m)]), np.array([float(p)]), np.array([0]), np.array([m]))
-
-
 def _compare_windows(win1, win2, offset: int) -> float:
     """P{X1 + offset >= X2} from scaled windows of independent X1 and X2.
 
@@ -349,7 +335,7 @@ def _compare_windows(win1, win2, offset: int) -> float:
     return float(min(acc / (c1[-1] * total2), 1.0))
 
 
-def binomial_log_pmf(m: int, p: float, k: int) -> LogProb:
+def binomial_log_pmf(m: int, p: float, k: int) -> float:
     """log of C(m, k) p^k (1-p)^(m-k), in Loader's saddle-point form."""
     if not 0 <= k <= m < MAX_BINOMIAL_TRIALS:
         raise ValueError(f"need 0 <= k <= m < 2^27, got k={k}, m={m}")
@@ -357,27 +343,6 @@ def binomial_log_pmf(m: int, p: float, k: int) -> LogProb:
         raise ValueError(f"p must be in [0, 1], got {p}")
     window = np.array([k])
     return float(_log_pmf(np.array([float(m)]), np.array([float(p)]), window, window)[0])
-
-
-def comparison_probability(m1: int, m2: int, p: float, offset: int) -> float:
-    """Exact P{ Bin(m1, p) + offset >= Bin(m2, p) } for independent binomials.
-
-    Evaluated as sum_k pmf(m1, p, k) * P{Bin(m2, p) <= k + offset} in linear
-    space, each binomial restricted to the window outside which its mass is
-    below 1e-340 and scaled by its own maximum.  Against a 40-digit mpmath
-    reference the relative error measured below 5e-14 at the tested points
-    with m up to 2e5 and values down to 4e-204 (the test bound is 1e-13).
-    Deeper tails at large m lose relative precision in proportion to
-    |ln P|: up to 8.3 u (1 + |ln P|) with u = 2^-53, measured at m ~ 2e4
-    and P ~ 1e-232 (the test bound there is 16 u (1 + |ln P|)), and
-    results below about 1e-300 lose it to underflow.  Certain comparisons
-    short-circuit exactly: offset >= m2 gives 1, m1 + offset < 0 gives 0.
-    """
-    if not (0 <= m1 < MAX_BINOMIAL_TRIALS and 0 <= m2 < MAX_BINOMIAL_TRIALS):
-        raise ValueError(f"m1 and m2 must be in [0, 2^27), got ({m1}, {m2})")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    return _pair_comparisons(m1 + m2, [(m1, offset)], p)[0]
 
 
 def _pair_comparisons(size: int, queries: list[tuple[int, int]], p: float) -> list[float]:
@@ -493,24 +458,19 @@ def _comparison_log_bound(m1, m2, p: float, s) -> np.ndarray:
     return out
 
 
-def _transition_log_bounds(total: int, zs, q: float) -> tuple[np.ndarray, ...]:
-    """log-bounds on (keep, adopt, 1 - keep, 1 - adopt) at each interior z of ``zs``.
+def _transition_log_bounds(total: int, zs, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """log-bounds on (keep, adopt) at each interior z of ``zs``.
 
     Each is ``_comparison_log_bound`` of the comparison behind it, with
     delivery probability p = 1 - q as ``transition_values`` takes it and
-    o = total - z: keep is P{Bin(z - 1) - Bin(o) >= -1}, adopt
-    P{Bin(z) - Bin(o - 1) >= 2}, 1 - keep P{Bin(o) - Bin(z - 1) >= 2} and
-    1 - adopt P{Bin(o - 1) - Bin(z) >= -1}.
+    o = total - z: keep is P{Bin(z - 1) - Bin(o) >= -1} and adopt
+    P{Bin(z) - Bin(o - 1) >= 2}.  Swapping the labels 0 and 1 makes the
+    bounds at total - z bounds on 1 - adopt and 1 - keep at z.
     """
     z = np.asarray(zs, dtype=np.int64)
     o = total - z
     p = 1.0 - q
-    return (
-        _comparison_log_bound(z - 1, o, p, -1),
-        _comparison_log_bound(z, o - 1, p, 2),
-        _comparison_log_bound(o, z - 1, p, 2),
-        _comparison_log_bound(o - 1, z, p, -1),
-    )
+    return _comparison_log_bound(z - 1, o, p, -1), _comparison_log_bound(z, o - 1, p, 2)
 
 
 def keep_zero_probability(z: int, o: int, q: float) -> float:

@@ -448,29 +448,33 @@ def _decided_ends(total: int, zs, q: float) -> np.ndarray:
     decides the round, the masses are their correctly rounded values:
     (1.0, 0.0) when K and A, bounds on keep and adopt at z, have
     z K + o A < _DECIDED_SHARE = 2^-60 and z ln K + o ln A < _DECIDED_LOG
-    = -750, and (0.0, 1.0) when bounds on 1 - keep and 1 - adopt do.  The
-    mass at 0, (1 - keep)^z (1 - adopt)^o, is then at least
-    1 - (z keep + o adopt) > 1 - 2^-60, and doubles above 1 - 2^-54 round
-    to 1.0; the mass at 2n, keep^z adopt^o, is below e^-750, under half
-    the smallest subnormal (e^-745.13), so it rounds to 0.0.  The factor-64
-    margin between 2^-60 and 2^-54 also covers the kernel's own relative
-    error, at most 8.3 u (1 + |ln P|) measured with u = 2^-53 (5e-13 deep
-    in the tails): where the low side decides, the kernel's keep and adopt
-    give the same 1.0 and 0.0 (np.exp returns 1.0 on [-2^-60, 0] and 0.0
-    from -750 down), so a low-side decision changes no byte.  Undecided
-    states, and z = 0 and z = total, get NaN.  Temporaries are O(len(zs)).
+    = -750, and (0.0, 1.0) when the same test passes at the mirror state
+    total - z: swapping the labels 0 and 1 makes keep and adopt there
+    1 - adopt and 1 - keep at z, so z is decided toward total exactly when
+    total - z is decided toward 0.  The mass at 0, (1 - keep)^z
+    (1 - adopt)^o, is then at least 1 - (z keep + o adopt) > 1 - 2^-60,
+    and doubles above 1 - 2^-54 round to 1.0; the mass at 2n, keep^z
+    adopt^o, is below e^-750, under half the smallest subnormal
+    (e^-745.13), so it rounds to 0.0.  The factor-64 margin between 2^-60
+    and 2^-54 also covers the kernel's own relative error, at most
+    8.3 u (1 + |ln P|) measured with u = 2^-53 (5e-13 deep in the tails):
+    where the low side decides, the kernel's keep and adopt give the same
+    1.0 and 0.0 (np.exp returns 1.0 on [-2^-60, 0] and 0.0 from -750
+    down), so a low-side decision changes no byte.  Undecided states, and
+    z = 0 and z = total, get NaN.  Temporaries are O(len(zs)).
     """
     zs = np.asarray(zs, dtype=np.int64)
     ends = np.full((2, len(zs)), np.nan)
     inner = np.flatnonzero((zs > 0) & (zs < total))
-    z = zs[inner].astype(np.float64)
+    both = np.concatenate([zs[inner], total - zs[inner]])  # each z, then its mirror
+    log_keep, log_adopt = analytics._transition_log_bounds(total, both, q)
+    z = both.astype(np.float64)
     o = total - z
-    keep, adopt, keep_fails, adopt_fails = analytics._transition_log_bounds(total, zs[inner], q)
-    for log_a, log_b, masses in ((keep, adopt, (1.0, 0.0)), (keep_fails, adopt_fails, (0.0, 1.0))):
-        certain = (z * np.exp(log_a) + o * np.exp(log_b) < _DECIDED_SHARE) & (
-            z * log_a + o * log_b < _DECIDED_LOG
-        )
-        ends[:, inner[certain]] = np.array(masses)[:, None]
+    certain = (z * np.exp(log_keep) + o * np.exp(log_adopt) < _DECIDED_SHARE) & (
+        z * log_keep + o * log_adopt < _DECIDED_LOG
+    )
+    for decided, masses in zip(certain.reshape(2, -1), ((1.0, 0.0), (0.0, 1.0))):
+        ends[:, inner[decided]] = np.array(masses)[:, None]
     return ends
 
 

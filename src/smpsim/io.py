@@ -208,13 +208,17 @@ def _sweep_csv_rows(rows) -> list[list[str]]:
 
 
 def _estimate_as_sweep_row(manifest: RunManifest, est: Estimate) -> SweepRow:
+    """The CSV row of an estimate; n, q and event come from the manifest's config."""
     cfg = manifest.config
+    missing = [key for key in ("n", "q", "event") if key not in cfg]
+    if missing:
+        raise ValueError(f"an estimate CSV needs {', '.join(missing)} in the manifest config")
     return SweepRow(
-        n=int(cfg.get("n", 0)),
+        n=int(cfg["n"]),
         delta=cfg.get("delta"),
-        q=float(cfg.get("q", float("nan"))),
+        q=float(cfg["q"]),
         rounds=cfg.get("rounds"),
-        event=str(cfg.get("event", "")),
+        event=str(cfg["event"]),
         estimate=est,
     )
 
@@ -259,8 +263,6 @@ def _dump_csv(result: ResultFile) -> str:
         for key in sorted(payload):
             value = payload[key]
             writer.writerow([str(key), format_float(value) if isinstance(value, float) else str(value)])
-    else:
-        raise ValueError(f"no CSV rendering for payload kind {kind!r}")
     return buf.getvalue()
 
 

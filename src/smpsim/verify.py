@@ -263,7 +263,8 @@ def _criterion_9(seed: int, workers: int) -> tuple[bool, dict[str, Any]]:
     worst_margin = math.inf
     for p in (0.1, 0.3, 0.5, 0.7, 0.9):
         for m in range(2, 201):
-            pmf = np.exp(analytics._log_pmf_array(m, p)[1:m])
+            # for m <= 521 the 1e-340 window is all of 0..m
+            pmf = np.exp(next(analytics._windows(m, p))[1][1:m])
             lower, upper = np.array([analytics.pmf_stirling_bounds(m, p, k) for k in range(1, m)]).T
             if np.any(pmf < lower) or np.any(pmf > upper):
                 stirling_ok = False

@@ -4,8 +4,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from smpsim import analytics as A
 from smpsim import engine, rng
@@ -54,7 +52,7 @@ class TestBinomialLogPmf:
         with pytest.raises(ValueError, match="2\\^27"):
             A.binomial_log_pmf(2**63 - 1, 0.5, 3)
         with pytest.raises(ValueError, match="2\\^27"):
-            A.comparison_probability(2**62, 3, 0.5, 0)
+            A.transition_values(2**62 + 3, [3], 0.5)
         with pytest.raises(ValueError, match="2\\^27"):
             A.keep_zero_probability(2**62, 2**62, 0.5)
 
@@ -69,53 +67,10 @@ class TestBinomialLogPmf:
         # Loader's log-PMF has an error that does not grow with m: each sum
         # here measured within 4e-16 of 1, well inside these tolerances
         for m, p, tol in [(10, 0.5, 1e-14), (1000, 0.3, 1e-12), (20_000, 0.9, 1e-10)]:
-            total = np.exp(A._log_pmf_array(m, p)).sum()
-            assert total == pytest.approx(1.0, rel=tol)
-
-
-class TestComparisonProbability:
-    def test_examples(self):
-        assert A.comparison_probability(0, 0, 0.5, 0) == 1.0
-        assert A.comparison_probability(1, 2, 0.5, 1) == pytest.approx(0.875, abs=1e-13)
-        assert A.comparison_probability(0, 1, 0.5, 0) == pytest.approx(0.5, abs=1e-13)
-
-    @pytest.mark.parametrize("p", [0.5, 0.3, 0.9])
-    def test_exhaustive_small_systems(self, p):
-        for m1 in range(0, 9):
-            for m2 in range(0, 9):
-                if m1 + m2 > 16:
-                    continue
-                for offset in (-2, -1, 0, 1, 2):
-                    got = A.comparison_probability(m1, m2, p, offset)
-                    want = comparison_direct(m1, m2, p, offset)
-                    assert got == pytest.approx(want, abs=1e-12), (m1, m2, p, offset)
-
-    def test_exact_rational_oracle(self):
-        got = A.comparison_probability(5, 7, 0.5, 1)
-        want = comparison_fraction(5, 7, Fraction(1, 2), 1)
-        assert got == pytest.approx(float(want), rel=1e-13)
-
-    def test_short_circuits_exact(self):
-        assert A.comparison_probability(3, 2, 0.37, 2) == 1.0
-        assert A.comparison_probability(3, 0, 0.37, 0) == 1.0
-        assert A.comparison_probability(3, 9, 0.37, -4) == 0.0
-
-    def test_degenerate_p(self):
-        assert A.comparison_probability(4, 4, 0.0, 0) == 1.0
-        assert A.comparison_probability(4, 4, 1.0, 0) == 1.0
-        assert A.comparison_probability(4, 4, 1.0, -1) == 0.0
-
-    @given(
-        m1=st.integers(0, 6),
-        m2=st.integers(0, 6),
-        offsets=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_monotone_in_offset(self, m1, m2, offsets):
-        lo, hi = min(offsets), max(offsets)
-        assert A.comparison_probability(m1, m2, 0.4, lo) <= A.comparison_probability(
-            m1, m2, 0.4, hi
-        ) + 1e-13
+            lo, log_pmf = next(A._windows(m, p))
+            pmf = np.zeros(m + 1)
+            pmf[lo : lo + len(log_pmf)] = np.exp(log_pmf)
+            assert pmf.sum() == pytest.approx(1.0, rel=tol)
 
 
 class TestTransitionProbabilities:
@@ -155,6 +110,51 @@ class TestTransitionProbabilities:
     def test_consensus_side_is_certain(self):
         assert A.keep_zero_probability(6, 0, 0.42) == 1.0
         assert A.adopt_zero_probability(0, 6, 0.42) == 0.0
+
+    @pytest.mark.parametrize("p", [0.5, 0.3, 0.9])
+    def test_exhaustive_small_systems(self, p):
+        q = 1.0 - p
+        for total in range(1, 17):
+            keep, adopt = A.transition_values(total, range(total + 1), q)
+            for z in range(total + 1):
+                o = total - z
+                if z > 0:
+                    want = comparison_direct(z - 1, o, 1.0 - q, 1)
+                    assert keep[z] == pytest.approx(want, abs=1e-12), ("keep", z, o, p)
+                if o > 0:
+                    want = comparison_direct(z, o - 1, 1.0 - q, -2)
+                    assert adopt[z] == pytest.approx(want, abs=1e-12), ("adopt", z, o, p)
+
+    def test_exact_rational_oracle(self):
+        got = A.keep_zero_probability(6, 7, 0.5)
+        want = comparison_fraction(5, 7, Fraction(1, 2), 1)
+        assert got == pytest.approx(float(want), rel=1e-13)
+
+    def test_short_circuits_exact(self):
+        # keep is certain when o <= 1, adopt impossible when z <= 1
+        assert A.keep_zero_probability(3, 1, 0.37) == 1.0
+        assert A.keep_zero_probability(3, 0, 0.37) == 1.0
+        assert A.adopt_zero_probability(1, 9, 0.37) == 0.0
+
+    def test_degenerate_p(self):
+        # q = 1 delivers nothing, q = 0 everything
+        assert A.keep_zero_probability(4, 5, 1.0) == 1.0
+        assert A.adopt_zero_probability(5, 4, 1.0) == 0.0
+        assert A.keep_zero_probability(5, 4, 0.0) == 1.0
+        assert A.keep_zero_probability(4, 5, 0.0) == 0.0
+        assert A.adopt_zero_probability(5, 4, 0.0) == 1.0
+        assert A.adopt_zero_probability(4, 5, 0.0) == 0.0
+
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.7, 1e-9, 1.0 - 1e-9])
+    def test_label_swap_gives_the_complements(self, q):
+        # swapping the labels 0 and 1 maps (z, o) to (o, z): keep and adopt
+        # at total - z are 1 - adopt and 1 - keep at z
+        for total in range(2, 17, 2):
+            zs = np.arange(1, total)
+            keep, adopt = A.transition_values(total, zs, q)
+            mirror_keep, mirror_adopt = A.transition_values(total, total - zs, q)
+            assert np.abs(mirror_keep - (1.0 - adopt)).max() <= 1e-15, total
+            assert np.abs(mirror_adopt - (1.0 - keep)).max() <= 1e-15, total
 
     def test_monotone_in_imbalance(self):
         for n in (50, 200):
@@ -226,12 +226,19 @@ def _transition_comparisons(total: int, z: int):
 
 
 def _assert_bounds_dominate(total, zs, q, exact):
-    """Each ``_transition_log_bounds`` value at ``zs`` is at least its exact value."""
+    """The certificate's bounds dominate keep, adopt, 1 - keep and 1 - adopt at each z of ``zs``.
+
+    keep and adopt are bounded by ``_transition_log_bounds`` at z, 1 - keep
+    and 1 - adopt by its adopt and keep bounds at the mirror state total - z.
+    """
     import mpmath
 
-    bounds = A._transition_log_bounds(total, zs, q)
-    for i, z in enumerate(zs):
-        for bound, args in zip(bounds, _transition_comparisons(total, z)):
+    zs = np.asarray(zs)
+    keep, adopt = A._transition_log_bounds(total, zs, q)
+    mirror_keep, mirror_adopt = A._transition_log_bounds(total, total - zs, q)
+    bounds = (keep, adopt, mirror_adopt, mirror_keep)
+    for i, z in enumerate(zs.tolist()):
+        for bound, args in zip(bounds, _transition_comparisons(total, z), strict=True):
             want = exact(*args)
             # mpmath's own rounding can put a certain value a few 1e-50 above 1
             assert want == 0 or mpmath.log(want) <= bound[i] + 1e-30, (z, args, want, bound[i])
@@ -406,8 +413,8 @@ class TestTransitionCache:
         assert np.array_equal(hit[0], fresh[0]) and np.array_equal(hit[1], fresh[1])
         assert A.keep_zero_probability(13, 9, 0.35) == fresh[0][0]
         assert A.adopt_zero_probability(13, 9, 0.35) == fresh[1][0]
-        assert fresh[0][0] == A.comparison_probability(12, 9, 1.0 - 0.35, 1)
-        assert fresh[1][0] == A.comparison_probability(13, 8, 1.0 - 0.35, -2)
+        assert fresh[0][0] == A._pair_comparisons(21, [(12, 1)], 1.0 - 0.35)[0]
+        assert fresh[1][0] == A._pair_comparisons(21, [(13, -2)], 1.0 - 0.35)[0]
 
     def test_cache_hits(self, monkeypatch):
         monkeypatch.setattr(A, "_MEMO", {})
@@ -436,9 +443,9 @@ class TestTransitionCache:
         b = A.transition_values(20, [7], 0.7)
         c = A.transition_values(21, [7], 0.3)
         assert sorted(A._MEMO) == [(20, 0.3), (20, 0.7), (21, 0.3)]
-        assert a[0][0] == A.comparison_probability(6, 13, 0.7, 1)
-        assert b[0][0] == A.comparison_probability(6, 13, 0.3, 1)
-        assert c[0][0] == A.comparison_probability(6, 14, 0.7, 1)
+        assert a[0][0] == A._pair_comparisons(19, [(6, 1)], 0.7)[0]
+        assert b[0][0] == A._pair_comparisons(19, [(6, 1)], 0.3)[0]
+        assert c[0][0] == A._pair_comparisons(20, [(6, 1)], 0.7)[0]
         assert len({a[0][0], b[0][0], c[0][0]}) == 3
 
     def test_memo_is_bounded(self, monkeypatch):
@@ -465,7 +472,9 @@ class TestTransitionCache:
                 results = list(pool.map(lambda a: A.keep_zero_probability(*a), args, timeout=120))
         finally:
             sys.setswitchinterval(interval)
-        expected = {a: A.comparison_probability(a[0] - 1, a[1], 1.0 - 0.4, 1) for a in set(args)}
+        expected = {
+            a: A._pair_comparisons(a[0] + a[1] - 1, [(a[0] - 1, 1)], 1.0 - 0.4)[0] for a in set(args)
+        }
         assert all(r == expected[a] for r, a in zip(results, args))
         assert sorted(A._MEMO[24, 0.4]) == list(range(1, 24))  # no store was lost
 

@@ -154,6 +154,24 @@ class TestCsv:
         for line in lines:
             assert len(line.split(",")) == 11
 
+    @pytest.mark.parametrize(
+        "config,missing", [({}, "n, q, event"), ({"n": 3, "event": "consensus"}, "q")]
+    )
+    def test_estimate_needs_n_q_and_event(self, tmp_path, config, missing):
+        manifest = RunManifest.create(master_seed=1, config=config, command_line="lib")
+        result = ResultFile(manifest=manifest, payload=Estimate.from_counts(3, 10))
+        path = tmp_path / "r.csv"
+        with pytest.raises(ValueError, match=f"needs {missing} in the manifest config"):
+            write_results(result, "csv", path)
+        assert not path.exists()
+
+    def test_estimate_delta_and_rounds_are_optional(self, tmp_path):
+        config = {"n": 3, "q": 0.3, "event": "consensus"}
+        manifest = RunManifest.create(master_seed=1, config=config, command_line="lib")
+        path = tmp_path / "r.csv"
+        write_results(ResultFile(manifest=manifest, payload=Estimate.from_counts(3, 10)), "csv", path)
+        assert path.read_text().split("\n")[1].startswith("3,,0.29999999999999999,,consensus,0.29")
+
     def test_float_rendering_round_trips(self, tmp_path):
         est = Estimate.from_counts(1, 3)
         result = ResultFile(manifest=_manifest(), payload=est)

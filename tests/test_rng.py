@@ -288,7 +288,9 @@ def _chi_square_pvalue(m: int, p: float, n_draws: int, seed: int) -> float:
     draws = sample_binomial_lanes(
         m, p, seed, np.arange(n_draws, dtype=np.uint64), 1, np.uint64(0)
     )
-    pmf = np.exp(analytics._log_pmf_array(m, p))
+    lo, log_pmf = next(analytics._windows(m, p))
+    pmf = np.zeros(m + 1)
+    pmf[lo : lo + len(log_pmf)] = np.exp(log_pmf)
     observed = np.bincount(draws, minlength=m + 1).astype(float)
     expected = pmf * n_draws
     # pool sparse tails so every cell has expected count >= 5
