@@ -369,6 +369,23 @@ def _pair_comparisons(size: int, queries: list[tuple[int, int]], p: float) -> li
     return out
 
 
+def _integer_array(values, name: str, dtype) -> np.ndarray:
+    """``values`` as a ``dtype`` array; ValueError naming ``name`` unless it holds integers.
+
+    Bool and float arrays are refused, and so are negative entries when
+    ``dtype`` is unsigned; a signed result is left to the caller's range
+    check.  An empty input passes whatever its dtype (``np.asarray([])`` is
+    float64).  An array already of ``dtype`` costs O(1).
+    """
+    array = np.asarray(values)
+    if array.size and array.dtype != dtype:
+        if array.dtype.kind not in "iu":
+            raise ValueError(f"{name} must hold integers, got dtype {array.dtype}")
+        if np.dtype(dtype).kind == "u" and array.min() < 0:
+            raise ValueError(f"{name} must be nonnegative")
+    return array.astype(dtype, copy=False)
+
+
 #: (total, q) -> {z: (keep, adopt)}, emptied before it would exceed _MEMO_MAX_VALUES.
 _MEMO: dict[tuple[int, float], dict[int, tuple[float, float]]] = {}
 _MEMO_LOCK = threading.Lock()
@@ -383,15 +400,15 @@ def transition_values(total: int, zs, q: float) -> tuple[np.ndarray, np.ndarray]
     side (keep at z = 0, adopt at z = total).  The z values missing from the
     (total, q) memo are evaluated in one batch that builds each binomial
     window once; a value is the same from the memo, alone or in any batch.
-    The returned arrays are the caller's own.
+    The returned arrays are the caller's own.  ``zs`` must hold integers.
     """
     if not 1 <= total < MAX_BINOMIAL_TRIALS:
         raise ValueError(f"total must be in [1, 2^27), got {total}")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
-    zs = np.asarray(zs, dtype=np.int64)
+    zs = _integer_array(zs, "zs", np.int64)
     if zs.size and not (0 <= zs.min() and zs.max() <= total):
-        raise ValueError(f"zero-counts must be in [0, {total}]")
+        raise ValueError(f"zs (zero-counts) must be in [0, {total}]")
     uniq, inverse = np.unique(zs, return_inverse=True)
     uniq = uniq.tolist()
     key = (int(total), float(q))

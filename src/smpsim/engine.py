@@ -212,10 +212,10 @@ def _per_agent_rounds(
     2 * 2n groups draws the same bytes, but it was slower: on 300,000
     trials at n = 2 (the per-agent part of the ``mc-sampling`` benchmark)
     it took 0.94-1.06 s against 0.24-0.32 s (2-core x86-64, numpy 2.4).
-    A call's lanes are then not in counter order, so ``rng.philox4x64``
-    lexsorts and gathers the 8 x 65,536 lanes of each chunk (0.51 of
-    1.08 s under cProfile), and ``rng._invert`` groups them by (m, p)
-    (0.14 s).
+    That call's lanes were not in counter order, which ``rng.philox4x64``
+    then met with a lexsort and gather of the 8 x 65,536 lanes of each
+    chunk (0.51 of 1.08 s under cProfile); ``rng._invert`` groups them by
+    (m, p) (0.14 s).
     """
     bits = np.tile(np.asarray(bits0, dtype=np.int8), (len(trial_ids), 1))
     total = bits.shape[1]
@@ -277,10 +277,11 @@ def run_trials_batch(
     Row 0 is the initial state and row r the state after round r.  All
     draws are counter-addressed, so the output is bit-identical however the
     ids are split into batches.  ``check_run_size`` runs before any array
-    is built.
+    is built; ids that are not nonnegative integers (bool and float
+    included) raise a ValueError naming ``trial_ids``.
     """
     check_run_size(config, mode)
-    trial_ids = np.asarray(trial_ids, dtype=np.uint64)
+    trial_ids = analytics._integer_array(trial_ids, "trial_ids", np.uint64)
     initial = config.initial_state()
     q = config.network.q
     if mode == MODE_AGGREGATED:

@@ -287,9 +287,17 @@ def read_result_file(path: str | Path) -> ResultFile:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise OSError(f"failed to read results from {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} holds a JSON {type(doc).__name__}, not a result object")
+    missing = [key for key in ("manifest", "payload_kind", "payload") if key not in doc]
+    if missing:
+        raise ValueError(f"{path} lacks the key(s) {', '.join(missing)}")
+    kind = doc["payload_kind"]
+    if not isinstance(kind, str) or kind not in _PAYLOAD_CLASSES:
+        raise ValueError(f"{path} has an unknown payload_kind {kind!r}")
     return ResultFile(
         manifest=_from_json(RunManifest, doc["manifest"]),
-        payload=_from_json(_PAYLOAD_CLASSES[doc["payload_kind"]], doc["payload"]),
+        payload=_from_json(_PAYLOAD_CLASSES[kind], doc["payload"]),
     )
 
 

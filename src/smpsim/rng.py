@@ -64,29 +64,26 @@ def philox4x64(
     """Philox-4x64-10 block function, vectorized over counter arrays.
 
     numpy's Philox generator computes the blocks, one ``random_raw`` call
-    per run: lanes, sorted by (c3, c2, c1, c0), that share (c1, c2, c3) and
-    whose c0 values step by 1 to _RUN_GAP.  The call generates every block
-    from the run's first c0 to its last; numpy adds 1 to its 256-bit counter
-    before each block, so it starts one below.  One generator, seeded once
-    per call with a fixed seed, takes each run's counter and key as its
-    state, with an empty output buffer.  Lanes already in that order are not
-    sorted, and a run of consecutive lanes is not indexed.
+    per run of lanes, taken in the order given.  A run ends wherever c0
+    does not step up by 1 to _RUN_GAP from the lane before: at a repeat, a
+    descent (2^64 - 1 to 0 included) or a wider gap; and wherever a high
+    word passed as an array of more than one element changes value.  The
+    call generates every block from the run's first c0 to its last; numpy
+    adds 1 to its 256-bit counter before each block, so it starts one
+    below.  One generator, seeded once per call with a fixed seed, takes
+    each run's counter and key as its state, with an empty output buffer.
+    A run of consecutive lanes is not indexed.
     """
     counters = [np.asarray(c, dtype=np.uint64) for c in (c0, c1, c2, c3)]
     shape = np.broadcast_shapes(*(c.shape for c in counters)) or (1,)
     lanes = [np.broadcast_to(c, shape).reshape(-1) for c in counters]
     if not lanes[0].size:
         return tuple(np.empty(shape, dtype=np.uint64) for _ in range(4))
-    high_fixed = all(np.all(c == c.flat[0]) for c in counters[1:])
-    in_order = high_fixed and np.all(lanes[0][1:] >= lanes[0][:-1])
-    if not in_order:
-        order = np.lexsort(lanes)
-        lanes = [c[order] for c in lanes]
     low, step = lanes[0], np.diff(lanes[0])
-    split = (step == 0) | (step > _RUN_GAP)
-    if not high_fixed:
-        for c in lanes[1:]:
-            split |= np.diff(c) != 0
+    split = (step == 0) | (step > _RUN_GAP) | (low[1:] < low[:-1])
+    for c, lane in zip(counters[1:], lanes[1:]):
+        if c.size > 1:
+            split |= np.diff(lane) != 0
     starts = [0, *(np.flatnonzero(split) + 1).tolist()]
     generator = np.random.Philox(0)
     state = generator.state
@@ -102,8 +99,6 @@ def philox4x64(
         blocks = generator.random_raw(4 * count).reshape(-1, 4)
         runs.append(blocks if count == hi - lo else blocks[low[lo:hi] - low[lo]])
     words = runs[0] if len(runs) == 1 else np.concatenate(runs)
-    if not in_order:
-        words[order] = words.copy()
     return tuple(words[:, i].reshape(shape) for i in range(4))
 
 
@@ -199,10 +194,11 @@ def sample_binomial_lanes(
 
     ``trial`` (and optionally ``group``) are arrays of path labels; each
     lane inverts the CDF at the uniform of its own counter block.  m and p
-    are checked, and the p > 1/2 lanes found, on the arrays as passed.
+    are checked, and the p > 1/2 lanes found, on the arrays as passed; m
+    and ``trial`` must hold integers, and ``trial`` nonnegative ones.
     """
-    trial = np.asarray(trial, dtype=np.uint64)
-    m = np.asarray(m, dtype=np.int64)
+    trial = analytics._integer_array(trial, "trial", np.uint64)
+    m = analytics._integer_array(m, "m", np.int64)
     p = np.asarray(p, dtype=np.float64)
     if np.broadcast_shapes(m.shape, p.shape, trial.shape) != trial.shape:
         raise ValueError(f"m {m.shape} and p {p.shape} must broadcast to trial {trial.shape}")

@@ -91,6 +91,20 @@ class TestTransitionProbabilities:
         with pytest.raises(ValueError):
             A.adopt_zero_probability(3, 0, 0.5)
 
+    @pytest.mark.parametrize(
+        "zs,message",
+        [
+            ([2.7], "zs must hold integers, got dtype float64"),
+            ([True], "zs must hold integers, got dtype bool"),
+            ([-1], r"zs \(zero-counts\) must be in \[0, 6\]"),
+        ],
+    )
+    def test_transition_values_refuse_non_integer_zs(self, zs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            A.transition_values(6, zs, 0.5)
+        keep, adopt = A.transition_values(6, [], 0.5)
+        assert keep.shape == adopt.shape == (0,)
+
     def test_keep_is_direct_comparison(self):
         for z, o, q in [(3, 4, 0.25), (6, 2, 0.7), (5, 5, 0.5)]:
             assert A.keep_zero_probability(z, o, q) == pytest.approx(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from smpsim import DEFAULT_MASTER_SEED, engine, experiments
+from smpsim import DEFAULT_MASTER_SEED, engine, experiments, verify
 from smpsim.cli import _COMMANDS, _options, main
 
 
@@ -233,6 +233,15 @@ class TestVerifySubcommand:
         assert code == 0
         assert "criterion  8" in out and "PASS" in out
         assert (out_dir / "criterion_08.json").exists()
+
+    def test_failed_criterion_exits_2(self, capsys, monkeypatch):
+        title, _ = verify.CRITERIA[8]
+        failing = (title, lambda seed, workers: (False, {"forced": True}))
+        monkeypatch.setitem(verify.CRITERIA, 8, failing)
+        code, out, _ = run_cli(capsys, "verify", "--criteria", "8")
+        assert code == 2
+        assert f"criterion  8 ({title}): FAIL" in out
+        assert out.splitlines()[-1] == "FAILED criteria: 8"
 
     def test_bad_criteria_list(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--criteria", "1,two")

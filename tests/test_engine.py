@@ -250,6 +250,22 @@ class TestRunTrial:
         with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
             engine.check_run_size(cfg, "bogus")
 
+    @pytest.mark.parametrize(
+        "ids,message",
+        [
+            ([7.9], "trial_ids must hold integers, got dtype float64"),
+            ([True], "trial_ids must hold integers, got dtype bool"),
+            ([3, -1], "trial_ids must be nonnegative"),
+        ],
+    )
+    def test_trial_ids_must_be_nonnegative_integers(self, ids, message):
+        cfg = ProtocolConfig(n=2, delta=0, rounds=1, network=NetworkModel(q=0.5))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_trials_batch(cfg, ids, SEED)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_trial(cfg, ids[-1], SEED)
+        assert run_trials_batch(cfg, [], SEED).shape == (2, 0)
+
     @pytest.mark.parametrize("mode", MODES)
     def test_rounds_ceiling_checked_before_work(self, monkeypatch, mode):
         def no_rounds(*args, **kwargs):
@@ -261,6 +277,39 @@ class TestRunTrial:
         cfg = ProtocolConfig(n=2, delta=0, rounds=rounds, network=NetworkModel(q=0.5))
         with pytest.raises(UnsupportedSizeError, match=f"^rounds must be at most .*, got {rounds}$"):
             run_trials_batch(cfg, range(4), SEED, mode=mode)
+
+
+def test_engine_sends_philox_ascending_trials_on_one_path(monkeypatch):
+    """Every Philox call of the engine holds ascending trials on one (round, group).
+
+    ``rng.philox4x64`` takes lanes in any order, but lanes out of that
+    order split a call into more, shorter runs.  The wrapper sits on the
+    module global, as ``perfbench/spans.py`` puts its own, so an engine
+    change that sends other lanes fails here instead of running slower.
+    """
+    from smpsim import rng
+
+    calls = []
+    inner = rng.philox4x64
+
+    def recording(c0, c1, c2, c3, key0, key1):
+        calls.append((np.asarray(c0), c1, c2, c3))
+        return inner(c0, c1, c2, c3, key0, key1)
+
+    monkeypatch.setattr(rng, "philox4x64", recording)
+    aggregated = ProtocolConfig(n=40, delta=1, rounds=3, network=NetworkModel(q=0.5))
+    run_trials_batch(aggregated, np.arange(3, 203, dtype=np.uint64), SEED)
+    per_agent = ProtocolConfig(n=3, delta=1, rounds=2, network=NetworkModel(q=0.4))
+    run_trials_batch(per_agent, np.arange(50, dtype=np.uint64), SEED, mode=MODE_PER_AGENT)
+    tie = ProtocolConfig(n=2, delta=0, rounds=1, network=NetworkModel(q=0.5))
+    trials = experiments.CHUNK_TRIALS + 100
+    experiments.estimate_event_probability(tie, "consensus", trials, SEED)
+    # two calls per round: 3 rounds, 2 rounds x 6 agents, 1 round x 2 chunks
+    assert len(calls) == 2 * 3 + 2 * 2 * 6 + 2 * 2
+    assert max(c0.size for c0, *_ in calls) == experiments.CHUNK_TRIALS
+    for c0, *high in calls:
+        assert all(np.ndim(c) == 0 for c in high)
+        assert c0.ndim == 1 and np.all(c0[1:] > c0[:-1])
 
 
 class TestTrialOutcomeType:

@@ -77,6 +77,30 @@ class TestJsonRoundTrip:
         else:
             assert loaded.payload == result.payload
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda doc: doc.update(payload_kind="nope"), "has an unknown payload_kind 'nope'"),
+            (lambda doc: doc.pop("payload"), "lacks the key(s) payload"),
+            (lambda doc: doc.clear(), "lacks the key(s) manifest, payload_kind, payload"),
+        ],
+    )
+    def test_malformed_file_is_a_value_error(self, tmp_path, edit, message):
+        path = tmp_path / "result.json"
+        write_results(ResultFile(manifest=_manifest(), payload=PAYLOADS["estimate"]), "json", path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as refusal:
+            read_result_file(path)
+        assert str(refusal.value) == f"{path} {message}"
+
+    def test_json_list_is_a_value_error(self, tmp_path):
+        path = tmp_path / "result.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="holds a JSON list, not a result object"):
+            read_result_file(path)
+
     def test_payload_kind_recorded(self, tmp_path):
         result = ResultFile(manifest=_manifest(), payload=PAYLOADS["estimate"])
         path = tmp_path / "r.json"

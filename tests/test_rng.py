@@ -76,6 +76,23 @@ class TestPhilox:
         oracle = oracles.philox4x64(*counters, 987654321, 2**64 - 5)
         assert all(np.array_equal(a, b) for a, b in zip(ours, oracle))
 
+    def test_any_lane_order_equals_sorted_lanes(self):
+        # shuffled 0..9,999, then repeats and a descending stretch: runs end
+        # at every repeat and descent, and each lane keeps its own block
+        shuffled = np.random.default_rng(5).permutation(10_000)
+        c0 = np.concatenate([shuffled, [17, 17, 9_999, 0], np.arange(300, 200, -1)])
+        c0 = c0.astype(np.uint64)
+        order = np.argsort(c0, kind="stable")
+        given = philox4x64(c0, 1, 2, 3, 11, 22)
+        ordered = philox4x64(c0[order], 1, 2, 3, 11, 22)
+        for a, b in zip(given, ordered, strict=True):
+            assert np.array_equal(a[order], b)
+
+    def test_zero_lanes_give_empty_words(self):
+        words = philox4x64(np.array([], dtype=np.uint64), 1, 2, 3, 11, 22)
+        assert len(words) == 4
+        assert all(w.dtype == np.uint64 and w.shape == (0,) for w in words)
+
     def test_vector_consistency(self):
         # lane i of a vector call equals a scalar call at that counter
         c0 = np.arange(10, dtype=np.uint64)
@@ -139,6 +156,26 @@ class TestSampleBinomial:
             sample_binomial_lanes(5, [0.3, np.nan], 1, [0, 1], 0, np.uint64(0))
         with pytest.raises(ValueError):  # m of 3 lanes for 2 trials
             sample_binomial_lanes([5, 5, 5], 0.3, 1, [0, 1], 0, np.uint64(0))
+        with pytest.raises(ValueError, match=r"must broadcast to trial \(3,\)"):  # m of 2 x 3
+            sample_binomial_lanes(np.ones((2, 3), dtype=np.int64), 0.3, 1, [0, 1, 2], 1, 0)
+
+    @pytest.mark.parametrize(
+        "m,trial,message",
+        [
+            (40.9, np.arange(50), "m must hold integers, got dtype float64"),
+            ([True, False], [0, 1], "m must hold integers, got dtype bool"),
+            (40, [3.5], "trial must hold integers, got dtype float64"),
+            (40, [True], "trial must hold integers, got dtype bool"),
+            (40, [2, -1], "trial must be nonnegative"),
+        ],
+    )
+    def test_m_and_trial_must_be_integers(self, m, trial, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sample_binomial_lanes(m, 0.3, 1, trial, 1, 0)
+
+    def test_empty_lanes_accepted(self):
+        # np.asarray([]) is float64; an empty call is still no error
+        assert sample_binomial_lanes([], 0.3, 1, [], 1, 0).shape == (0,)
 
     def test_empirical_mean(self):
         draws = sample_binomial_lanes(
