@@ -36,6 +36,7 @@ which the log-PMF's accuracy claim holds.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 from typing import Any
@@ -400,17 +401,26 @@ def transition_values(total: int, zs, q: float) -> tuple[np.ndarray, np.ndarray]
     side (keep at z = 0, adopt at z = total).  The z values missing from the
     (total, q) memo are evaluated in one batch that builds each binomial
     window once; a value is the same from the memo, alone or in any batch.
-    The returned arrays are the caller's own.  ``zs`` must hold integers.
+    The returned arrays are the caller's own.  ``total`` must be an integer
+    (bool refused) and ``zs`` must hold integers.  When every z is the same,
+    as in the first round from a single state, the range check's minimum
+    stands for ``np.unique``, whose sort costs milliseconds on a chunk.
     """
+    if isinstance(total, bool) or not isinstance(total, numbers.Integral):
+        raise ValueError(f"total must be an integer, got {total!r}")
     if not 1 <= total < MAX_BINOMIAL_TRIALS:
         raise ValueError(f"total must be in [1, 2^27), got {total}")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
     zs = _integer_array(zs, "zs", np.int64)
-    if zs.size and not (0 <= zs.min() and zs.max() <= total):
+    z_lo, z_hi = (int(zs.min()), int(zs.max())) if zs.size else (0, -1)  # empty: lo > hi
+    if not (0 <= z_lo and z_hi <= total):
         raise ValueError(f"zs (zero-counts) must be in [0, {total}]")
-    uniq, inverse = np.unique(zs, return_inverse=True)
-    uniq = uniq.tolist()
+    if z_lo == z_hi:
+        uniq, inverse = [z_lo], None
+    else:
+        uniq, inverse = np.unique(zs, return_inverse=True)
+        uniq = uniq.tolist()
     key = (int(total), float(q))
     with _MEMO_LOCK:
         memo = _MEMO.get(key, {})
@@ -426,6 +436,8 @@ def transition_values(total: int, zs, q: float) -> tuple[np.ndarray, np.ndarray]
                 _MEMO.clear()
             _MEMO.setdefault(key, {}).update((z, found[z]) for z in missing)
     keep, adopt = np.array([found[z] for z in uniq], dtype=np.float64).reshape(-1, 2).T
+    if inverse is None:
+        return np.full(zs.shape, keep[0]), np.full(zs.shape, adopt[0])
     return keep[inverse], adopt[inverse]
 
 

@@ -73,9 +73,10 @@ __all__ = [
 
 EXHAUSTIVE_MAX_AGENTS = 6
 EXACT_CHAIN_MAX_AGENTS = 1000
-# The per-agent path holds three int8 matrices of trials x 2n per batch (the
-# tiled bits, the active rows and their update); at the estimate chunk of
-# 2^16 trials and 2n = 1000 that is 3 * 65,536 * 1000 bytes, about 197 MB.
+# The per-agent path holds three int8 matrices of 2n x trials per batch (the
+# agent-major bits, the live trials' columns and their update); at the
+# estimate chunk of 2^16 trials and 2n = 1000 that is 3 * 1000 * 65,536
+# bytes, about 197 MB.
 PER_AGENT_MAX_AGENTS = 1000
 # Both sampling paths hold one (rounds + 1) x trials int64 trajectory per
 # batch; at the estimate chunk of 2^16 trials, 255 rounds make 256 rows of
@@ -167,6 +168,16 @@ class CountDistribution:
 # --------------------------------------------------------------------------
 
 
+def _live(z: np.ndarray, total: int):
+    """Index of the trials whose zero-count ``z`` is not absorbed (neither 0 nor ``total``).
+
+    A slice when every trial is live, as in a round from a single
+    interior state, so that indexing with it gathers and scatters nothing.
+    """
+    live = (z > 0) & (z < total)
+    return slice(None) if np.count_nonzero(live) == len(z) else np.flatnonzero(live)
+
+
 def _aggregated_rounds(
     zeros0: np.ndarray,
     total: int,
@@ -180,17 +191,16 @@ def _aggregated_rounds(
     traj = np.empty((rounds + 1, len(z)), dtype=np.int64)
     traj[0] = z
     for round_index in range(1, rounds + 1):
-        active = (z > 0) & (z < total)
-        if np.any(active):
-            zs = z[active]
+        live = _live(z, total)
+        zs = z[live]
+        if zs.size:
+            ids = trial_ids[live]
             p00, p10 = analytics.transition_values(total, zs, q)
-            kept = sample_binomial_lanes(
-                zs, p00, master_seed, trial_ids[active], round_index, np.uint64(0)
-            )
+            kept = sample_binomial_lanes(zs, p00, master_seed, ids, round_index, np.uint64(0))
             gained = sample_binomial_lanes(
-                total - zs, p10, master_seed, trial_ids[active], round_index, np.uint64(1)
+                total - zs, p10, master_seed, ids, round_index, np.uint64(1)
             )
-            z[active] = kept + gained
+            z[live] = kept + gained
         traj[round_index] = z
     return traj
 
@@ -206,46 +216,46 @@ def _per_agent_rounds(
 
     Each receiver draws its delivered zero- and one-counts from its own
     (trial, round, agent-side) stream; independence across receivers holds
-    because every message's loss is a distinct i.i.d. variable.
+    because every message's loss is a distinct i.i.d. variable.  The bits
+    are agent-major, one contiguous row of trials per agent.
 
-    Each agent side gets its own sampler call.  One call per round over all
-    2 * 2n groups draws the same bytes, but it was slower: on 300,000
+    Each agent side gets its own sampler call.  In a round from a single
+    state every trial gives an agent side the same (m, p), so each call
+    takes ``rng.sample_binomial_lanes``' one-pair path: one memoised CDF
+    searched in place.  One call per round over all 2 * 2n groups draws
+    the same bytes, but it mixes the sides' (m, p), which sends its lanes
+    through ``rng._invert``'s lexsort, gather and scatter: on 300,000
     trials at n = 2 (the per-agent part of the ``mc-sampling`` benchmark)
-    it took 0.94-1.06 s against 0.24-0.32 s (2-core x86-64, numpy 2.4).
-    That call's lanes were not in counter order, which ``rng.philox4x64``
-    then met with a lexsort and gather of the 8 x 65,536 lanes of each
-    chunk (0.51 of 1.08 s under cProfile); ``rng._invert`` groups them by
-    (m, p) (0.14 s).
+    it took 0.45 s against 0.16-0.20 s (2-core x86-64, numpy 2.4).
     """
-    bits = np.tile(np.asarray(bits0, dtype=np.int8), (len(trial_ids), 1))
-    total = bits.shape[1]
+    bits = np.repeat(np.asarray(bits0, dtype=np.int8)[:, None], len(trial_ids), axis=1)
+    total = len(bits)
     q_prime = 1.0 - q
     traj = np.empty((rounds + 1, len(trial_ids)), dtype=np.int64)
-    traj[0] = total - bits.sum(axis=1)
+    traj[0] = total - bits.sum(axis=0)
     for round_index in range(1, rounds + 1):
-        z = total - bits.sum(axis=1)
-        active = (z > 0) & (z < total)
-        if np.any(active):
-            rows = np.flatnonzero(active)
-            sub = bits[rows]
-            z_act = z[rows]
+        z = traj[round_index - 1]
+        live = _live(z, total)
+        sub = bits[:, live]
+        if sub.size:
+            ids = trial_ids[live]
+            z_act = z[live]
             o_act = total - z_act
-            new = sub.copy()
+            new = np.empty_like(sub)
             for j in range(total):
-                own_zero = sub[:, j] == 0
+                own_zero = sub[j] == 0
+                own_one = ~own_zero
                 m0 = z_act - own_zero
-                m1 = o_act - (~own_zero)
+                m1 = o_act - own_one
                 d0 = sample_binomial_lanes(
-                    m0, q_prime, master_seed, trial_ids[rows], round_index, np.uint64(2 * j)
+                    m0, q_prime, master_seed, ids, round_index, np.uint64(2 * j)
                 )
                 d1 = sample_binomial_lanes(
-                    m1, q_prime, master_seed, trial_ids[rows], round_index, np.uint64(2 * j + 1)
+                    m1, q_prime, master_seed, ids, round_index, np.uint64(2 * j + 1)
                 )
-                n0 = d0 + own_zero
-                n1 = d1 + ~own_zero
-                new[:, j] = majority_rule(sub[:, j], n0, n1)
-            bits[rows] = new
-        traj[round_index] = total - bits.sum(axis=1)
+                new[j] = majority_rule(sub[j], d0 + own_zero, d1 + own_one)
+            bits[:, live] = new
+        traj[round_index] = total - bits.sum(axis=0)
     return traj
 
 

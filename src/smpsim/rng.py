@@ -22,22 +22,27 @@ Loader log-PMF, exponentiated, over the window from
 on each side, half the 2^-53 step of the uniform, which resolves no finer;
 the last CDF entry is set to 1.  Lanes
 with p > 1/2 draw m - Bin(m, 1 - p), so a uniform maps to the same draw as
-in every version that inverted the CDF at that (m, p).  m and p are
-checked, and the flips decided, on the arrays as passed, before they are
-broadcast to the lanes.  One call builds the tables of all its distinct
-(m, p) from ``analytics._windows``, which packs the windows into passes,
-and keeps none of them.  A call whose lanes share one (m, p), as the first
-round from a tie does, searches its lanes in place; otherwise a lexsort by
-(m, p) puts each pair's lanes together.  A group of at least
+in every version that inverted the CDF at that (m, p).  A sampler call
+checks m and p on the arrays as passed, and decides from their minima and
+maxima whether its lanes share one (m, p), as every call of the first round
+from a single state does.  Such a call checks, flips and skips its lanes as
+scalars, takes its CDF from a small memo (``_CDF_MEMO``) and searches its
+lanes in place; per-lane work is then the stream, the search and the flip
+alone.  Any other call finds its flips and skipped lanes per lane, builds
+the tables of all its distinct (m, p) from ``analytics._windows``, which
+packs the windows into passes, keeps none of them, and puts each pair's
+lanes together with a lexsort by (m, p).  A group of at least
 _GUIDED_MIN_LANES lanes starts each search at a guide table over its CDF
 and steps up from there; a smaller group, where building the table costs
 more than it saves, uses ``np.searchsorted``.  Both return the least k with
-u < CDF(k), so a lane draws the same alone as in any batch.
+u < CDF(k), and a memoised CDF equals a freshly built one, so a lane draws
+the same alone as in any batch.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -80,7 +85,10 @@ def philox4x64(
     if not lanes[0].size:
         return tuple(np.empty(shape, dtype=np.uint64) for _ in range(4))
     low, step = lanes[0], np.diff(lanes[0])
-    split = (step == 0) | (step > _RUN_GAP) | (low[1:] < low[:-1])
+    # step - 1 wraps a step of 0 to 2^64 - 1, so one compare finds repeats
+    # and wide gaps; a descent from near 2^64 to near 0 steps by 1 to
+    # _RUN_GAP in uint64, so descents are tested on their own
+    split = ((step - np.uint64(1)) >= _RUN_GAP) | (low[1:] < low[:-1])
     for c, lane in zip(counters[1:], lanes[1:]):
         if c.size > 1:
             split |= np.diff(lane) != 0
@@ -105,7 +113,7 @@ def philox4x64(
 def uniform_lanes(master_seed: int, trial, round_index, group) -> np.ndarray:
     """Per-lane uniforms in [0, 1): the top 53 bits of word 0 of block (trial, 0, round, group)."""
     word = philox4x64(trial, 0, round_index, group, master_seed & _MASK64, _DOMAIN)[0]
-    return (word >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    return (word >> np.uint64(11)) * 2.0**-53  # exact: uint64 below 2^53 to float64
 
 
 #: Each side outside a sampling window holds less than 2^-54 of the mass,
@@ -151,34 +159,62 @@ def _search(cdf: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
         out[short] = np.searchsorted(cdf, u[short], side="right")
 
 
+def _cdf(log_pmf: np.ndarray) -> np.ndarray:
+    """The sampler's CDF over a log-PMF window: cumsum of its exp, last entry set to 1."""
+    cdf = np.cumsum(np.exp(log_pmf))
+    cdf[-1] = 1.0
+    return cdf
+
+
+#: (m, p) -> (lo, CDF) of the one-pair calls, p <= 1/2; emptied before it
+#: would hold more than _CDF_MEMO_MAX_PAIRS pairs.  A window at m < 2^27
+#: has at most about 10^5 entries, so the memo holds at most about 51 MB,
+#: and a few KB for the pairs of small systems.
+_CDF_MEMO: dict[tuple[int, float], tuple[int, np.ndarray]] = {}
+_CDF_MEMO_LOCK = threading.Lock()
+_CDF_MEMO_MAX_PAIRS = 64
+
+
+def _one_pair_cdf(m: int, p: float) -> tuple[int, np.ndarray]:
+    """(lo, CDF) of Bin(m, p) for m >= 1, 0 < p <= 1/2, from ``_CDF_MEMO``.
+
+    A missing pair's CDF is built from its ``analytics._windows`` window,
+    whose entries do not depend on the other windows of a pass, so it
+    equals the table a mixed call builds.  Its CDF is read-only.
+    """
+    with _CDF_MEMO_LOCK:
+        table = _CDF_MEMO.get((m, p))
+    if table is None:
+        ((lo, log_pmf),) = analytics._windows(np.array([m]), np.array([p]), _SAMPLING_LOG_TAIL)
+        table = lo, _cdf(log_pmf)
+        table[1].flags.writeable = False
+        with _CDF_MEMO_LOCK:
+            if len(_CDF_MEMO) >= _CDF_MEMO_MAX_PAIRS:
+                _CDF_MEMO.clear()
+            _CDF_MEMO[m, p] = table
+    return table
+
+
 def _invert(m: np.ndarray, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Least k with u < CDF(k) of Bin(m, p) at each uniform of ``u``, for m >= 1, 0 < p <= 1/2.
 
-    ``m`` and ``p`` broadcast against ``u``.  When they hold one (m, p), its
-    lanes are searched in place, with no sort, gather or scatter.  Otherwise
-    the lanes are grouped by (m, p).  Each group's CDF is built once, from
-    its log-PMF window; ``analytics._windows`` packs the windows into passes.
+    ``m`` and ``p`` broadcast against ``u``.  A lexsort by (m, p) groups
+    the lanes, each group's CDF is built once, from its log-PMF window
+    (``analytics._windows`` packs the windows into passes), and the draws
+    are scattered back to lane order.
     """
     shape, u = u.shape, u.reshape(-1)
-    if np.ptp(m) == 0 and np.ptp(p) == 0:
-        order, bounds = None, [0, u.size]
-        pair_m, pair_p = m.reshape(-1)[:1], p.reshape(-1)[:1]
-    else:
-        m, p = (np.broadcast_to(a, shape).reshape(-1) for a in (m, p))
-        order = np.lexsort((p, m))
-        m, p, u = m[order], p[order], u[order]
-        new_pair = np.r_[True, (np.diff(m) != 0) | (np.diff(p) != 0)]
-        bounds = np.r_[np.flatnonzero(new_pair), u.size].tolist()
-        pair_m, pair_p = m[new_pair], p[new_pair]
+    m, p = (np.broadcast_to(a, shape).reshape(-1) for a in (m, p))
+    order = np.lexsort((p, m))
+    m, p, u = m[order], p[order], u[order]
+    new_pair = np.r_[True, (np.diff(m) != 0) | (np.diff(p) != 0)]
+    bounds = np.r_[np.flatnonzero(new_pair), u.size].tolist()
     draws = np.empty(u.size, dtype=np.int64)
-    windows = analytics._windows(pair_m, pair_p, _SAMPLING_LOG_TAIL)
+    windows = analytics._windows(m[new_pair], p[new_pair], _SAMPLING_LOG_TAIL)
     for a, b, (lo, log_pmf) in zip(bounds, bounds[1:], windows):
-        cdf = np.cumsum(np.exp(log_pmf))
-        cdf[-1] = 1.0
-        _search(cdf, u[a:b], draws[a:b])
+        _search(_cdf(log_pmf), u[a:b], draws[a:b])
         draws[a:b] += lo
-    if order is not None:
-        draws[order] = draws.copy()
+    draws[order] = draws.copy()
     return draws.reshape(shape)
 
 
@@ -194,25 +230,47 @@ def sample_binomial_lanes(
 
     ``trial`` (and optionally ``group``) are arrays of path labels; each
     lane inverts the CDF at the uniform of its own counter block.  m and p
-    are checked, and the p > 1/2 lanes found, on the arrays as passed; m
-    and ``trial`` must hold integers, and ``trial`` nonnegative ones.
+    are checked on the arrays as passed; m must hold integers, and
+    ``trial``, ``round_index`` and ``group`` nonnegative integers (bool and
+    float are refused).  When m and p each hold one value, the call
+    decides its flip and whether to draw at all once, as scalars, and
+    searches every lane on one memoised CDF; otherwise the p > 1/2 and
+    empty lanes are found per lane and ``_invert`` groups the rest.
     """
     trial = analytics._integer_array(trial, "trial", np.uint64)
+    round_index = analytics._integer_array(round_index, "round_index", np.uint64)
+    group = analytics._integer_array(group, "group", np.uint64)
     m = analytics._integer_array(m, "m", np.int64)
     p = np.asarray(p, dtype=np.float64)
     if np.broadcast_shapes(m.shape, p.shape, trial.shape) != trial.shape:
         raise ValueError(f"m {m.shape} and p {p.shape} must broadcast to trial {trial.shape}")
-    if np.any((m < 0) | (m >= MAX_BINOMIAL_TRIALS)):
+    m_lo, m_hi = (m.min(), m.max()) if m.size else (0, 0)
+    p_lo, p_hi = (p.min(), p.max()) if p.size else (0.0, 0.0)
+    if m_lo < 0 or m_hi >= MAX_BINOMIAL_TRIALS:
         raise ValueError("m must be in [0, 2^27)")
-    if not np.all((p >= 0.0) & (p <= 1.0)):
+    if not (p_lo >= 0.0 and p_hi <= 1.0):
         raise ValueError("p must be in [0, 1]")
+
+    if m_lo == m_hi and p_lo == p_hi:
+        m, p = int(m_hi), float(p_hi)
+        flipped = p > 0.5
+        out, lo = np.zeros(trial.shape, dtype=np.int64), 0
+        if trial.size and m > 0 and 0.0 < p < 1.0:
+            u = uniform_lanes(master_seed, trial, round_index, group).reshape(trial.size)
+            lo, cdf = _one_pair_cdf(m, 1.0 - p if flipped else p)
+            _search(cdf, u, out.reshape(-1))
+        if flipped:
+            np.subtract(m - lo, out, out=out)
+        elif lo:
+            out += lo
+        return out
 
     flipped = p > 0.5
     p_eff = np.where(flipped, 1.0 - p, p)
     active = (m > 0) & (p_eff > 0.0)
     out = np.zeros(trial.shape, dtype=np.int64)
     if trial.size and np.any(active):
-        u = uniform_lanes(master_seed, trial, np.uint64(round_index), group).reshape(trial.shape)
+        u = uniform_lanes(master_seed, trial, round_index, group).reshape(trial.shape)
         if np.all(active):
             out = _invert(m, p_eff, u)
         else:

@@ -105,6 +105,27 @@ class TestTransitionProbabilities:
         keep, adopt = A.transition_values(6, [], 0.5)
         assert keep.shape == adopt.shape == (0,)
 
+    @pytest.mark.parametrize("total", [6.5, 6.0, True, np.bool_(True), "6"])
+    def test_transition_values_refuse_non_integer_total(self, total):
+        with pytest.raises(ValueError, match=r"^total must be an integer, got "):
+            A.transition_values(total, [1], 0.5)
+
+    def test_transition_values_take_numpy_integer_total(self):
+        for a, b in zip(A.transition_values(np.int64(6), [2], 0.5), A.transition_values(6, [2], 0.5)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 4)])
+    def test_transition_values_of_one_z_equal_the_general_path(self, shape):
+        # every z alike skips np.unique; values, shape and dtype match a mixed call's
+        zs = np.full(shape, 37, dtype=np.int64)
+        keep, adopt = A.transition_values(80, zs, 0.3)
+        mixed_keep, mixed_adopt = A.transition_values(80, np.r_[zs.reshape(-1), 5], 0.3)
+        for one, mixed in ((keep, mixed_keep), (adopt, mixed_adopt)):
+            assert one.shape == shape and one.dtype == np.float64
+            assert np.array_equal(one.reshape(-1), mixed[:-1])
+        keep[...] = -1.0  # the caller's own arrays: the memo is untouched
+        assert A.transition_values(80, [37], 0.3)[0][0] == mixed_keep[0]
+
     def test_keep_is_direct_comparison(self):
         for z, o, q in [(3, 4, 0.25), (6, 2, 0.7), (5, 5, 0.5)]:
             assert A.keep_zero_probability(z, o, q) == pytest.approx(

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import inspect
 import math
 import pickle
@@ -277,6 +278,47 @@ class TestRunTrial:
         cfg = ProtocolConfig(n=2, delta=0, rounds=rounds, network=NetworkModel(q=0.5))
         with pytest.raises(UnsupportedSizeError, match=f"^rounds must be at most .*, got {rounds}$"):
             run_trials_batch(cfg, range(4), SEED, mode=mode)
+
+
+#: sha256 of the int64 bytes of ``run_trials_batch`` trajectories at SEED,
+#: trials first..first + count - 1, recorded before the sampler decided one
+#: (m, p) per call.  Keyed by (mode, n, delta, q, rounds, first, count): per
+#: agent from a tie, from delta = 1, with live and absorbed trials mixed
+#: (n = 3, q = 0.1, three rounds) and at q = 0.9; aggregated from a tie at
+#: n = 400 and 1600 (one-pair calls), three rounds at n = 1000, four at
+#: n = 40 (live and absorbed mixed), and q = 0 and 1.
+PINNED_TRAJECTORY_SHA256 = {
+    (MODE_PER_AGENT, 2, 0, 0.5, 1, 0, 10_000):
+        "dac52554fa05f95f332615d00f3aa5a602dc9f44a5e72ec70e9c1120971f994f",
+    (MODE_PER_AGENT, 2, 1, 0.5, 2, 70000, 10_000):
+        "2909c9937e8a0923eb246df852c5e76fbc2cbed84222c94c18ddc6d0e20f5671",
+    (MODE_PER_AGENT, 3, 1, 0.1, 3, 0, 9_000):
+        "e714f4e77458acdbafd36d923f89ac38000a31f9dad618d805006956e9e717fb",
+    (MODE_PER_AGENT, 5, 2, 0.9, 2, 123, 2_000):
+        "21d388bec8f48b3fc98b661b92e1bda9352135bbf44de78dc2630659c5fab965",
+    (MODE_AGGREGATED, 400, 0, 0.5, 1, 0, 10_000):
+        "f14493aeb14c126cb14ef403a70fd29661737429955ef30e64b9ba71a6e019f6",
+    (MODE_AGGREGATED, 1600, 0, 0.5, 1, 65000, 10_000):
+        "8e02d61a58b582442033d2e7865efeaf7bd0545b82ed6464f76234fe15d41166",
+    (MODE_AGGREGATED, 1000, 0, 0.8, 3, 0, 10_000):
+        "bf77f48cae7a4bb8f5b0055fde734fb273fa3ede4d4b1ef39f5602ec9dd8091d",
+    (MODE_AGGREGATED, 40, 1, 0.5, 4, 3, 5_000):
+        "161d5788cfc872bd2fe3df697ca336ba3a3d12f17c48a7afd20093f9085a97f4",
+    (MODE_AGGREGATED, 30, 3, 0.0, 2, 0, 3_000):
+        "bb402e47f3a7b7b283f87c5adb7d6c5df05d63c56a32fbd5704e764bddfc17a6",
+    (MODE_AGGREGATED, 30, 3, 1.0, 2, 0, 3_000):
+        "95bdc18b4574c99286fc1aaadb031856dd5d16b1a511e912fe1cf1d8870dd6b1",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_TRAJECTORY_SHA256), ids=str)
+def test_pinned_trajectories(case):
+    mode, n, delta, q, rounds, first, count = case
+    config = ProtocolConfig(n=n, delta=delta, rounds=rounds, network=NetworkModel(q=q))
+    trials = np.arange(first, first + count, dtype=np.uint64)
+    traj = run_trials_batch(config, trials, SEED, mode=mode)
+    assert traj.dtype == np.int64 and traj.shape == (rounds + 1, count)
+    assert hashlib.sha256(traj.tobytes()).hexdigest() == PINNED_TRAJECTORY_SHA256[case]
 
 
 def test_engine_sends_philox_ascending_trials_on_one_path(monkeypatch):

@@ -173,6 +173,30 @@ class TestSampleBinomial:
         with pytest.raises(ValueError, match=f"^{message}$"):
             sample_binomial_lanes(m, 0.3, 1, trial, 1, 0)
 
+    @pytest.mark.parametrize(
+        "round_index,group,message",
+        [
+            (2.9, 0, "round_index must hold integers, got dtype float64"),
+            (True, 0, "round_index must hold integers, got dtype bool"),
+            (-1, 0, "round_index must be nonnegative"),
+            (2, 1.7, "group must hold integers, got dtype float64"),
+            (2, np.bool_(True), "group must hold integers, got dtype bool"),
+            (2, [0, -3], "group must be nonnegative"),
+        ],
+    )
+    def test_round_and_group_must_be_nonnegative_integers(self, round_index, group, message):
+        # checked on the values as passed: 2.9 is no round 2, 1.7 no group 1
+        for m, p in ((40, 0.3), ([40, 7], [0.3, 0.6])):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                sample_binomial_lanes(m, p, 1, [0, 1], round_index, group)
+
+    def test_integer_round_and_group_of_any_dtype_draw_alike(self):
+        trials = np.arange(20, dtype=np.uint64)
+        draws = sample_binomial_lanes(40, 0.3, 1, trials, np.uint64(2), np.uint64(1))
+        for round_index, group in ((2, 1), (np.int8(2), np.int32(1)), (np.array(2), [1] * 20)):
+            again = sample_binomial_lanes(40, 0.3, 1, trials, round_index, group)
+            assert np.array_equal(again, draws)
+
     def test_empty_lanes_accepted(self):
         # np.asarray([]) is float64; an empty call is still no error
         assert sample_binomial_lanes([], 0.3, 1, [], 1, 0).shape == (0,)
@@ -477,3 +501,72 @@ def test_pinned_draws_on_the_guided_path(m, p):
     u = uniform_lanes(2021, trials, np.uint64(3), np.uint64(1))
     assert np.array_equal(draws, oracles.binomial_inversion(m, p, u))
     assert zlib.crc32(draws.tobytes()) == PINNED_GUIDED_CRC32[(m, p)]
+
+
+# --------------------------------------------------------------------------
+# One-pair calls: m and p each hold one value, decided once per call.
+# --------------------------------------------------------------------------
+
+_ONE_PAIRS = [(800, 0.3), (800, 0.7), (3, 0.5), (40, 0.0), (40, 1.0), (0, 0.3), (0, 0.8)]
+
+
+@pytest.mark.parametrize("lanes", [100, _THRESHOLD + 5])
+@pytest.mark.parametrize("m,p", _ONE_PAIRS)
+def test_one_pair_as_scalars_arrays_or_in_a_mixed_call(m, p, lanes):
+    # the one-pair path (scalars, constant arrays) and _invert's grouped path
+    # (a mixed call) give every lane the same draw
+    trials = np.arange(5, 5 + lanes, dtype=np.uint64)
+    scalars = sample_binomial_lanes(m, p, 2021, trials, 3, np.uint64(1))
+    arrays = sample_binomial_lanes(
+        np.full(lanes, m), np.full(lanes, p), 2021, trials, 3, np.uint64(1)
+    )
+    # a lane of another pair turns the call mixed; the other lanes keep their draws
+    ms, ps = np.r_[np.full(lanes, m), 17], np.r_[np.full(lanes, p), 0.45]
+    mixed = sample_binomial_lanes(ms, ps, 2021, np.r_[trials, 2], 3, np.uint64(1))
+    assert scalars.dtype == arrays.dtype == mixed.dtype == np.int64
+    assert np.array_equal(scalars, arrays) and np.array_equal(scalars, mixed[:-1])
+    if m == 0 or p in (0.0, 1.0):
+        assert np.all(scalars == m * p)
+    else:
+        u = uniform_lanes(2021, trials, np.uint64(3), np.uint64(1))
+        assert np.array_equal(scalars, oracles.binomial_inversion(m, p, u))
+
+
+def test_one_pair_call_keeps_the_lane_shape():
+    trials = np.arange(12, dtype=np.uint64).reshape(3, 4)
+    draws = sample_binomial_lanes(np.full((1, 4), 30), 0.6, 9, trials, 1, 2)
+    assert draws.shape == (3, 4) and draws.dtype == np.int64
+    flat = sample_binomial_lanes(30, 0.6, 9, trials.reshape(-1), 1, 2)
+    assert np.array_equal(draws.reshape(-1), flat)
+
+
+def test_one_pair_cdfs_come_from_a_bounded_memo(monkeypatch):
+    monkeypatch.setattr(rng, "_CDF_MEMO", {})
+    monkeypatch.setattr(rng, "_CDF_MEMO_MAX_PAIRS", 3)
+    expected_cdf = _sampler_cdf(800, 1.0 - 0.7)
+    built = []
+    windows = analytics._windows
+
+    def counting(m, p, log_tail):
+        built.append((m.tolist(), p.tolist()))
+        return windows(m, p, log_tail)
+
+    monkeypatch.setattr(analytics, "_windows", counting)
+    trials = np.arange(50, dtype=np.uint64)
+    first = sample_binomial_lanes(800, 0.7, 1, trials, 1, 0)
+    # p > 1/2 is memoised as 1 - p; the same pair again builds nothing
+    assert list(rng._CDF_MEMO) == [(800, 1.0 - 0.7)] and len(built) == 1
+    assert np.array_equal(sample_binomial_lanes(800, 0.7, 1, trials, 1, 0), first)
+    assert len(built) == 1
+    lo, cdf = rng._CDF_MEMO[800, 1.0 - 0.7]
+    assert not cdf.flags.writeable
+    assert np.array_equal(cdf, expected_cdf)
+    # the memo empties before a fourth pair
+    for m in (10, 20, 30):
+        sample_binomial_lanes(m, 0.5, 1, trials, 1, 0)
+    assert list(rng._CDF_MEMO) == [(30, 0.5)] and len(built) == 4
+    # draws from a rebuilt CDF equal the first ones
+    assert np.array_equal(sample_binomial_lanes(800, 0.7, 1, trials, 1, 0), first)
+    # mixed calls build their tables anew and leave the memo alone
+    sample_binomial_lanes([800, 10], [0.7, 0.5], 1, [0, 1], 1, 0)
+    assert len(built) == 6 and list(rng._CDF_MEMO) == [(30, 0.5), (800, 1.0 - 0.7)]
