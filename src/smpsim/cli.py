@@ -267,10 +267,10 @@ def _merge_sweeps(kind: str, labeled: list[tuple[str, experiments.SweepResult]])
 
 def _print_sweep(sweep: experiments.SweepResult) -> None:
     for r in sweep.rows:
-        value = (
-            f"p_hat={r.estimate.p_hat:.6g} CI[{r.estimate.ci_low:.6g},{r.estimate.ci_high:.6g}]"
-            if r.estimate is not None
-            else f"exact={r.exact:.12g}" if r.exact is not None else ""
+        value = " ".join(
+            ([f"p_hat={r.estimate.p_hat:.6g} CI[{r.estimate.ci_low:.6g},{r.estimate.ci_high:.6g}]"]
+             if r.estimate is not None else [])
+            + ([f"exact={r.exact:.12g}"] if r.exact is not None else [])
         )
         bound = f" bound[{r.bound.bound_name}]={r.bound.bound_value:.6g}" if r.bound else ""
         regime = f" regime={r.extra['regime']}" if "regime" in r.extra else ""

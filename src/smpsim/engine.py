@@ -221,12 +221,13 @@ def _per_agent_rounds(
 
     Each agent side gets its own sampler call.  In a round from a single
     state every trial gives an agent side the same (m, p), so each call
-    takes ``rng.sample_binomial_lanes``' one-pair path: one memoised CDF
+    takes ``rng.sample_binomial_lanes``' one-pair path: one cached CDF
     searched in place.  One call per round over all 2 * 2n groups draws
-    the same bytes, but it mixes the sides' (m, p), which sends its lanes
-    through ``rng._invert``'s lexsort, gather and scatter: on 300,000
-    trials at n = 2 (the per-agent part of the ``mc-sampling`` benchmark)
-    it took 0.45 s against 0.16-0.20 s (2-core x86-64, numpy 2.4).
+    the same bytes, but it mixes the sides' (m, p), so the sampler sorts
+    all its lanes by (m, p), gathers them and scatters the draws back: on
+    300,000 trials at n = 2 (the per-agent part of the ``mc-sampling``
+    benchmark) it took 0.38-0.43 s against 0.15-0.20 s (2-core x86-64,
+    numpy 2.4).
     """
     bits = np.repeat(np.asarray(bits0, dtype=np.int8)[:, None], len(trial_ids), axis=1)
     total = len(bits)

@@ -20,29 +20,30 @@ lane's counter block.  The CDF is the cumulative sum of ``analytics``'
 Loader log-PMF, exponentiated, over the window from
 ``analytics._window_bounds`` outside which Bin(m, p) holds less than 2^-54
 on each side, half the 2^-53 step of the uniform, which resolves no finer;
-the last CDF entry is set to 1.  Lanes
-with p > 1/2 draw m - Bin(m, 1 - p), so a uniform maps to the same draw as
-in every version that inverted the CDF at that (m, p).  A sampler call
-checks m and p on the arrays as passed, and decides from their minima and
-maxima whether its lanes share one (m, p), as every call of the first round
-from a single state does.  Such a call checks, flips and skips its lanes as
-scalars, takes its CDF from a small memo (``_CDF_MEMO``) and searches its
-lanes in place; per-lane work is then the stream, the search and the flip
-alone.  Any other call finds its flips and skipped lanes per lane, builds
-the tables of all its distinct (m, p) from ``analytics._windows``, which
-packs the windows into passes, keeps none of them, and puts each pair's
-lanes together with a lexsort by (m, p).  A group of at least
-_GUIDED_MIN_LANES lanes starts each search at a guide table over its CDF
-and steps up from there; a smaller group, where building the table costs
-more than it saves, uses ``np.searchsorted``.  Both return the least k with
-u < CDF(k), and a memoised CDF equals a freshly built one, so a lane draws
-the same alone as in any batch.
+the last CDF entry is set to 1.  A sampler call checks m and p on the
+arrays as passed and groups its lanes by (m, p): a call whose m and p each
+hold one value, as every call of the first round from a single state does,
+is one group with no sort; any other call puts each pair's lanes together
+with a lexsort by (m, p).  ``_draw_pair`` draws every group, deciding as
+scalars whether its draw is certain (m = 0, p = 0 or p = 1: no uniform is
+read) and whether to flip: p > 1/2 draws m - Bin(m, 1 - p), so a uniform
+maps to the same draw as in every version that inverted the CDF at that
+(m, p), and each draw depends only on m, min(p, 1 - p) and its uniform.
+A one-pair call takes its CDF from ``_one_pair_cdf``, which caches 64
+pairs; a mixed call builds the tables of all its pairs lazily from one
+``analytics._windows`` call, which packs the windows into passes, and
+keeps none of them.  A group of at least _GUIDED_MIN_LANES lanes starts
+each search at a guide table over its CDF and steps up from there; a
+smaller group, where building the table costs more than it saves, uses
+``np.searchsorted``.  Both return the least k with u < CDF(k), and a
+cached CDF equals a freshly built one, so a lane draws the same alone as
+in any batch.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 
 import numpy as np
 
@@ -166,56 +167,38 @@ def _cdf(log_pmf: np.ndarray) -> np.ndarray:
     return cdf
 
 
-#: (m, p) -> (lo, CDF) of the one-pair calls, p <= 1/2; emptied before it
-#: would hold more than _CDF_MEMO_MAX_PAIRS pairs.  A window at m < 2^27
-#: has at most about 10^5 entries, so the memo holds at most about 51 MB,
-#: and a few KB for the pairs of small systems.
-_CDF_MEMO: dict[tuple[int, float], tuple[int, np.ndarray]] = {}
-_CDF_MEMO_LOCK = threading.Lock()
-_CDF_MEMO_MAX_PAIRS = 64
-
-
+@functools.lru_cache(maxsize=64)
 def _one_pair_cdf(m: int, p: float) -> tuple[int, np.ndarray]:
-    """(lo, CDF) of Bin(m, p) for m >= 1, 0 < p <= 1/2, from ``_CDF_MEMO``.
+    """(lo, CDF) of Bin(m, p) for m >= 1, 0 < p <= 1/2, for one-pair calls.
 
-    A missing pair's CDF is built from its ``analytics._windows`` window,
-    whose entries do not depend on the other windows of a pass, so it
-    equals the table a mixed call builds.  Its CDF is read-only.
+    The CDF is built from the pair's ``analytics._windows`` window, whose
+    entries do not depend on the other windows of a pass, so it equals the
+    table a mixed call builds.  It is read-only.  A window at m < 2^27 has
+    at most about 10^5 entries, so the 64 cached pairs hold at most about
+    51 MB, and a few KB for the pairs of small systems.
     """
-    with _CDF_MEMO_LOCK:
-        table = _CDF_MEMO.get((m, p))
-    if table is None:
-        ((lo, log_pmf),) = analytics._windows(np.array([m]), np.array([p]), _SAMPLING_LOG_TAIL)
-        table = lo, _cdf(log_pmf)
-        table[1].flags.writeable = False
-        with _CDF_MEMO_LOCK:
-            if len(_CDF_MEMO) >= _CDF_MEMO_MAX_PAIRS:
-                _CDF_MEMO.clear()
-            _CDF_MEMO[m, p] = table
-    return table
+    ((lo, log_pmf),) = analytics._windows(np.array([m]), np.array([p]), _SAMPLING_LOG_TAIL)
+    cdf = _cdf(log_pmf)
+    cdf.flags.writeable = False
+    return lo, cdf
 
 
-def _invert(m: np.ndarray, p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Least k with u < CDF(k) of Bin(m, p) at each uniform of ``u``, for m >= 1, 0 < p <= 1/2.
+def _draw_pair(m: int, p: float, out: np.ndarray, uniforms, cdf_of) -> None:
+    """Write a Bin(m, p) draw for each lane of one (m, p) pair into ``out``.
 
-    ``m`` and ``p`` broadcast against ``u``.  A lexsort by (m, p) groups
-    the lanes, each group's CDF is built once, from its log-PMF window
-    (``analytics._windows`` packs the windows into passes), and the draws
-    are scattered back to lane order.
+    A certain draw (m = 0, p = 0 or p = 1) reads no uniform.  Otherwise
+    ``cdf_of(m, min(p, 1 - p))`` gives the (lo, CDF) that the lanes'
+    ``uniforms()`` are searched on, and p > 1/2 draws m - Bin(m, 1 - p).
     """
-    shape, u = u.shape, u.reshape(-1)
-    m, p = (np.broadcast_to(a, shape).reshape(-1) for a in (m, p))
-    order = np.lexsort((p, m))
-    m, p, u = m[order], p[order], u[order]
-    new_pair = np.r_[True, (np.diff(m) != 0) | (np.diff(p) != 0)]
-    bounds = np.r_[np.flatnonzero(new_pair), u.size].tolist()
-    draws = np.empty(u.size, dtype=np.int64)
-    windows = analytics._windows(m[new_pair], p[new_pair], _SAMPLING_LOG_TAIL)
-    for a, b, (lo, log_pmf) in zip(bounds, bounds[1:], windows):
-        _search(_cdf(log_pmf), u[a:b], draws[a:b])
-        draws[a:b] += lo
-    draws[order] = draws.copy()
-    return draws.reshape(shape)
+    if m == 0 or p in (0.0, 1.0):
+        out.fill(m if p == 1.0 else 0)
+        return
+    lo, cdf = cdf_of(m, min(p, 1.0 - p))
+    _search(cdf, uniforms(), out)
+    if p > 0.5:
+        np.subtract(m - lo, out, out=out)
+    elif lo:
+        out += lo
 
 
 def sample_binomial_lanes(
@@ -232,10 +215,8 @@ def sample_binomial_lanes(
     lane inverts the CDF at the uniform of its own counter block.  m and p
     are checked on the arrays as passed; m must hold integers, and
     ``trial``, ``round_index`` and ``group`` nonnegative integers (bool and
-    float are refused).  When m and p each hold one value, the call
-    decides its flip and whether to draw at all once, as scalars, and
-    searches every lane on one memoised CDF; otherwise the p > 1/2 and
-    empty lanes are found per lane and ``_invert`` groups the rest.
+    float are refused).  The lanes are grouped by (m, p), with no sort when
+    m and p each hold one value, and ``_draw_pair`` draws each group.
     """
     trial = analytics._integer_array(trial, "trial", np.uint64)
     round_index = analytics._integer_array(round_index, "round_index", np.uint64)
@@ -250,31 +231,34 @@ def sample_binomial_lanes(
         raise ValueError("m must be in [0, 2^27)")
     if not (p_lo >= 0.0 and p_hi <= 1.0):
         raise ValueError("p must be in [0, 1]")
-
-    if m_lo == m_hi and p_lo == p_hi:
-        m, p = int(m_hi), float(p_hi)
-        flipped = p > 0.5
-        out, lo = np.zeros(trial.shape, dtype=np.int64), 0
-        if trial.size and m > 0 and 0.0 < p < 1.0:
-            u = uniform_lanes(master_seed, trial, round_index, group).reshape(trial.size)
-            lo, cdf = _one_pair_cdf(m, 1.0 - p if flipped else p)
-            _search(cdf, u, out.reshape(-1))
-        if flipped:
-            np.subtract(m - lo, out, out=out)
-        elif lo:
-            out += lo
+    out = np.empty(trial.shape, dtype=np.int64)
+    if not trial.size:
         return out
 
-    flipped = p > 0.5
-    p_eff = np.where(flipped, 1.0 - p, p)
-    active = (m > 0) & (p_eff > 0.0)
-    out = np.zeros(trial.shape, dtype=np.int64)
-    if trial.size and np.any(active):
-        u = uniform_lanes(master_seed, trial, round_index, group).reshape(trial.shape)
-        if np.all(active):
-            out = _invert(m, p_eff, u)
-        else:
-            active = np.broadcast_to(active, trial.shape)
-            lanes = (np.broadcast_to(a, trial.shape)[active] for a in (m, p_eff, u))
-            out[active] = _invert(*lanes)
-    return np.where(flipped, m - out, out)
+    def lane_uniforms() -> np.ndarray:
+        return uniform_lanes(master_seed, trial, round_index, group).reshape(trial.size)
+
+    if m_lo == m_hi and p_lo == p_hi:
+        # rebinding frees an m or p array the caller built for this call
+        # (``total - zs``) before the uniforms: 0.5 MB less at 65,536 lanes
+        m, p = int(m_hi), float(p_hi)
+        _draw_pair(m, p, out.reshape(-1), lane_uniforms, _one_pair_cdf)
+        return out
+
+    # uniforms before the sort: taken after it, Philox took 0.81 s against
+    # 0.58 s of a per-agent run (n = 4, cProfile, 2-core x86-64)
+    u = lane_uniforms()
+    m, p = (np.broadcast_to(a, trial.shape).reshape(-1) for a in (m, p))
+    order = np.lexsort((p, m))
+    m, p, u = m[order], p[order], u[order]
+    new_pair = np.r_[True, (np.diff(m) != 0) | (np.diff(p) != 0)]
+    bounds = np.r_[np.flatnonzero(new_pair), m.size].tolist()
+    pair_m, pair_p = m[new_pair], p[new_pair]
+    windows = analytics._windows(pair_m, np.minimum(pair_p, 1.0 - pair_p), _SAMPLING_LOG_TAIL)
+    draws = np.empty(m.size, dtype=np.int64)
+    for a, b, m_g, p_g, (lo, log_pmf) in zip(
+        bounds, bounds[1:], pair_m.tolist(), pair_p.tolist(), windows
+    ):
+        _draw_pair(m_g, p_g, draws[a:b], lambda: u[a:b], lambda *_: (lo, _cdf(log_pmf)))
+    out.reshape(-1)[order] = draws
+    return out

@@ -1,3 +1,5 @@
+import hashlib
+import inspect
 import os
 import subprocess
 import sys
@@ -381,7 +383,7 @@ _THRESHOLD = rng._GUIDED_MIN_LANES
 
 
 def _sampler_cdf(m: int, p: float) -> np.ndarray:
-    """The CDF that ``rng._invert`` searches for Bin(m, p), p <= 1/2."""
+    """The CDF that the sampler searches for Bin(m, p), p <= 1/2."""
     ((_, log_pmf),) = analytics._windows(np.array([m]), np.array([p]), rng._SAMPLING_LOG_TAIL)
     cdf = np.cumsum(np.exp(log_pmf))
     cdf[-1] = 1.0
@@ -513,8 +515,8 @@ _ONE_PAIRS = [(800, 0.3), (800, 0.7), (3, 0.5), (40, 0.0), (40, 1.0), (0, 0.3), 
 @pytest.mark.parametrize("lanes", [100, _THRESHOLD + 5])
 @pytest.mark.parametrize("m,p", _ONE_PAIRS)
 def test_one_pair_as_scalars_arrays_or_in_a_mixed_call(m, p, lanes):
-    # the one-pair path (scalars, constant arrays) and _invert's grouped path
-    # (a mixed call) give every lane the same draw
+    # a one-pair call (scalars, constant arrays) and a mixed call, sorted
+    # into groups, give every lane the same draw
     trials = np.arange(5, 5 + lanes, dtype=np.uint64)
     scalars = sample_binomial_lanes(m, p, 2021, trials, 3, np.uint64(1))
     arrays = sample_binomial_lanes(
@@ -541,8 +543,7 @@ def test_one_pair_call_keeps_the_lane_shape():
 
 
 def test_one_pair_cdfs_come_from_a_bounded_memo(monkeypatch):
-    monkeypatch.setattr(rng, "_CDF_MEMO", {})
-    monkeypatch.setattr(rng, "_CDF_MEMO_MAX_PAIRS", 3)
+    rng._one_pair_cdf.cache_clear()
     expected_cdf = _sampler_cdf(800, 1.0 - 0.7)
     built = []
     windows = analytics._windows
@@ -553,20 +554,91 @@ def test_one_pair_cdfs_come_from_a_bounded_memo(monkeypatch):
 
     monkeypatch.setattr(analytics, "_windows", counting)
     trials = np.arange(50, dtype=np.uint64)
-    first = sample_binomial_lanes(800, 0.7, 1, trials, 1, 0)
-    # p > 1/2 is memoised as 1 - p; the same pair again builds nothing
-    assert list(rng._CDF_MEMO) == [(800, 1.0 - 0.7)] and len(built) == 1
-    assert np.array_equal(sample_binomial_lanes(800, 0.7, 1, trials, 1, 0), first)
-    assert len(built) == 1
-    lo, cdf = rng._CDF_MEMO[800, 1.0 - 0.7]
-    assert not cdf.flags.writeable
-    assert np.array_equal(cdf, expected_cdf)
-    # the memo empties before a fourth pair
-    for m in (10, 20, 30):
-        sample_binomial_lanes(m, 0.5, 1, trials, 1, 0)
-    assert list(rng._CDF_MEMO) == [(30, 0.5)] and len(built) == 4
-    # draws from a rebuilt CDF equal the first ones
-    assert np.array_equal(sample_binomial_lanes(800, 0.7, 1, trials, 1, 0), first)
-    # mixed calls build their tables anew and leave the memo alone
-    sample_binomial_lanes([800, 10], [0.7, 0.5], 1, [0, 1], 1, 0)
-    assert len(built) == 6 and list(rng._CDF_MEMO) == [(30, 0.5), (800, 1.0 - 0.7)]
+    try:
+        first = sample_binomial_lanes(800, 0.7, 1, trials, 1, 0)
+        # p > 1/2 is cached as 1 - p; the same pair again builds nothing
+        assert built == [([800], [1.0 - 0.7])]
+        assert np.array_equal(sample_binomial_lanes(800, 0.7, 1, trials, 1, 0), first)
+        assert len(built) == 1
+        info = rng._one_pair_cdf.cache_info()
+        assert (info.hits, info.misses, info.currsize, info.maxsize) == (1, 1, 1, 64)
+        _, cdf = rng._one_pair_cdf(800, 1.0 - 0.7)
+        assert not cdf.flags.writeable
+        assert np.array_equal(cdf, expected_cdf) and len(built) == 1
+        # 64 other pairs evict (800, 0.3); rebuilding it gives the same draws
+        for m in range(10, 74):
+            sample_binomial_lanes(m, 0.5, 1, trials, 1, 0)
+        assert len(built) == 65 and rng._one_pair_cdf.cache_info().currsize == 64
+        assert np.array_equal(sample_binomial_lanes(800, 0.7, 1, trials, 1, 0), first)
+        assert built[-1] == ([800], [1.0 - 0.7])
+        # mixed calls build their tables anew, in (m, p) order, and leave the cache alone
+        info = rng._one_pair_cdf.cache_info()
+        sample_binomial_lanes([800, 10], [0.7, 0.5], 1, [0, 1], 1, 0)
+        assert built[-1] == ([10, 800], [0.5, 1.0 - 0.7])
+        assert rng._one_pair_cdf.cache_info() == info
+    finally:
+        rng._one_pair_cdf.cache_clear()
+
+
+def _digest_calls():
+    """Direct sampler calls: name -> (m, p, trial), all at seed 2021, round 3, group 1."""
+    lanes = np.arange(3000, dtype=np.uint64)
+    # certain pairs (m = 0, p = 0, p = 1) between drawn ones, both sides of 1/2
+    ms = np.tile([0, 0, 9, 9, 9, 40, 40, 300, 0], 334)[:3000]
+    ps = np.tile([0.3, 1.0, 0.0, 1.0, 0.45, 0.6, 0.2, 0.5, 0.0], 334)[:3000]
+    # a guided group of 800s and a binary-search group of 30s, shuffled
+    order = np.random.default_rng(5).permutation(_THRESHOLD + 103)
+    guided_m = np.r_[np.full(_THRESHOLD + 3, 800), np.full(100, 30)][order]
+    guided_p = np.r_[np.full(_THRESHOLD + 3, 0.7), np.full(100, 0.4)][order]
+    big = np.arange(10_000, dtype=np.uint64)
+    return {
+        "mixed with certain pairs": (ms, ps, lanes),
+        "p and 1 - p at one m": (50, np.tile([0.3, 0.7, 0.5], 1000), lanes),
+        "2-D lanes": (
+            (np.arange(600) % 37)[None, :],
+            np.array([0.2, 0.5, 0.8, 1.0])[:, None],
+            np.arange(2400, dtype=np.uint64).reshape(4, 600),
+        ),
+        "groups on both sides of the threshold": (
+            guided_m, guided_p, np.arange(len(order), dtype=np.uint64)
+        ),
+        "one pair p=0.3": (800, 0.3, big),
+        "one pair p=0.5": (800, 0.5, big),
+        "one pair p=0.7": (800, 0.7, big),
+    }
+
+
+#: sha256 of the little-endian int64 draws of ``_digest_calls``, recorded
+#: before the flip and the certain-draw rule were written once for both
+#: one-pair and mixed calls.
+PINNED_SAMPLER_SHA256 = {
+    "mixed with certain pairs": "b43feba384e9907c0ed8d80e7455bc156314eb5ed89777f09bc059b429a3e6d6",
+    "p and 1 - p at one m": "dba3cb5fed4d9cc264a31c75b4e784aada9a7c91f1b84ec3f3fd0aeeda6cba2d",
+    "2-D lanes": "cdb414754f4fe1f4c72aeaba203924e076f22ee20fd9ff09f098d0bc694c5946",
+    "groups on both sides of the threshold": "c6ea9a9ed65ea3fd2380e5a0f77a967757a1cc1078b4758af50db1f3e8d1bc82",
+    "one pair p=0.3": "559abb84ae3ec2e85bedbb21f334a270e0ed1d03b63032c5ced60526046b51a1",
+    "one pair p=0.5": "8b8c8c7334c8e7b895a2e2bde2538be32d45fb4810f4885834c7a97bf4c871e1",
+    "one pair p=0.7": "f60899bd6c0aae5f3240f52fb436749440fef97c9f0e9bfa4d1004eab34edc1d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SAMPLER_SHA256))
+def test_pinned_sampler_digests(name):
+    m, p, trial = _digest_calls()[name]
+    draws = sample_binomial_lanes(m, p, 2021, trial, 3, np.uint64(1))
+    assert draws.shape == trial.shape and draws.dtype == np.int64
+    digest = hashlib.sha256(draws.astype("<i8").tobytes()).hexdigest()
+    assert digest == PINNED_SAMPLER_SHA256[name]
+
+
+@pytest.mark.parametrize(
+    "function,names",
+    [
+        (sample_binomial_lanes, ["m", "p", "master_seed", "trial", "round_index", "group"]),
+        (uniform_lanes, ["master_seed", "trial", "round_index", "group"]),
+        (philox4x64, ["c0", "c1", "c2", "c3", "key0", "key1"]),
+    ],
+)
+def test_parameter_names_that_the_benchmark_counters_unpack(function, names):
+    # perfbench/spans.py wraps these functions and reads their arguments by name
+    assert list(inspect.signature(function).parameters) == names
