@@ -8,13 +8,15 @@ but 1e-340 of each binomial's mass, each scaled by its own maximum.
 Against a 40-digit reference its relative error measured below 5e-14 at
 the tested points with m up to 2e5 and values down to 4e-204.  Deeper in
 a tail at large m it grows with |ln P|: the log-PMF carries an absolute
-error of a few ulps of |ln pmf|, which exp turns into relative error,
-measured up to 8.3 u (1 + |ln P|) with u = 2^-53 (-4.95e-13 for keep at
-(7709, 12291), q = 0.5, a value near 2e-232).  Results below about
-1e-300 lose relative precision to underflow, and a value near 1 is good
-to a few ulps of 1, not of its distance from 1.  A plain ``float`` in
-log space stands in for a log-probability: value <= 0, with ``-inf``
-representing probability zero.
+error of a few ulps of |ln pmf|, which exp turns into relative error.
+Checked at every z against an exact tail at q = 1/2 with 2n up to 2e4,
+values P below 1/2 are within 12 u (1 + |ln P|), u = 2^-53 (worst 11.0),
+and values at or above 1/2 within 48 u absolute (worst 40 u, below the
+true value near 1), so a value near 1 is good to tens of ulps of 1, not
+of its distance from 1; both grow with 2n.  Results below about 1e-300
+lose relative precision to underflow.  A plain ``float`` in log space
+stands in for a log-probability: value <= 0, with ``-inf`` representing
+probability zero.
 
 The two transition probabilities driving the whole protocol are, for a
 state with ``z`` zeros, ``o`` ones and delivery probability q' = 1 - q:
@@ -98,6 +100,12 @@ _WINDOW_LOG_TAIL = 340.0 * math.log(10.0)
 #: Window entries that ``_windows`` evaluates in one pass, for keep/adopt
 #: batches, the exact chain's rows and the sampler's CDFs alike.
 _BLOCK_ELEMENTS = 1 << 15
+#: Entries per ``np.dot`` call in ``_compare_windows``, whose sums are added
+#: in order: OpenBLAS splits longer dots across threads, so one dot over
+#: windows above about 10^4 entries moved values 1-3 ulps between
+#: OPENBLAS_NUM_THREADS=1 and 2, and these blocks did not (2-core x86-64,
+#: OpenBLAS 0.3.31; no documented guarantee, so a test checks it).
+_DOT_BLOCK = 1 << 13
 #: Terms of the bd0 series near x = mu, where |v| < 0.1: the first dropped
 #: one is below 1e-20 of the sum.
 _BD0_SERIES_TERMS = 9
@@ -254,9 +262,9 @@ def _window_bounds(
     """[lo, hi] outside which Bin(m, p) has mass below exp(-log_tail) on each side.
 
     The half-width t solves the Bernstein bound exp(-t^2 / (2 (var + t/3)))
-    = exp(-log_tail), 1e-340 by default; unlike a multiple of the standard
-    deviation it stays valid in the Poisson-like tails of small p.
-    ``log_tail`` is a scalar or broadcasts against m.
+    = exp(-log_tail) for the scalar ``log_tail``, 1e-340 by default; unlike
+    a multiple of the standard deviation it stays valid in the Poisson-like
+    tails of small p.
     """
     mean = m * p
     a = log_tail / 3.0
@@ -269,11 +277,11 @@ def _window_bounds(
 def _windows(m, p, log_tail=_WINDOW_LOG_TAIL):
     """Yield (lo, log pmf over k = lo..hi) of Bin(m[i], p[i]) for each i, in order.
 
-    [lo, hi] is the ``_window_bounds`` window for ``log_tail``, a scalar or
-    one value per binomial.  Windows are evaluated lazily, in passes of
-    about _BLOCK_ELEMENTS entries that bound the memory held: a pass starts
-    with the window that takes the running total past a multiple of it.  The passes of a call share one
-    ``_scratch``, sized once to the call's largest pass, so a pass makes
+    [lo, hi] is the ``_window_bounds`` window for the scalar ``log_tail``.
+    Windows are evaluated lazily, in passes of about _BLOCK_ELEMENTS entries
+    that bound the memory held: a pass starts with the window that takes
+    the running total past a multiple of it.  The passes of a call share
+    one ``_scratch``, sized once to the call's largest pass, so a pass makes
     few new temporaries.  Each pass's output is a new array, and the
     yielded windows are views of it that later passes leave as they are.
     A window's entries do not depend on which pass it falls in.
@@ -323,7 +331,7 @@ def _compare_windows(win1, win2, offset: int) -> float:
     """P{X1 + offset >= X2} from scaled windows of independent X1 and X2.
 
     sum_k w1(k) F2(k + offset) / (c1[-1] c2[-1]), where the scaled CDF F2 is
-    0 below window 2, c2 on it and c2[-1] above it.
+    0 below window 2, c2 on it and c2[-1] above it, in _DOT_BLOCK blocks.
     """
     lo1, w1, c1 = win1
     lo2, _, c2 = win2
@@ -331,7 +339,10 @@ def _compare_windows(win1, win2, offset: int) -> float:
     shift = lo1 + offset - lo2  # index into c2 of w1[i] is i + shift
     first = min(max(-shift, 0), n1)  # below: F2 = 0
     last = min(max(len(c2) - 1 - shift, first), n1)  # from here on: F2 = total2
-    acc = np.dot(w1[first:last], c2[first + shift : last + shift])
+    acc = 0.0
+    for start in range(first, last, _DOT_BLOCK):
+        stop = min(start + _DOT_BLOCK, last)
+        acc += np.dot(w1[start:stop], c2[start + shift : stop + shift])
     acc += total2 * w1[last:].sum()
     return float(min(acc / (c1[-1] * total2), 1.0))
 

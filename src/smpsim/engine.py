@@ -19,19 +19,9 @@ Both return the zero-count of every trial after every round as one
 
 Two oracles pin the dynamics down exactly: an exhaustive enumeration of
 all loss patterns for systems of up to 6 agents, and an exact Markov chain
-on the zero-count for systems of up to 1000 agents.  The chain builds its
-one-round row laws lazily and keeps a row only while a later full round
-may reuse it; its last round needs only the masses at the two consensus
-counts, which it takes in closed form from the rows' end entries, so three
-rounds from a point mass hold one row.  Most last-round states are
-decided: a Chernoff bound shows that they reach one consensus with
-probability within 2^-60 of 1, so their end masses are exactly (1.0, 0.0)
-or (0.0, 1.0), and only the other states need keep/adopt.  It stops once
-every live state is absorbing.  States lighter than the floor 2^-80 get
-no row, and rows built for the last full round are cut where their weight
-makes the tails negligible; the solve bounds the mass this drops, and its
-result is returned only if the bound is at most 2^-55 of each
-probability, else the unpruned solve's result is.
+on the zero-count for systems of up to 1000 agents, whose lazy rows,
+closed-form last round, decided states and certified pruning
+``exact_chain_consensus_probability`` describes.
 
 Both sampling paths hold a (rounds + 1) x trials trajectory, so a Monte
 Carlo run stops at ``_MONTE_CARLO_MAX_ROUNDS`` rounds.  This module owns
@@ -334,16 +324,14 @@ def _round_laws(
 
     Yields one (lo, law) per entry of ``zs``, in order and lazily: law[i] is
     the probability of lo + i zeros.  Both binomials are evaluated on their
-    ``analytics._windows`` windows for ``log_tail`` (a scalar or one value
-    per entry of ``zs``), outside which each tail holds less than
-    exp(-log_tail), so a law lacks less than 4 exp(-log_tail) of its mass;
-    at the default, less than the smallest double.
+    ``analytics._windows`` windows for the scalar ``log_tail``, outside
+    which each tail holds less than exp(-log_tail), so a law lacks less
+    than 4 exp(-log_tail) of its mass; at the default, less than the
+    smallest double.
     """
     zs = np.asarray(zs)
     windows = analytics._windows(
-        np.column_stack([zs, total - zs]).ravel(),
-        np.column_stack([p00, p10]).ravel(),
-        np.repeat(np.broadcast_to(log_tail, zs.shape), 2),
+        np.column_stack([zs, total - zs]).ravel(), np.column_stack([p00, p10]).ravel(), log_tail
     )
     for (lo_keep, keep), (lo_gain, gain) in zip(windows, windows):
         yield lo_keep + lo_gain, np.convolve(np.exp(keep), np.exp(gain))
@@ -423,8 +411,8 @@ def exact_chain_consensus_probability(
     the undecided z: at 2n = 1000, three rounds from a tie decide 692 of
     the last round's 1001 live states at q = 0.5 and 410 at q = 0.8.  A
     decision toward count 0 gives the bytes the kernel's keep/adopt give;
-    one toward 2n replaces a keep^z adopt^o that the kernel, a few ulps
-    low near 1, put up to about 1e-12 below 1.0.  So one round from
+    one toward 2n replaces a keep^z adopt^o that the kernel, up to tens of
+    ulps low near 1, put up to about 1e-12 below 1.0.  So one round from
     (500, 160) at q = 0.5 returns exactly 1.0, but 1 - P is still not a
     failure probability: the true one there is 8.6e-22, and P carries the
     kernel's absolute error wherever it is not decided.  A state whose row
@@ -433,13 +421,15 @@ def exact_chain_consensus_probability(
 
     The solve is pruned at the floor ``_CHAIN_FLOOR`` = 2^-80: a state
     lighter than it is not live, so it gets no row and no keep/adopt, and
-    a row built for the last full round, which keeps no rows, drops each
-    binomial tail below weight * exp(-L) with L = log(weight / floor).  The
-    mass dropped is at most the pruned states' mass plus 4 weight exp(-L)
-    per trimmed row.  The pruned result is returned only if that bound is
-    at most ``_CHAIN_CERTIFIED_SHARE`` = 2^-55 of both probabilities, well
-    under an ulp of either; otherwise the same solve runs with the floor
-    at 0, which prunes nothing and builds every row on its 1e-340 windows.
+    every row, kept or not, is built on windows for L = -log floor, outside
+    which each binomial holds less than floor per side.  A row that misses
+    a count of 0..2n lacks less than 4 floor of its mass at any weight, so
+    the mass dropped is at most the pruned states' mass plus, each round,
+    4 floor times the live mass whose row is cut.  The pruned result is
+    returned only if that bound is at most ``_CHAIN_CERTIFIED_SHARE`` =
+    2^-55 of both probabilities, well under an ulp of either; otherwise the
+    same solve runs with the floor at 0, which prunes nothing and builds
+    every row on its 1e-340 windows.
     """
     ProtocolConfig(n=n, delta=delta, rounds=rounds, network=NetworkModel(q=q))
     _at_most(
@@ -467,13 +457,13 @@ def _decided_ends(total: int, zs, q: float) -> np.ndarray:
     (1 - adopt)^o, is then at least 1 - (z keep + o adopt) > 1 - 2^-60,
     and doubles above 1 - 2^-54 round to 1.0; the mass at 2n, keep^z
     adopt^o, is below e^-750, under half the smallest subnormal
-    (e^-745.13), so it rounds to 0.0.  The factor-64 margin between 2^-60
-    and 2^-54 also covers the kernel's own relative error, at most
-    8.3 u (1 + |ln P|) measured with u = 2^-53 (5e-13 deep in the tails):
+    (e^-745.13), so it rounds to 0.0.  The margins 2^-60 to 2^-54 and
+    e^-750 to e^-745.13 also cover the kernel's own error below 1/2, within
+    12 u (1 + |ln P|) with u = 2^-53, so under 1e-12 relative above 1e-300:
     where the low side decides, the kernel's keep and adopt give the same
-    1.0 and 0.0 (np.exp returns 1.0 on [-2^-60, 0] and 0.0 from -750
-    down), so a low-side decision changes no byte.  Undecided states, and
-    z = 0 and z = total, get NaN.  Temporaries are O(len(zs)).
+    1.0 and 0.0 for 2n up to 1000, so a low-side decision changes no byte.
+    Undecided states, and z = 0 and z = total, get NaN.  Temporaries are
+    O(len(zs)).
     """
     zs = np.asarray(zs, dtype=np.int64)
     ends = np.full((2, len(zs)), np.nan)
@@ -494,12 +484,15 @@ def _chain(n: int, delta: int, q: float, rounds: int, floor: float) -> tuple[flo
     """(P{consensus}, P{majority consensus}, bound on the mass dropped) with ``floor``.
 
     The solve of ``exact_chain_consensus_probability``, states lighter than
-    ``floor`` pruned; at floor 0 nothing is dropped and the bound is 0.
+    ``floor`` pruned and every row cut at L = -log floor (at floor 0, on its
+    1e-340 window); at floor 0 nothing is dropped and the bound is 0.
     """
     total = 2 * n
     dist = np.zeros(total + 1)
     dist[n + delta] = 1.0
     dropped = 0.0
+    # exp(-L) is the floor: every positive double floor is above the 1e-340 tail
+    log_tail = -np.log(floor) if floor else analytics._WINDOW_LOG_TAIL
     rows: dict[int, tuple[int, np.ndarray]] = {}
     for round_index in range(1, rounds + 1):
         live = np.flatnonzero(dist > 0.0)
@@ -512,31 +505,20 @@ def _chain(n: int, delta: int, q: float, rounds: int, floor: float) -> tuple[flo
         absorbing = ((p00 == 1.0) | (live == 0)) & ((p10 == 0.0) | (live == total))
         if absorbing.all():
             break
-        # Rows of a full round are kept, at full width, for later full rounds
-        # that reach the same z.  A variant that kept none, rebuilding each
-        # full round's rows trimmed by weight as the last one's are, moved one
-        # value by 1 ulp and, on a 2-core host, took 0.41-0.44 s instead of
-        # 0.58-0.76 s for 5 rounds from a tie at 2n = 1000 over five q (peak
-        # traced memory 3.5 MB instead of 9.3 MB), the same for 3 rounds, but
-        # 1.7-1.8 s instead of 0.14-0.17 s for n = 3, q = 0.999, 3000 rounds
-        # and 0.086-0.090 s instead of 0.025-0.028 s for n = 7, q = 0.9, 300
-        # rounds: slowly mixing chains revisit the same z in every round.
         keep_rows = round_index < rounds - 1
         missing = np.array([z not in rows for z in live.tolist()], dtype=bool)
-        log_tail = analytics._WINDOW_LOG_TAIL
-        if not keep_rows:
-            weight = dist[live[missing]]
-            with np.errstate(divide="ignore"):
-                log_tail = np.minimum(np.log(weight / floor), log_tail)
-            dropped += float(np.sum(4.0 * weight * np.exp(-log_tail)))
         laws = _round_laws(total, live[missing], p00[missing], p10[missing], log_tail)
         new = np.zeros(total + 1)
+        cut_weight = 0.0
         for z in live.tolist():
             lo, part = rows[z] if z in rows else next(laws)
             if keep_rows:
                 rows[z] = lo, part
+            if lo > 0 or lo + len(part) <= total:  # the row misses a count of 0..2n
+                cut_weight += dist[z]
             new[lo : lo + len(part)] += dist[z] * part
         laws.close()  # frees its last pass's scratch before the next round's evaluation
+        dropped += 4.0 * floor * cut_weight
         dist = new
     # the last round's masses at 0 and 2n: decided, or the end entries of the row at z
     ends = _decided_ends(total, live, q)

@@ -121,11 +121,15 @@ def clopper_pearson_interval(
 ) -> tuple[float, float]:
     """Exact (conservative) binomial interval of Clopper and Pearson (1934).
 
-    With alpha = 1 - confidence, low is the largest p with P{Bin(trials, p)
-    >= successes} <= alpha/2 and high the smallest p with P{Bin(trials, p)
-    <= successes} <= alpha/2, each tail from ``analytics._binomial_tail``:
-    both bounds are rounded outward against the computed tail.  Observed
-    rates 0 and 1 give the exact end points 0 and 1.
+    With alpha = 1 - confidence, low and high are where P{Bin(trials, p)
+    >= successes} and P{Bin(trials, p) <= successes}, from
+    ``analytics._binomial_tail``, cross alpha/2.  That tail is not monotone
+    at the ulp scale (at (22, 300) it reads 0.02499999999999999,
+    0.025000000000000036 and 0.024999999999999897 at high and the next two
+    doubles), so each bound is the crossing a bisection over the bit
+    patterns of [0, 1] finds, rounded outward: the tail is at most alpha/2
+    at the bound and above it one double inward.  Bounds are within 8 ulps
+    of the 50-digit roots.  Observed rates 0 and 1 give 0 and 1.
     """
     _check_counts(successes, trials)
     _check_interval(trials, confidence, "clopper_pearson")

@@ -225,8 +225,10 @@ def _estimate_as_sweep_row(manifest: RunManifest, est: Estimate) -> SweepRow:
 
 def _bound_as_sweep_row(b: BoundReport) -> SweepRow:
     params = b.parameters
+    if "n" not in params and "m" not in params:
+        raise ValueError(f"a bound CSV needs n or m in the {b.bound_name} parameters")
     return SweepRow(
-        n=int(params.get("n", params.get("m", 0))),
+        n=int(params.get("n", params.get("m"))),
         delta=params.get("A", params.get("B", params.get("C", params.get("k")))),
         q=float(params.get("q", params.get("p", float("nan")))),
         rounds=None,

@@ -173,6 +173,25 @@ def _keep_adopt_zero(z: int, o: int, p: float) -> tuple[float, float]:
     return min(keep, 1.0), min(adopt, 1.0)
 
 
+def half_delivery_tail(total: int) -> list[int]:
+    """N with P{Bin(total - 1, 1/2) >= s} = N[s] / 2^(total - 1) exactly, s = 0..total + 1.
+
+    At q = 1/2 this one tail T gives every keep and adopt of a
+    ``total``-agent system: o - Bin(o, 1/2) is again Bin(o, 1/2), so
+    keep(z) = P{Bin(z - 1) + 1 >= Bin(o)} = T(o - 1) and adopt(z) =
+    P{Bin(z) >= Bin(o - 1) + 2} = T(o + 1), with o = total - z and T(s) = 1
+    for s <= 0.  Exact integer binomial coefficients, summed from the top.
+    """
+    m = total - 1
+    coefficients = [1]
+    for k in range(m):
+        coefficients.append(coefficients[-1] * (m - k) // (k + 1))
+    tail = [0] * (total + 2)
+    for s in range(m, -1, -1):
+        tail[s] = tail[s + 1] + coefficients[s]
+    return tail
+
+
 def consensus_from_tie_probability(n: int, q: float, rounds: int) -> float:
     """P{consensus after ``rounds`` rounds} for 2n agents started from a tie.
 

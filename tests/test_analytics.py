@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from oracles import (
     comparison_exact,
     comparison_fraction,
     comparison_mpmath,
+    half_delivery_tail,
     normal_cdf_quadrature,
 )
 
@@ -249,6 +254,67 @@ class TestAgainstMpmath:
         assert 1e-210 < A.adopt_zero_probability(60, 940, 0.5) < 1e-200
 
 
+#: Bounds on the kernel's error at q = 1/2, in u = 2^-53: relative to
+#: P (1 + |ln P|) for values P below 1/2, absolute at or above 1/2.  At every
+#: z of 2n = 10, 100, 2000 and 2e4 the worst were 0.97, 4.09, 6.73 and 11.02
+#: below 1/2 and 1, 10.6, 17.7 and 40 at or above it: both grow with 2n, and
+#: at 2n = 2e4 the first is past the 8.3 once stated for it.
+HALF_LOW_ULPS = 12.0
+HALF_HIGH_ULPS = 48.0
+#: The z of 2n = 2e4 checked (every z takes about 6 s): a stride, and the
+#: worst z of a full scan on each side of 1/2 (adopt at 9963, keep at 14996).
+HALF_ZS_20000 = sorted({*range(1, 20_000, 50), 9963, 14996})
+
+
+def _half_delivery_errors(total: int, zs) -> tuple[float, float]:
+    """Worst errors of keep and adopt at q = 1/2 at each z of ``zs``, in u = 2^-53.
+
+    (low, high) against ``half_delivery_tail``: the largest |error| /
+    (P (1 + |ln P|)) over exact values 1e-300 <= P < 1/2, and the largest
+    |error| over P >= 1/2.  Values below 1e-300 lose relative precision to
+    underflow and are not checked.
+    """
+    tail, scale = half_delivery_tail(total), 2 ** (total - 1)
+    keep, adopt = A.transition_values(total, zs, 0.5)
+    low = high = 0.0
+    for z, k, a in zip(zs, keep.tolist(), adopt.tolist()):
+        for value, s, defined in ((k, total - z - 1, z > 0), (a, total - z + 1, z < total)):
+            numerator = tail[max(s, 0)]
+            exact = numerator / scale
+            if not defined or exact < 1e-300:
+                continue
+            num, den = value.as_integer_ratio()
+            error = abs(num * scale - numerator * den) * 2**53 / (den * scale)
+            if exact < 0.5:
+                low = max(low, error / (exact * (1.0 + abs(math.log(exact)))))
+            else:
+                high = max(high, error)
+    return low, high
+
+
+class TestHalfDeliveryOracle:
+    # at q = 1/2 keep and adopt are values of one binomial tail, exact in integers
+    @pytest.mark.parametrize("total", [10, 100, 2000, 20_000])
+    def test_every_value_within_the_stated_error(self, total, monkeypatch):
+        monkeypatch.setattr(A, "_MEMO", {})
+        zs = HALF_ZS_20000 if total == 20_000 else list(range(total + 1))
+        low, high = _half_delivery_errors(total, zs)
+        assert low <= HALF_LOW_ULPS and high <= HALF_HIGH_ULPS, (low, high)
+
+    def test_tail_matches_the_transition_definitions(self):
+        # keep(z) = T(o - 1) and adopt(z) = T(o + 1), against exact rationals
+        total = 12
+        tail = half_delivery_tail(total)
+        for z in range(total + 1):
+            o = total - z
+            if z > 0:
+                want = comparison_fraction(z - 1, o, Fraction(1, 2), 1)
+                assert Fraction(tail[max(o - 1, 0)], 2 ** (total - 1)) == want
+            if o > 0:
+                want = comparison_fraction(z, o - 1, Fraction(1, 2), -2)
+                assert Fraction(tail[o + 1], 2 ** (total - 1)) == want
+
+
 #: q values of the Chernoff certificate checks: both certain networks, both
 #: near-certain ones and three in between.
 BOUND_QS = (0.0, 1e-9, 0.2, 0.5, 0.8, 1.0 - 1e-9, 1.0)
@@ -361,6 +427,25 @@ class TestTransitionValues:
         assert all(
             A.adopt_zero_probability(z, total - z, q) == alone[z][1] for z in range(total)
         )
+
+    def test_values_do_not_depend_on_the_blas_thread_count(self):
+        # adopt at (z, o) = (3e5, 3e5), q = 1/2 compares windows of about
+        # 22,000 entries; one np.dot over them gave bytes 1 ulp apart at one
+        # and at two OpenBLAS threads
+        src = str(Path(A.__file__).resolve().parents[1])
+        code = "from smpsim import analytics; print(analytics.adopt_zero_probability(300000, 300000, 0.5).hex())"
+        lo, _ = A._window_bounds(np.array([300000.0]), np.array([0.5]))
+        assert 300000 - 2 * lo[0] > 20_000
+        outputs = []
+        for threads in ("1", "2"):
+            env = {
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": threads,
+                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            }
+            outputs.append(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                          text=True, check=True, timeout=60).stdout)
+        assert outputs[0] == outputs[1]
 
     def test_returned_arrays_are_the_callers_own(self):
         keep, adopt = A.transition_values(40, [3, 20, 3], 0.3)
@@ -594,6 +679,23 @@ class TestClosedFormBounds:
             A.prop5_bound(100, 100, 0.5)
         with pytest.raises(ValueError):
             A.prop5_rate_constant(0.0)
+
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            lambda: A.prop1_error_bound(0, 0, 0.5),
+            lambda: A.prop4_bound(0, 0),
+            lambda: A.prop5_bound(0, 0, 0.5),
+            lambda: A.theorem2_envelope(0, 0.5),
+        ],
+    )
+    def test_n_must_be_positive(self, bound):
+        with pytest.raises(ValueError, match="n must be positive, got 0"):
+            bound()
+
+    def test_prop4_needs_nonnegative_b(self):
+        with pytest.raises(ValueError, match="B must be nonnegative, got -1"):
+            A.prop4_bound(10, -1)
 
 
 class TestPnSandwich:

@@ -183,6 +183,16 @@ class TestConfigPrecedence:
         assert code == 1
         assert "JSON object" in err
 
+    @pytest.mark.parametrize("text", [None, "{\"n\": "])
+    def test_unreadable_config_exits_1(self, capsys, tmp_path, text):
+        # a missing file and malformed JSON both end with exit 1, naming the file
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        code, out, err = run_cli(capsys, "bounds", "prop4", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert f"cannot read config {cfg}" in err
+
     def test_workers_env_override(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("SMPSIM_WORKERS", "not-a-number")
         code, _, err = run_cli(

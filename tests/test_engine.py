@@ -115,6 +115,9 @@ class TestCountDistribution:
         b = CountDistribution(probabilities=np.array([0.25, 0.25, 0.5]))
         assert a.total_variation(b) == pytest.approx(0.25)
         assert a.total == 2
+        wider = CountDistribution(probabilities=np.array([0.25, 0.25, 0.25, 0.25, 0.0]))
+        with pytest.raises(ValueError, match="supports differ"):
+            a.total_variation(wider)
 
 
 def _one_round(counts, q, trials, mode):
@@ -500,11 +503,21 @@ class TestExactChain:
                 assert returned == tuple(min(v, 1.0) for v in unpruned)
 
     def test_dropped_mass_counts_each_trimmed_row(self):
-        # two rounds from a point mass at 2n = 4: round 1 trims its one row,
-        # of weight 1, at L = log(1 / floor), and every count it reaches is
-        # above the floor, so the bound is that row's 4 exp(-L) = 4 floor
-        *_, dropped = engine._chain(2, 0, 0.5, 2, engine._CHAIN_FLOOR)
-        assert dropped == pytest.approx(4 * engine._CHAIN_FLOOR, rel=1e-12, abs=0.0)
+        # two rounds from a point mass of weight 1, every row cut at
+        # L = -log(floor): at 2n = 4 the round-1 row spans 0..4 and every
+        # count it reaches is above the floor, so nothing is dropped; at
+        # 2n = 1000 the row is cut, and the bound is its 4 exp(-L) plus the
+        # mass of the counts it reaches below the floor
+        floor = engine._CHAIN_FLOOR
+        *_, dropped = engine._chain(2, 0, 0.5, 2, floor)
+        assert dropped == 0.0
+        log_tail = -math.log(floor)
+        p00, p10 = analytics.transition_values(1000, [500], 0.5)
+        ((lo, law),) = engine._round_laws(1000, [500], p00, p10, log_tail)
+        assert lo > 0 and lo + len(law) <= 1000
+        light = law[law < floor].sum()
+        *_, dropped = engine._chain(500, 0, 0.5, 2, floor)
+        assert dropped == pytest.approx(4 * math.exp(-log_tail) + light, rel=1e-12, abs=0.0)
 
     def test_pruning_pays_off_at_the_cap(self):
         # at 2n = 1000 the round-1 law from a tie is positive at every count,
@@ -537,18 +550,21 @@ class TestExactChain:
             tracemalloc.stop()
         assert peak < 5_000_000
 
-    def test_five_rounds_at_the_cap_free_each_round(self, monkeypatch):
+    @pytest.mark.parametrize("q", [0.05, 0.2, 0.5, 0.8, 0.95])
+    def test_five_rounds_at_the_cap_free_each_round(self, q, monkeypatch):
+        # rows kept for later full rounds are cut at the floor's tail, and
         # each round's row generator is closed before the next round's
-        # keep/adopt evaluation: this peaked near 5.9 MB, and 7.6 MB with a
-        # generator left holding its last pass's scratch
+        # keep/adopt evaluation: keeping rows at the full 1e-340 width peaked
+        # at 5.9-9.3 MB over these q, and leaving each generator open at
+        # 5.4-6.4 MB
         monkeypatch.setattr(analytics, "_MEMO", {})
         tracemalloc.start()
         try:
-            exact_chain_consensus_probability(500, 0, 0.05, 5)
+            exact_chain_consensus_probability(500, 0, q, 5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 6_600_000
+        assert peak < 5_000_000
 
     def test_stops_once_every_live_state_is_absorbing(self):
         # 10^8 rounds would take hours; the alarm fails the test after 1 s

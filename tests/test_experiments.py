@@ -92,6 +92,10 @@ class TestIntervals:
         with pytest.raises(ValueError):
             Estimate.from_counts(3, 10, method="magic")
 
+    def test_interval_must_hold_the_estimate(self):
+        with pytest.raises(ValueError, match="0 <= low <= p_hat <= high <= 1"):
+            Estimate(successes=3, trials=10, p_hat=0.3, ci_low=0.4, ci_high=0.5)
+
 
 #: (successes, trials) checked against 50-digit roots: both ends and their
 #: neighbours at every size, the golden estimate (282, 300) and the points

@@ -95,6 +95,11 @@ class TestJsonRoundTrip:
             read_result_file(path)
         assert str(refusal.value) == f"{path} {message}"
 
+    def test_missing_file_is_an_os_error(self, tmp_path):
+        path = tmp_path / "absent.json"
+        with pytest.raises(OSError, match=f"failed to read results from {path}"):
+            read_result_file(path)
+
     def test_json_list_is_a_value_error(self, tmp_path):
         path = tmp_path / "result.json"
         path.write_text("[1, 2]")
@@ -189,6 +194,14 @@ class TestCsv:
             write_results(result, "csv", path)
         assert not path.exists()
 
+    def test_bound_needs_n_or_m(self, tmp_path):
+        report = BoundReport(bound_name="prop4", parameters={"B": 3}, bound_value=0.5)
+        result = ResultFile(manifest=_manifest(), payload=report)
+        path = tmp_path / "r.csv"
+        with pytest.raises(ValueError, match="a bound CSV needs n or m in the prop4 parameters"):
+            write_results(result, "csv", path)
+        assert not path.exists()
+
     def test_estimate_delta_and_rounds_are_optional(self, tmp_path):
         config = {"n": 3, "q": 0.3, "event": "consensus"}
         manifest = RunManifest.create(master_seed=1, config=config, command_line="lib")
@@ -243,6 +256,11 @@ class TestPlotData:
         for line in path.read_text().split("\n"):
             if line and not line.startswith("#"):
                 assert len(line.split()) == 3
+
+    def test_missing_directory_is_an_os_error(self, tmp_path):
+        path = tmp_path / "absent" / "plot.dat"
+        with pytest.raises(OSError, match=f"failed to write plot data to {path}"):
+            emit_plot_data(_sample_sweep(), path)
 
     def test_empty_sweep(self, tmp_path):
         path = tmp_path / "empty.dat"
