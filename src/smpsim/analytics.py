@@ -3,12 +3,16 @@
 Everything here is deterministic closed-form math.  Binomial log-PMFs use
 Loader's saddle-point form (``stirlerr`` and ``bd0``), whose error does
 not grow with the number of trials.  The comparison kernel behind the
-transition probabilities works in linear space on windows that hold all
-but 1e-340 of each binomial's mass, each scaled by its own maximum.
-Against a 40-digit reference its relative error measured below 5e-14 at
-the tested points with m up to 2e5 and values down to 4e-204.  Deeper in
-a tail at large m it grows with |ln P|: the log-PMF carries an absolute
-error of a few ulps of |ln pmf|, which exp turns into relative error.
+transition probabilities works in linear space on binomial windows, each
+scaled by its own maximum, for one of two tails.  The pair of windows
+behind keep(c + 1), adopt(c) and their mirrors holds all but 2^-100 of
+each binomial's mass per side when all four of those comparisons are at
+least 2^-40, which truncates each by under 2^-57 relative, and all but
+1e-340 otherwise.  Against a 40-digit reference its relative error
+measured below 5e-14 at the tested points with m up to 2e5 and values
+down to 4e-204.  Deeper in a tail at large m it grows with |ln P|: the
+log-PMF carries an absolute error of a few ulps of |ln pmf|, which exp
+turns into relative error.
 Checked at every z against an exact tail at q = 1/2 with 2n up to 2e4,
 values P below 1/2 are within 12 u (1 + |ln P|), u = 2^-53 (worst 11.0),
 and values at or above 1/2 within 48 u absolute (worst 40 u, below the
@@ -30,7 +34,8 @@ state with ``z`` zeros, ``o`` ones and delivery probability q' = 1 - q:
 Single calls, Monte Carlo rounds and the exact chain all take both from
 ``transition_values``, which builds each binomial window once per batch
 of zero-counts and memoises the values per (2n, q), because sweeps revisit
-the same counts heavily; a memo hit returns what a fresh evaluation would.
+the same counts heavily; a memo hit returns what a fresh evaluation would,
+and the tail of each window depends on its pair alone.
 Binomials have fewer than ``MAX_BINOMIAL_TRIALS`` trials, the size below
 which the log-PMF's accuracy claim holds.
 """
@@ -97,6 +102,16 @@ _LOG_2PI = math.log(2.0 * math.pi)
 #: Half-width of a binomial window solves exp(-t^2 / (2 (var + t/3))) = 1e-340
 #: (Bernstein), so each tail outside it holds less than 1e-340.
 _WINDOW_LOG_TAIL = 340.0 * math.log(10.0)
+#: The narrow tail and the least value it serves, for ``_pair_comparisons``.
+#: The kernel returns P' = P{X1 + offset >= X2 | X1 in W1, X2 in W2} for
+#: windows W1, W2 that each miss under 2 * 2^-100 of their binomial's mass.
+#: The joint event differs from the unconditioned one with probability at
+#: most 4 * 2^-100, and P(W1) P(W2) >= 1 - 4 * 2^-100, so |P' - P| is at
+#: most about 8 * 2^-100.  At P >= 2^-40 that is under 2^-57 = u/16
+#: relative (u = 2^-53), below the kernel's own rounding error; a smaller
+#: P gets the 1e-340 windows.
+_NARROW_LOG_TAIL = 100.0 * math.log(2.0)
+_NARROW_MIN = 2.0**-40
 #: Window entries that ``_windows`` evaluates in one pass, for keep/adopt
 #: batches, the exact chain's rows and the sampler's CDFs alike.
 _BLOCK_ELEMENTS = 1 << 15
@@ -357,13 +372,68 @@ def binomial_log_pmf(m: int, p: float, k: int) -> float:
     return float(_log_pmf(np.array([float(m)]), np.array([float(p)]), window, window)[0])
 
 
+def _pair_windows(size: int, pairs: np.ndarray, p: float, log_tail: float):
+    """Yield (c, win_c, win_rest) for each pair c of ``pairs``, in order.
+
+    win_c and win_rest are the ``_scaled`` windows of Bin(c, p) and
+    Bin(size - c, p) for the scalar ``log_tail``, from one ``_windows`` call.
+    """
+    windows = _windows(np.column_stack([pairs, size - pairs]).ravel(), p, log_tail)
+    scaled = (_scaled(lo, log_pmf) for lo, log_pmf in windows)
+    yield from zip(pairs.tolist(), scaled, scaled)
+
+
+def _compare_pair(c: int, win_c, win_rest, a: int, offset: int) -> float:
+    """P{Bin(a, p) + offset >= Bin(size - a, p)} from the windows of pair c, a in {c, size - c}."""
+    win1, win2 = (win_c, win_rest) if a == c else (win_rest, win_c)
+    return _compare_windows(win1, win2, offset)
+
+
+def _narrow_values(size: int, pairs: np.ndarray, p: float):
+    """Yield (c, {(a, offset): value}) for each pair c of ``pairs`` that 2^-100 windows serve.
+
+    Those are the pairs whose four comparisons that are not certain are all
+    at least ``_NARROW_MIN``, each value on windows for ``_NARROW_LOG_TAIL``.
+    A pair with a ``_comparison_log_bound`` below ``_NARROW_MIN`` on one of
+    them gets no window.  The windows and their scratch are freed once the
+    last pair is yielded.
+    """
+    # the four comparisons of each pair as (m1, offset), one row each
+    m1 = np.stack([pairs, pairs, size - pairs, size - pairs])
+    offset = np.broadcast_to(np.array([[1], [-2], [1], [-2]]), m1.shape)
+    uncertain = (offset < size - m1) & (m1 + offset >= 0)
+    log_bound = _comparison_log_bound(m1.ravel(), size - m1.ravel(), p, -offset.ravel())
+    low = uncertain & (log_bound.reshape(m1.shape) < math.log(_NARROW_MIN))
+    for c, win_c, win_rest in _pair_windows(size, pairs[~low.any(axis=0)], p, _NARROW_LOG_TAIL):
+        value = {
+            (a, off): _compare_pair(c, win_c, win_rest, a, off)
+            for a in (c, size - c)
+            for off in (1, -2)
+            if off < size - a and a + off >= 0
+        }
+        if min(value.values()) >= _NARROW_MIN:
+            yield c, value
+
+
 def _pair_comparisons(size: int, queries: list[tuple[int, int]], p: float) -> list[float]:
     """P{Bin(a, p) + offset >= Bin(size - a, p)} for each (a, offset) of ``queries``.
 
-    Certain outcomes are exact: offset >= size - a gives 1, a + offset < 0
-    gives 0.  Pairs a and size - a hold the same two windows, so the other
-    queries are grouped by min(a, size - a) and each window is built once.
-    A value does not depend on which other queries are evaluated with it.
+    Offsets are 1 (keep) and -2 (adopt).  Certain outcomes are exact:
+    offset >= size - a gives 1, a + offset < 0 gives 0.  Pairs a and
+    size - a hold the same two windows, so the other queries are grouped by
+    c = min(a, size - a) and each window is built once, for one of two
+    tails.  A pair can serve four comparisons, (a, offset) in {c, size - c}
+    x {1, -2}: keep(c + 1), adopt(c) and their mirrors.  It is evaluated on
+    windows for ``_NARROW_LOG_TAIL`` (under 2^-100 per side) when each of
+    the four that is not certain is at least ``_NARROW_MIN`` = 2^-40, and on
+    the 1e-340 windows otherwise, which give the bytes of a kernel with one
+    tail.  Two steps decide (``_narrow_values``): a pair with a
+    ``_comparison_log_bound`` below 2^-40 on one of the four goes to the
+    1e-340 windows at once; the others get all four values on narrow
+    windows and go there too if one is below 2^-40.  A narrow value is
+    within 2^-57 relative of the untruncated comparison (see the
+    constants).  The decision depends on the pair alone, so a value does
+    not depend on which other queries are evaluated with it.
     """
     out = [1.0 if off >= size - a else 0.0 if a + off < 0 else math.nan for a, off in queries]
     by_pair: dict[int, list[int]] = {}
@@ -371,13 +441,15 @@ def _pair_comparisons(size: int, queries: list[tuple[int, int]], p: float) -> li
         if math.isnan(out[i]):
             by_pair.setdefault(min(a, size - a), []).append(i)
     pairs = np.array(sorted(by_pair), dtype=np.int64)
-    windows = _windows(np.column_stack([pairs, size - pairs]).ravel(), p)
-    scaled = (_scaled(lo, log_pmf) for lo, log_pmf in windows)
-    for c, win_c, win_rest in zip(pairs.tolist(), scaled, scaled):
+    narrow = set()
+    for c, value in _narrow_values(size, pairs, p):
+        narrow.add(c)
         for i in by_pair[c]:
-            a, offset = queries[i]
-            win1, win2 = (win_c, win_rest) if a == c else (win_rest, win_c)
-            out[i] = _compare_windows(win1, win2, offset)
+            out[i] = value[queries[i]]
+    wide = np.array([c for c in pairs.tolist() if c not in narrow], dtype=np.int64)
+    for c, win_c, win_rest in _pair_windows(size, wide, p, _WINDOW_LOG_TAIL):
+        for i in by_pair[c]:
+            out[i] = _compare_pair(c, win_c, win_rest, *queries[i])
     return out
 
 
@@ -411,11 +483,17 @@ def transition_values(total: int, zs, q: float) -> tuple[np.ndarray, np.ndarray]
     adopt_zero_probability(z, total - z, q) for z = zs[i], and 0 on an empty
     side (keep at z = 0, adopt at z = total).  The z values missing from the
     (total, q) memo are evaluated in one batch that builds each binomial
-    window once; a value is the same from the memo, alone or in any batch.
-    The returned arrays are the caller's own.  ``total`` must be an integer
-    (bool refused) and ``zs`` must hold integers.  When every z is the same,
-    as in the first round from a single state, the range check's minimum
-    stands for ``np.unique``, whose sort costs milliseconds on a chunk.
+    window once, by ``_pair_comparisons``: on windows that drop under 2^-100
+    per side where the pair of windows serves four comparisons of at least
+    2^-40 (a truncation under 2^-57 relative), and on 1e-340 windows
+    otherwise.  That rule looks at the pair alone, so a value is the same
+    from the memo, alone or in any batch.  The returned arrays are the
+    caller's own.  ``total`` must be an integer (bool refused) and ``zs``
+    must hold integers.  When every z is the same, as in the first round
+    from a single state, the range check's minimum stands for
+    ``np.unique``, whose sort costs milliseconds on a chunk; a strictly
+    increasing ``zs``, such as the exact chain's live states, is its own
+    ``np.unique``.
     """
     if isinstance(total, bool) or not isinstance(total, numbers.Integral):
         raise ValueError(f"total must be an integer, got {total!r}")
@@ -429,6 +507,8 @@ def transition_values(total: int, zs, q: float) -> tuple[np.ndarray, np.ndarray]
         raise ValueError(f"zs (zero-counts) must be in [0, {total}]")
     if z_lo == z_hi:
         uniq, inverse = [z_lo], None
+    elif zs.ndim == 1 and (zs[1:] > zs[:-1]).all():  # strictly increasing: np.unique's output
+        uniq, inverse = zs.tolist(), slice(None)
     else:
         uniq, inverse = np.unique(zs, return_inverse=True)
         uniq = uniq.tolist()
@@ -446,7 +526,7 @@ def transition_values(total: int, zs, q: float) -> tuple[np.ndarray, np.ndarray]
             if sum(map(len, _MEMO.values())) + len(missing) > _MEMO_MAX_VALUES:
                 _MEMO.clear()
             _MEMO.setdefault(key, {}).update((z, found[z]) for z in missing)
-    keep, adopt = np.array([found[z] for z in uniq], dtype=np.float64).reshape(-1, 2).T
+    keep, adopt = np.array([found[z] for z in uniq], dtype=np.float64).reshape(-1, 2).T.copy()
     if inverse is None:
         return np.full(zs.shape, keep[0]), np.full(zs.shape, adopt[0])
     return keep[inverse], adopt[inverse]

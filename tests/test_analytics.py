@@ -428,14 +428,25 @@ class TestTransitionValues:
             A.adopt_zero_probability(z, total - z, q) == alone[z][1] for z in range(total)
         )
 
-    def test_values_do_not_depend_on_the_blas_thread_count(self):
-        # adopt at (z, o) = (3e5, 3e5), q = 1/2 compares windows of about
-        # 22,000 entries; one np.dot over them gave bytes 1 ulp apart at one
-        # and at two OpenBLAS threads
+    def test_values_do_not_depend_on_the_blas_thread_count(self, monkeypatch):
+        # adopt at (z, o) = (296130, 303870), q = 1/2, is about 1e-23, so its
+        # pair takes the 1e-340 windows, of about 22,000 entries; one np.dot
+        # over them gave bytes 1 ulp apart at one and at two OpenBLAS threads
+        # (a central value at this size takes 2^-100 windows of one _DOT_BLOCK)
+        z, o = 296130, 303870
+        used = []
+        compare = A._compare_windows
+
+        def recorded(win1, win2, offset):
+            used.append(len(win1[1]))
+            return compare(win1, win2, offset)
+
+        monkeypatch.setattr(A, "_MEMO", {})
+        monkeypatch.setattr(A, "_compare_windows", recorded)
+        assert 1e-300 < A.adopt_zero_probability(z, o, 0.5) < A._NARROW_MIN
+        assert used and min(used) > 20_000
         src = str(Path(A.__file__).resolve().parents[1])
-        code = "from smpsim import analytics; print(analytics.adopt_zero_probability(300000, 300000, 0.5).hex())"
-        lo, _ = A._window_bounds(np.array([300000.0]), np.array([0.5]))
-        assert 300000 - 2 * lo[0] > 20_000
+        code = f"from smpsim import analytics; print(analytics.adopt_zero_probability({z}, {o}, 0.5).hex())"
         outputs = []
         for threads in ("1", "2"):
             env = {
@@ -472,6 +483,71 @@ class TestTransitionValues:
             A.transition_values(4, [-1], 0.5)
         with pytest.raises(ValueError, match="2\\^27"):
             A.transition_values(A.MAX_BINOMIAL_TRIALS, [1], 0.5)
+
+
+#: Agreement of a value on 2^-100 windows with the same comparison on 1e-340
+#: windows, in u = 2^-53: relative below 1/2, absolute at or above it.  Over
+#: TestTwoTails' cases the worst were 3.4 u and 5 u.
+NARROW_ULPS = 8.0
+
+
+def _pair_queries(size: int, pairs) -> tuple[list[int], list[tuple[int, int]]]:
+    """(owner pair, query) for each of the four comparisons of each pair that is not certain."""
+    owners, queries = [], []
+    for c in pairs:
+        for a, offset in ((c, 1), (c, -2), (size - c, 1), (size - c, -2)):
+            if offset < size - a and a + offset >= 0:
+                owners.append(c)
+                queries.append((a, offset))
+    return owners, queries
+
+
+class TestTwoTails:
+    @pytest.mark.parametrize("total", [1000, 20_000])
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
+    def test_narrow_values_agree_and_small_pairs_keep_the_wide_bytes(self, total, q, monkeypatch):
+        # every pair at 2n = 1000, a stride down from the middle at 2n = 2e4
+        size, p = total - 1, 1.0 - q
+        owners, queries = _pair_queries(size, range(size // 2, -1, -1 if total == 1000 else -37))
+        got = A._pair_comparisons(size, queries, p)
+        # the narrow windows widened to the 1e-340 ones: every value has its wide bytes
+        monkeypatch.setattr(A, "_NARROW_LOG_TAIL", A._WINDOW_LOG_TAIL)
+        wide = A._pair_comparisons(size, queries, p)
+        smallest = {}
+        for c, w in zip(owners, wide):
+            smallest[c] = min(smallest.get(c, 1.0), w)
+        moved = []
+        for c, g, w in zip(owners, got, wide):
+            if smallest[c] < 2.0**-40:
+                assert g.hex() == w.hex(), (c, g, w)
+            else:
+                assert abs(g - w) <= NARROW_ULPS * 2.0**-53 * (w if w < 0.5 else 1.0), (c, g, w)
+                moved += [w] if g != w else []
+        assert moved and min(moved) >= 2.0**-40
+
+    def test_a_pair_with_a_small_comparison_is_wide_alone_and_in_a_table(self, monkeypatch):
+        # keep(z) is above 2^-40, but another comparison of its pair is below:
+        # the pair takes the 1e-340 windows whichever queries come with it
+        total, q = 1000, 0.5
+        size = total - 1
+        monkeypatch.setattr(A, "_MEMO", {})
+        monkeypatch.setattr(A, "_NARROW_LOG_TAIL", A._WINDOW_LOG_TAIL)
+        wide_keep, _ = A.transition_values(total, np.arange(total + 1), q)
+        monkeypatch.undo()
+        zs = []
+        for z in range(1, total):
+            c = min(z - 1, size - z + 1)
+            owners, queries = _pair_queries(size, [c])
+            values = A._pair_comparisons(size, queries, 1.0 - q)
+            if 2.0**-40 <= wide_keep[z] < 0.5 and min(values) < 2.0**-40:
+                zs.append(z)
+        assert zs
+        monkeypatch.setattr(A, "_MEMO", {})
+        table, _ = A.transition_values(total, np.arange(total + 1), q)
+        for z in zs:
+            A._MEMO.clear()
+            alone = A.transition_values(total, [z], q)[0][0]
+            assert alone.hex() == table[z].hex() == wide_keep[z].hex()
 
 
 def _window_caller_outputs() -> list[bytes]:
