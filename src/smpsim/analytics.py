@@ -4,15 +4,16 @@ Everything here is deterministic closed-form math.  Binomial log-PMFs use
 Loader's saddle-point form (``stirlerr`` and ``bd0``), whose error does
 not grow with the number of trials.  The comparison kernel behind the
 transition probabilities works in linear space on binomial windows, each
-scaled by its own maximum, for one of two tails.  The pair of windows
-behind keep(c + 1), adopt(c) and their mirrors holds all but 2^-100 of
-each binomial's mass per side when all four of those comparisons are at
-least 2^-40, which truncates each by under 2^-57 relative, and all but
-1e-340 otherwise.  Against a 40-digit reference its relative error
-measured below 5e-14 at the tested points with m up to 2e5 and values
-down to 4e-204.  Deeper in a tail at large m it grows with |ln P|: the
-log-PMF carries an absolute error of a few ulps of |ln pmf|, which exp
-turns into relative error.
+scaled by its own maximum, with a tail per pair of windows.  The pair
+behind keep(c + 1), adopt(c) and their mirrors drops under e^-L per side
+for L = max(100 ln 2, 68 ln 2 - ln B), where B is the least Chernoff bound
+of those four, and keeps its values when each is at least 2^60 e^-L,
+which truncates each by under 2^-57 relative; otherwise, and where B is
+below about 1e-320, it drops under 1e-340.  Against a 40-digit reference
+its relative error measured below 5e-14 at the tested points with m up to
+2e5 and values down to 4e-204.  Deeper in a tail at large m it grows with
+|ln P|: the log-PMF carries an absolute error of a few ulps of |ln pmf|,
+which exp turns into relative error.
 Checked at every z against an exact tail at q = 1/2 with 2n up to 2e4,
 values P below 1/2 are within 12 u (1 + |ln P|), u = 2^-53 (worst 11.0),
 and values at or above 1/2 within 48 u absolute (worst 40 u, below the
@@ -102,16 +103,21 @@ _LOG_2PI = math.log(2.0 * math.pi)
 #: Half-width of a binomial window solves exp(-t^2 / (2 (var + t/3))) = 1e-340
 #: (Bernstein), so each tail outside it holds less than 1e-340.
 _WINDOW_LOG_TAIL = 340.0 * math.log(10.0)
-#: The narrow tail and the least value it serves, for ``_pair_comparisons``.
-#: The kernel returns P' = P{X1 + offset >= X2 | X1 in W1, X2 in W2} for
-#: windows W1, W2 that each miss under 2 * 2^-100 of their binomial's mass.
-#: The joint event differs from the unconditioned one with probability at
-#: most 4 * 2^-100, and P(W1) P(W2) >= 1 - 4 * 2^-100, so |P' - P| is at
-#: most about 8 * 2^-100.  At P >= 2^-40 that is under 2^-57 = u/16
-#: relative (u = 2^-53), below the kernel's own rounding error; a smaller
-#: P gets the 1e-340 windows.
+#: The sized tails of ``_pair_comparisons``.  The kernel returns P' =
+#: P{X1 + offset >= X2 | X1 in W1, X2 in W2} for windows W1, W2 that each
+#: miss under 2 e^-L of their binomial's mass.  The joint event differs from
+#: the unconditioned one with probability at most 4 e^-L, and P(W1) P(W2)
+#: >= 1 - 4 e^-L, so |P' - P| is at most about 8 e^-L.  At P >= 2^60 e^-L
+#: that is under 2^-57 = u/16 relative (u = 2^-53), below the kernel's own
+#: rounding error; a pair with a smaller value gets the 1e-340 windows.
+#: The least tail is 100 ln 2, whose threshold 2^60 e^-L is _NARROW_MIN =
+#: 2^-40; a tail L has the threshold _NARROW_MIN e^(100 ln 2 - L).
 _NARROW_LOG_TAIL = 100.0 * math.log(2.0)
 _NARROW_MIN = 2.0**-40
+#: A pair whose least Chernoff bound is B gets the tail max(100 ln 2,
+#: 68 ln 2 - ln B), whose threshold 2^60 e^-L is at most B / 2^8: its
+#: smallest value keeps the sized windows while it is within 2^8 of its bound.
+_SIZED_LOG_MARGIN = 68.0 * math.log(2.0)
 #: Window entries that ``_windows`` evaluates in one pass, for keep/adopt
 #: batches, the exact chain's rows and the sampler's CDFs alike.
 _BLOCK_ELEMENTS = 1 << 15
@@ -277,9 +283,9 @@ def _window_bounds(
     """[lo, hi] outside which Bin(m, p) has mass below exp(-log_tail) on each side.
 
     The half-width t solves the Bernstein bound exp(-t^2 / (2 (var + t/3)))
-    = exp(-log_tail) for the scalar ``log_tail``, 1e-340 by default; unlike
-    a multiple of the standard deviation it stays valid in the Poisson-like
-    tails of small p.
+    = exp(-log_tail), elementwise: ``log_tail`` is a scalar (1e-340 by
+    default) or one tail per window.  Unlike a multiple of the standard
+    deviation it stays valid in the Poisson-like tails of small p.
     """
     mean = m * p
     a = log_tail / 3.0
@@ -289,17 +295,18 @@ def _window_bounds(
     return lo.astype(np.int64), hi.astype(np.int64)
 
 
-def _windows(m, p, log_tail=_WINDOW_LOG_TAIL):
-    """Yield (lo, log pmf over k = lo..hi) of Bin(m[i], p[i]) for each i, in order.
+def _window_passes(m, p, log_tail=_WINDOW_LOG_TAIL):
+    """Yield (lo, sizes, log pmf) per pass over the windows of Bin(m[i], p[i]), in order.
 
-    [lo, hi] is the ``_window_bounds`` window for the scalar ``log_tail``.
-    Windows are evaluated lazily, in passes of about _BLOCK_ELEMENTS entries
-    that bound the memory held: a pass starts with the window that takes
-    the running total past a multiple of it.  The passes of a call share
-    one ``_scratch``, sized once to the call's largest pass, so a pass makes
-    few new temporaries.  Each pass's output is a new array, and the
-    yielded windows are views of it that later passes leave as they are.
-    A window's entries do not depend on which pass it falls in.
+    [lo, hi] is the ``_window_bounds`` window for ``log_tail``, a scalar or
+    one tail per window.  Windows are evaluated lazily, in passes of about
+    _BLOCK_ELEMENTS entries that bound the memory held: a pass starts with
+    the window that takes the running total past a multiple of it.  A pass
+    yields its windows' lower ends and sizes as lists and their log-PMFs
+    concatenated in one new array.  The passes of a call share one
+    ``_scratch``, sized once to the call's largest pass, so a pass makes few
+    new temporaries.  A window's entries do not depend on which pass it
+    falls in.
     """
     m = np.atleast_1d(np.asarray(m, dtype=np.float64))
     if not len(m):
@@ -312,8 +319,26 @@ def _windows(m, p, log_tail=_WINDOW_LOG_TAIL):
     starts = starts.tolist()
     for a, b in zip(starts, starts[1:] + [len(m)]):
         log_pmf = _log_pmf(m[a:b], p[a:b], lo[a:b], hi[a:b], scratch)
-        ends = np.cumsum(sizes[a:b]).tolist()
-        yield from zip(lo[a:b].tolist(), [log_pmf[s:e] for s, e in zip([0, *ends], ends)])
+        yield lo[a:b].tolist(), sizes[a:b].tolist(), log_pmf
+        del log_pmf  # the consumer decides whether the pass outlives the next one
+
+
+def _split(entries: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
+    """Views of ``entries`` cut into consecutive windows of ``sizes``."""
+    ends = np.cumsum(sizes).tolist()
+    return [entries[s:e] for s, e in zip([0, *ends], ends)]
+
+
+def _windows(m, p, log_tail=_WINDOW_LOG_TAIL):
+    """Yield (lo, log pmf over k = lo..hi) of Bin(m[i], p[i]) for each i, in order.
+
+    The windows of ``_window_passes`` for ``log_tail``, a scalar or one
+    tail per window, one at a time.  Each pass's output is a new array, and
+    the yielded windows are views of it that later passes leave as they
+    are.
+    """
+    for lo, sizes, log_pmf in _window_passes(m, p, log_tail):
+        yield from zip(lo, _split(log_pmf, sizes))
 
 
 def _binomial_tail(m: int, p: float, s: int, upper: bool) -> float:
@@ -332,34 +357,45 @@ def _binomial_tail(m: int, p: float, s: int, upper: bool) -> float:
     return float(np.exp(log_pmf[cut:] if upper else log_pmf[:cut]).sum())
 
 
-def _scaled(lo: int, log_pmf: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """(lo, w, c) of one window: w = pmf / max pmf on the window, c = cumsum(w).
+def _scaled_windows(m, p, log_tail):
+    """Yield (lo, w, c, total) for the ``_window_passes`` windows of Bin(m[i], p[i]), in order.
 
-    The scale cancels wherever w and c are used, because results are
-    normalised by the window total c[-1].
+    w = pmf / max pmf on the window, c = cumsum(w) and total = c[-1], a
+    float.  The scale cancels wherever w and c are used, because results
+    are normalised by the window total.  Each pass is scaled at once: one
+    ``np.maximum.reduceat`` for the window maxima, one subtract and one
+    ``np.exp`` in place over its log-PMFs, then one cumsum per window.  The
+    generator drops a pass's arrays before it evaluates the next pass.
     """
-    w = np.exp(log_pmf - log_pmf.max())
-    return lo, w, np.cumsum(w)
+    for lo, sizes, w in _window_passes(m, p, log_tail):
+        starts = np.cumsum(sizes) - sizes
+        w -= np.repeat(np.maximum.reduceat(w, starts), sizes)
+        np.exp(w, out=w)
+        for lo_i, w_i in zip(lo, _split(w, sizes)):
+            c = np.cumsum(w_i)
+            yield lo_i, w_i, c, float(c[-1])
+        del w, w_i, c
 
 
 def _compare_windows(win1, win2, offset: int) -> float:
-    """P{X1 + offset >= X2} from scaled windows of independent X1 and X2.
+    """P{X1 + offset >= X2} from ``_scaled_windows`` windows of independent X1 and X2.
 
-    sum_k w1(k) F2(k + offset) / (c1[-1] c2[-1]), where the scaled CDF F2 is
-    0 below window 2, c2 on it and c2[-1] above it, in _DOT_BLOCK blocks.
+    sum_k w1(k) F2(k + offset) / (total1 total2), where the scaled CDF F2
+    is 0 below window 2, c2 on it and total2 above it, in _DOT_BLOCK
+    blocks added in order.
     """
-    lo1, w1, c1 = win1
-    lo2, _, c2 = win2
-    n1, total2 = len(w1), c2[-1]
+    lo1, w1, _, total1 = win1
+    lo2, _, c2, total2 = win2
+    n1 = len(w1)
     shift = lo1 + offset - lo2  # index into c2 of w1[i] is i + shift
     first = min(max(-shift, 0), n1)  # below: F2 = 0
     last = min(max(len(c2) - 1 - shift, first), n1)  # from here on: F2 = total2
     acc = 0.0
     for start in range(first, last, _DOT_BLOCK):
         stop = min(start + _DOT_BLOCK, last)
-        acc += np.dot(w1[start:stop], c2[start + shift : stop + shift])
-    acc += total2 * w1[last:].sum()
-    return float(min(acc / (c1[-1] * total2), 1.0))
+        acc += float(np.dot(w1[start:stop], c2[start + shift : stop + shift]))
+    acc += total2 * float(w1[last:].sum())
+    return min(acc / (total1 * total2), 1.0)
 
 
 def binomial_log_pmf(m: int, p: float, k: int) -> float:
@@ -372,14 +408,15 @@ def binomial_log_pmf(m: int, p: float, k: int) -> float:
     return float(_log_pmf(np.array([float(m)]), np.array([float(p)]), window, window)[0])
 
 
-def _pair_windows(size: int, pairs: np.ndarray, p: float, log_tail: float):
+def _pair_windows(size: int, pairs: np.ndarray, p: float, log_tail):
     """Yield (c, win_c, win_rest) for each pair c of ``pairs``, in order.
 
-    win_c and win_rest are the ``_scaled`` windows of Bin(c, p) and
-    Bin(size - c, p) for the scalar ``log_tail``, from one ``_windows`` call.
+    win_c and win_rest are the ``_scaled_windows`` windows of Bin(c, p) and
+    Bin(size - c, p) for ``log_tail``, a scalar or one tail per pair, from
+    one call.
     """
-    windows = _windows(np.column_stack([pairs, size - pairs]).ravel(), p, log_tail)
-    scaled = (_scaled(lo, log_pmf) for lo, log_pmf in windows)
+    m = np.column_stack([pairs, size - pairs]).ravel()
+    scaled = _scaled_windows(m, p, np.repeat(np.broadcast_to(log_tail, pairs.shape), 2))
     yield from zip(pairs.tolist(), scaled, scaled)
 
 
@@ -389,29 +426,40 @@ def _compare_pair(c: int, win_c, win_rest, a: int, offset: int) -> float:
     return _compare_windows(win1, win2, offset)
 
 
-def _narrow_values(size: int, pairs: np.ndarray, p: float):
-    """Yield (c, {(a, offset): value}) for each pair c of ``pairs`` that 2^-100 windows serve.
+def _pair_tails(size: int, pairs: np.ndarray, p: float) -> np.ndarray:
+    """The sized tail L_c of each pair c of ``pairs``.
 
-    Those are the pairs whose four comparisons that are not certain are all
-    at least ``_NARROW_MIN``, each value on windows for ``_NARROW_LOG_TAIL``.
-    A pair with a ``_comparison_log_bound`` below ``_NARROW_MIN`` on one of
-    them gets no window.  The windows and their scratch are freed once the
-    last pair is yielded.
+    L_c = max(_NARROW_LOG_TAIL, _SIZED_LOG_MARGIN - ln B_c), where B_c is
+    the least ``_comparison_log_bound`` of the pair's four comparisons that
+    are not certain: keep(c + 1), adopt(c) and their mirrors.  A tail at
+    or past _WINDOW_LOG_TAIL sends the pair to the 1e-340 windows.
     """
     # the four comparisons of each pair as (m1, offset), one row each
     m1 = np.stack([pairs, pairs, size - pairs, size - pairs])
     offset = np.broadcast_to(np.array([[1], [-2], [1], [-2]]), m1.shape)
     uncertain = (offset < size - m1) & (m1 + offset >= 0)
     log_bound = _comparison_log_bound(m1.ravel(), size - m1.ravel(), p, -offset.ravel())
-    low = uncertain & (log_bound.reshape(m1.shape) < math.log(_NARROW_MIN))
-    for c, win_c, win_rest in _pair_windows(size, pairs[~low.any(axis=0)], p, _NARROW_LOG_TAIL):
+    least = np.where(uncertain, log_bound.reshape(m1.shape), 0.0).min(axis=0)
+    return np.maximum(_NARROW_LOG_TAIL, _SIZED_LOG_MARGIN - least)
+
+
+def _sized_values(size: int, pairs: np.ndarray, p: float, tails: np.ndarray):
+    """Yield (c, {(a, offset): value}) for each pair c of ``pairs`` that its sized tail serves.
+
+    Pair c = pairs[i] gets the values of its four comparisons that are not
+    certain on windows for L = tails[i], and is yielded when each of them
+    is at least 2^60 e^-L.  The windows and their scratch are freed once
+    the last pair is yielded.
+    """
+    windows = _pair_windows(size, pairs, p, tails)
+    for (c, win_c, win_rest), tail in zip(windows, tails.tolist()):
         value = {
             (a, off): _compare_pair(c, win_c, win_rest, a, off)
             for a in (c, size - c)
             for off in (1, -2)
             if off < size - a and a + off >= 0
         }
-        if min(value.values()) >= _NARROW_MIN:
+        if min(value.values()) >= _NARROW_MIN * math.exp(_NARROW_LOG_TAIL - tail):
             yield c, value
 
 
@@ -421,19 +469,20 @@ def _pair_comparisons(size: int, queries: list[tuple[int, int]], p: float) -> li
     Offsets are 1 (keep) and -2 (adopt).  Certain outcomes are exact:
     offset >= size - a gives 1, a + offset < 0 gives 0.  Pairs a and
     size - a hold the same two windows, so the other queries are grouped by
-    c = min(a, size - a) and each window is built once, for one of two
-    tails.  A pair can serve four comparisons, (a, offset) in {c, size - c}
-    x {1, -2}: keep(c + 1), adopt(c) and their mirrors.  It is evaluated on
-    windows for ``_NARROW_LOG_TAIL`` (under 2^-100 per side) when each of
-    the four that is not certain is at least ``_NARROW_MIN`` = 2^-40, and on
-    the 1e-340 windows otherwise, which give the bytes of a kernel with one
-    tail.  Two steps decide (``_narrow_values``): a pair with a
-    ``_comparison_log_bound`` below 2^-40 on one of the four goes to the
-    1e-340 windows at once; the others get all four values on narrow
-    windows and go there too if one is below 2^-40.  A narrow value is
-    within 2^-57 relative of the untruncated comparison (see the
-    constants).  The decision depends on the pair alone, so a value does
-    not depend on which other queries are evaluated with it.
+    c = min(a, size - a) and each window is built once.  A pair can serve
+    four comparisons, (a, offset) in {c, size - c} x {1, -2}: keep(c + 1),
+    adopt(c) and their mirrors.  Each pair gets its own tail L_c from
+    ``_pair_tails``, sized to the least Chernoff bound B_c of the four that
+    are not certain.  ``_sized_values`` sums it on windows for L_c and
+    keeps its values when each of them is at least 2^60 e^-L_c (2^-40 at
+    the least tail, 100 ln 2, which every pair with B_c >= 2^-32 gets); a
+    sized value is then within 2^-57 relative of the untruncated
+    comparison (see the constants).  Otherwise, and at once where L_c
+    would pass the 1e-340 tail (B_c below about 1e-320), the pair is
+    summed on the 1e-340 windows.  The rule reads the pair alone, so a
+    value does not depend on which other queries are evaluated with it.
+    All sized pairs are done, and their windows freed, before the 1e-340
+    pass starts.
     """
     out = [1.0 if off >= size - a else 0.0 if a + off < 0 else math.nan for a, off in queries]
     by_pair: dict[int, list[int]] = {}
@@ -441,12 +490,14 @@ def _pair_comparisons(size: int, queries: list[tuple[int, int]], p: float) -> li
         if math.isnan(out[i]):
             by_pair.setdefault(min(a, size - a), []).append(i)
     pairs = np.array(sorted(by_pair), dtype=np.int64)
-    narrow = set()
-    for c, value in _narrow_values(size, pairs, p):
-        narrow.add(c)
+    tails = _pair_tails(size, pairs, p)
+    sized = tails < _WINDOW_LOG_TAIL
+    done = set()
+    for c, value in _sized_values(size, pairs[sized], p, tails[sized]):
+        done.add(c)
         for i in by_pair[c]:
             out[i] = value[queries[i]]
-    wide = np.array([c for c in pairs.tolist() if c not in narrow], dtype=np.int64)
+    wide = np.array([c for c in pairs.tolist() if c not in done], dtype=np.int64)
     for c, win_c, win_rest in _pair_windows(size, wide, p, _WINDOW_LOG_TAIL):
         for i in by_pair[c]:
             out[i] = _compare_pair(c, win_c, win_rest, *queries[i])
@@ -483,17 +534,17 @@ def transition_values(total: int, zs, q: float) -> tuple[np.ndarray, np.ndarray]
     adopt_zero_probability(z, total - z, q) for z = zs[i], and 0 on an empty
     side (keep at z = 0, adopt at z = total).  The z values missing from the
     (total, q) memo are evaluated in one batch that builds each binomial
-    window once, by ``_pair_comparisons``: on windows that drop under 2^-100
-    per side where the pair of windows serves four comparisons of at least
-    2^-40 (a truncation under 2^-57 relative), and on 1e-340 windows
-    otherwise.  That rule looks at the pair alone, so a value is the same
-    from the memo, alone or in any batch.  The returned arrays are the
-    caller's own.  ``total`` must be an integer (bool refused) and ``zs``
-    must hold integers.  When every z is the same, as in the first round
-    from a single state, the range check's minimum stands for
-    ``np.unique``, whose sort costs milliseconds on a chunk; a strictly
-    increasing ``zs``, such as the exact chain's live states, is its own
-    ``np.unique``.
+    window once, by ``_pair_comparisons``: each pair of windows on a tail
+    L sized to the least Chernoff bound of the four comparisons it serves,
+    kept where each of those values is at least 2^60 e^-L (a truncation
+    under 2^-57 relative), and on 1e-340 windows otherwise.  That rule
+    looks at the pair alone, so a value is the same from the memo, alone
+    or in any batch.  The returned arrays are the caller's own.  ``total``
+    must be an integer (bool refused) and ``zs`` must hold integers.  When
+    every z is the same, as in the first round from a single state, the
+    range check's minimum stands for ``np.unique``, whose sort costs
+    milliseconds on a chunk; a strictly increasing ``zs``, such as the
+    exact chain's live states, is its own ``np.unique``.
     """
     if isinstance(total, bool) or not isinstance(total, numbers.Integral):
         raise ValueError(f"total must be an integer, got {total!r}")

@@ -17,7 +17,6 @@ import math
 import os
 import struct
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 from typing import Any, Iterable, Iterator, Sequence
@@ -251,6 +250,9 @@ def _map_chunks(fn, trials: int, workers: int, *fixed) -> Iterator:
     if size <= 1:
         yield from map(fn, args)
         return
+    # imported here: it loads multiprocessing, which an inline run never uses
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=size) as pool:
         in_flight = deque()
         for a in args:

@@ -23,7 +23,8 @@ on each side, half the 2^-53 step of the uniform, which resolves no finer;
 the last CDF entry is set to 1.  A sampler call checks m and p on the
 arrays as passed and groups its lanes by (m, p): a call whose m and p each
 hold one value, as every call of the first round from a single state does,
-is one group with no sort; any other call puts each pair's lanes together
+is one group with no sort; a call whose every draw is certain reads no
+uniform and sorts nothing; any other call puts each pair's lanes together
 with a lexsort by (m, p).  ``_draw_pair`` draws every group, deciding as
 scalars whether its draw is certain (m = 0, p = 0 or p = 1: no uniform is
 read) and whether to flip: p > 1/2 draws m - Bin(m, 1 - p), so a uniform
@@ -216,7 +217,9 @@ def sample_binomial_lanes(
     are checked on the arrays as passed; m must hold integers, and
     ``trial``, ``round_index`` and ``group`` nonnegative integers (bool and
     float are refused).  The lanes are grouped by (m, p), with no sort when
-    m and p each hold one value, and ``_draw_pair`` draws each group.
+    m and p each hold one value, and ``_draw_pair`` draws each group.  A
+    call whose every draw is certain (m = 0, p = 0 or p = 1 throughout)
+    reads no uniform.
     """
     trial = analytics._integer_array(trial, "trial", np.uint64)
     round_index = analytics._integer_array(round_index, "round_index", np.uint64)
@@ -243,6 +246,10 @@ def sample_binomial_lanes(
         # (``total - zs``) before the uniforms: 0.5 MB less at 65,536 lanes
         m, p = int(m_hi), float(p_hi)
         _draw_pair(m, p, out.reshape(-1), lane_uniforms, _one_pair_cdf)
+        return out
+    if m_hi == 0 or p_hi == 0.0 or p_lo == 1.0:
+        # every draw is certain, as ``_draw_pair`` takes it: no uniform is read
+        out[...] = m if p_lo == 1.0 else 0
         return out
 
     # uniforms before the sort: taken after it, Philox took 0.81 s against

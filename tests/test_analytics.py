@@ -429,11 +429,11 @@ class TestTransitionValues:
         )
 
     def test_values_do_not_depend_on_the_blas_thread_count(self, monkeypatch):
-        # adopt at (z, o) = (296130, 303870), q = 1/2, is about 1e-23, so its
-        # pair takes the 1e-340 windows, of about 22,000 entries; one np.dot
-        # over them gave bytes 1 ulp apart at one and at two OpenBLAS threads
-        # (a central value at this size takes 2^-100 windows of one _DOT_BLOCK)
-        z, o = 296130, 303870
+        # adopt at (z, o) = (3e6, 3e6), q = 1/2, is about 1/2, and its pair's
+        # 2^-100 windows hold about 20,400 entries, more than two _DOT_BLOCKs;
+        # one np.dot over them gave bytes 2 ulps apart at one and at two
+        # OpenBLAS threads
+        z, o = 3_000_000, 3_000_000
         used = []
         compare = A._compare_windows
 
@@ -443,8 +443,8 @@ class TestTransitionValues:
 
         monkeypatch.setattr(A, "_MEMO", {})
         monkeypatch.setattr(A, "_compare_windows", recorded)
-        assert 1e-300 < A.adopt_zero_probability(z, o, 0.5) < A._NARROW_MIN
-        assert used and min(used) > 20_000
+        assert 0.4 < A.adopt_zero_probability(z, o, 0.5) < 0.5
+        assert used and min(used) > 2 * A._DOT_BLOCK
         src = str(Path(A.__file__).resolve().parents[1])
         code = f"from smpsim import analytics; print(analytics.adopt_zero_probability({z}, {o}, 0.5).hex())"
         outputs = []
@@ -485,9 +485,11 @@ class TestTransitionValues:
             A.transition_values(A.MAX_BINOMIAL_TRIALS, [1], 0.5)
 
 
-#: Agreement of a value on 2^-100 windows with the same comparison on 1e-340
-#: windows, in u = 2^-53: relative below 1/2, absolute at or above it.  Over
-#: TestTwoTails' cases the worst were 3.4 u and 5 u.
+#: Agreement of a value on sized windows with the same comparison on 1e-340
+#: windows, in u = 2^-53: relative below 1/2, absolute at or above it.  The
+#: truncation moves a value by under 2^-57 relative; the rest is the kernel's
+#: rounding on windows of other lengths.  Over TestSizedTails' cases the worst
+#: were 5.7 u and 6 u.
 NARROW_ULPS = 8.0
 
 
@@ -502,44 +504,90 @@ def _pair_queries(size: int, pairs) -> tuple[list[int], list[tuple[int, int]]]:
     return owners, queries
 
 
-class TestTwoTails:
+def _wide_comparisons(size: int, queries, p: float, monkeypatch) -> list[float]:
+    """``A._pair_comparisons`` with every pair on the 1e-340 windows."""
+    with monkeypatch.context() as patch:
+        patch.setattr(A, "_NARROW_LOG_TAIL", A._WINDOW_LOG_TAIL)
+        return A._pair_comparisons(size, queries, p)
+
+
+def _least_log_bounds(size: int, owners, queries, p: float) -> dict[int, float]:
+    """ln B_c of each pair: the least Chernoff log-bound of its uncertain comparisons."""
+    m1 = np.array([a for a, _ in queries])
+    offset = np.array([off for _, off in queries])
+    least: dict[int, float] = {}
+    for c, b in zip(owners, A._comparison_log_bound(m1, size - m1, p, -offset).tolist()):
+        least[c] = min(least.get(c, 0.0), b)
+    return least
+
+
+class TestSizedTails:
     @pytest.mark.parametrize("total", [1000, 20_000])
     @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
-    def test_narrow_values_agree_and_small_pairs_keep_the_wide_bytes(self, total, q, monkeypatch):
+    def test_sized_values_agree_and_least_tail_pairs_keep_their_bytes(self, total, q, monkeypatch):
         # every pair at 2n = 1000, a stride down from the middle at 2n = 2e4
         size, p = total - 1, 1.0 - q
-        owners, queries = _pair_queries(size, range(size // 2, -1, -1 if total == 1000 else -37))
+        pairs = range(size // 2, -1, -1 if total == 1000 else -37)
+        owners, queries = _pair_queries(size, pairs)
         got = A._pair_comparisons(size, queries, p)
-        # the narrow windows widened to the 1e-340 ones: every value has its wide bytes
-        monkeypatch.setattr(A, "_NARROW_LOG_TAIL", A._WINDOW_LOG_TAIL)
-        wide = A._pair_comparisons(size, queries, p)
-        smallest = {}
-        for c, w in zip(owners, wide):
-            smallest[c] = min(smallest.get(c, 1.0), w)
-        moved = []
-        for c, g, w in zip(owners, got, wide):
-            if smallest[c] < 2.0**-40:
-                assert g.hex() == w.hex(), (c, g, w)
-            else:
-                assert abs(g - w) <= NARROW_ULPS * 2.0**-53 * (w if w < 0.5 else 1.0), (c, g, w)
-                moved += [w] if g != w else []
-        assert moved and min(moved) >= 2.0**-40
+        wide = _wide_comparisons(size, queries, p, monkeypatch)
+        least = _least_log_bounds(size, owners, queries, p)
+        tail = {c: max(100.0 * math.log(2.0), 68.0 * math.log(2.0) - b) for c, b in least.items()}
+        assert A._pair_tails(size, np.array(list(tail)), p).tolist() == list(tail.values())
+        # pairs with B_c >= 2^-32 take the 2^-100 windows, as before the sized tails
+        at_floor = sorted(c for c, b in least.items() if b >= -32.0 * math.log(2.0))
+        windows = A._pair_windows(size, np.array(at_floor), p, A._NARROW_LOG_TAIL)
+        narrow = {
+            (c, a, off): A._compare_pair(c, win_c, win_rest, a, off)
+            for c, win_c, win_rest in windows
+            for a, off in _pair_queries(size, [c])[1]
+        }
+        # every sized pair here passes its check (each value within 2^8 of
+        # the bound behind its tail), so each keeps its sized values
+        moved = moved_above_floor = 0
+        for c, query, g, w in zip(owners, queries, got, wide):
+            if tail[c] >= A._WINDOW_LOG_TAIL:
+                assert g.hex() == w.hex(), (c, query, g, w)
+                continue
+            assert g >= 2.0**60 * math.exp(-tail[c]) * (1.0 - 1e-12), (c, query, g, tail[c])
+            assert abs(g - w) <= NARROW_ULPS * 2.0**-53 * (w if w < 0.5 else 1.0), (c, query, g, w)
+            if c in at_floor:
+                assert g.hex() == narrow[(c, *query)].hex(), (c, query, g)
+            moved += g != w
+            moved_above_floor += g != w and tail[c] > A._NARROW_LOG_TAIL
+        assert at_floor and moved and moved_above_floor
 
-    def test_a_pair_with_a_small_comparison_is_wide_alone_and_in_a_table(self, monkeypatch):
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
+    def test_a_failed_check_returns_the_wide_bytes(self, q, monkeypatch):
+        # at a margin of 60 ln 2 a pair's threshold 2^60 e^-L_c is its own
+        # Chernoff bound B_c, above each of its values: every pair whose tail
+        # is above the least one fails its check and is summed again
+        size, p = 999, 1.0 - q
+        owners, queries = _pair_queries(size, range(size // 2 + 1))
+        wide = _wide_comparisons(size, queries, p, monkeypatch)
+        monkeypatch.setattr(A, "_SIZED_LOG_MARGIN", 60.0 * math.log(2.0))
+        tails = dict(zip(range(size // 2 + 1), A._pair_tails(size, np.arange(size // 2 + 1), p)))
+        got = A._pair_comparisons(size, queries, p)
+        failed = [(g, w) for c, g, w in zip(owners, got, wide) if tails[c] > A._NARROW_LOG_TAIL]
+        assert len(failed) > 100
+        assert all(g.hex() == w.hex() for g, w in failed)
+
+    def test_a_moderate_keep_with_a_small_mirror_alone_and_in_a_table(self, monkeypatch):
         # keep(z) is above 2^-40, but another comparison of its pair is below:
-        # the pair takes the 1e-340 windows whichever queries come with it
+        # the pair's tail is sized to that one, whichever queries come with it
         total, q = 1000, 0.5
         size = total - 1
-        monkeypatch.setattr(A, "_MEMO", {})
-        monkeypatch.setattr(A, "_NARROW_LOG_TAIL", A._WINDOW_LOG_TAIL)
-        wide_keep, _ = A.transition_values(total, np.arange(total + 1), q)
-        monkeypatch.undo()
         zs = []
         for z in range(1, total):
             c = min(z - 1, size - z + 1)
             owners, queries = _pair_queries(size, [c])
+            if (z - 1, 1) not in queries:  # keep(z) is certain
+                continue
             values = A._pair_comparisons(size, queries, 1.0 - q)
-            if 2.0**-40 <= wide_keep[z] < 0.5 and min(values) < 2.0**-40:
+            keep = values[queries.index((z - 1, 1))]
+            if 2.0**-40 <= keep < 0.5 and min(values) < 2.0**-40:
+                tail = A._pair_tails(size, np.array([c]), 1.0 - q)[0]
+                assert A._NARROW_LOG_TAIL < tail < A._WINDOW_LOG_TAIL
                 zs.append(z)
         assert zs
         monkeypatch.setattr(A, "_MEMO", {})
@@ -547,7 +595,7 @@ class TestTwoTails:
         for z in zs:
             A._MEMO.clear()
             alone = A.transition_values(total, [z], q)[0][0]
-            assert alone.hex() == table[z].hex() == wide_keep[z].hex()
+            assert alone.hex() == table[z].hex()
 
 
 def _window_caller_outputs() -> list[bytes]:

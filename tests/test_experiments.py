@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import math
 import os
@@ -261,6 +262,17 @@ class TestEstimateEventProbability:
         assert _pool_size(8, 1) == 1
         assert _pool_size(8, 0) == 1
 
+    def test_import_loads_no_process_pool(self):
+        # an inline run never starts a pool, so importing the package leaves
+        # multiprocessing (and the socket and logging modules it pulls in) unloaded
+        src = str(Path(experiments.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = ("import sys, smpsim; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures.process'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True, timeout=60)
+        assert out.stdout.strip() == "[]"
+
     def test_chunks_are_made_as_they_are_run(self, monkeypatch):
         # 2^30 trials are 16,384 chunks; the run stops at the third, holding one
         calls = []
@@ -329,7 +341,7 @@ class TestEstimateEventProbability:
             raise AssertionError("work started before the ceilings were checked")
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
         monkeypatch.setattr(experiments, "run_trials_batch", no_work)
         config, trials = _config(n, 0, rounds, 0.5), 3 * CHUNK_TRIALS
         with pytest.raises(UnsupportedSizeError, match=match):
@@ -353,7 +365,7 @@ class TestEstimateEventProbability:
             raise AssertionError("work started before the interval was checked")
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
         monkeypatch.setattr(experiments, "run_trials_batch", no_work)
         with pytest.raises(ValueError, match=match):
             estimate_event_probability(_config(4, 0, 1, 0.5), "consensus", trials, SEED, workers=2,

@@ -542,6 +542,28 @@ def test_one_pair_call_keeps_the_lane_shape():
     assert np.array_equal(draws.reshape(-1), flat)
 
 
+@pytest.mark.parametrize(
+    "m, p",
+    [
+        ([0, 0, 0], [0.3, 0.0, 1.0]),  # m = 0 throughout
+        ([4, 0, 9], [0.0, 0.0, 0.0]),  # p = 0 throughout
+        ([4, 0, 9], [1.0, 1.0, 1.0]),  # p = 1 throughout
+        (np.arange(5)[:, None], [[1.0, 1.0, 1.0]]),  # broadcast to 5 x 3 lanes
+    ],
+    ids=["m=0", "p=0", "p=1", "2-D"],
+)
+def test_an_all_certain_mixed_call_reads_no_uniform(monkeypatch, m, p):
+    # each draw of such a call is m (p = 1) or 0, as _draw_pair takes it
+    def no_uniforms(*args):
+        raise AssertionError("philox4x64 called for draws that are all certain")
+
+    expected = np.broadcast_to(np.where(np.asarray(p) == 1.0, m, 0), np.broadcast(m, p).shape)
+    trial = np.arange(expected.size, dtype=np.uint64).reshape(expected.shape)
+    monkeypatch.setattr(rng, "philox4x64", no_uniforms)
+    draws = sample_binomial_lanes(m, p, 3, trial, 1, 0)
+    assert draws.dtype == np.int64 and np.array_equal(draws, expected)
+
+
 def test_one_pair_cdfs_come_from_a_bounded_memo(monkeypatch):
     rng._one_pair_cdf.cache_clear()
     expected_cdf = _sampler_cdf(800, 1.0 - 0.7)
