@@ -10,10 +10,16 @@ how trials are batched or scheduled across workers.
 
 numpy's own Philox bit generator computes the blocks.  Trial is the low
 counter word, so a chunk of consecutive trials on one path is a run of
-consecutive counters: one ``random_raw`` call.  numpy keeps the output of
-its bit generators stable across releases, so the stream does not depend on
-the numpy version.  The test suite checks the blocks against a Philox
-written out in uint64 arithmetic, and that one against numpy.
+consecutive counters: one generator state, read on by ``random_raw``.
+One run rule, ``_runs``, splits the lanes of a call into runs, for
+``philox4x64``, which returns all four words of each block, and for
+``_uniforms_into``, which makes the uniforms of ``uniform_lanes`` and the
+sampler: it generates a run in pieces of at most _PIECE blocks (128 KB) and
+keeps word 0 of each, so no call holds a chunk's 2 MB of blocks.  numpy
+keeps the output of its bit generators stable across releases, so the
+stream does not depend on the numpy version.  The test suite checks the
+blocks against a Philox written out in uint64 arithmetic, and that one
+against numpy.
 
 Every binomial draw is one CDF inversion at one uniform, word 0 of the
 lane's counter block.  The CDF is the cumulative sum of ``analytics``'
@@ -38,13 +44,17 @@ each search at a guide table over its CDF and steps up from there; a
 smaller group, where building the table costs more than it saves, uses
 ``np.searchsorted``.  Both return the least k with u < CDF(k), and a
 cached CDF equals a freshly built one, so a lane draws the same alone as
-in any batch.
+in any batch.  A sampler call of up to 2^16 lanes keeps its uniforms and
+the guided search's scratch in its thread's workspace (``_lane_arrays``),
+so that calls after a thread's first fault in no new pages for them; only
+the draws are a new array.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -60,9 +70,63 @@ _MASK64 = (1 << 64) - 1
 _DOMAIN = int.from_bytes(b"smp-sim\x01", "big")
 
 #: Lanes on one (c1, c2, c3) whose c0 values step by 1 to this share one
-#: numpy call, which costs about as much as 500 blocks; so a call never
+#: run, whose set-up costs about as much as 500 blocks; so a call never
 #: generates more than this many blocks per lane it returns.
 _RUN_GAP = 64
+
+#: A run is generated in ``random_raw`` pieces of at most this many blocks
+#: (128 KB), so no call holds a run's whole block array.
+_PIECE = 4096
+
+
+def _runs(c0, c1, c2, c3, key0: int, key1: int):
+    """The one Philox run rule: (shape, c0 lanes, runs) of a counter batch.
+
+    The counters broadcast to ``shape`` and are taken flat, in the order
+    given.  A run ends wherever c0 does not step up by 1 to _RUN_GAP from
+    the lane before: at a repeat, a descent (2^64 - 1 to 0 included) or a
+    wider gap; and wherever a high word passed as an array of more than one
+    element changes value.  Lanes whose high words are all scalars and
+    whose c0 rise strictly from first to first + size - 1 are one run,
+    found without the step arrays.  ``runs`` yields (lo, hi, generator)
+    per run of lanes lo..hi - 1: one numpy Philox generator, seeded once
+    with a fixed seed, whose next ``random_raw`` blocks are those of c0 =
+    low[lo], low[lo] + 1, ..., with an empty output buffer.  numpy adds 1
+    to its 256-bit counter before each block, so the state is set one
+    below the run's first counter.
+    """
+    counters = [np.asarray(c, dtype=np.uint64) for c in (c0, c1, c2, c3)]
+    shape = np.broadcast_shapes(*(c.shape for c in counters)) or (1,)
+    lanes = [np.broadcast_to(c, shape).reshape(-1) for c in counters]
+    low, size = lanes[0], lanes[0].size
+    high = [lane for c, lane in zip(counters[1:], lanes[1:]) if c.size > 1]
+    if not size:
+        starts = []
+    elif not high and int(low[-1]) - int(low[0]) == size - 1 and (low[1:] > low[:-1]).all():
+        starts = [0]
+    else:
+        step = np.diff(low)
+        # step - 1 wraps a step of 0 to 2^64 - 1, so one compare finds repeats
+        # and wide gaps; a descent from near 2^64 to near 0 steps by 1 to
+        # _RUN_GAP in uint64, so descents are tested on their own
+        split = ((step - np.uint64(1)) >= _RUN_GAP) | (low[1:] < low[:-1])
+        for lane in high:
+            split |= np.diff(lane) != 0
+        starts = [0, *(np.flatnonzero(split) + 1).tolist()]
+
+    def runs():
+        generator = np.random.Philox(0)
+        state = generator.state
+        state["state"]["key"] = np.array([key0 & _MASK64, key1 & _MASK64], dtype=np.uint64)
+        for lo, hi in zip(starts, starts[1:] + [size]):
+            below = sum(int(lane[lo]) << (64 * i) for i, lane in enumerate(lanes)) - 1
+            state["state"]["counter"] = np.array(
+                [(below >> (64 * i)) & _MASK64 for i in range(4)], dtype=np.uint64
+            )
+            generator.state = state
+            yield lo, hi, generator
+
+    return shape, low, runs()
 
 
 def philox4x64(
@@ -71,51 +135,59 @@ def philox4x64(
     """Philox-4x64-10 block function, vectorized over counter arrays.
 
     numpy's Philox generator computes the blocks, one ``random_raw`` call
-    per run of lanes, taken in the order given.  A run ends wherever c0
-    does not step up by 1 to _RUN_GAP from the lane before: at a repeat, a
-    descent (2^64 - 1 to 0 included) or a wider gap; and wherever a high
-    word passed as an array of more than one element changes value.  The
-    call generates every block from the run's first c0 to its last; numpy
-    adds 1 to its 256-bit counter before each block, so it starts one
-    below.  One generator, seeded once per call with a fixed seed, takes
-    each run's counter and key as its state, with an empty output buffer.
-    A run of consecutive lanes is not indexed.
+    per run of lanes as ``_runs`` finds them, taken in the order given; the
+    call generates every block from the run's first c0 to its last.  A run
+    of consecutive lanes is not indexed.
     """
-    counters = [np.asarray(c, dtype=np.uint64) for c in (c0, c1, c2, c3)]
-    shape = np.broadcast_shapes(*(c.shape for c in counters)) or (1,)
-    lanes = [np.broadcast_to(c, shape).reshape(-1) for c in counters]
-    if not lanes[0].size:
+    shape, low, runs = _runs(c0, c1, c2, c3, key0, key1)
+    if not low.size:
         return tuple(np.empty(shape, dtype=np.uint64) for _ in range(4))
-    low, step = lanes[0], np.diff(lanes[0])
-    # step - 1 wraps a step of 0 to 2^64 - 1, so one compare finds repeats
-    # and wide gaps; a descent from near 2^64 to near 0 steps by 1 to
-    # _RUN_GAP in uint64, so descents are tested on their own
-    split = ((step - np.uint64(1)) >= _RUN_GAP) | (low[1:] < low[:-1])
-    for c, lane in zip(counters[1:], lanes[1:]):
-        if c.size > 1:
-            split |= np.diff(lane) != 0
-    starts = [0, *(np.flatnonzero(split) + 1).tolist()]
-    generator = np.random.Philox(0)
-    state = generator.state
-    state["state"]["key"] = np.array([key0 & _MASK64, key1 & _MASK64], dtype=np.uint64)
-    runs = []
-    for lo, hi in zip(starts, starts[1:] + [low.size]):
-        below = sum(int(c[lo]) << (64 * i) for i, c in enumerate(lanes)) - 1
-        state["state"]["counter"] = np.array(
-            [(below >> (64 * i)) & _MASK64 for i in range(4)], dtype=np.uint64
-        )
-        generator.state = state
+    parts = []
+    for lo, hi, generator in runs:
         count = int(low[hi - 1] - low[lo]) + 1
         blocks = generator.random_raw(4 * count).reshape(-1, 4)
-        runs.append(blocks if count == hi - lo else blocks[low[lo:hi] - low[lo]])
-    words = runs[0] if len(runs) == 1 else np.concatenate(runs)
+        parts.append(blocks if count == hi - lo else blocks[low[lo:hi] - low[lo]])
+    words = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return tuple(words[:, i].reshape(shape) for i in range(4))
 
 
+def _uniforms_into(out: np.ndarray, master_seed: int, trial, round_index, group) -> None:
+    """Write the uniform of each lane of (trial, round_index, group) into flat float64 ``out``.
+
+    The lanes broadcast to ``out.size`` lanes and are split into runs by
+    ``_runs``, the rule ``philox4x64`` uses.  Each run is generated in
+    pieces of at most _PIECE blocks, whose word 0 shifted right by 11 is
+    written into ``out`` as it is made; one multiply by 2^-53 at the end
+    gives the uniforms (exact: uint64 below 2^53 to float64).
+    """
+    shape, low, runs = _runs(trial, 0, round_index, group, master_seed & _MASK64, _DOMAIN)
+    if low.size != out.size:
+        raise ValueError(f"{low.size} lanes (shape {shape}) for {out.size} uniforms")
+    for lo, hi, generator in runs:
+        count = int(low[hi - 1] - low[lo]) + 1
+        offsets = None if count == hi - lo else low[lo:hi] - low[lo]
+        for start in range(0, count, _PIECE):
+            stop = min(start + _PIECE, count)
+            word0 = generator.random_raw(4 * (stop - start))[::4]
+            if offsets is None:
+                a, b = start, stop
+            else:  # the run's lanes whose blocks this piece holds
+                a, b = np.searchsorted(offsets, np.array((start, stop), np.uint64)).tolist()
+                word0 = word0[offsets[a:b] - np.uint64(start)]
+            np.right_shift(word0, np.uint64(11), out=out[lo + a : lo + b])
+    np.multiply(out, 2.0**-53, out=out)
+
+
 def uniform_lanes(master_seed: int, trial, round_index, group) -> np.ndarray:
-    """Per-lane uniforms in [0, 1): the top 53 bits of word 0 of block (trial, 0, round, group)."""
-    word = philox4x64(trial, 0, round_index, group, master_seed & _MASK64, _DOMAIN)[0]
-    return (word >> np.uint64(11)) * 2.0**-53  # exact: uint64 below 2^53 to float64
+    """Per-lane uniforms in [0, 1): the top 53 bits of word 0 of block (trial, 0, round, group).
+
+    A new array of the lanes' broadcast shape (one lane for scalars),
+    filled by ``_uniforms_into``.
+    """
+    shape = np.broadcast_shapes(np.shape(trial), np.shape(round_index), np.shape(group)) or (1,)
+    out = np.empty(shape)
+    _uniforms_into(out.reshape(-1), master_seed, trial, round_index, group)
+    return out
 
 
 #: Each side outside a sampling window holds less than 2^-54 of the mass,
@@ -134,6 +206,35 @@ _SAMPLING_LOG_TAIL = 54.0 * math.log(2.0)
 _GUIDED_MIN_LANES = 8192
 
 
+#: Lanes of this thread's workspace (``_lane_arrays``): a ``CHUNK_TRIALS``
+#: call fits, at about 1.6 MB per sampling thread.
+_WORKSPACE_LANES = 1 << 16
+
+_workspace = threading.local()
+
+
+def _new_lane_arrays(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    return (np.empty(size), np.empty(size), np.empty(size, dtype=np.intp),
+            np.empty(size, dtype=bool))
+
+
+def _lane_arrays(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(uniforms, gather, index, mask) arrays of ``size`` lanes for one sampler call.
+
+    Float64, float64, intp and bool.  Up to _WORKSPACE_LANES lanes they are
+    views of this thread's workspace, made on its first call and reused by
+    every later one, so a call faults in no new pages for them; a larger
+    call gets new arrays.  The sampler's uniforms and ``_search``'s scratch
+    come from here, and no caller keeps them past its call.
+    """
+    if size > _WORKSPACE_LANES:
+        return _new_lane_arrays(size)
+    arrays = getattr(_workspace, "arrays", None)
+    if arrays is None:
+        arrays = _workspace.arrays = _new_lane_arrays(_WORKSPACE_LANES)
+    return tuple(a[:size] for a in arrays)
+
+
 def _search(cdf: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
     """Write the least k with u < cdf[k] at each uniform of ``u`` into ``out``.
 
@@ -143,15 +244,22 @@ def _search(cdf: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
     is the answer at u = j / G, so no more than the answer of any u in
     [j / G, (j + 1) / G), and u * G is exact.  Two steps up finish most
     lanes; ``searchsorted`` finishes the rest, such as a flat tail's.  The
-    answers equal ``searchsorted(cdf, u, side="right")``.
+    answers equal ``searchsorted(cdf, u, side="right")``.  The guide
+    indices, the gathered CDF values and the first step's mask go into
+    ``_lane_arrays`` (``u`` must not be its gather, index or mask); every
+    index is in range, so ``np.take`` clips nothing and needs no buffer.
     """
     if u.size < _GUIDED_MIN_LANES:
         out[:] = np.searchsorted(cdf, u, side="right")
         return
+    _, gather, index, short = _lane_arrays(u.size)
     size = 1 << (len(cdf) - 1).bit_length()
     guide = np.searchsorted(cdf, np.arange(size) / size, side="right")
-    np.take(guide, (u * size).astype(np.intp), out=out)
-    short = cdf[out] <= u
+    np.multiply(u, size, out=gather)
+    np.copyto(index, gather, casting="unsafe")  # truncation, as astype(np.intp)
+    np.take(guide, index, out=out, mode="clip")
+    np.take(cdf, out, out=gather, mode="clip")
+    np.less_equal(gather, u, out=short)
     out += short
     short = np.flatnonzero(short)
     short = short[cdf[out[short]] <= u[short]]
@@ -239,7 +347,9 @@ def sample_binomial_lanes(
         return out
 
     def lane_uniforms() -> np.ndarray:
-        return uniform_lanes(master_seed, trial, round_index, group).reshape(trial.size)
+        u = _lane_arrays(trial.size)[0]
+        _uniforms_into(u, master_seed, trial, round_index, group)
+        return u
 
     if m_lo == m_hi and p_lo == p_hi:
         # rebinding frees an m or p array the caller built for this call

@@ -327,21 +327,22 @@ def test_pinned_trajectories(case):
 def test_engine_sends_philox_ascending_trials_on_one_path(monkeypatch):
     """Every Philox call of the engine holds ascending trials on one (round, group).
 
-    ``rng.philox4x64`` takes lanes in any order, but lanes out of that
-    order split a call into more, shorter runs.  The wrapper sits on the
-    module global, as ``perfbench/spans.py`` puts its own, so an engine
-    change that sends other lanes fails here instead of running slower.
+    Sampler blocks come from ``rng._uniforms_into``, which takes lanes in
+    any order, but lanes out of that order split a call into more, shorter
+    runs.  The wrapper sits on the module global, so an engine change that
+    sends other lanes fails here instead of running slower; the call count
+    fails if sampler blocks stop passing through it.
     """
     from smpsim import rng
 
     calls = []
-    inner = rng.philox4x64
+    inner = rng._uniforms_into
 
-    def recording(c0, c1, c2, c3, key0, key1):
-        calls.append((np.asarray(c0), c1, c2, c3))
-        return inner(c0, c1, c2, c3, key0, key1)
+    def recording(out, master_seed, trial, round_index, group):
+        calls.append((np.asarray(trial), round_index, group))
+        return inner(out, master_seed, trial, round_index, group)
 
-    monkeypatch.setattr(rng, "philox4x64", recording)
+    monkeypatch.setattr(rng, "_uniforms_into", recording)
     aggregated = ProtocolConfig(n=40, delta=1, rounds=3, network=NetworkModel(q=0.5))
     run_trials_batch(aggregated, np.arange(3, 203, dtype=np.uint64), SEED)
     per_agent = ProtocolConfig(n=3, delta=1, rounds=2, network=NetworkModel(q=0.4))

@@ -3,6 +3,7 @@ import inspect
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -129,6 +130,33 @@ class TestPhilox:
         a = uniform_lanes(9, trials, np.uint64(2), np.uint64(1))
         b = uniform_lanes(9, trials, np.uint64(2), np.uint64(1))
         assert np.array_equal(a, b)
+
+
+    @pytest.mark.parametrize(
+        "lanes",
+        ["consecutive", "gapped", "shuffled", "group array"],
+    )
+    def test_uniforms_made_in_pieces_equal_word_zero(self, lanes):
+        # runs longer than a piece, gapped runs whose pieces hold no lane,
+        # repeats and descents, and a high word that changes mid-call
+        gen = np.random.default_rng(3)
+        count = 3 * rng._PIECE + 5
+        group = np.uint64(4)
+        if lanes == "consecutive":
+            trial = np.arange(7, 7 + count, dtype=np.uint64)
+        elif lanes == "gapped":
+            steps = gen.integers(1, rng._RUN_GAP + 1, count)
+            steps[100] = 2 * rng._PIECE  # a gap wider than a piece ends the run
+            trial = np.cumsum(steps).astype(np.uint64)
+        elif lanes == "shuffled":
+            tail = np.array([5, 5, 2**64 - 1, 0], dtype=np.uint64)
+            trial = np.concatenate([gen.permutation(count).astype(np.uint64), tail])
+        else:
+            trial = np.arange(count, dtype=np.uint64)
+            group = (trial >= count // 2).astype(np.uint64)
+        word = philox4x64(trial, 0, 3, group, 2**64 + 9, rng._DOMAIN)[0]
+        expected = (word >> np.uint64(11)).astype(np.float64) / 2.0**53
+        assert np.array_equal(uniform_lanes(2**64 + 9, trial, np.uint64(3), group), expected)
 
 
 class TestSampleBinomial:
@@ -555,13 +583,74 @@ def test_one_pair_call_keeps_the_lane_shape():
 def test_an_all_certain_mixed_call_reads_no_uniform(monkeypatch, m, p):
     # each draw of such a call is m (p = 1) or 0, as _draw_pair takes it
     def no_uniforms(*args):
-        raise AssertionError("philox4x64 called for draws that are all certain")
+        raise AssertionError("uniforms made for draws that are all certain")
 
     expected = np.broadcast_to(np.where(np.asarray(p) == 1.0, m, 0), np.broadcast(m, p).shape)
     trial = np.arange(expected.size, dtype=np.uint64).reshape(expected.shape)
-    monkeypatch.setattr(rng, "philox4x64", no_uniforms)
+    monkeypatch.setattr(rng, "_uniforms_into", no_uniforms)
     draws = sample_binomial_lanes(m, p, 3, trial, 1, 0)
     assert draws.dtype == np.int64 and np.array_equal(draws, expected)
+
+
+def test_a_warm_one_pair_call_allocates_little_beyond_its_draws():
+    # uniforms and search scratch live in the thread's workspace and the
+    # blocks are made in pieces: no chunk-sized temporaries (a 2 MB block
+    # array, 0.5 MB arrays of uniforms, guide indices and gathered CDF values)
+    trials = np.arange(1 << 16, dtype=np.uint64)
+    sample_binomial_lanes(400, 0.5, 5, trials, 1, 0)
+    tracemalloc.start()
+    try:
+        draws = sample_binomial_lanes(400, 0.5, 6, trials, 1, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= draws.nbytes + (1 << 20)
+
+
+def test_threads_drawing_at_once_get_the_bytes_of_sequential_calls():
+    # each thread has its own workspace; more threads than cores, with a
+    # short switch interval, so that calls interleave inside the sampler
+    lanes = np.arange(3, 3 + 12_000, dtype=np.uint64)
+    mixed_m = np.where(lanes % 2 == 0, 900, 40)
+    calls = [
+        (11, 400, 0.5, lanes),
+        (12, 1600, 0.3, lanes[:9_000]),
+        (13, 25, 0.8, lanes),
+        (14, np.tile(mixed_m, 2), 0.45, np.arange(2 * lanes.size, dtype=np.uint64)),
+    ]
+    expected = [sample_binomial_lanes(m, p, seed, trial, 2, 1) for seed, m, p, trial in calls]
+    barrier = threading.Barrier(len(calls))
+    mismatches = []
+
+    def draw(i):
+        seed, m, p, trial = calls[i]
+        barrier.wait(timeout=30)
+        for _ in range(20):
+            if not np.array_equal(sample_binomial_lanes(m, p, seed, trial, 2, 1), expected[i]):
+                mismatches.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=draw, args=(i,)) for i in range(len(calls))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+
+
+def test_uniform_lanes_returns_a_new_array_each_call():
+    trials = np.arange(20_000, dtype=np.uint64)
+    first = uniform_lanes(5, trials, np.uint64(1), np.uint64(0))
+    sample_binomial_lanes(400, 0.5, 5, trials, 1, 0)
+    second = uniform_lanes(5, trials, np.uint64(1), np.uint64(0))
+    assert np.array_equal(first, second)
+    assert not np.shares_memory(first, second)
+    assert not any(np.shares_memory(first, a) for a in rng._lane_arrays(trials.size))
 
 
 def test_one_pair_cdfs_come_from_a_bounded_memo(monkeypatch):
