@@ -541,10 +541,12 @@ def transition_values(total: int, zs, q: float) -> tuple[np.ndarray, np.ndarray]
     looks at the pair alone, so a value is the same from the memo, alone
     or in any batch.  The returned arrays are the caller's own.  ``total``
     must be an integer (bool refused) and ``zs`` must hold integers.  When
-    every z is the same, as in the first round from a single state, the
-    range check's minimum stands for ``np.unique``, whose sort costs
-    milliseconds on a chunk; a strictly increasing ``zs``, such as the
-    exact chain's live states, is its own ``np.unique``.
+    every z is the same, the range check's minimum stands for
+    ``np.unique``, whose sort costs milliseconds on a chunk, and the values
+    are filled to the shape of ``zs``; the engine's first round from a
+    single state passes that one z as a scalar, so it gets scalar keep and
+    adopt, 0-d arrays.  A strictly increasing ``zs``, such as the exact
+    chain's live states, is its own ``np.unique``.
     """
     if isinstance(total, bool) or not isinstance(total, numbers.Integral):
         raise ValueError(f"total must be an integer, got {total!r}")

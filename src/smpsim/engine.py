@@ -9,13 +9,20 @@ Two sampling paths produce protocol runs:
   ``analytics.transition_values``, the evaluator and memo the exact
   oracles use too;
 * the per-agent path simulates every receiver's received counts and applies
-  the decision rule, serving as the reference implementation; it holds
-  three trials x agents matrices per batch, so it stops at
+  the decision rule, serving as the reference implementation; it holds one
+  agents x trials matrix of opinions per batch, so it stops at
   ``PER_AGENT_MAX_AGENTS``.
 
-Both return the zero-count of every trial after every round as one
-(rounds + 1, trials) array; ``model.event_mask`` scores its last row, and
-``run_trial`` wraps one column as a ``TrialOutcome``.
+Both run their rounds on rows of a per-thread workspace: two rows take
+turns holding the current and the next zero-counts, and the draws go into
+the third, so a batch of up to 2^16 trials faults in no new pages for
+them and its memory does not grow with the rounds.  The first round, from
+the one initial state, draws from scalar m and p.  ``run_trials_batch``
+copies every round into a new (rounds + 1, trials) array, and
+``run_trial`` wraps one column of it as a ``TrialOutcome``;
+``final_zeros_into``, which every Monte Carlo chunk of ``experiments``
+runs through, writes only the last round into its caller's array, and
+``model.event_mask`` scores it.
 
 Two oracles pin the dynamics down exactly: an exhaustive enumeration of
 all loss patterns for systems of up to 6 agents, and an exact Markov chain
@@ -23,11 +30,12 @@ on the zero-count for systems of up to 1000 agents, whose lazy rows,
 closed-form last round, decided states and certified pruning
 ``exact_chain_consensus_probability`` describes.
 
-Both sampling paths hold a (rounds + 1) x trials trajectory, so a Monte
-Carlo run stops at ``_MONTE_CARLO_MAX_ROUNDS`` rounds.  This module owns
-the ceilings of its paths and oracles: ``check_run_size`` and the oracles
-check them before any work, and an UnsupportedSizeError names the
-parameters past one.
+A trajectory holds rounds + 1 rows, so a Monte Carlo run stops at
+``_MONTE_CARLO_MAX_ROUNDS`` rounds, and the exact chain, whose cost grows
+with the rounds until its law stops changing, at ``_CHAIN_MAX_ROUNDS``.
+This module owns the ceilings of its paths and oracles:
+``check_run_size`` and the oracles check them before any work, and an
+UnsupportedSizeError names the parameters past one.
 
 All runs are keyed by (master_seed, trial); batching trials or changing
 worker counts never changes any draw.
@@ -35,17 +43,19 @@ worker counts never changes any draw.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
 
-from . import analytics
+# the sampler is called as rng.sample_binomial_lanes: perfbench/spans.py
+# wraps an engine-level sampler name with a counter that takes no out=
+from . import analytics, rng
 from .model import (
     NetworkModel, OpinionCounts, ProtocolConfig, event_mask, majority_rule, majority_update,
 )
-from .rng import sample_binomial_lanes
 
 __all__ = [
     "UnsupportedSizeError",
@@ -63,15 +73,23 @@ __all__ = [
 
 EXHAUSTIVE_MAX_AGENTS = 6
 EXACT_CHAIN_MAX_AGENTS = 1000
-# The per-agent path holds three int8 matrices of 2n x trials per batch (the
-# agent-major bits, the live trials' columns and their update); at the
-# estimate chunk of 2^16 trials and 2n = 1000 that is 3 * 1000 * 65,536
-# bytes, about 197 MB.
+# The per-agent path holds one int8 matrix of 2n x trials opinions per
+# batch; at the estimate chunk of 2^16 trials and 2n = 1000 that is
+# 1000 * 65,536 bytes, about 66 MB.
 PER_AGENT_MAX_AGENTS = 1000
-# Both sampling paths hold one (rounds + 1) x trials int64 trajectory per
-# batch; at the estimate chunk of 2^16 trials, 255 rounds make 256 rows of
-# 2^19 bytes, 128 MiB.  The exact chain holds no trajectory and has no ceiling.
+# ``run_trials_batch`` returns one (rounds + 1) x trials int64 trajectory;
+# at the estimate chunk of 2^16 trials, 255 rounds make 256 rows of 2^19
+# bytes, 128 MiB.  Estimates hold two workspace rows per thread whatever the
+# rounds, and keep the same ceiling, since every Monte Carlo run is checked
+# by ``check_run_size``.
 _MONTE_CARLO_MAX_ROUNDS = 255
+# A full round of the exact chain at 2n = 1000 with all 1001 states live
+# took 3-4 ms once its rows were built, and 0.10-0.13 s in the round that
+# builds them (q = 0.2, 0.5 and 0.8, floor 0; 2-core x86-64, numpy 2.4, one
+# BLAS thread).  10,000 rounds therefore cost at most about 40 s per solve,
+# and twice that when the pruned solve is not certified and the unpruned
+# one runs; a chain whose every live state is absorbing stops earlier.
+_CHAIN_MAX_ROUNDS = 10_000
 #: States lighter than this get no row in the exact chain (see
 #: ``exact_chain_consensus_probability``).
 _CHAIN_FLOOR = 2.0**-80
@@ -83,6 +101,8 @@ _CHAIN_CERTIFIED_SHARE = 2.0**-55
 #: _DECIDED_SHARE, and their logs, summed likewise, below _DECIDED_LOG.
 _DECIDED_SHARE = 2.0**-60
 _DECIDED_LOG = -750.0
+
+_workspace = threading.local()
 
 MODE_AGGREGATED = "aggregated"
 MODE_PER_AGENT = "per_agent"
@@ -161,93 +181,147 @@ class CountDistribution:
 def _live(z: np.ndarray, total: int):
     """Index of the trials whose zero-count ``z`` is not absorbed (neither 0 nor ``total``).
 
-    A slice when every trial is live, as in a round from a single
+    A slice when every trial is live, as in most rounds of a run from an
     interior state, so that indexing with it gathers and scatters nothing.
     """
     live = (z > 0) & (z < total)
     return slice(None) if np.count_nonzero(live) == len(z) else np.flatnonzero(live)
 
 
+def _zero_count_rows(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three int64 rows of ``size`` lanes for one batch of rounds.
+
+    Up to ``rng._WORKSPACE_LANES`` lanes (a ``CHUNK_TRIALS`` chunk) they
+    are views of this thread's workspace, made on its first batch and
+    reused by every later one, so a batch faults in no new pages for them;
+    a larger batch gets new rows.  Two rows take turns holding the current
+    and the next zero-counts and the third holds draws, so no caller keeps
+    one past its batch.
+    """
+    if size > rng._WORKSPACE_LANES:
+        return tuple(np.empty((3, size), dtype=np.int64))
+    rows = getattr(_workspace, "rows", None)
+    if rows is None:
+        rows = _workspace.rows = np.empty((3, rng._WORKSPACE_LANES), dtype=np.int64)
+    return tuple(rows[:, :size])
+
+
 def _aggregated_rounds(
-    zeros0: np.ndarray,
+    zeros0: int,
     total: int,
     q: float,
     rounds: int,
     master_seed: int,
     trial_ids: np.ndarray,
-) -> np.ndarray:
-    """Zero-count trajectories (rounds+1, T) for the aggregated path."""
-    z = zeros0.astype(np.int64).copy()
-    traj = np.empty((rounds + 1, len(z)), dtype=np.int64)
-    traj[0] = z
+    out: np.ndarray,
+) -> Iterator[np.ndarray]:
+    """Zero-counts after each round of the aggregated path, the last round's in ``out``.
+
+    Every trial starts at ``zeros0``, so round 1 draws from scalar z, keep
+    and adopt.  Kept zeros are drawn into the next row and gained ones into
+    the third, then added; a round with absorbed trials draws its live
+    trials into the third row and the current one, which it has copied
+    into the next row first, and scatters their sum.  A yielded row before
+    the last is valid until the next one is yielded.
+    """
+    rows = _zero_count_rows(len(trial_ids))
+    z = zeros0
     for round_index in range(1, rounds + 1):
-        live = _live(z, total)
-        zs = z[live]
-        if zs.size:
-            ids = trial_ids[live]
+        row = out if round_index == rounds else rows[round_index % 2]
+        if np.ndim(z) == 0 and not 0 < z < total:  # an absorbed start
+            row.fill(z)
+            z = row
+            yield row
+            continue
+        live = slice(None) if np.ndim(z) == 0 else _live(z, total)
+        zs = z if np.ndim(z) == 0 else z[live]
+        ids = trial_ids[live]
+        if isinstance(live, slice):
+            kept, gained = row, rows[2]
+        else:
+            row[...] = z  # z's row is free from here on: its live counts are in zs
+            kept, gained = rows[2][: len(ids)], z[: len(ids)]
+        if ids.size:
             p00, p10 = analytics.transition_values(total, zs, q)
-            kept = sample_binomial_lanes(zs, p00, master_seed, ids, round_index, np.uint64(0))
-            gained = sample_binomial_lanes(
-                total - zs, p10, master_seed, ids, round_index, np.uint64(1)
+            rng.sample_binomial_lanes(
+                zs, p00, master_seed, ids, round_index, np.uint64(0), out=kept
             )
-            z[live] = kept + gained
-        traj[round_index] = z
-    return traj
+            rng.sample_binomial_lanes(
+                total - zs, p10, master_seed, ids, round_index, np.uint64(1), out=gained
+            )
+            kept += gained
+            if not isinstance(live, slice):
+                row[live] = kept
+        z = row
+        yield row
 
 
 def _per_agent_rounds(
-    bits0: np.ndarray,
+    bits0: tuple[int, ...],
     q: float,
     rounds: int,
     master_seed: int,
     trial_ids: np.ndarray,
-) -> np.ndarray:
-    """Zero-count trajectories (rounds+1, T) for the per-agent path.
+    out: np.ndarray,
+) -> Iterator[np.ndarray]:
+    """Zero-counts after each round of the per-agent path, the last round's in ``out``.
 
     Each receiver draws its delivered zero- and one-counts from its own
     (trial, round, agent-side) stream; independence across receivers holds
     because every message's loss is a distinct i.i.d. variable.  The bits
-    are agent-major, one contiguous row of trials per agent.
+    are agent-major, one int8 row of trials per agent, 2n x trials bytes
+    per batch.  An agent's draws depend only on its own bit and the
+    round's zero-counts, so ``model.majority_rule`` updates its row in
+    place.  Every trial starts in the state ``bits0``, so in round 1 each
+    agent's bit, m and p are scalars.  The draws go into the third
+    workspace row and the next one, which is written only after the round.
 
     Each agent side gets its own sampler call.  In a round from a single
     state every trial gives an agent side the same (m, p), so each call
     takes ``rng.sample_binomial_lanes``' one-pair path: one cached CDF
     searched in place.  One call per round over all 2 * 2n groups draws
     the same bytes, but it mixes the sides' (m, p), so the sampler sorts
-    all its lanes by (m, p), gathers them and scatters the draws back: on
-    300,000 trials at n = 2 (the per-agent part of the ``mc-sampling``
-    benchmark) it took 0.38-0.43 s against 0.15-0.20 s (2-core x86-64,
-    numpy 2.4).
+    all its lanes by (m, p), gathers them and scatters the draws back; it
+    took about twice as long when it was measured.  On 300,000 trials at
+    n = 2 (the per-agent part of the ``mc-sampling`` benchmark) this path
+    takes 0.08 s (best of seven warm calls, 2-core x86-64, numpy 2.4).
     """
-    bits = np.repeat(np.asarray(bits0, dtype=np.int8)[:, None], len(trial_ids), axis=1)
-    total = len(bits)
+    total = len(bits0)
+    bits = np.empty((total, len(trial_ids)), dtype=np.int8)
+    rows = _zero_count_rows(len(trial_ids))
     q_prime = 1.0 - q
-    traj = np.empty((rounds + 1, len(trial_ids)), dtype=np.int64)
-    traj[0] = total - bits.sum(axis=0)
+    z = bits0.count(0)
     for round_index in range(1, rounds + 1):
-        z = traj[round_index - 1]
-        live = _live(z, total)
-        sub = bits[:, live]
-        if sub.size:
-            ids = trial_ids[live]
-            z_act = z[live]
+        row = out if round_index == rounds else rows[round_index % 2]
+        first = np.ndim(z) == 0
+        live = slice(None) if first else _live(z, total)
+        ids, z_act = (trial_ids, z) if first else (trial_ids[live], z[live])
+        if first and not 0 < z < total:  # an absorbed start
+            bits[...] = np.array(bits0, dtype=np.int8)[:, None]
+        elif ids.size:
             o_act = total - z_act
-            new = np.empty_like(sub)
+            d0, d1 = rows[2][: len(ids)], row[: len(ids)]
             for j in range(total):
-                own_zero = sub[j] == 0
-                own_one = ~own_zero
-                m0 = z_act - own_zero
-                m1 = o_act - own_one
-                d0 = sample_binomial_lanes(
-                    m0, q_prime, master_seed, ids, round_index, np.uint64(2 * j)
+                own = bits0[j] if first else bits[j, live]
+                own_zero, own_one = own == 0, own != 0
+                rng.sample_binomial_lanes(
+                    z_act - own_zero, q_prime, master_seed, ids, round_index, np.uint64(2 * j),
+                    out=d0,
                 )
-                d1 = sample_binomial_lanes(
-                    m1, q_prime, master_seed, ids, round_index, np.uint64(2 * j + 1)
+                rng.sample_binomial_lanes(
+                    o_act - own_one, q_prime, master_seed, ids, round_index,
+                    np.uint64(2 * j + 1), out=d1,
                 )
-                new[j] = majority_rule(sub[j], d0 + own_zero, d1 + own_one)
-            bits[:, live] = new
-        traj[round_index] = total - bits.sum(axis=0)
-    return traj
+                d0 += own_zero
+                d1 += own_one
+                if isinstance(live, slice):
+                    majority_rule(own, d0, d1, out=bits[j])
+                else:
+                    bits[j, live] = majority_rule(own, d0, d1, out=own)
+        np.sum(bits, axis=0, dtype=np.int64, out=row)
+        np.subtract(total, row, out=row)
+        z = row
+        yield row
 
 
 def check_run_size(config: ProtocolConfig, mode: str) -> None:
@@ -267,6 +341,30 @@ def check_run_size(config: ProtocolConfig, mode: str) -> None:
         )
 
 
+def _checked_trial_ids(config: ProtocolConfig, trial_ids, mode: str) -> np.ndarray:
+    """``trial_ids`` as uint64, after ``check_run_size``.
+
+    Ids that are not nonnegative integers (bool and float included) raise a
+    ValueError naming ``trial_ids``.
+    """
+    check_run_size(config, mode)
+    return analytics._integer_array(trial_ids, "trial_ids", np.uint64)
+
+
+def _rounds(
+    config: ProtocolConfig, trial_ids: np.ndarray, master_seed: int, mode: str, out: np.ndarray
+) -> Iterator[np.ndarray]:
+    """The zero-counts after each round of ``config``, from ``mode``'s path; the last in ``out``."""
+    initial = config.initial_state()
+    q = config.network.q
+    if mode == MODE_AGGREGATED:
+        return _aggregated_rounds(
+            initial.zeros, initial.total, q, config.rounds, master_seed, trial_ids, out
+        )
+    bits0 = (0,) * initial.zeros + (1,) * initial.ones
+    return _per_agent_rounds(bits0, q, config.rounds, master_seed, trial_ids, out)
+
+
 def run_trials_batch(
     config: ProtocolConfig,
     trial_ids,
@@ -279,19 +377,41 @@ def run_trials_batch(
     draws are counter-addressed, so the output is bit-identical however the
     ids are split into batches.  ``check_run_size`` runs before any array
     is built; ids that are not nonnegative integers (bool and float
-    included) raise a ValueError naming ``trial_ids``.
+    included) raise a ValueError naming ``trial_ids``.  The array is new
+    on every call.
     """
-    check_run_size(config, mode)
-    trial_ids = analytics._integer_array(trial_ids, "trial_ids", np.uint64)
-    initial = config.initial_state()
-    q = config.network.q
-    if mode == MODE_AGGREGATED:
-        zeros0 = np.full(len(trial_ids), initial.zeros)
-        return _aggregated_rounds(
-            zeros0, initial.total, q, config.rounds, master_seed, trial_ids
-        )
-    bits0 = (0,) * initial.zeros + (1,) * initial.ones
-    return _per_agent_rounds(bits0, q, config.rounds, master_seed, trial_ids)
+    trial_ids = _checked_trial_ids(config, trial_ids, mode)
+    traj = np.empty((config.rounds + 1, len(trial_ids)), dtype=np.int64)
+    traj[0] = config.initial_state().zeros
+    for row, zeros in zip(traj[1:], _rounds(config, trial_ids, master_seed, mode, traj[-1])):
+        row[...] = zeros
+    return traj
+
+
+def final_zeros_into(
+    out: np.ndarray,
+    config: ProtocolConfig,
+    trial_ids,
+    master_seed: int,
+    mode: str = MODE_AGGREGATED,
+) -> np.ndarray:
+    """Write the last row of ``run_trials_batch(config, trial_ids, ...)`` into ``out``; return it.
+
+    The package's Monte Carlo chunks run through here: ``out`` is a
+    C-contiguous int64 array of len(trial_ids) lanes that the caller
+    allocates once, and the rounds before the last live in this thread's
+    workspace (``_zero_count_rows``), so a chunk's memory does not grow
+    with ``config.rounds``.  The checks are ``run_trials_batch``'s.
+    """
+    trial_ids = _checked_trial_ids(config, trial_ids, mode)
+    if not (
+        isinstance(out, np.ndarray) and out.dtype == np.int64
+        and out.shape == trial_ids.shape and out.flags.c_contiguous
+    ):
+        raise ValueError(f"out must be a C-contiguous int64 array of shape {trial_ids.shape}")
+    for _ in _rounds(config, trial_ids, master_seed, mode, out):
+        pass
+    return out
 
 
 def run_trial(
@@ -392,8 +512,9 @@ def exact_chain_consensus_probability(
 ) -> tuple[float, float]:
     """Exact (P{consensus}, P{majority consensus}) via the count Markov chain.
 
-    The arguments are checked as a ``ProtocolConfig``, and n past half of
-    ``EXACT_CHAIN_MAX_AGENTS`` raises UnsupportedSizeError naming ``n``.
+    The arguments are checked as a ``ProtocolConfig``; n past half of
+    ``EXACT_CHAIN_MAX_AGENTS`` raises UnsupportedSizeError naming ``n``, and
+    rounds past ``_CHAIN_MAX_ROUNDS`` = 10,000 one naming ``rounds``.
     The start distribution is a point mass at n + delta.  Each full round,
     every round but the last, adds for every live z in ascending order the
     kernel row at z (the convolution Bin(z, p_keep) * Bin(2n - z, p_adopt),
@@ -436,6 +557,7 @@ def exact_chain_consensus_probability(
         ("n",), n, EXACT_CHAIN_MAX_AGENTS // 2,
         f"for the exact chain, which supports at most {EXACT_CHAIN_MAX_AGENTS} agents",
     )
+    _at_most(("rounds",), rounds, _CHAIN_MAX_ROUNDS, "for the exact chain")
     p_consensus, p_majority, dropped = _chain(n, delta, q, rounds, _CHAIN_FLOOR)
     # p_majority <= p_consensus, so this certifies both; a zero value only with nothing dropped
     if dropped > _CHAIN_CERTIFIED_SHARE * p_majority:

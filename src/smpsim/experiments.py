@@ -29,7 +29,7 @@ from .engine import (
     UnsupportedSizeError,
     check_run_size,
     exact_chain_consensus_probability,
-    run_trials_batch,
+    final_zeros_into,
 )
 from .model import EVENT_NAMES, AsymmetryRegime, NetworkModel, ProtocolConfig, event_mask
 
@@ -216,11 +216,13 @@ class SweepResult:
 # --------------------------------------------------------------------------
 
 
-def _final_zeros_chunk(args) -> np.ndarray:
+def _final_zeros_chunk(args, out=None) -> np.ndarray:
+    """Final zero-counts of the chunk ``args``, written into ``out`` (a new array if None)."""
     start, size, config, master_seed, mode = args
     ids = np.arange(start, start + size, dtype=np.uint64)
-    # a copy, so the chunk's whole trajectory is freed before the next one
-    return run_trials_batch(config, ids, master_seed, mode=mode)[-1].copy()
+    return final_zeros_into(
+        np.empty(size, dtype=np.int64) if out is None else out, config, ids, master_seed, mode
+    )
 
 
 def _check_run(trials: int, config: ProtocolConfig, mode: str) -> None:
@@ -235,12 +237,14 @@ def _pool_size(workers: int, chunks: int) -> int:
     return max(1, min(workers, chunks, os.cpu_count() or 1))
 
 
-def _map_chunks(fn, trials: int, workers: int, *fixed) -> Iterator:
+def _map_chunks(fn, trials: int, workers: int, *fixed, rows=None) -> Iterator:
     """``fn((start, size, *fixed))`` over the chunks of ``trials``, in trial order.
 
     Chunks are made as results are taken, so memory does not grow with
     ``trials``: inline, one chunk is held at a time; a pool has at most two
-    chunks per worker in flight.
+    chunks per worker in flight.  With ``rows``, each chunk's result goes
+    into the array ``rows(start, size)``, which is yielded: inline, ``fn``
+    writes it as ``fn(args, out)``; a pool's result is copied into it.
     """
     args = (
         (start, min(CHUNK_TRIALS, trials - start), *fixed)
@@ -248,19 +252,26 @@ def _map_chunks(fn, trials: int, workers: int, *fixed) -> Iterator:
     )
     size = _pool_size(workers, -(-trials // CHUNK_TRIALS))
     if size <= 1:
-        yield from map(fn, args)
+        yield from (fn(a) if rows is None else fn(a, rows(*a[:2])) for a in args)
         return
     # imported here: it loads multiprocessing, which an inline run never uses
     from concurrent.futures import ProcessPoolExecutor
 
+    def result(a, future):
+        if rows is None:
+            return future.result()
+        out = rows(*a[:2])
+        out[...] = future.result()
+        return out
+
     with ProcessPoolExecutor(max_workers=size) as pool:
         in_flight = deque()
         for a in args:
-            in_flight.append(pool.submit(fn, a))
+            in_flight.append((a, pool.submit(fn, a)))
             if len(in_flight) == 2 * size:
-                yield in_flight.popleft().result()
+                yield result(*in_flight.popleft())
         while in_flight:
-            yield in_flight.popleft().result()
+            yield result(*in_flight.popleft())
 
 
 def estimate_event_probability(
@@ -279,7 +290,11 @@ def estimate_event_probability(
     _check_interval(trials, confidence, method)
     initial = config.initial_state()
     event_mask(event, initial, ())  # an unknown event fails before any trial runs
-    chunks = _map_chunks(_final_zeros_chunk, trials, workers, config, master_seed, mode)
+    buffer = np.empty(min(trials, CHUNK_TRIALS), dtype=np.int64)  # every chunk's, in turn
+    chunks = _map_chunks(
+        _final_zeros_chunk, trials, workers, config, master_seed, mode,
+        rows=lambda start, size: buffer[:size],
+    )
     successes = sum(int(np.count_nonzero(event_mask(event, initial, z))) for z in chunks)
     return Estimate.from_counts(successes, trials, confidence, method)
 
@@ -292,10 +307,18 @@ def final_zeros_sample(
     workers: int = 1,
     mode: str = MODE_AGGREGATED,
 ) -> np.ndarray:
-    """Final-round zero-counts of ``trials`` independent runs, in trial order."""
+    """Final-round zero-counts of ``trials`` independent runs, in trial order.
+
+    Each chunk's are written straight into the one result array.
+    """
     _check_run(trials, config, mode)
-    chunks = _map_chunks(_final_zeros_chunk, trials, workers, config, master_seed, mode)
-    return np.concatenate(list(chunks))
+    zeros = np.empty(trials, dtype=np.int64)
+    for _ in _map_chunks(
+        _final_zeros_chunk, trials, workers, config, master_seed, mode,
+        rows=lambda start, size: zeros[start : start + size],
+    ):
+        pass
+    return zeros
 
 
 # --------------------------------------------------------------------------

@@ -185,13 +185,21 @@ def majority_update(own: Bit, n0: int, n1: int) -> Bit:
     return int(majority_rule(own, n0, n1))
 
 
-def majority_rule(own, n0, n1):
+def majority_rule(own, n0, n1, out=None):
     """The majority rule elementwise over arrays of agents, unchecked.
 
     0 where ``n0 > n1``, 1 where ``n1 > n0`` and ``own`` on a tie; the
-    checks are :func:`majority_update`'s, kept out of per-lane loops.
+    checks are :func:`majority_update`'s, kept out of per-lane loops.  The
+    opinions go into ``out`` and are returned; ``out`` may be ``own`` itself,
+    so an agent's row of trials is updated in place, and without it they go
+    into a new int8 array of the broadcast shape.
     """
-    return np.where(n0 > n1, 0, np.where(n1 > n0, 1, own))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(own), np.shape(n0), np.shape(n1)), np.int8)
+    np.copyto(out, own)
+    np.copyto(out, 1, where=np.greater(n1, n0))
+    np.copyto(out, 0, where=np.greater(n0, n1))
+    return out
 
 
 EVENT_NAMES = (

@@ -46,8 +46,8 @@ smaller group, where building the table costs more than it saves, uses
 cached CDF equals a freshly built one, so a lane draws the same alone as
 in any batch.  A sampler call of up to 2^16 lanes keeps its uniforms and
 the guided search's scratch in its thread's workspace (``_lane_arrays``),
-so that calls after a thread's first fault in no new pages for them; only
-the draws are a new array.
+so that calls after a thread's first fault in no new pages for them; the
+draws go into the caller's ``out`` row, or into a new array without one.
 """
 
 from __future__ import annotations
@@ -317,6 +317,8 @@ def sample_binomial_lanes(
     trial,
     round_index: int,
     group,
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-lane exact Bin(m, p) draws; m, p broadcast against the trial lanes.
 
@@ -327,7 +329,11 @@ def sample_binomial_lanes(
     float are refused).  The lanes are grouped by (m, p), with no sort when
     m and p each hold one value, and ``_draw_pair`` draws each group.  A
     call whose every draw is certain (m = 0, p = 0 or p = 1 throughout)
-    reads no uniform.
+    reads no uniform.  The draws go into ``out`` and are returned: a
+    C-contiguous int64 array of the trial lanes' shape, such as a row the
+    caller reuses from call to call, or a new array when ``out`` is None.
+    ``out`` gets the bytes a call without it returns, and it must not share
+    memory with ``m`` or ``p``.
     """
     trial = analytics._integer_array(trial, "trial", np.uint64)
     round_index = analytics._integer_array(round_index, "round_index", np.uint64)
@@ -342,7 +348,16 @@ def sample_binomial_lanes(
         raise ValueError("m must be in [0, 2^27)")
     if not (p_lo >= 0.0 and p_hi <= 1.0):
         raise ValueError("p must be in [0, 1]")
-    out = np.empty(trial.shape, dtype=np.int64)
+    if out is None:
+        out = np.empty(trial.shape, dtype=np.int64)
+    elif not (
+        isinstance(out, np.ndarray) and out.dtype == np.int64 and out.shape == trial.shape
+        and out.flags.c_contiguous and out.flags.writeable
+    ):
+        raise ValueError(
+            f"out must be a writeable C-contiguous int64 array of shape {trial.shape}, got "
+            f"{getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}"
+        )
     if not trial.size:
         return out
 

@@ -62,24 +62,48 @@ class TestOracle:
         assert code == 0
         assert "P[consensus] = 0" in out
 
-    def test_exact_chain_stops_once_absorbed(self, capsys):
+    def test_exact_chain_stops_once_absorbed(self, capsys, monkeypatch):
         # 10^8 rounds ran until killed before the chain stopped at absorbing
-        # states; the alarm fails the test after 1 s
+        # states; they are refused now, so the test asks for the ceiling and
+        # counts keep/adopt evaluations, one per full round. The alarm fails
+        # the test after 1 s
         def too_slow(signum, frame):
             raise TimeoutError("the chain ran on past absorption")
 
+        evaluations = []
+        transition_values = engine.analytics.transition_values
+        monkeypatch.setattr(
+            engine.analytics, "transition_values",
+            lambda *args: evaluations.append(args) or transition_values(*args),
+        )
         previous = signal.signal(signal.SIGALRM, too_slow)
         signal.setitimer(signal.ITIMER_REAL, 1.0)
         try:
             code, out, _ = run_cli(
                 capsys, "oracle", "exact-chain", "--n", "2", "--q", "0.5",
-                "--rounds", "100000000",
+                "--rounds", str(engine._CHAIN_MAX_ROUNDS),
             )
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
         assert code == 0
         assert out.splitlines() == ["P[consensus] = 1", "P[majority consensus] = 1"]
+        assert len(evaluations) < 1000
+
+    def test_exact_chain_past_its_rounds_ceiling_exits_1_at_once(self, capsys, monkeypatch):
+        # mass leaves the tie at about 1e-9 a round, so nothing absorbs: a
+        # 10 s timeout killed this command before the chain had a ceiling
+        monkeypatch.setattr(engine, "_chain", _no_trials)
+        code, out, err = run_cli(
+            capsys, "oracle", "exact-chain", "--n", "3", "--q", "0.999999999",
+            "--rounds", "100000000",
+        )
+        assert code == 1
+        assert err == (
+            f"smpsim: error: --rounds must be at most {engine._CHAIN_MAX_ROUNDS} for the exact "
+            "chain, got 100000000\n"
+        )
+        assert out == ""
 
     def test_exhaustive(self, capsys):
         code, out, _ = run_cli(
@@ -357,7 +381,7 @@ class TestRejectedBeforeWork:
         self, capsys, tmp_path, monkeypatch, argv, config, prefix
     ):
         monkeypatch.setattr(engine, "run_trials_batch", _no_trials)
-        monkeypatch.setattr(experiments, "run_trials_batch", _no_trials)
+        monkeypatch.setattr(experiments, "final_zeros_into", _no_trials)
         if config is not None:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(config))
@@ -392,7 +416,7 @@ class TestRejectedBeforeWork:
     )
     def test_theorem1_alpha_out_of_range_exits_1(self, capsys, monkeypatch, grid, alpha):
         monkeypatch.setattr(engine, "run_trials_batch", _no_trials)
-        monkeypatch.setattr(experiments, "run_trials_batch", _no_trials)
+        monkeypatch.setattr(experiments, "final_zeros_into", _no_trials)
         code, out, err = run_cli(capsys, "sweep", "theorem1", "--n-grid", grid, "--alpha", alpha)
         assert code == 1
         assert err.startswith("smpsim: error: ") and "alpha" in err
@@ -401,7 +425,7 @@ class TestRejectedBeforeWork:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_theorem1_without_a_prop1_bound_exits_1(self, capsys, monkeypatch, n):
         # ceil(n^(3/4)) = n: the one-round preset once started n = 1 from a tie
-        monkeypatch.setattr(experiments, "run_trials_batch", _no_trials)
+        monkeypatch.setattr(experiments, "final_zeros_into", _no_trials)
         code, out, err = run_cli(capsys, "sweep", "theorem1", f"--n-grid={n}")
         assert code == 1
         assert err.startswith("smpsim: error: ") and f"n={n}" in err
@@ -421,11 +445,11 @@ class TestRejectedBeforeWork:
     def test_rounds_ceiling_exits_1(self, capsys, monkeypatch, argv, rounds):
         # a Monte Carlo run holds a (rounds + 1) x trials trajectory; 10^15
         # rounds once died in numpy's allocator asking for 7.11 PiB.
-        # run_trials_batch checks the ceiling, so the trajectory builders
-        # behind it are what must not run
+        # run_trials_batch and final_zeros_into check the ceiling, so the
+        # round builders behind them are what must not run
         monkeypatch.setattr(engine, "_aggregated_rounds", _no_trials)
         monkeypatch.setattr(engine, "_per_agent_rounds", _no_trials)
-        monkeypatch.setattr(experiments, "run_trials_batch", _no_trials)
+        monkeypatch.setattr(experiments, "final_zeros_into", _no_trials)
         code, out, err = run_cli(capsys, *argv, "--rounds", str(rounds))
         assert code == 1
         assert err.startswith(
@@ -549,7 +573,7 @@ class TestConfigProperties:
     def test_one_wrong_value_exits_1_before_work(self, capsys, tmp_path, monkeypatch, data):
         monkeypatch.delenv("SMPSIM_WORKERS", raising=False)
         monkeypatch.setattr(engine, "run_trials_batch", _no_trials)
-        monkeypatch.setattr(experiments, "run_trials_batch", _no_trials)
+        monkeypatch.setattr(experiments, "final_zeros_into", _no_trials)
         leaf = data.draw(st.sampled_from(sorted(BASE_CONFIGS)), label="leaf")
         # --config is always given here as a flag, which a config key cannot override
         options = sorted(set(_options(leaf)) - {"config"})
@@ -560,6 +584,33 @@ class TestConfigProperties:
         assert err.startswith("smpsim: error: ")
         assert name.replace("_", "-") in err
         assert out == ""
+
+    @settings(
+        max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(rounds=st.one_of(
+        st.integers(1, 2**63 - 1),
+        st.integers(engine._CHAIN_MAX_ROUNDS - 2, engine._CHAIN_MAX_ROUNDS + 2),
+    ))
+    def test_exact_chain_rounds_up_to_int64_max(self, capsys, tmp_path, monkeypatch, rounds):
+        # no chain runs here: a stand-in answers every solve the ceiling lets through
+        solves = []
+        monkeypatch.setattr(
+            engine, "_chain", lambda *args: solves.append(args[3]) or (1.0, 1.0, 0.0)
+        )
+        code, out, err = run_config(
+            capsys, tmp_path, "oracle exact-chain", {**BASE_CONFIGS["oracle exact-chain"],
+                                                     "rounds": rounds},
+        )
+        if rounds <= engine._CHAIN_MAX_ROUNDS:
+            assert (code, err, solves) == (0, "", [rounds])
+        else:
+            assert (code, out, solves) == (1, "", [])
+            assert err == (
+                f"smpsim: error: --rounds must be at most {engine._CHAIN_MAX_ROUNDS} for the "
+                f"exact chain, got {rounds}\n"
+            )
 
     @pytest.mark.parametrize(
         "leaf,flags,config",

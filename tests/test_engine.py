@@ -4,6 +4,8 @@ import inspect
 import math
 import pickle
 import signal
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -20,6 +22,7 @@ from smpsim.engine import (
     aggregated_round_distribution,
     exact_chain_consensus_probability,
     exhaustive_round_distribution,
+    final_zeros_into,
     run_trial,
     run_trials_batch,
 )
@@ -324,6 +327,93 @@ def test_pinned_trajectories(case):
     assert hashlib.sha256(traj.tobytes()).hexdigest() == PINNED_TRAJECTORY_SHA256[case]
 
 
+@pytest.mark.parametrize("case", sorted(PINNED_TRAJECTORY_SHA256), ids=str)
+def test_final_zeros_are_the_last_trajectory_row(case):
+    mode, n, delta, q, rounds, first, count = case
+    config = ProtocolConfig(n=n, delta=delta, rounds=rounds, network=NetworkModel(q=q))
+    trials = np.arange(first, first + count, dtype=np.uint64)
+    out = np.full(count, -1, dtype=np.int64)
+    assert final_zeros_into(out, config, trials, SEED, mode) is out
+    assert np.array_equal(out, run_trials_batch(config, trials, SEED, mode=mode)[-1])
+
+
+class TestRoundWorkspace:
+    """Rounds run on rows of a per-thread workspace that no result shares."""
+
+    #: (mode, n, delta, q, rounds, trials): one round from a single state on
+    #: each path, and multi-round runs whose absorbed trials put later rounds
+    #: on the sampler's mixed path
+    CASES = [
+        (MODE_AGGREGATED, 400, 0, 0.5, 1, 9_000),
+        (MODE_PER_AGENT, 2, 0, 0.5, 1, 9_000),
+        (MODE_AGGREGATED, 40, 1, 0.5, 4, 5_000),
+        (MODE_PER_AGENT, 3, 1, 0.1, 3, 3_000),
+    ]
+
+    def test_threads_running_at_once_get_the_bytes_of_sequential_calls(self):
+        # more threads than cores, with a short switch interval, so that
+        # rounds interleave; each thread also writes final zero-counts
+        runs = [
+            (ProtocolConfig(n=n, delta=d, rounds=r, network=NetworkModel(q=q)),
+             np.arange(7, 7 + trials, dtype=np.uint64), mode)
+            for mode, n, d, q, r, trials in self.CASES
+        ]
+        expected = [run_trials_batch(c, ids, SEED, mode=mode) for c, ids, mode in runs]
+        barrier = threading.Barrier(len(runs))
+        mismatches = []
+
+        def run(i):
+            config, ids, mode = runs[i]
+            out = np.empty(ids.size, dtype=np.int64)
+            barrier.wait(timeout=30)
+            for _ in range(4):
+                if not np.array_equal(run_trials_batch(config, ids, SEED, mode=mode), expected[i]):
+                    mismatches.append((i, "batch"))
+                final_zeros_into(out, config, ids, SEED, mode)
+                if not np.array_equal(out, expected[i][-1]):
+                    mismatches.append((i, "final"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(runs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_batches_kept_alive_share_no_memory(self, mode):
+        config = ProtocolConfig(n=3, delta=1, rounds=3, network=NetworkModel(q=0.3))
+        ids = np.arange(500, dtype=np.uint64)
+        first = run_trials_batch(config, ids, SEED, mode=mode)
+        second = run_trials_batch(config, ids, SEED, mode=mode)
+        assert np.array_equal(first, second)
+        assert not np.shares_memory(first, second)
+        assert not any(np.shares_memory(first, row) for row in engine._zero_count_rows(ids.size))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_empty_trial_ids(self, mode):
+        config = ProtocolConfig(n=3, delta=1, rounds=3, network=NetworkModel(q=0.3))
+        assert run_trials_batch(config, [], SEED, mode=mode).shape == (4, 0)
+        empty = np.empty(0, dtype=np.int64)
+        assert final_zeros_into(empty, config, [], SEED, mode) is empty
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.empty(4, dtype=np.int32), np.empty(3, dtype=np.int64), np.empty(8, dtype=np.int64)[::2]],
+        ids=["int32", "short", "strided"],
+    )
+    def test_final_zeros_refuse_an_out_of_the_wrong_kind(self, out):
+        config = ProtocolConfig(n=3, delta=1, rounds=2, network=NetworkModel(q=0.3))
+        with pytest.raises(ValueError, match=r"^out must be a C-contiguous int64 array of shape"):
+            final_zeros_into(out, config, range(4), SEED)
+
+
 def test_engine_sends_philox_ascending_trials_on_one_path(monkeypatch):
     """Every Philox call of the engine holds ascending trials on one (round, group).
 
@@ -567,22 +657,32 @@ class TestExactChain:
             tracemalloc.stop()
         assert peak < 5_000_000
 
-    def test_stops_once_every_live_state_is_absorbing(self):
-        # 10^8 rounds would take hours; the alarm fails the test after 1 s
+    def test_stops_once_every_live_state_is_absorbing(self, monkeypatch):
+        # 10^8 rounds, now past the rounds ceiling, would take hours; at the
+        # ceiling each full round evaluates keep/adopt once, and the alarm
+        # fails the test after 1 s
         def too_slow(signum, frame):
             raise TimeoutError("the chain ran on past absorption")
 
+        evaluations = []
+        transition_values = analytics.transition_values
+        monkeypatch.setattr(
+            analytics, "transition_values",
+            lambda *args: evaluations.append(args) or transition_values(*args),
+        )
+        rounds = engine._CHAIN_MAX_ROUNDS
         previous = signal.signal(signal.SIGALRM, too_slow)
         signal.setitimer(signal.ITIMER_REAL, 1.0)
         try:
             # at 2n = 4 the chain is absorbed after a few hundred rounds
-            assert exact_chain_consensus_probability(2, 0, 0.5, 100_000_000) == (1.0, 1.0)
+            assert exact_chain_consensus_probability(2, 0, 0.5, rounds) == (1.0, 1.0)
             # a split pair and an undelivered network are fixed points from the start
-            assert exact_chain_consensus_probability(1, 0, 0.5, 100_000_000) == (0.0, 0.0)
-            assert exact_chain_consensus_probability(50, 3, 1.0, 100_000_000) == (0.0, 0.0)
+            assert exact_chain_consensus_probability(1, 0, 0.5, rounds) == (0.0, 0.0)
+            assert exact_chain_consensus_probability(50, 3, 1.0, rounds) == (0.0, 0.0)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
+        assert len(evaluations) < 1000
 
     def test_consensus_rows_are_exact_point_masses(self):
         for z, total in [(0, 20), (20, 20)]:
@@ -650,6 +750,26 @@ class TestPerAgentVsExhaustive:
 
 
 class TestChainCeiling:
+    @pytest.mark.parametrize("rounds", [engine._CHAIN_MAX_ROUNDS + 1, 10**8, 2**63 - 1])
+    def test_rounds_past_the_ceiling_never_reach_the_chain(self, monkeypatch, rounds):
+        # 10^8 rounds at q = 1 - 1e-9 ran until a 10 s timeout killed them
+        def no_chain(*args):
+            raise AssertionError("the chain ran past its rounds ceiling")
+
+        monkeypatch.setattr(engine, "_chain", no_chain)
+        with pytest.raises(UnsupportedSizeError) as refusal:
+            exact_chain_consensus_probability(3, 0, 0.999999999, rounds)
+        assert refusal.value.names == ("rounds",)
+        assert str(refusal.value) == (
+            f"rounds must be at most {engine._CHAIN_MAX_ROUNDS} for the exact chain, got {rounds}"
+        )
+
+    def test_rounds_at_the_ceiling_are_solved(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(engine, "_chain", lambda *args: calls.append(args) or (1.0, 1.0, 0.0))
+        assert exact_chain_consensus_probability(3, 0, 0.5, engine._CHAIN_MAX_ROUNDS) == (1.0, 1.0)
+        assert calls == [(3, 0, 0.5, engine._CHAIN_MAX_ROUNDS, engine._CHAIN_FLOOR)]
+
     def test_thousand_agent_chain(self):
         # largest supported system; also a sanity point for the round story:
         # two rounds from a tie rarely finish, a third round usually does

@@ -277,13 +277,14 @@ class TestEstimateEventProbability:
         # 2^30 trials are 16,384 chunks; the run stops at the third, holding one
         calls = []
 
-        def batch(config, ids, master_seed, mode):
+        def batch(out, config, ids, master_seed, mode):
             calls.append(len(ids))
             if len(calls) == 3:
                 raise RuntimeError("third chunk")
-            return np.broadcast_to(np.int64(0), (config.rounds + 1, len(ids)))
+            out[...] = 0
+            return out
 
-        monkeypatch.setattr(experiments, "run_trials_batch", batch)
+        monkeypatch.setattr(experiments, "final_zeros_into", batch)
         tracemalloc.start()
         try:
             with pytest.raises(RuntimeError, match="third chunk"):
@@ -310,7 +311,8 @@ class TestEstimateEventProbability:
         assert peak < 2 << 20
 
     def test_final_zeros_hold_one_row_per_chunk(self):
-        # a chunk's whole (rounds + 1) x 2^16 trajectory is freed once its last row is taken
+        # each chunk writes its last row straight into the result; no chunk's
+        # (rounds + 1) x 2^16 trajectory is held
         config = _config(50, 0, 3, 0.5)
         peaks = []
         for chunks in (1, 4):
@@ -324,6 +326,47 @@ class TestEstimateEventProbability:
         # trajectories held until the end cost three times it
         assert zeros.nbytes == 4 * CHUNK_TRIALS * 8
         assert peaks[1] - peaks[0] < 2 * zeros.nbytes
+
+    @pytest.mark.parametrize("mode, n", [(MODE_AGGREGATED, 400), (MODE_PER_AGENT, 2)])
+    def test_a_warm_one_round_chunk_holds_little_beyond_its_result(self, mode, n):
+        # the rounds run on reused workspace rows and the draws go straight
+        # into them; the chunk's zero-counts are written into the result
+        config = _config(n, 0, 1, 0.5)
+        final_zeros_sample(config, CHUNK_TRIALS, SEED, mode=mode)  # warms workspaces and memos
+        tracemalloc.start()
+        try:
+            zeros = final_zeros_sample(config, CHUNK_TRIALS, SEED + 1, mode=mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 512 KB result and the chunk's 512 KB of trial ids, per agent the
+        # 2n x 2^16 bytes of opinions, and 768 KB for the sampler's search
+        # and the rule's comparisons (1.3 MB and 1.7 MB were measured; a
+        # trajectory, its copies and a concatenation took 5.1 MB and 6.0 MB)
+        bits = 2 * n * CHUNK_TRIALS if mode == MODE_PER_AGENT else 0
+        assert zeros.nbytes == 512 << 10
+        assert peak < 2 * zeros.nbytes + bits + (768 << 10)
+
+    @pytest.mark.parametrize("mode", [MODE_AGGREGATED, MODE_PER_AGENT])
+    def test_estimate_memory_does_not_grow_with_rounds(self, mode):
+        trials, peaks = 4096, []
+        for rounds in (3, 200):
+            config = _config(3, 0, rounds, 0.5)
+            estimate_event_probability(config, "consensus", trials, SEED, mode=mode)
+            tracemalloc.start()
+            try:
+                estimate_event_probability(config, "consensus", trials, SEED, mode=mode)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a held trajectory grew by one 32 KB row a round: 6.3 MB more at 200
+        assert abs(peaks[1] - peaks[0]) < trials * 8
+
+    def test_final_zeros_from_a_pool_equal_inline_ones(self):
+        config = _config(2, 0, 2, 0.5)
+        trials = 2 * CHUNK_TRIALS + 5
+        inline = final_zeros_sample(config, trials, SEED)
+        assert np.array_equal(final_zeros_sample(config, trials, SEED, workers=2), inline)
 
     @pytest.mark.parametrize("estimate", [True, False])
     @pytest.mark.parametrize(
@@ -342,7 +385,7 @@ class TestEstimateEventProbability:
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
-        monkeypatch.setattr(experiments, "run_trials_batch", no_work)
+        monkeypatch.setattr(experiments, "final_zeros_into", no_work)
         config, trials = _config(n, 0, rounds, 0.5), 3 * CHUNK_TRIALS
         with pytest.raises(UnsupportedSizeError, match=match):
             if estimate:
@@ -366,14 +409,14 @@ class TestEstimateEventProbability:
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
-        monkeypatch.setattr(experiments, "run_trials_batch", no_work)
+        monkeypatch.setattr(experiments, "final_zeros_into", no_work)
         with pytest.raises(ValueError, match=match):
             estimate_event_probability(_config(4, 0, 1, 0.5), "consensus", trials, SEED, workers=2,
                                        confidence=confidence, method=method)
 
     @pytest.mark.parametrize("estimate", [True, False])
     def test_trials_checked_before_any_chunk(self, monkeypatch, estimate):
-        monkeypatch.setattr(experiments, "run_trials_batch", _no_trials)
+        monkeypatch.setattr(experiments, "final_zeros_into", _no_trials)
         with pytest.raises(ValueError, match="^trials must be >= 1$"):
             if estimate:
                 estimate_event_probability(_config(4, 0, 1, 0.5), "consensus", 0, SEED)
@@ -389,7 +432,7 @@ class TestEstimateEventProbability:
         def batch(*args, **kwargs):
             raise AssertionError("a trial ran before the event was checked")
 
-        monkeypatch.setattr(experiments, "run_trials_batch", batch)
+        monkeypatch.setattr(experiments, "final_zeros_into", batch)
         with pytest.raises(ValueError, match="unknown event 'nope'"):
             estimate_event_probability(_config(4, 0, 1, 0.5), "nope", 10, SEED)
 
@@ -488,20 +531,20 @@ class TestTheoremSuites:
 
     @pytest.mark.parametrize("alpha", [0.0, -2.0, 3.0])  # ceil(3 sqrt(4)) = 6 > 4
     def test_theorem1_refuses_alpha_before_any_trial(self, monkeypatch, alpha):
-        monkeypatch.setattr(experiments, "run_trials_batch", _no_trials)
+        monkeypatch.setattr(experiments, "final_zeros_into", _no_trials)
         with pytest.raises(ValueError, match="alpha"):
             theorem1_suite(0.5, [16, 4], SEED, trials_single_round=10, trials=10, alpha=alpha)
 
     @pytest.mark.parametrize("n", [1, 2, 3])  # ceil(n^(3/4)) = n: no start below a_n = n
     def test_theorem1_refuses_n_without_a_prop1_bound_before_any_trial(self, monkeypatch, n):
-        monkeypatch.setattr(experiments, "run_trials_batch", _no_trials)
+        monkeypatch.setattr(experiments, "final_zeros_into", _no_trials)
         with pytest.raises(ValueError, match=rf"ceil\(n\^\(3/4\)\) < n .*, got n={n}$"):
             theorem1_suite(0.5, [16, n], SEED, trials_single_round=10, trials=10)
 
     @pytest.mark.parametrize("q", [0.0, 1.0])
     @pytest.mark.parametrize("theorem", [1, 2])
     def test_theorem_suites_refuse_q_at_the_ends_before_any_trial(self, monkeypatch, theorem, q):
-        monkeypatch.setattr(experiments, "run_trials_batch", _no_trials)
+        monkeypatch.setattr(experiments, "final_zeros_into", _no_trials)
         with pytest.raises(ValueError, match=rf"q strictly inside \(0, 1\), got {q}$"):
             if theorem == 1:
                 theorem1_suite(q, [16], SEED, trials_single_round=10, trials=10)
@@ -515,12 +558,12 @@ class TestTheoremSuites:
 
 class TestEmptyGrids:
     def test_max_error_sweep_needs_a_delta(self, monkeypatch):
-        monkeypatch.setattr(experiments, "run_trials_batch", _no_trials)
+        monkeypatch.setattr(experiments, "final_zeros_into", _no_trials)
         with pytest.raises(ValueError, match="deltas"):
             max_error_sweep(3, 0.5, 1, 10, 1, deltas=[])
 
     def test_return_to_symmetry_needs_an_n(self, monkeypatch):
-        monkeypatch.setattr(experiments, "run_trials_batch", _no_trials)
+        monkeypatch.setattr(experiments, "final_zeros_into", _no_trials)
         with pytest.raises(ValueError, match="n_grid"):
             return_to_symmetry_rate([], 0.5, 10, 1)
 

@@ -742,6 +742,43 @@ def test_pinned_sampler_digests(name):
     assert digest == PINNED_SAMPLER_SHA256[name]
 
 
+@pytest.mark.parametrize("name", sorted(PINNED_SAMPLER_SHA256))
+def test_out_gets_the_bytes_of_a_call_without_it(name):
+    m, p, trial = _digest_calls()[name]
+    out = np.full(trial.shape, -1, dtype=np.int64)
+    assert sample_binomial_lanes(m, p, 2021, trial, 3, np.uint64(1), out=out) is out
+    assert np.array_equal(out, sample_binomial_lanes(m, p, 2021, trial, 3, np.uint64(1)))
+
+
+def test_out_of_certain_and_empty_calls():
+    trial = np.arange(6, dtype=np.uint64)
+    out = np.full(6, -1, dtype=np.int64)
+    sample_binomial_lanes([0, 5, 7, 0, 5, 7], [0.4, 1.0, 0.0, 1.0, 1.0, 0.0], 1, trial, 1, 0, out=out)
+    assert out.tolist() == [0, 5, 0, 0, 5, 0]
+    empty = np.empty(0, dtype=np.int64)
+    assert sample_binomial_lanes(40, 0.3, 1, [], 1, 0, out=empty) is empty
+
+
+@pytest.mark.parametrize(
+    "out",
+    [
+        np.empty(10, dtype=np.int32),
+        np.empty(10, dtype=np.float64),
+        np.empty(9, dtype=np.int64),
+        np.empty((10, 1), dtype=np.int64),
+        np.empty(20, dtype=np.int64)[::2],
+        np.broadcast_to(np.int64(0), (10,)),
+        [0] * 10,
+    ],
+    ids=["int32", "float64", "short", "2-D", "strided", "read-only", "list"],
+)
+def test_out_of_the_wrong_kind_is_refused(out):
+    trial = np.arange(10, dtype=np.uint64)
+    for m, p in ((40, 0.3), (np.arange(10), 0.3)):
+        with pytest.raises(ValueError, match=r"^out must be a writeable C-contiguous int64 array "):
+            sample_binomial_lanes(m, p, 1, trial, 1, 0, out=out)
+
+
 @pytest.mark.parametrize(
     "function,names",
     [
@@ -751,5 +788,8 @@ def test_pinned_sampler_digests(name):
     ],
 )
 def test_parameter_names_that_the_benchmark_counters_unpack(function, names):
-    # perfbench/spans.py wraps these functions and reads their arguments by name
-    assert list(inspect.signature(function).parameters) == names
+    # perfbench/spans.py wraps these functions and reads their positional
+    # arguments by name; its counters take no keyword-only argument, so the
+    # engine passes the sampler's ``out`` only through ``rng`` itself
+    params = inspect.signature(function).parameters.values()
+    assert [p.name for p in params if p.kind != p.KEYWORD_ONLY] == names
