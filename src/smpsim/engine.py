@@ -278,13 +278,15 @@ def _per_agent_rounds(
 
     Each agent side gets its own sampler call.  In a round from a single
     state every trial gives an agent side the same (m, p), so each call
-    takes ``rng.sample_binomial_lanes``' one-pair path: one cached CDF
-    searched in place.  One call per round over all 2 * 2n groups draws
-    the same bytes, but it mixes the sides' (m, p), so the sampler sorts
-    all its lanes by (m, p), gathers them and scatters the draws back; it
-    took about twice as long when it was measured.  On 300,000 trials at
+    takes ``rng.sample_binomial_lanes``' one-pair path: one cached CDF and
+    bucket table, searched piece by piece into the call's row.  One call
+    per round over all 2 * 2n groups draws the same bytes, but it mixes
+    the sides' (m, p), so the sampler sorts all its lanes by (m, p),
+    gathers them and scatters the draws back; it took about twice as long
+    when it was measured.  On 300,000 trials at
     n = 2 (the per-agent part of the ``mc-sampling`` benchmark) this path
-    takes 0.08 s (best of seven warm calls, 2-core x86-64, numpy 2.4).
+    takes 0.07 s (best of seven warm calls, 2-core x86-64, numpy 2.4),
+    against 0.09 s when the sampler searched float uniforms.
     """
     total = len(bits0)
     bits = np.empty((total, len(trial_ids)), dtype=np.int8)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import threading
 from collections import deque
 from dataclasses import dataclass, field, replace
 from statistics import NormalDist
@@ -23,7 +24,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import analytics
+from . import analytics, rng
 from .engine import (
     MODE_AGGREGATED,
     UnsupportedSizeError,
@@ -216,12 +217,35 @@ class SweepResult:
 # --------------------------------------------------------------------------
 
 
+_id_rows = threading.local()
+
+
+def _trial_ids(start: int, size: int) -> np.ndarray:
+    """Trial ids start, ..., start + size - 1 as uint64, in this thread's reused row.
+
+    The row holds ``rng._WORKSPACE_LANES`` consecutive ids from its first;
+    a chunk moves it to its own start with one add in place (mod 2^64), so
+    no chunk makes a new 512 KB id array.  The view is good until the
+    thread's next chunk; a larger chunk gets a new array.
+    """
+    if size > rng._WORKSPACE_LANES:
+        return np.arange(start, start + size, dtype=np.uint64)
+    row = getattr(_id_rows, "row", None)
+    if row is None:
+        row = _id_rows.row = np.arange(rng._WORKSPACE_LANES, dtype=np.uint64)
+        _id_rows.first = 0
+    if start != _id_rows.first:
+        np.add(row, np.uint64((start - _id_rows.first) % 2**64), out=row)
+        _id_rows.first = start
+    return row[:size]
+
+
 def _final_zeros_chunk(args, out=None) -> np.ndarray:
     """Final zero-counts of the chunk ``args``, written into ``out`` (a new array if None)."""
     start, size, config, master_seed, mode = args
-    ids = np.arange(start, start + size, dtype=np.uint64)
     return final_zeros_into(
-        np.empty(size, dtype=np.int64) if out is None else out, config, ids, master_seed, mode
+        np.empty(size, dtype=np.int64) if out is None else out,
+        config, _trial_ids(start, size), master_seed, mode,
     )
 
 

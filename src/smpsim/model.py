@@ -189,17 +189,17 @@ def majority_rule(own, n0, n1, out=None):
     """The majority rule elementwise over arrays of agents, unchecked.
 
     0 where ``n0 > n1``, 1 where ``n1 > n0`` and ``own`` on a tie; the
-    checks are :func:`majority_update`'s, kept out of per-lane loops.  The
-    opinions go into ``out`` and are returned; ``out`` may be ``own`` itself,
-    so an agent's row of trials is updated in place, and without it they go
+    checks are :func:`majority_update`'s, kept out of per-lane loops.  For
+    ``own`` in {0, 1} that is one sign test, n1 - n0 + own > 0, taken as
+    ``n1 + own > n0``: one add into a temporary of n1's dtype, which reads
+    ``own`` in full before the one compare writes ``out``.  The opinions
+    go into ``out`` and are returned; ``out`` may be ``own`` itself, so an
+    agent's row of trials is updated in place, and without it they go
     into a new int8 array of the broadcast shape.
     """
     if out is None:
         out = np.empty(np.broadcast_shapes(np.shape(own), np.shape(n0), np.shape(n1)), np.int8)
-    np.copyto(out, own)
-    np.copyto(out, 1, where=np.greater(n1, n0))
-    np.copyto(out, 0, where=np.greater(n0, n1))
-    return out
+    return np.greater(np.add(n1, own), n0, out=out)
 
 
 EVENT_NAMES = (

@@ -13,41 +13,48 @@ counter word, so a chunk of consecutive trials on one path is a run of
 consecutive counters: one generator state, read on by ``random_raw``.
 One run rule, ``_runs``, splits the lanes of a call into runs, for
 ``philox4x64``, which returns all four words of each block, and for
-``_uniforms_into``, which makes the uniforms of ``uniform_lanes`` and the
-sampler: it generates a run in pieces of at most _PIECE blocks (128 KB) and
-keeps word 0 of each, so no call holds a chunk's 2 MB of blocks.  numpy
-keeps the output of its bit generators stable across releases, so the
-stream does not depend on the numpy version.  The test suite checks the
-blocks against a Philox written out in uint64 arithmetic, and that one
+``_word0_pieces``, the one stream of ``uniform_lanes`` and the sampler: it
+generates a run in pieces of at most _PIECE blocks (128 KB) and yields
+word 0 of each piece's lanes, so no call holds a chunk's 2 MB of blocks.
+numpy keeps the output of its bit generators stable across releases, so
+the stream does not depend on the numpy version.  The test suite checks
+the blocks against a Philox written out in uint64 arithmetic, and that one
 against numpy.
 
-Every binomial draw is one CDF inversion at one uniform, word 0 of the
-lane's counter block.  The CDF is the cumulative sum of ``analytics``'
-Loader log-PMF, exponentiated, over the window from
-``analytics._window_bounds`` outside which Bin(m, p) holds less than 2^-54
-on each side, half the 2^-53 step of the uniform, which resolves no finer;
-the last CDF entry is set to 1.  A sampler call checks m and p on the
-arrays as passed and groups its lanes by (m, p): a call whose m and p each
-hold one value, as every call of the first round from a single state does,
-is one group with no sort; a call whose every draw is certain reads no
-uniform and sorts nothing; any other call puts each pair's lanes together
-with a lexsort by (m, p).  ``_draw_pair`` draws every group, deciding as
-scalars whether its draw is certain (m = 0, p = 0 or p = 1: no uniform is
-read) and whether to flip: p > 1/2 draws m - Bin(m, 1 - p), so a uniform
-maps to the same draw as in every version that inverted the CDF at that
-(m, p), and each draw depends only on m, min(p, 1 - p) and its uniform.
-A one-pair call takes its CDF from ``_one_pair_cdf``, which caches 64
-pairs; a mixed call builds the tables of all its pairs lazily from one
-``analytics._windows`` call, which packs the windows into passes, and
-keeps none of them.  A group of at least _GUIDED_MIN_LANES lanes starts
-each search at a guide table over its CDF and steps up from there; a
-smaller group, where building the table costs more than it saves, uses
-``np.searchsorted``.  Both return the least k with u < CDF(k), and a
-cached CDF equals a freshly built one, so a lane draws the same alone as
-in any batch.  A sampler call of up to 2^16 lanes keeps its uniforms and
-the guided search's scratch in its thread's workspace (``_lane_arrays``),
-so that calls after a thread's first fault in no new pages for them; the
-draws go into the caller's ``out`` row, or into a new array without one.
+Every binomial draw is one CDF inversion at one uniform, the top 53 bits
+of word 0 of the lane's counter block times 2^-53.  The CDF is the
+cumulative sum of ``analytics``' Loader log-PMF, exponentiated, over the
+window from ``analytics._window_bounds`` outside which Bin(m, p) holds
+less than 2^-54 on each side, half the 2^-53 step of the uniform, which
+resolves no finer; the last CDF entry is set to 1.  A sampler call checks
+m and p on the arrays as passed and groups its lanes by (m, p): a call
+whose m and p each hold one value, as every call of the first round from
+a single state does, is one group with no sort; a call whose every draw
+is certain reads no word and sorts nothing; any other call takes the
+words of all its lanes into its thread's workspace (``_lane_arrays``) and
+puts each pair's lanes together with a lexsort by (m, p).
+``_draw_pair`` draws every group, deciding as scalars whether its draw is
+certain (m = 0, p = 0 or p = 1: no word is read) and whether to flip:
+p > 1/2 draws m - Bin(m, 1 - p), so a uniform maps to the same draw as in
+every version that inverted the CDF at that (m, p), and each draw depends
+only on m, min(p, 1 - p) and its uniform.
+
+``_search`` inverts a lane straight from its word 0, with no float
+uniform: a bucket table (``_bucket_table``, Chen and Asau 1974; Devroye
+1986, III.2) of G = 2^g entries holds the one draw of every uniform in
+[j / G, (j + 1) / G), so a lane's draw is ``table[word0 >> (64 - g)]``,
+and only lanes of the buckets that a CDF step splits (at most len(CDF) /
+G of them, 1.6-1.7% on the CDFs of m = 400 and 1600) take
+``np.searchsorted`` at their uniform.  The table is exact, so every draw
+equals the binary search's.  A one-pair call takes its CDF and table from
+``_one_pair_cdf``, which caches 64 pairs, and searches each piece of the
+stream as it is made, writing into the caller's ``out`` row (or a new
+array without one): no lane-sized temporary.  A mixed call builds the
+CDFs of all its pairs lazily from one ``analytics._windows`` call, which
+packs the windows into passes, and keeps none of them; a group of at
+least _GUIDED_MIN_LANES lanes searches a table sized to it as well, a
+smaller one ``np.searchsorted`` alone.  A cached CDF equals a freshly
+built one, so a lane draws the same alone as in any batch.
 """
 
 from __future__ import annotations
@@ -151,18 +158,20 @@ def philox4x64(
     return tuple(words[:, i].reshape(shape) for i in range(4))
 
 
-def _uniforms_into(out: np.ndarray, master_seed: int, trial, round_index, group) -> None:
-    """Write the uniform of each lane of (trial, round_index, group) into flat float64 ``out``.
+def _word0_pieces(size: int, master_seed: int, trial, round_index, group):
+    """The one stream of the sampler and ``uniform_lanes``: (lo, hi, word 0) per piece.
 
-    The lanes broadcast to ``out.size`` lanes and are split into runs by
-    ``_runs``, the rule ``philox4x64`` uses.  Each run is generated in
-    pieces of at most _PIECE blocks, whose word 0 shifted right by 11 is
-    written into ``out`` as it is made; one multiply by 2^-53 at the end
-    gives the uniforms (exact: uint64 below 2^53 to float64).
+    The lanes of (trial, round_index, group) broadcast to ``size`` lanes,
+    taken flat, and are split into runs by ``_runs``, the rule
+    ``philox4x64`` uses.  Each run is generated in pieces of at most _PIECE
+    blocks; a piece yields the lanes lo..hi - 1 whose blocks it holds and
+    their word 0, a uint64 view or gather of the piece that is good until
+    the next piece is made.  The top 53 bits of word 0 are a lane's uniform
+    times 2^53.
     """
     shape, low, runs = _runs(trial, 0, round_index, group, master_seed & _MASK64, _DOMAIN)
-    if low.size != out.size:
-        raise ValueError(f"{low.size} lanes (shape {shape}) for {out.size} uniforms")
+    if low.size != size:
+        raise ValueError(f"{low.size} lanes (shape {shape}) for {size} draws")
     for lo, hi, generator in runs:
         count = int(low[hi - 1] - low[lo]) + 1
         offsets = None if count == hi - lo else low[lo:hi] - low[lo]
@@ -174,19 +183,22 @@ def _uniforms_into(out: np.ndarray, master_seed: int, trial, round_index, group)
             else:  # the run's lanes whose blocks this piece holds
                 a, b = np.searchsorted(offsets, np.array((start, stop), np.uint64)).tolist()
                 word0 = word0[offsets[a:b] - np.uint64(start)]
-            np.right_shift(word0, np.uint64(11), out=out[lo + a : lo + b])
-    np.multiply(out, 2.0**-53, out=out)
+            yield lo + a, lo + b, word0
 
 
 def uniform_lanes(master_seed: int, trial, round_index, group) -> np.ndarray:
     """Per-lane uniforms in [0, 1): the top 53 bits of word 0 of block (trial, 0, round, group).
 
     A new array of the lanes' broadcast shape (one lane for scalars),
-    filled by ``_uniforms_into``.
+    filled from ``_word0_pieces``: each word 0 shifted right by 11, then
+    one multiply by 2^-53 (exact: uint64 below 2^53 to float64).
     """
     shape = np.broadcast_shapes(np.shape(trial), np.shape(round_index), np.shape(group)) or (1,)
     out = np.empty(shape)
-    _uniforms_into(out.reshape(-1), master_seed, trial, round_index, group)
+    flat = out.reshape(-1)
+    for a, b, word0 in _word0_pieces(flat.size, master_seed, trial, round_index, group):
+        np.right_shift(word0, np.uint64(11), out=flat[a:b])
+    np.multiply(out, 2.0**-53, out=out)
     return out
 
 
@@ -195,78 +207,94 @@ def uniform_lanes(master_seed: int, trial, round_index, group) -> np.ndarray:
 _SAMPLING_LOG_TAIL = 54.0 * math.log(2.0)
 
 
-#: Groups of at least this many lanes start their search at a guide table;
-#: smaller ones use ``np.searchsorted`` alone.  From 8,192 lanes on, the
-#: guided search was no slower on CDFs of 2 to 8,000 entries, and 3 to 5
-#: times faster from 179 entries on; at 4,096 lanes it was slower on 2 to
-#: 11 entries (2-core x86-64 host, numpy 2.4).  Mixed calls put most lanes
-#: in small groups, where a table would cost more than the search: with
-#: every group guided, the search time of ``smpsim estimate --n 10000 --q
-#: 0.5 --rounds 3 --trials 65536`` rose from 0.04-0.06 s to 0.22-0.34 s.
+#: A bucket table has 16 entries per CDF entry, so that at most one lane in
+#: 16 lands in a bucket that a CDF step splits, rounded up to a power of two
+#: and capped at 2^14 int64 entries (128 KB): the CDFs of m = 400 and 1600
+#: at p = 1/2 (201 and 373 entries) get 2^12 and 2^13 entries, 1.7% of
+#: them split.
+_TABLE_ENTRIES_PER_STEP = 16
+_TABLE_MAX_BITS = 14
+
+#: Groups of a mixed call with at least this many lanes search a bucket
+#: table; smaller ones use ``np.searchsorted`` alone.  Mixed calls put most
+#: lanes in small groups, where a table would cost more than the search:
+#: with a table for every group of two lanes or more, the search time of
+#: ``smpsim estimate --n 10000 --q 0.5 --rounds 3 --trials 65536``, the
+#: 11,210 tables included, rose from 0.06 s to 0.42-0.43 s (cProfile, two
+#: runs each, 2-core x86-64).  A one-pair call searches its cached table at
+#: any size, since the table outlives the call.
 _GUIDED_MIN_LANES = 8192
 
 
 #: Lanes of this thread's workspace (``_lane_arrays``): a ``CHUNK_TRIALS``
-#: call fits, at about 1.6 MB per sampling thread.
+#: call fits, at 1 MB per sampling thread.
 _WORKSPACE_LANES = 1 << 16
 
 _workspace = threading.local()
 
 
-def _new_lane_arrays(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    return (np.empty(size), np.empty(size), np.empty(size, dtype=np.intp),
-            np.empty(size, dtype=bool))
+def _new_lane_arrays(size: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.intp)
 
 
-def _lane_arrays(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(uniforms, gather, index, mask) arrays of ``size`` lanes for one sampler call.
+def _lane_arrays(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(words, index) arrays of ``size`` lanes for one sampler call: uint64 and intp.
 
-    Float64, float64, intp and bool.  Up to _WORKSPACE_LANES lanes they are
-    views of this thread's workspace, made on its first call and reused by
-    every later one, so a call faults in no new pages for them; a larger
-    call gets new arrays.  The sampler's uniforms and ``_search``'s scratch
-    come from here, and no caller keeps them past its call.
+    Up to _WORKSPACE_LANES lanes they are views of this thread's workspace,
+    made on its first call and reused by every later one, so a call faults
+    in no new pages for them; a larger call gets new arrays.  A mixed
+    call's words and ``_search``'s bucket indices come from here, and no
+    caller keeps them past its call.
     """
     if size > _WORKSPACE_LANES:
         return _new_lane_arrays(size)
     arrays = getattr(_workspace, "arrays", None)
     if arrays is None:
         arrays = _workspace.arrays = _new_lane_arrays(_WORKSPACE_LANES)
-    return tuple(a[:size] for a in arrays)
+    return arrays[0][:size], arrays[1][:size]
 
 
-def _search(cdf: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
-    """Write the least k with u < cdf[k] at each uniform of ``u`` into ``out``.
+def _bucket_table(cdf: np.ndarray, most: int = 1 << _TABLE_MAX_BITS) -> np.ndarray:
+    """The read-only bucket table of ``cdf`` for ``_search`` (Chen and Asau 1974).
 
-    ``cdf`` is nondecreasing and ends at 1, and every u is in [0, 1).  A
-    group of at least _GUIDED_MIN_LANES lanes starts from a guide table
-    (Chen and Asau 1974): with G the next power of two >= len(cdf), entry j
-    is the answer at u = j / G, so no more than the answer of any u in
-    [j / G, (j + 1) / G), and u * G is exact.  Two steps up finish most
-    lanes; ``searchsorted`` finishes the rest, such as a flat tail's.  The
-    answers equal ``searchsorted(cdf, u, side="right")``.  The guide
-    indices, the gathered CDF values and the first step's mask go into
-    ``_lane_arrays`` (``u`` must not be its gather, index or mask); every
-    index is in range, so ``np.take`` clips nothing and needs no buffer.
+    G = 2^g entries, the least power of two of at least
+    _TABLE_ENTRIES_PER_STEP entries per CDF entry, but no more than
+    ``most`` (a power of two) or 2^_TABLE_MAX_BITS.  Entry j holds the least
+    k with u < cdf[k] for every uniform u in [j / G, (j + 1) / G), or -1
+    where a CDF entry splits that bucket.  The search is monotone in u, and
+    the bucket's first and last uniforms, j / G and (j + 1) / G - 2^-53,
+    are exact doubles, so one answer at both ends is the answer of every u
+    between them.
     """
-    if u.size < _GUIDED_MIN_LANES:
-        out[:] = np.searchsorted(cdf, u, side="right")
-        return
-    _, gather, index, short = _lane_arrays(u.size)
-    size = 1 << (len(cdf) - 1).bit_length()
-    guide = np.searchsorted(cdf, np.arange(size) / size, side="right")
-    np.multiply(u, size, out=gather)
-    np.copyto(index, gather, casting="unsafe")  # truncation, as astype(np.intp)
-    np.take(guide, index, out=out, mode="clip")
-    np.take(cdf, out, out=gather, mode="clip")
-    np.less_equal(gather, u, out=short)
-    out += short
-    short = np.flatnonzero(short)
-    short = short[cdf[out[short]] <= u[short]]
-    out[short] += 1
-    short = short[cdf[out[short]] <= u[short]]
-    if short.size:
-        out[short] = np.searchsorted(cdf, u[short], side="right")
+    bits = min(_TABLE_MAX_BITS, (_TABLE_ENTRIES_PER_STEP * len(cdf) - 1).bit_length())
+    size = min(most, 1 << bits)
+    edges = np.arange(size + 1) / size
+    first = np.searchsorted(cdf, edges[:-1], side="right")
+    last = np.searchsorted(cdf, edges[1:] - 2.0**-53, side="right")
+    table = np.where(first == last, first, -1)
+    table.flags.writeable = False
+    return table
+
+
+def _search(cdf: np.ndarray, table: np.ndarray, words: np.ndarray, out: np.ndarray) -> None:
+    """Write the least k with u < cdf[k] at each lane's uniform into ``out``.
+
+    ``words`` are the lanes' Philox words 0, whose uniform u is
+    (word >> 11) * 2^-53; ``cdf`` is nondecreasing and ends at 1, and
+    ``table`` is a ``_bucket_table`` of it, of G = 2^g entries.  A lane's
+    answer is ``table[word >> (64 - g)]``, the entry of the bucket that
+    holds u; only lanes of split buckets (entry -1) take
+    ``np.searchsorted`` at u.  The bucket indices go into
+    ``_lane_arrays``' index row; every index is in range, so ``np.take``
+    clips nothing and needs no buffer.
+    """
+    index = _lane_arrays(words.size)[1]
+    np.right_shift(words, np.uint64(65 - len(table).bit_length()), out=index.view(np.uint64))
+    np.take(table, index, out=out, mode="clip")
+    split = np.flatnonzero(out < 0)
+    if split.size:
+        u = (words[split] >> np.uint64(11)) * 2.0**-53
+        out[split] = np.searchsorted(cdf, u, side="right")
 
 
 def _cdf(log_pmf: np.ndarray) -> np.ndarray:
@@ -277,33 +305,35 @@ def _cdf(log_pmf: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _one_pair_cdf(m: int, p: float) -> tuple[int, np.ndarray]:
-    """(lo, CDF) of Bin(m, p) for m >= 1, 0 < p <= 1/2, for one-pair calls.
+def _one_pair_cdf(m: int, p: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """(lo, CDF, bucket table) of Bin(m, p) for m >= 1, 0 < p <= 1/2, for one-pair calls.
 
     The CDF is built from the pair's ``analytics._windows`` window, whose
     entries do not depend on the other windows of a pass, so it equals the
-    table a mixed call builds.  It is read-only.  A window at m < 2^27 has
-    at most about 10^5 entries, so the 64 cached pairs hold at most about
-    51 MB, and a few KB for the pairs of small systems.
+    CDF a mixed call builds; the table is ``_bucket_table``'s at its full
+    size.  Both are read-only.  A window at m < 2^27 has at most about 10^5
+    entries and a table at most 2^14 int64 entries (128 KB), so the 64
+    cached pairs hold at most about 59 MB, and a few KB for the pairs of
+    small systems.
     """
     ((lo, log_pmf),) = analytics._windows(np.array([m]), np.array([p]), _SAMPLING_LOG_TAIL)
     cdf = _cdf(log_pmf)
     cdf.flags.writeable = False
-    return lo, cdf
+    return lo, cdf, _bucket_table(cdf)
 
 
-def _draw_pair(m: int, p: float, out: np.ndarray, uniforms, cdf_of) -> None:
+def _draw_pair(m: int, p: float, out: np.ndarray, search) -> None:
     """Write a Bin(m, p) draw for each lane of one (m, p) pair into ``out``.
 
-    A certain draw (m = 0, p = 0 or p = 1) reads no uniform.  Otherwise
-    ``cdf_of(m, min(p, 1 - p))`` gives the (lo, CDF) that the lanes'
-    ``uniforms()`` are searched on, and p > 1/2 draws m - Bin(m, 1 - p).
+    A certain draw (m = 0, p = 0 or p = 1) reads no word.  Otherwise
+    ``search(m, min(p, 1 - p), out)`` writes each lane's index into the
+    CDF of that pair and returns the CDF's lo, and p > 1/2 draws
+    m - Bin(m, 1 - p).
     """
     if m == 0 or p in (0.0, 1.0):
         out.fill(m if p == 1.0 else 0)
         return
-    lo, cdf = cdf_of(m, min(p, 1.0 - p))
-    _search(cdf, uniforms(), out)
+    lo = search(m, min(p, 1.0 - p), out)
     if p > 0.5:
         np.subtract(m - lo, out, out=out)
     elif lo:
@@ -329,7 +359,7 @@ def sample_binomial_lanes(
     float are refused).  The lanes are grouped by (m, p), with no sort when
     m and p each hold one value, and ``_draw_pair`` draws each group.  A
     call whose every draw is certain (m = 0, p = 0 or p = 1 throughout)
-    reads no uniform.  The draws go into ``out`` and are returned: a
+    reads no word.  The draws go into ``out`` and are returned: a
     C-contiguous int64 array of the trial lanes' shape, such as a row the
     caller reuses from call to call, or a new array when ``out`` is None.
     ``out`` gets the bytes a call without it returns, and it must not share
@@ -361,36 +391,60 @@ def sample_binomial_lanes(
     if not trial.size:
         return out
 
-    def lane_uniforms() -> np.ndarray:
-        u = _lane_arrays(trial.size)[0]
-        _uniforms_into(u, master_seed, trial, round_index, group)
-        return u
-
     if m_lo == m_hi and p_lo == p_hi:
+
+        def one_pair(m: int, p: float, out: np.ndarray) -> int:
+            # each piece of the stream is searched as it is made
+            lo, cdf, table = _one_pair_cdf(m, p)
+            for a, b, word0 in _word0_pieces(out.size, master_seed, trial, round_index, group):
+                _search(cdf, table, word0, out[a:b])
+            return lo
+
         # rebinding frees an m or p array the caller built for this call
-        # (``total - zs``) before the uniforms: 0.5 MB less at 65,536 lanes
+        # (``total - zs``) before the stream: 0.5 MB less at 65,536 lanes
         m, p = int(m_hi), float(p_hi)
-        _draw_pair(m, p, out.reshape(-1), lane_uniforms, _one_pair_cdf)
+        _draw_pair(m, p, out.reshape(-1), one_pair)
         return out
     if m_hi == 0 or p_hi == 0.0 or p_lo == 1.0:
-        # every draw is certain, as ``_draw_pair`` takes it: no uniform is read
+        # every draw is certain, as ``_draw_pair`` takes it: no word is read
         out[...] = m if p_lo == 1.0 else 0
         return out
 
-    # uniforms before the sort: taken after it, Philox took 0.81 s against
+    # words before the sort: taken after it, Philox took 0.81 s against
     # 0.58 s of a per-agent run (n = 4, cProfile, 2-core x86-64)
-    u = lane_uniforms()
+    words = _lane_arrays(trial.size)[0]
+    for a, b, word0 in _word0_pieces(words.size, master_seed, trial, round_index, group):
+        words[a:b] = word0
     m, p = (np.broadcast_to(a, trial.shape).reshape(-1) for a in (m, p))
     order = np.lexsort((p, m))
-    m, p, u = m[order], p[order], u[order]
+    m, p, words = m[order], p[order], words[order]
     new_pair = np.r_[True, (np.diff(m) != 0) | (np.diff(p) != 0)]
-    bounds = np.r_[np.flatnonzero(new_pair), m.size].tolist()
+    bounds = np.r_[np.flatnonzero(new_pair), m.size]
+    uniforms = None
+    if np.diff(bounds).min() < _GUIDED_MIN_LANES:
+        # the binary search of small groups reads uniforms, made here for
+        # every lane at once: two passes per group took 3-4 us each, 1.8 ms
+        # of a call of 508 groups of about 130 lanes
+        uniforms = (words >> np.uint64(11)) * 2.0**-53
     pair_m, pair_p = m[new_pair], p[new_pair]
     windows = analytics._windows(pair_m, np.minimum(pair_p, 1.0 - pair_p), _SAMPLING_LOG_TAIL)
     draws = np.empty(m.size, dtype=np.int64)
+    bounds = bounds.tolist()
     for a, b, m_g, p_g, (lo, log_pmf) in zip(
         bounds, bounds[1:], pair_m.tolist(), pair_p.tolist(), windows
     ):
-        _draw_pair(m_g, p_g, draws[a:b], lambda: u[a:b], lambda *_: (lo, _cdf(log_pmf)))
+
+        def group_search(m: int, p: float, out: np.ndarray) -> int:
+            cdf = _cdf(log_pmf)
+            if out.size < _GUIDED_MIN_LANES:
+                out[:] = np.searchsorted(cdf, uniforms[a:b], side="right")
+            else:
+                # at most one entry per two lanes: the table's two sorted
+                # searches over its bucket edges cost no more than the lanes'
+                table = _bucket_table(cdf, 1 << (out.size.bit_length() - 2))
+                _search(cdf, table, words[a:b], out)
+            return lo
+
+        _draw_pair(m_g, p_g, draws[a:b], group_search)
     out.reshape(-1)[order] = draws
     return out

@@ -417,22 +417,23 @@ class TestRoundWorkspace:
 def test_engine_sends_philox_ascending_trials_on_one_path(monkeypatch):
     """Every Philox call of the engine holds ascending trials on one (round, group).
 
-    Sampler blocks come from ``rng._uniforms_into``, which takes lanes in
-    any order, but lanes out of that order split a call into more, shorter
-    runs.  The wrapper sits on the module global, so an engine change that
-    sends other lanes fails here instead of running slower; the call count
-    fails if sampler blocks stop passing through it.
+    Sampler blocks come from ``rng._word0_pieces``, the one stream of both
+    one-pair and mixed calls, which takes lanes in any order, but lanes out
+    of that order split a call into more, shorter runs.  The wrapper sits
+    on the module global, so an engine change that sends other lanes fails
+    here instead of running slower; the call count fails if sampler blocks
+    stop passing through it.
     """
     from smpsim import rng
 
     calls = []
-    inner = rng._uniforms_into
+    inner = rng._word0_pieces
 
-    def recording(out, master_seed, trial, round_index, group):
+    def recording(size, master_seed, trial, round_index, group):
         calls.append((np.asarray(trial), round_index, group))
-        return inner(out, master_seed, trial, round_index, group)
+        return inner(size, master_seed, trial, round_index, group)
 
-    monkeypatch.setattr(rng, "_uniforms_into", recording)
+    monkeypatch.setattr(rng, "_word0_pieces", recording)
     aggregated = ProtocolConfig(n=40, delta=1, rounds=3, network=NetworkModel(q=0.5))
     run_trials_batch(aggregated, np.arange(3, 203, dtype=np.uint64), SEED)
     per_agent = ProtocolConfig(n=3, delta=1, rounds=2, network=NetworkModel(q=0.4))

@@ -339,13 +339,29 @@ class TestEstimateEventProbability:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the 512 KB result and the chunk's 512 KB of trial ids, per agent the
-        # 2n x 2^16 bytes of opinions, and 768 KB for the sampler's search
-        # and the rule's comparisons (1.3 MB and 1.7 MB were measured; a
-        # trajectory, its copies and a concatenation took 5.1 MB and 6.0 MB)
+        # the 512 KB result, per agent the 2n x 2^16 bytes of opinions, and
+        # 768 KB for the sampler's pieces and the rule's sum (776 KB and
+        # 1.3 MB were measured; with a new 512 KB trial-id array per chunk,
+        # 1.3 MB and 1.7 MB; a trajectory, its copies and a concatenation
+        # took 5.1 MB and 6.0 MB)
         bits = 2 * n * CHUNK_TRIALS if mode == MODE_PER_AGENT else 0
         assert zeros.nbytes == 512 << 10
-        assert peak < 2 * zeros.nbytes + bits + (768 << 10)
+        assert peak < zeros.nbytes + bits + (768 << 10)
+
+    def test_trial_ids_reuse_one_row_per_thread(self):
+        # chunks forward, back to an earlier start, short tails, a start near
+        # 2^64 and one past the row, which gets a new array
+        rows = []
+        for start, size in [(0, 5), (CHUNK_TRIALS, CHUNK_TRIALS), (3, 7), (2**64 - 9, 4),
+                            (7 * CHUNK_TRIALS, 100), (0, CHUNK_TRIALS)]:
+            ids = experiments._trial_ids(start, size)
+            assert ids.dtype == np.uint64
+            assert ids.tolist() == list(range(start, start + size))
+            rows.append(ids)
+        assert all(np.shares_memory(rows[0], ids) for ids in rows[1:])
+        big = experiments._trial_ids(5, CHUNK_TRIALS + 1)
+        assert np.array_equal(big, np.arange(5, 6 + CHUNK_TRIALS, dtype=np.uint64))
+        assert not np.shares_memory(big, rows[0])
 
     @pytest.mark.parametrize("mode", [MODE_AGGREGATED, MODE_PER_AGENT])
     def test_estimate_memory_does_not_grow_with_rounds(self, mode):

@@ -9,6 +9,7 @@ from smpsim.model import (
     OpinionCounts,
     ProtocolConfig,
     event_mask,
+    majority_rule,
     majority_update,
 )
 
@@ -43,6 +44,40 @@ class TestMajorityUpdate:
         if (own == 0 and n0 < 1) or (own == 1 and n1 < 1):
             return
         assert majority_update(1 - own, n1, n0) == 1 - majority_update(own, n0, n1)
+
+
+def _valid_rule_cases():
+    """Every (own, n0, n1) with n0, n1 <= 6 in which the agent counts itself."""
+    cases = [
+        (own, n0, n1)
+        for own in (0, 1) for n0 in range(7) for n1 in range(7)
+        if (n0, n1)[own] >= 1
+    ]
+    return (np.array(c, dtype=np.int64) for c in zip(*cases))
+
+
+class TestMajorityRule:
+    def test_arrays_equal_the_checked_rule(self):
+        own, n0, n1 = _valid_rule_cases()
+        cases = zip(own.tolist(), n0.tolist(), n1.tolist())
+        expected = np.array([majority_update(*case) for case in cases])
+        assert np.array_equal(expected, np.where(n0 > n1, 0, np.where(n1 > n0, 1, own)))
+        rule = majority_rule(own.astype(np.int8), n0, n1)
+        assert rule.dtype == np.int8 and np.array_equal(rule, expected)
+        # in place: the agents' own row is their output
+        row = own.astype(np.int8)
+        assert majority_rule(row, n0, n1, out=row) is row
+        assert np.array_equal(row, expected)
+
+    @pytest.mark.parametrize("own", [0, 1])
+    def test_a_scalar_own_broadcasts(self, own):
+        own_all, n0, n1 = _valid_rule_cases()
+        n0, n1 = n0[own_all == own], n1[own_all == own]
+        expected = [majority_update(own, a, b) for a, b in zip(n0.tolist(), n1.tolist())]
+        out = np.full(n0.size, -1, dtype=np.int8)
+        assert majority_rule(own, n0, n1, out=out) is out
+        assert out.tolist() == expected
+        assert majority_rule(own, n0[:, None], n1[None, :]).shape == (n0.size, n1.size)
 
 
 class TestCounts:

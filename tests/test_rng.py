@@ -403,11 +403,13 @@ def test_goodness_of_fit(m, p):
 
 
 # --------------------------------------------------------------------------
-# Guided CDF search: groups of at least rng._GUIDED_MIN_LANES lanes start at
-# a guide table, and every answer must equal the plain binary search.
+# Bucket-table CDF search: a lane's draw is the table entry of its word 0's
+# top bits, and every answer must equal the plain binary search at its
+# uniform, with the full table and a mixed group's smaller one.
 # --------------------------------------------------------------------------
 
 _THRESHOLD = rng._GUIDED_MIN_LANES
+_FULL_TABLE = 1 << rng._TABLE_MAX_BITS
 
 
 def _sampler_cdf(m: int, p: float) -> np.ndarray:
@@ -419,25 +421,48 @@ def _sampler_cdf(m: int, p: float) -> np.ndarray:
 
 
 def _flat_cdf() -> np.ndarray:
-    """300 entries below 1e-27 (all in the guide's bucket 0), then runs of equal entries."""
+    """300 entries below 1e-27 (all in the table's bucket 0), then runs of equal entries."""
     cdf = np.cumsum(np.r_[np.full(300, 1e-30), 0.0, 0.0, 0.25, 0.0, 0.0, 0.25, 0.5])
     cdf[-1] = 1.0
     return cdf
 
 
-def _edge_uniforms(cdf: np.ndarray) -> np.ndarray:
-    """0, the largest uniform, and every CDF entry and bucket edge with both neighbours."""
-    size = 1 << (len(cdf) - 1).bit_length()
-    points = np.r_[cdf, np.arange(size) / size]
-    near = np.r_[0.0, 1.0 - 2.0**-53, points, np.nextafter(points, 0), np.nextafter(points, 1)]
-    return near[(near >= 0.0) & (near < 1.0)]
+def _bucket_end_cdf() -> np.ndarray:
+    """Entries at the last uniform of a bucket, j / G - 2^-53, and at bucket starts."""
+    return np.array([2.0**-14 - 2.0**-53, 0.25 - 2.0**-53, 0.25, 0.5 - 2.0**-53, 0.75, 1.0])
 
 
-def _lanes(u: np.ndarray, count: int, seed: int) -> np.ndarray:
-    """``count`` uniforms: every one of ``u`` (while they fit), then random ones, shuffled."""
+def _edge_words(cdf: np.ndarray, size: int) -> np.ndarray:
+    """Words of 0, the largest uniform, and both sides of every CDF entry and bucket edge.
+
+    A uniform is (word >> 11) * 2^-53; the bucket edges are those of a
+    table of ``size`` entries.  The low 11 bits, which no draw reads, are
+    random.
+    """
+    steps = np.r_[np.ceil(cdf * 2.0**53), np.arange(size) * (2.0**53 / size)]
+    near = np.r_[0.0, 2.0**53 - 1, steps - 1, steps, steps + 1]
+    near = near[(near >= 0) & (near < 2.0**53)].astype(np.uint64)
+    low = np.random.default_rng(len(cdf)).integers(0, 1 << 11, near.size, dtype=np.uint64)
+    return (near << np.uint64(11)) | low
+
+
+def _lanes(words: np.ndarray, count: int, seed: int) -> np.ndarray:
+    """``count`` words: every one of ``words`` (while they fit), then random ones, shuffled."""
     rs = np.random.default_rng(seed)
-    extra = rs.integers(0, 2**53, max(count - len(u), 0)) * 2.0**-53
-    return rs.permutation(np.r_[u, extra][:count])
+    extra = rs.integers(0, 2**64 - 1, max(count - len(words), 0), dtype=np.uint64, endpoint=True)
+    return rs.permutation(np.r_[words, extra][:count])
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _tables(cdf: np.ndarray, lanes: int) -> dict:
+    """The one-pair table and the table of a mixed group of ``lanes`` lanes."""
+    return {
+        "full": rng._bucket_table(cdf),
+        "group": rng._bucket_table(cdf, 1 << (lanes.bit_length() - 2)),
+    }
 
 
 _SEARCH_CDFS = {
@@ -453,27 +478,32 @@ _SEARCH_CDFS = {
 }
 
 
-@pytest.mark.parametrize("name", [*_SEARCH_CDFS, "flat"])
+@pytest.mark.parametrize("name", [*_SEARCH_CDFS, "flat", "bucket ends"])
 @pytest.mark.parametrize("offset", [-1, 0, 1, 12 * _THRESHOLD])
 def test_guided_search_equals_binary_search(name, offset):
-    cdf = _flat_cdf() if name == "flat" else _sampler_cdf(*_SEARCH_CDFS[name])
-    edges = _edge_uniforms(cdf)
-    # both sides of the threshold; the edge uniforms spread over calls that fit
+    special = {"flat": _flat_cdf, "bucket ends": _bucket_end_cdf}
+    cdf = special[name]() if name in special else _sampler_cdf(*_SEARCH_CDFS[name])
+    # both sides of the threshold and past the workspace; the edge words
+    # spread over calls that fit
     count = _THRESHOLD + offset
-    for start in range(0, len(edges), count):
-        u = _lanes(edges[start : start + count], count, seed=start)
-        out = np.empty(count, dtype=np.int64)
-        rng._search(cdf, u, out)
-        assert np.array_equal(out, oracles.cdf_search(cdf, u))
+    for kind, table in _tables(cdf, count).items():
+        edges = _edge_words(cdf, len(table))
+        for start in range(0, len(edges), count):
+            words = _lanes(edges[start : start + count], count, seed=start)
+            out = np.empty(count, dtype=np.int64)
+            rng._search(cdf, table, words, out)
+            assert np.array_equal(out, oracles.cdf_search(cdf, _uniforms(words))), kind
 
 
 def test_guided_search_writes_into_a_slice():
     cdf = _sampler_cdf(800, 0.5)
-    u = _lanes(_edge_uniforms(cdf), 2 * _THRESHOLD, seed=1)
-    draws = np.full(3 * _THRESHOLD, -1, dtype=np.int64)
-    rng._search(cdf, u, draws[_THRESHOLD:])
-    assert np.all(draws[:_THRESHOLD] == -1)
-    assert np.array_equal(draws[_THRESHOLD:], oracles.cdf_search(cdf, u))
+    for table in _tables(cdf, 2 * _THRESHOLD).values():
+        edges = _edge_words(cdf, len(table))
+        words = _lanes(edges, max(2 * _THRESHOLD, len(edges)), seed=1)
+        draws = np.full(_THRESHOLD + len(words), -1, dtype=np.int64)
+        rng._search(cdf, table, words, draws[_THRESHOLD:])
+        assert np.all(draws[:_THRESHOLD] == -1)
+        assert np.array_equal(draws[_THRESHOLD:], oracles.cdf_search(cdf, _uniforms(words)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -483,16 +513,30 @@ def test_guided_search_writes_into_a_slice():
         min_size=1, max_size=600,
     ),
     steps=st.lists(st.integers(0, 2**53 - 1), max_size=64),
+    most=st.integers(0, rng._TABLE_MAX_BITS).map(lambda bits: 1 << bits),
 )
-def test_guided_search_on_any_cdf(weights, steps):
+def test_guided_search_on_any_cdf(weights, steps, most):
     cdf = np.cumsum(np.r_[weights, 1.0])
     cdf /= cdf[-1]
     cdf[-1] = 1.0
-    u = np.r_[np.array(steps, dtype=np.float64) * 2.0**-53, _edge_uniforms(cdf)]
-    u = _lanes(u[: 2 * _THRESHOLD], _THRESHOLD + len(steps), seed=len(weights))
-    out = np.empty(len(u), dtype=np.int64)
-    rng._search(cdf, u, out)
-    assert np.array_equal(out, oracles.cdf_search(cdf, u))
+    table = rng._bucket_table(cdf, most)
+    words = np.r_[np.array(steps, dtype=np.uint64) << np.uint64(11), _edge_words(cdf, len(table))]
+    words = _lanes(words, len(words), seed=len(weights))
+    out = np.empty(len(words), dtype=np.int64)
+    rng._search(cdf, table, words, out)
+    assert np.array_equal(out, oracles.cdf_search(cdf, _uniforms(words)))
+
+
+def test_bucket_tables_are_read_only_and_sized_to_their_cdf():
+    for m, p in _SEARCH_CDFS.values():
+        cdf = _sampler_cdf(m, p)
+        table = rng._bucket_table(cdf)
+        size = len(table)
+        assert not table.flags.writeable and size & (size - 1) == 0
+        assert size == _FULL_TABLE or size >= rng._TABLE_ENTRIES_PER_STEP * len(cdf) > size // 2
+        # a split bucket holds a CDF step, so at most len(cdf) buckets are split
+        assert np.count_nonzero(table < 0) <= len(cdf)
+        assert len(rng._bucket_table(cdf, 4096)) == min(size, 4096)
 
 
 def test_mixed_call_with_groups_on_both_sides_of_the_threshold():
@@ -587,15 +631,15 @@ def test_an_all_certain_mixed_call_reads_no_uniform(monkeypatch, m, p):
 
     expected = np.broadcast_to(np.where(np.asarray(p) == 1.0, m, 0), np.broadcast(m, p).shape)
     trial = np.arange(expected.size, dtype=np.uint64).reshape(expected.shape)
-    monkeypatch.setattr(rng, "_uniforms_into", no_uniforms)
+    monkeypatch.setattr(rng, "_word0_pieces", no_uniforms)
     draws = sample_binomial_lanes(m, p, 3, trial, 1, 0)
     assert draws.dtype == np.int64 and np.array_equal(draws, expected)
 
 
 def test_a_warm_one_pair_call_allocates_little_beyond_its_draws():
-    # uniforms and search scratch live in the thread's workspace and the
-    # blocks are made in pieces: no chunk-sized temporaries (a 2 MB block
-    # array, 0.5 MB arrays of uniforms, guide indices and gathered CDF values)
+    # the blocks are made in pieces and each is searched as it is made: no
+    # chunk-sized temporaries (a 2 MB block array, 0.5 MB arrays of uniforms,
+    # guide indices and gathered CDF values)
     trials = np.arange(1 << 16, dtype=np.uint64)
     sample_binomial_lanes(400, 0.5, 5, trials, 1, 0)
     tracemalloc.start()
@@ -604,7 +648,45 @@ def test_a_warm_one_pair_call_allocates_little_beyond_its_draws():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= draws.nbytes + (1 << 20)
+    assert peak <= draws.nbytes + (320 << 10)
+
+
+@pytest.mark.parametrize("m", [2, 400, 1600])
+def test_a_warm_one_pair_call_with_out_makes_no_lane_sized_temporaries(m):
+    # a one-pair call draws inside the stream's piece loop: a 128 KB piece of
+    # blocks (and the one before it) and piece-sized scratch, no uniforms,
+    # guide indices or gathered CDF values for all 65,536 lanes (405 KB at m = 2
+    # for the guided search of float uniforms)
+    trials = np.arange(1 << 16, dtype=np.uint64)
+    row = np.empty(trials.size, dtype=np.int64)
+    sample_binomial_lanes(m, 0.5, 5, trials, 1, 0, out=row)
+    tracemalloc.start()
+    try:
+        sample_binomial_lanes(m, 0.5, 6, trials, 1, 0, out=row)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 320 << 10
+
+
+@pytest.mark.parametrize("m,p", [(1, 0.5), (2, 0.5), (400, 0.5), (1600, 0.3), (100_000, 0.7)])
+def test_one_pair_and_mixed_paths_draw_the_same_bytes(m, p):
+    # 2^16 + 3 lanes: the one-pair call searches its cached full table piece
+    # by piece, the mixed call (one more lane of another pair) its group's
+    # table sized to 2^15 entries at most; both send lanes of split buckets
+    # to the binary search
+    trials = np.arange(11, 11 + (1 << 16) + 3, dtype=np.uint64)
+    one = sample_binomial_lanes(m, p, 77, trials, 2, 1)
+    mixed = sample_binomial_lanes(
+        np.r_[np.full(trials.size, m), 5], np.r_[np.full(trials.size, p), 0.5],
+        77, np.r_[trials, 3], 2, 1,
+    )
+    assert np.array_equal(one, mixed[:-1])
+    _, cdf, table = rng._one_pair_cdf(m, min(p, 1.0 - p))
+    words = philox4x64(trials, 0, 2, 1, 77, rng._DOMAIN)[0]
+    split = table[words >> np.uint64(65 - len(table).bit_length())] < 0
+    assert split.any() == (m != 1)  # 1/2, the one step of Bin(1, 1/2), is a bucket edge
+    assert np.array_equal(one, oracles.binomial_inversion(m, p, _uniforms(words)))
 
 
 def test_threads_drawing_at_once_get_the_bytes_of_sequential_calls():
@@ -673,9 +755,10 @@ def test_one_pair_cdfs_come_from_a_bounded_memo(monkeypatch):
         assert len(built) == 1
         info = rng._one_pair_cdf.cache_info()
         assert (info.hits, info.misses, info.currsize, info.maxsize) == (1, 1, 1, 64)
-        _, cdf = rng._one_pair_cdf(800, 1.0 - 0.7)
-        assert not cdf.flags.writeable
+        _, cdf, table = rng._one_pair_cdf(800, 1.0 - 0.7)
+        assert not cdf.flags.writeable and not table.flags.writeable
         assert np.array_equal(cdf, expected_cdf) and len(built) == 1
+        assert np.array_equal(table, rng._bucket_table(expected_cdf))
         # 64 other pairs evict (800, 0.3); rebuilding it gives the same draws
         for m in range(10, 74):
             sample_binomial_lanes(m, 0.5, 1, trials, 1, 0)
