@@ -15,14 +15,15 @@ Two sampling paths produce protocol runs:
 
 Both run their rounds on rows of a per-thread workspace: two rows take
 turns holding the current and the next zero-counts, and the draws go into
-the third, so a batch of up to 2^16 trials faults in no new pages for
-them and its memory does not grow with the rounds.  The first round, from
-the one initial state, draws from scalar m and p.  ``run_trials_batch``
-copies every round into a new (rounds + 1, trials) array, and
-``run_trial`` wraps one column of it as a ``TrialOutcome``;
-``final_zeros_into``, which every Monte Carlo chunk of ``experiments``
-runs through, writes only the last round into its caller's array, and
-``model.event_mask`` scores it.
+the others (one for the aggregated path, three for the per-agent path,
+which draws four sides at a time), so a batch of up to 2^16 trials
+faults in no new pages for them and its memory does not grow with the
+rounds.  The first round, from the one initial state, draws from scalar
+m and p.  ``run_trials_batch`` copies every round into a new (rounds + 1,
+trials) array, and ``run_trial`` wraps one column of it as a
+``TrialOutcome``; ``final_zeros_into``, which every Monte Carlo chunk of
+``experiments`` runs through, writes only the last round into its
+caller's array, and ``model.event_mask`` scores it.
 
 Two oracles pin the dynamics down exactly: an exhaustive enumeration of
 all loss patterns for systems of up to 6 agents, and an exact Markov chain
@@ -50,8 +51,9 @@ from itertools import compress
 
 import numpy as np
 
-# the sampler is called as rng.sample_binomial_lanes: perfbench/spans.py
-# wraps an engine-level sampler name with a counter that takes no out=
+# the sampler is called as rng.sample_binomial_lanes and rng._draw_sides:
+# perfbench/spans.py wraps an engine-level sampler name with a counter
+# that takes no out=
 from . import analytics, rng
 from .model import (
     NetworkModel, OpinionCounts, ProtocolConfig, event_mask, majority_rule, majority_update,
@@ -188,21 +190,22 @@ def _live(z: np.ndarray, total: int):
     return slice(None) if np.count_nonzero(live) == len(z) else np.flatnonzero(live)
 
 
-def _zero_count_rows(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Three int64 rows of ``size`` lanes for one batch of rounds.
+def _zero_count_rows(size: int) -> tuple[np.ndarray, ...]:
+    """Five int64 rows of ``size`` lanes for one batch of rounds.
 
     Up to ``rng._WORKSPACE_LANES`` lanes (a ``CHUNK_TRIALS`` chunk) they
     are views of this thread's workspace, made on its first batch and
     reused by every later one, so a batch faults in no new pages for them;
     a larger batch gets new rows.  Two rows take turns holding the current
-    and the next zero-counts and the third holds draws, so no caller keeps
-    one past its batch.
+    and the next zero-counts and the other three hold draws: the aggregated
+    path writes the first of them only, so its batches never fault in the
+    last two.  No caller keeps one past its batch.
     """
     if size > rng._WORKSPACE_LANES:
-        return tuple(np.empty((3, size), dtype=np.int64))
+        return tuple(np.empty((5, size), dtype=np.int64))
     rows = getattr(_workspace, "rows", None)
     if rows is None:
-        rows = _workspace.rows = np.empty((3, rng._WORKSPACE_LANES), dtype=np.int64)
+        rows = _workspace.rows = np.empty((5, rng._WORKSPACE_LANES), dtype=np.int64)
     return tuple(rows[:, :size])
 
 
@@ -273,20 +276,24 @@ def _per_agent_rounds(
     per batch.  An agent's draws depend only on its own bit and the
     round's zero-counts, so ``model.majority_rule`` updates its row in
     place.  Every trial starts in the state ``bits0``, so in round 1 each
-    agent's bit, m and p are scalars.  The draws go into the third
-    workspace row and the next one, which is written only after the round.
+    agent's bit, m and p are scalars.
 
-    Each agent side gets its own sampler call.  In a round from a single
-    state every trial gives an agent side the same (m, p), so each call
-    takes ``rng.sample_binomial_lanes``' one-pair path: one cached CDF and
-    bucket table, searched piece by piece into the call's row.  One call
-    per round over all 2 * 2n groups draws the same bytes, but it mixes
-    the sides' (m, p), so the sampler sorts all its lanes by (m, p),
-    gathers them and scatters the draws back; it took about twice as long
-    when it was measured.  On 300,000 trials at
-    n = 2 (the per-agent part of the ``mc-sampling`` benchmark) this path
-    takes 0.07 s (best of seven warm calls, 2-core x86-64, numpy 2.4),
-    against 0.09 s when the sampler searched float uniforms.
+    Side group g = 2j + s of agent j (s = 0 for delivered zeros, 1 for
+    ones) reads word g mod 4 of Philox block (trial, 0, round, g // 4), so
+    agents 2b and 2b + 1 share block b, and one ``rng._draw_sides`` call
+    per agent pair and round draws their four sides from one stream.  The
+    draws go into the last three workspace rows and the next one, which
+    is written only after the round.  In a round from a single state every
+    trial gives a side the same (m, p), so each side searches one cached
+    CDF and bucket table piece by piece into its row.  One sampler call
+    per round over all 2 * 2n sides would mix the sides' (m, p), so the
+    sampler would sort all its lanes by (m, p), gather them and scatter
+    the draws back: on a 65,536-trial chunk at n = 2 that took 36 ms,
+    against 11-12 ms for eight one-side calls and 5 ms for the two pair
+    draws.  On 300,000 trials at n = 2 (the per-agent part of the
+    ``mc-sampling`` benchmark) this path takes 0.03 s, against 0.06 s
+    with one call and block per side (best of seven warm calls, three
+    runs each, 2-core x86-64, numpy 2.4).
     """
     total = len(bits0)
     bits = np.empty((total, len(trial_ids)), dtype=np.int8)
@@ -302,24 +309,22 @@ def _per_agent_rounds(
             bits[...] = np.array(bits0, dtype=np.int8)[:, None]
         elif ids.size:
             o_act = total - z_act
-            d0, d1 = rows[2][: len(ids)], row[: len(ids)]
-            for j in range(total):
-                own = bits0[j] if first else bits[j, live]
-                own_zero, own_one = own == 0, own != 0
-                rng.sample_binomial_lanes(
-                    z_act - own_zero, q_prime, master_seed, ids, round_index, np.uint64(2 * j),
-                    out=d0,
-                )
-                rng.sample_binomial_lanes(
-                    o_act - own_one, q_prime, master_seed, ids, round_index,
-                    np.uint64(2 * j + 1), out=d1,
-                )
-                d0 += own_zero
-                d1 += own_one
-                if isinstance(live, slice):
-                    majority_rule(own, d0, d1, out=bits[j])
-                else:
-                    bits[j, live] = majority_rule(own, d0, d1, out=own)
+            d = [r[: len(ids)] for r in (rows[2], rows[3], rows[4], row)]
+            for pair in range(total // 2):
+                agents = [(j, bits0[j] if first else bits[j, live]) for j in (2 * pair, 2 * pair + 1)]
+                sides = []
+                for k, (_, own) in enumerate(agents):
+                    sides.append((z_act - (own == 0), q_prime, d[2 * k]))
+                    sides.append((o_act - (own != 0), q_prime, d[2 * k + 1]))
+                rng._draw_sides(sides, master_seed, ids, round_index, np.uint64(pair))
+                for k, (j, own) in enumerate(agents):
+                    d0, d1 = d[2 * k], d[2 * k + 1]
+                    d0 += own == 0
+                    d1 += own != 0
+                    if isinstance(live, slice):
+                        majority_rule(own, d0, d1, out=bits[j])
+                    else:
+                        bits[j, live] = majority_rule(own, d0, d1, out=own)
         np.sum(bits, axis=0, dtype=np.int64, out=row)
         np.subtract(total, row, out=row)
         z = row

@@ -8,53 +8,64 @@ which keeps the stream of version 0.2.0.  Distinct paths therefore give
 statistically independent streams, and results are bit-identical no matter
 how trials are batched or scheduled across workers.
 
+A block holds four words, and a draw of up to four sides reads side s
+from word s.  ``sample_binomial_lanes`` and ``uniform_lanes`` read word 0
+of block (trial, 0, round, group), as every version before 0.4.0 did.
+The per-agent path draws the four sides of an agent pair from one block:
+side group g = 2j + s of agent j reads word g mod 4 of block (trial, 0,
+round, g // 4), which version 0.4.0 brought in place of word 0 of block g,
+so per-agent results differ from 0.3.x.
+
 numpy's own Philox bit generator computes the blocks.  Trial is the low
 counter word, so a chunk of consecutive trials on one path is a run of
 consecutive counters: one generator state, read on by ``random_raw``.
-One run rule, ``_runs``, splits the lanes of a call into runs, for
-``philox4x64``, which returns all four words of each block, and for
-``_word0_pieces``, the one stream of ``uniform_lanes`` and the sampler: it
-generates a run in pieces of at most _PIECE blocks (128 KB) and yields
-word 0 of each piece's lanes, so no call holds a chunk's 2 MB of blocks.
-numpy keeps the output of its bit generators stable across releases, so
-the stream does not depend on the numpy version.  The test suite checks
-the blocks against a Philox written out in uint64 arithmetic, and that one
+Each thread keeps one generator (``_philox``) and sets its key and
+counter per run.  One run rule, ``_runs``, splits the lanes of a call into
+runs, for ``philox4x64``, which returns all four words of each block, and
+for ``_stream``, the one stream of ``uniform_lanes`` and the sampler: it
+generates a run in pieces of at most _PIECE blocks (128 KB), hands each
+piece's blocks to its caller and drops the piece before it makes the next,
+so no call holds more than one piece of a chunk's 2 MB of blocks.  numpy
+keeps the output of its bit generators stable across releases, so the
+stream does not depend on the numpy version.  The test suite checks the
+blocks against a Philox written out in uint64 arithmetic, and that one
 against numpy.
 
 Every binomial draw is one CDF inversion at one uniform, the top 53 bits
-of word 0 of the lane's counter block times 2^-53.  The CDF is the
+of its word of the lane's counter block times 2^-53.  The CDF is the
 cumulative sum of ``analytics``' Loader log-PMF, exponentiated, over the
 window from ``analytics._window_bounds`` outside which Bin(m, p) holds
 less than 2^-54 on each side, half the 2^-53 step of the uniform, which
-resolves no finer; the last CDF entry is set to 1.  A sampler call checks
-m and p on the arrays as passed and groups its lanes by (m, p): a call
-whose m and p each hold one value, as every call of the first round from
-a single state does, is one group with no sort; a call whose every draw
-is certain reads no word and sorts nothing; any other call takes the
-words of all its lanes into its thread's workspace (``_lane_arrays``) and
-puts each pair's lanes together with a lexsort by (m, p).
-``_draw_pair`` draws every group, deciding as scalars whether its draw is
-certain (m = 0, p = 0 or p = 1: no word is read) and whether to flip:
-p > 1/2 draws m - Bin(m, 1 - p), so a uniform maps to the same draw as in
-every version that inverted the CDF at that (m, p), and each draw depends
-only on m, min(p, 1 - p) and its uniform.
+resolves no finer; the last CDF entry is set to 1.  ``_draw_sides``
+checks each side's m and p on the arrays as passed and groups its lanes
+by (m, p): a side whose m and p each hold one value, as every side of the
+first round from a single state does, is one group with no sort; a side
+whose every draw is certain reads no word and sorts nothing; any other
+(mixed) side takes its words into its row of its thread's workspace
+(``_lane_arrays``) and puts each pair's lanes together with a lexsort by
+(m, p) (``_draw_mixed``).  ``_pair_rule`` decides as scalars, once per
+group, whether its draw is certain (m = 0, p = 0 or p = 1: no word is
+read) and whether to flip, and ``_pair_draws`` applies the flip: p > 1/2
+draws m - Bin(m, 1 - p), so a uniform maps to the same draw as in every
+version that inverted the CDF at that (m, p), and each draw depends only
+on m, min(p, 1 - p) and its uniform.
 
-``_search`` inverts a lane straight from its word 0, with no float
+``_search`` inverts a lane straight from its word, with no float
 uniform: a bucket table (``_bucket_table``, Chen and Asau 1974; Devroye
 1986, III.2) of G = 2^g entries holds the one draw of every uniform in
-[j / G, (j + 1) / G), so a lane's draw is ``table[word0 >> (64 - g)]``,
+[j / G, (j + 1) / G), so a lane's draw is ``table[word >> (64 - g)]``,
 and only lanes of the buckets that a CDF step splits (at most len(CDF) /
 G of them, 1.6-1.7% on the CDFs of m = 400 and 1600) take
 ``np.searchsorted`` at their uniform.  The table is exact, so every draw
-equals the binary search's.  A one-pair call takes its CDF and table from
-``_one_pair_cdf``, which caches 64 pairs, and searches each piece of the
-stream as it is made, writing into the caller's ``out`` row (or a new
-array without one): no lane-sized temporary.  A mixed call builds the
-CDFs of all its pairs lazily from one ``analytics._windows`` call, which
-packs the windows into passes, and keeps none of them; a group of at
-least _GUIDED_MIN_LANES lanes searches a table sized to it as well, a
-smaller one ``np.searchsorted`` alone.  A cached CDF equals a freshly
-built one, so a lane draws the same alone as in any batch.
+equals the binary search's.  A one-pair side takes its CDF and table
+from ``_one_pair_cdf``, which caches 64 pairs, and searches its word of
+each piece of the stream as it is made, writing into the caller's ``out``
+row (or a new array without one): no lane-sized temporary.  A mixed side
+builds the CDFs of all its pairs lazily from one ``analytics._windows``
+call, which packs the windows into passes, and keeps none of them; a
+group of at least _GUIDED_MIN_LANES lanes searches a table sized to it as
+well, a smaller one ``np.searchsorted`` alone.  A cached CDF equals a
+freshly built one, so a lane draws the same alone as in any batch.
 """
 
 from __future__ import annotations
@@ -86,6 +97,25 @@ _RUN_GAP = 64
 _PIECE = 4096
 
 
+def _philox():
+    """This thread's numpy Philox generator and the state dict that sets its key and counter.
+
+    Made on the thread's first run and reused by every later one, as
+    ``_lane_arrays`` keeps its arrays: a new generator goes through a
+    SeedSequence, 14-25 us a build, where setting the state takes under a
+    microsecond.  ``buffer_pos`` 4 marks numpy's four-word buffer empty, so
+    the next ``random_raw`` starts a new block.
+    """
+    philox = getattr(_workspace, "philox", None)
+    if philox is None:
+        state = {
+            "bit_generator": "Philox", "state": {"counter": [0] * 4, "key": [0] * 2},
+            "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        philox = _workspace.philox = np.random.Philox(0), state
+    return philox
+
+
 def _runs(c0, c1, c2, c3, key0: int, key1: int):
     """The one Philox run rule: (shape, c0 lanes, runs) of a counter batch.
 
@@ -96,11 +126,13 @@ def _runs(c0, c1, c2, c3, key0: int, key1: int):
     element changes value.  Lanes whose high words are all scalars and
     whose c0 rise strictly from first to first + size - 1 are one run,
     found without the step arrays.  ``runs`` yields (lo, hi, generator)
-    per run of lanes lo..hi - 1: one numpy Philox generator, seeded once
-    with a fixed seed, whose next ``random_raw`` blocks are those of c0 =
+    per run of lanes lo..hi - 1: this thread's Philox generator
+    (``_philox``), whose next ``random_raw`` blocks are those of c0 =
     low[lo], low[lo] + 1, ..., with an empty output buffer.  numpy adds 1
     to its 256-bit counter before each block, so the state is set one
-    below the run's first counter.
+    below the run's first counter.  The generator is shared by every run
+    of the thread, so a caller reads a run's blocks, four words each,
+    before it asks for the next run, and starts no other stream meanwhile.
     """
     counters = [np.asarray(c, dtype=np.uint64) for c in (c0, c1, c2, c3)]
     shape = np.broadcast_shapes(*(c.shape for c in counters)) or (1,)
@@ -122,14 +154,11 @@ def _runs(c0, c1, c2, c3, key0: int, key1: int):
         starts = [0, *(np.flatnonzero(split) + 1).tolist()]
 
     def runs():
-        generator = np.random.Philox(0)
-        state = generator.state
-        state["state"]["key"] = np.array([key0 & _MASK64, key1 & _MASK64], dtype=np.uint64)
+        generator, state = _philox()
+        state["state"]["key"][:] = key0 & _MASK64, key1 & _MASK64
         for lo, hi in zip(starts, starts[1:] + [size]):
             below = sum(int(lane[lo]) << (64 * i) for i, lane in enumerate(lanes)) - 1
-            state["state"]["counter"] = np.array(
-                [(below >> (64 * i)) & _MASK64 for i in range(4)], dtype=np.uint64
-            )
+            state["state"]["counter"][:] = ((below >> (64 * i)) & _MASK64 for i in range(4))
             generator.state = state
             yield lo, hi, generator
 
@@ -158,16 +187,17 @@ def philox4x64(
     return tuple(words[:, i].reshape(shape) for i in range(4))
 
 
-def _word0_pieces(size: int, master_seed: int, trial, round_index, group):
-    """The one stream of the sampler and ``uniform_lanes``: (lo, hi, word 0) per piece.
+def _stream(size: int, master_seed: int, trial, round_index, group, visit) -> None:
+    """The one stream of the sampler and ``uniform_lanes``: ``visit(lo, hi, blocks)`` per piece.
 
-    The lanes of (trial, round_index, group) broadcast to ``size`` lanes,
-    taken flat, and are split into runs by ``_runs``, the rule
+    The lanes of block (trial, 0, round_index, group) broadcast to ``size``
+    lanes, taken flat, and are split into runs by ``_runs``, the rule
     ``philox4x64`` uses.  Each run is generated in pieces of at most _PIECE
-    blocks; a piece yields the lanes lo..hi - 1 whose blocks it holds and
-    their word 0, a uint64 view or gather of the piece that is good until
-    the next piece is made.  The top 53 bits of word 0 are a lane's uniform
-    times 2^53.
+    blocks, and ``visit`` gets the lanes lo..hi - 1 whose blocks a piece
+    holds and those blocks, a (hi - lo, 4) uint64 view or gather of the
+    piece: word s of a lane is ``blocks[:, s]``, whose top 53 bits are its
+    uniform times 2^53.  The piece is dropped before the next one is made,
+    so one piece (128 KB) is alive at a time; ``visit`` keeps no view of it.
     """
     shape, low, runs = _runs(trial, 0, round_index, group, master_seed & _MASK64, _DOMAIN)
     if low.size != size:
@@ -177,27 +207,31 @@ def _word0_pieces(size: int, master_seed: int, trial, round_index, group):
         offsets = None if count == hi - lo else low[lo:hi] - low[lo]
         for start in range(0, count, _PIECE):
             stop = min(start + _PIECE, count)
-            word0 = generator.random_raw(4 * (stop - start))[::4]
+            blocks = generator.random_raw(4 * (stop - start)).reshape(-1, 4)
             if offsets is None:
                 a, b = start, stop
             else:  # the run's lanes whose blocks this piece holds
                 a, b = np.searchsorted(offsets, np.array((start, stop), np.uint64)).tolist()
-                word0 = word0[offsets[a:b] - np.uint64(start)]
-            yield lo + a, lo + b, word0
+                blocks = blocks[offsets[a:b] - np.uint64(start)]
+            visit(lo + a, lo + b, blocks)
+            del blocks
 
 
 def uniform_lanes(master_seed: int, trial, round_index, group) -> np.ndarray:
     """Per-lane uniforms in [0, 1): the top 53 bits of word 0 of block (trial, 0, round, group).
 
     A new array of the lanes' broadcast shape (one lane for scalars),
-    filled from ``_word0_pieces``: each word 0 shifted right by 11, then
-    one multiply by 2^-53 (exact: uint64 below 2^53 to float64).
+    filled from ``_stream``: each word 0 shifted right by 11, then one
+    multiply by 2^-53 (exact: uint64 below 2^53 to float64).
     """
     shape = np.broadcast_shapes(np.shape(trial), np.shape(round_index), np.shape(group)) or (1,)
     out = np.empty(shape)
     flat = out.reshape(-1)
-    for a, b, word0 in _word0_pieces(flat.size, master_seed, trial, round_index, group):
-        np.right_shift(word0, np.uint64(11), out=flat[a:b])
+
+    def visit(a: int, b: int, blocks: np.ndarray) -> None:
+        np.right_shift(blocks[:, 0], np.uint64(11), out=flat[a:b])
+
+    _stream(flat.size, master_seed, trial, round_index, group, visit)
     np.multiply(out, 2.0**-53, out=out)
     return out
 
@@ -226,32 +260,36 @@ _TABLE_MAX_BITS = 14
 _GUIDED_MIN_LANES = 8192
 
 
+#: Sides of one sampler draw: side s reads word s of its lanes' blocks.
+_SIDES = 4
+
 #: Lanes of this thread's workspace (``_lane_arrays``): a ``CHUNK_TRIALS``
-#: call fits, at 1 MB per sampling thread.
+#: call fits, at 2.5 MB per sampling thread, of which a call faults in
+#: only the rows it writes: the index row, and a word row per mixed side.
 _WORKSPACE_LANES = 1 << 16
 
 _workspace = threading.local()
 
 
 def _new_lane_arrays(size: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.intp)
+    return np.empty((_SIDES, size), dtype=np.uint64), np.empty(size, dtype=np.intp)
 
 
 def _lane_arrays(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(words, index) arrays of ``size`` lanes for one sampler call: uint64 and intp.
+    """(words, index) arrays of ``size`` lanes for one sampler call: uint64 (4, size) and intp.
 
     Up to _WORKSPACE_LANES lanes they are views of this thread's workspace,
     made on its first call and reused by every later one, so a call faults
     in no new pages for them; a larger call gets new arrays.  A mixed
-    call's words and ``_search``'s bucket indices come from here, and no
-    caller keeps them past its call.
+    side s takes its words into row s, ``_search`` its bucket indices into
+    the index row, and no caller keeps them past its call.
     """
     if size > _WORKSPACE_LANES:
         return _new_lane_arrays(size)
     arrays = getattr(_workspace, "arrays", None)
     if arrays is None:
         arrays = _workspace.arrays = _new_lane_arrays(_WORKSPACE_LANES)
-    return arrays[0][:size], arrays[1][:size]
+    return arrays[0][:, :size], arrays[1][:size]
 
 
 def _bucket_table(cdf: np.ndarray, most: int = 1 << _TABLE_MAX_BITS) -> np.ndarray:
@@ -279,9 +317,10 @@ def _bucket_table(cdf: np.ndarray, most: int = 1 << _TABLE_MAX_BITS) -> np.ndarr
 def _search(cdf: np.ndarray, table: np.ndarray, words: np.ndarray, out: np.ndarray) -> None:
     """Write the least k with u < cdf[k] at each lane's uniform into ``out``.
 
-    ``words`` are the lanes' Philox words 0, whose uniform u is
-    (word >> 11) * 2^-53; ``cdf`` is nondecreasing and ends at 1, and
-    ``table`` is a ``_bucket_table`` of it, of G = 2^g entries.  A lane's
+    ``words`` are the lanes' Philox words of their side (a strided column
+    of a piece's blocks will do), whose uniform u is (word >> 11) * 2^-53;
+    ``cdf`` is nondecreasing and ends at 1, and ``table`` is a
+    ``_bucket_table`` of it, of G = 2^g entries.  A lane's
     answer is ``table[word >> (64 - g)]``, the entry of the bucket that
     holds u; only lanes of split buckets (entry -1) take
     ``np.searchsorted`` at u.  The bucket indices go into
@@ -322,100 +361,72 @@ def _one_pair_cdf(m: int, p: float) -> tuple[int, np.ndarray, np.ndarray]:
     return lo, cdf, _bucket_table(cdf)
 
 
-def _draw_pair(m: int, p: float, out: np.ndarray, search) -> None:
-    """Write a Bin(m, p) draw for each lane of one (m, p) pair into ``out``.
+def _pair_rule(m: int, p: float, out: np.ndarray) -> float | None:
+    """The one draw rule of an (m, p) pair: the p whose CDF its lanes search, or None.
 
-    A certain draw (m = 0, p = 0 or p = 1) reads no word.  Otherwise
-    ``search(m, min(p, 1 - p), out)`` writes each lane's index into the
-    CDF of that pair and returns the CDF's lo, and p > 1/2 draws
-    m - Bin(m, 1 - p).
+    A certain draw (m = 0, p = 0 or p = 1) reads no word: ``out`` is filled
+    with m at p = 1, else 0, and None is returned.  Otherwise the lanes'
+    indices into the CDF of Bin(m, min(p, 1 - p)) go into ``out``, and
+    ``_pair_draws`` turns them into draws.
     """
     if m == 0 or p in (0.0, 1.0):
         out.fill(m if p == 1.0 else 0)
-        return
-    lo = search(m, min(p, 1.0 - p), out)
+        return None
+    return min(p, 1.0 - p)
+
+
+def _pair_draws(m: int, p: float, lo: int, out: np.ndarray) -> None:
+    """Turn the indices in ``out`` into Bin(m, p) draws, for a CDF that starts at ``lo``.
+
+    p > 1/2 draws m - Bin(m, 1 - p), so a uniform maps to the same draw as
+    in every version that inverted the CDF at that (m, p), and each draw
+    depends only on m, min(p, 1 - p) and its uniform.
+    """
     if p > 0.5:
         np.subtract(m - lo, out, out=out)
     elif lo:
         out += lo
 
 
-def sample_binomial_lanes(
-    m,
-    p,
-    master_seed: int,
-    trial,
-    round_index: int,
-    group,
-    *,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-lane exact Bin(m, p) draws; m, p broadcast against the trial lanes.
+def _checked_side(m, p, out, shape: tuple) -> tuple:
+    """A side's (m, p, out, (min m, max m, min p, max p)), checked as ``sample_binomial_lanes`` says.
 
-    ``trial`` (and optionally ``group``) are arrays of path labels; each
-    lane inverts the CDF at the uniform of its own counter block.  m and p
-    are checked on the arrays as passed; m must hold integers, and
-    ``trial``, ``round_index`` and ``group`` nonnegative integers (bool and
-    float are refused).  The lanes are grouped by (m, p), with no sort when
-    m and p each hold one value, and ``_draw_pair`` draws each group.  A
-    call whose every draw is certain (m = 0, p = 0 or p = 1 throughout)
-    reads no word.  The draws go into ``out`` and are returned: a
-    C-contiguous int64 array of the trial lanes' shape, such as a row the
-    caller reuses from call to call, or a new array when ``out`` is None.
-    ``out`` gets the bytes a call without it returns, and it must not share
-    memory with ``m`` or ``p``.
+    m comes back int64 and p float64 as passed, not broadcast; ``out`` is
+    the caller's array, or a new one of ``shape`` where it is None.
     """
-    trial = analytics._integer_array(trial, "trial", np.uint64)
-    round_index = analytics._integer_array(round_index, "round_index", np.uint64)
-    group = analytics._integer_array(group, "group", np.uint64)
     m = analytics._integer_array(m, "m", np.int64)
     p = np.asarray(p, dtype=np.float64)
-    if np.broadcast_shapes(m.shape, p.shape, trial.shape) != trial.shape:
-        raise ValueError(f"m {m.shape} and p {p.shape} must broadcast to trial {trial.shape}")
-    m_lo, m_hi = (m.min(), m.max()) if m.size else (0, 0)
-    p_lo, p_hi = (p.min(), p.max()) if p.size else (0.0, 0.0)
+    if np.broadcast_shapes(m.shape, p.shape, shape) != shape:
+        raise ValueError(f"m {m.shape} and p {p.shape} must broadcast to trial {shape}")
+    m_lo, m_hi = (int(m.min()), int(m.max())) if m.size else (0, 0)
+    p_lo, p_hi = (float(p.min()), float(p.max())) if p.size else (0.0, 0.0)
     if m_lo < 0 or m_hi >= MAX_BINOMIAL_TRIALS:
         raise ValueError("m must be in [0, 2^27)")
     if not (p_lo >= 0.0 and p_hi <= 1.0):
         raise ValueError("p must be in [0, 1]")
     if out is None:
-        out = np.empty(trial.shape, dtype=np.int64)
+        out = np.empty(shape, dtype=np.int64)
     elif not (
-        isinstance(out, np.ndarray) and out.dtype == np.int64 and out.shape == trial.shape
+        isinstance(out, np.ndarray) and out.dtype == np.int64 and out.shape == shape
         and out.flags.c_contiguous and out.flags.writeable
     ):
         raise ValueError(
-            f"out must be a writeable C-contiguous int64 array of shape {trial.shape}, got "
+            f"out must be a writeable C-contiguous int64 array of shape {shape}, got "
             f"{getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}"
         )
-    if not trial.size:
-        return out
+    return m, p, out, (m_lo, m_hi, p_lo, p_hi)
 
-    if m_lo == m_hi and p_lo == p_hi:
 
-        def one_pair(m: int, p: float, out: np.ndarray) -> int:
-            # each piece of the stream is searched as it is made
-            lo, cdf, table = _one_pair_cdf(m, p)
-            for a, b, word0 in _word0_pieces(out.size, master_seed, trial, round_index, group):
-                _search(cdf, table, word0, out[a:b])
-            return lo
+def _draw_mixed(m: np.ndarray, p: np.ndarray, words: np.ndarray, out: np.ndarray) -> None:
+    """Draw a side of many (m, p) pairs from its lanes' words (flat), into ``out``.
 
-        # rebinding frees an m or p array the caller built for this call
-        # (``total - zs``) before the stream: 0.5 MB less at 65,536 lanes
-        m, p = int(m_hi), float(p_hi)
-        _draw_pair(m, p, out.reshape(-1), one_pair)
-        return out
-    if m_hi == 0 or p_hi == 0.0 or p_lo == 1.0:
-        # every draw is certain, as ``_draw_pair`` takes it: no word is read
-        out[...] = m if p_lo == 1.0 else 0
-        return out
-
-    # words before the sort: taken after it, Philox took 0.81 s against
-    # 0.58 s of a per-agent run (n = 4, cProfile, 2-core x86-64)
-    words = _lane_arrays(trial.size)[0]
-    for a, b, word0 in _word0_pieces(words.size, master_seed, trial, round_index, group):
-        words[a:b] = word0
-    m, p = (np.broadcast_to(a, trial.shape).reshape(-1) for a in (m, p))
+    The lanes are put together by (m, p) with a lexsort, and ``_pair_rule``
+    draws each group.  The CDFs of all pairs are built lazily from one
+    ``analytics._windows`` call and none is kept; a group of at least
+    _GUIDED_MIN_LANES lanes searches a bucket table sized to it, a smaller
+    one ``np.searchsorted`` alone.
+    """
+    m, p = (np.broadcast_to(a, out.shape).reshape(-1) for a in (m, p))
     order = np.lexsort((p, m))
     m, p, words = m[order], p[order], words[order]
     new_pair = np.r_[True, (np.diff(m) != 0) | (np.diff(p) != 0)]
@@ -433,18 +444,104 @@ def sample_binomial_lanes(
     for a, b, m_g, p_g, (lo, log_pmf) in zip(
         bounds, bounds[1:], pair_m.tolist(), pair_p.tolist(), windows
     ):
-
-        def group_search(m: int, p: float, out: np.ndarray) -> int:
-            cdf = _cdf(log_pmf)
-            if out.size < _GUIDED_MIN_LANES:
-                out[:] = np.searchsorted(cdf, uniforms[a:b], side="right")
-            else:
-                # at most one entry per two lanes: the table's two sorted
-                # searches over its bucket edges cost no more than the lanes'
-                table = _bucket_table(cdf, 1 << (out.size.bit_length() - 2))
-                _search(cdf, table, words[a:b], out)
-            return lo
-
-        _draw_pair(m_g, p_g, draws[a:b], group_search)
+        group = draws[a:b]
+        if _pair_rule(m_g, p_g, group) is None:
+            continue
+        cdf = _cdf(log_pmf)
+        if group.size < _GUIDED_MIN_LANES:
+            group[:] = np.searchsorted(cdf, uniforms[a:b], side="right")
+        else:
+            # at most one entry per two lanes: the table's two sorted
+            # searches over its bucket edges cost no more than the lanes'
+            table = _bucket_table(cdf, 1 << (group.size.bit_length() - 2))
+            _search(cdf, table, words[a:b], group)
+        _pair_draws(m_g, p_g, lo, group)
     out.reshape(-1)[order] = draws
+
+
+def _draw_sides(sides, master_seed: int, trial, round_index, group) -> list[np.ndarray]:
+    """Exact Bin(m, p) draws of up to four sides of one block per lane; side s reads word s.
+
+    ``sides`` holds one (m, p, out) per side, each checked as
+    ``sample_binomial_lanes`` checks its one side, and the outs are
+    returned.  Side s of a lane inverts its CDF at the uniform of word s of
+    the lane's block (trial, 0, round_index, group), and ``_stream`` makes
+    each piece of the blocks once for all sides.  A side whose m and p each
+    hold one value searches its word of each piece as the piece is made,
+    with the pair's cached CDF and table (``_one_pair_cdf``), straight into
+    its out.  A mixed side takes its words into its row of the workspace,
+    and ``_draw_mixed`` draws it after the stream.  A side whose every draw
+    is certain reads no word, and a call of such sides makes no block.
+    """
+    trial = analytics._integer_array(trial, "trial", np.uint64)
+    round_index = analytics._integer_array(round_index, "round_index", np.uint64)
+    group = analytics._integer_array(group, "group", np.uint64)
+    checked = [_checked_side(m, p, out, trial.shape) for m, p, out in sides]
+    outs = [out for _, _, out, _ in checked]
+    if not trial.size:
+        return outs
+
+    # (word, cdf, table, row) per side that reads its word: a one-pair side
+    # searches into its out row, a mixed one (cdf None) copies into its
+    # row of the workspace's words
+    streamed, after, words = [], [], None
+    for s, (m, p, out, (m_lo, m_hi, p_lo, p_hi)) in enumerate(checked):
+        if m_lo == m_hi and p_lo == p_hi:
+            flat = out.reshape(-1)
+            p_cdf = _pair_rule(m_hi, p_hi, flat)
+            if p_cdf is not None:
+                lo, cdf, table = _one_pair_cdf(m_hi, p_cdf)
+                streamed.append((s, cdf, table, flat))
+                after.append(functools.partial(_pair_draws, m_hi, p_hi, lo, flat))
+        elif m_hi == 0 or p_hi == 0.0 or p_lo == 1.0:
+            # every draw is certain, as ``_pair_rule`` takes it: no word is read
+            out[...] = m if p_lo == 1.0 else 0
+        else:
+            # words before the sort: taken after it, Philox took 0.81 s against
+            # 0.58 s of a per-agent run (n = 4, cProfile, 2-core x86-64)
+            words = _lane_arrays(trial.size)[0] if words is None else words
+            streamed.append((s, None, None, words[s]))
+            after.append(functools.partial(_draw_mixed, m, p, words[s], out))
+
+    def visit(a: int, b: int, blocks: np.ndarray) -> None:
+        for s, cdf, table, row in streamed:
+            if cdf is None:
+                row[a:b] = blocks[:, s]
+            else:
+                _search(cdf, table, blocks[:, s], row[a:b])
+
+    if streamed:
+        _stream(trial.size, master_seed, trial, round_index, group, visit)
+    for finish in after:
+        finish()
+    return outs
+
+
+def sample_binomial_lanes(
+    m,
+    p,
+    master_seed: int,
+    trial,
+    round_index: int,
+    group,
+    *,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-lane exact Bin(m, p) draws; m, p broadcast against the trial lanes.
+
+    ``trial`` (and optionally ``group``) are arrays of path labels; each
+    lane inverts the CDF at the uniform of word 0 of its own counter block
+    (trial, 0, round_index, group).  m and p are checked on the arrays as
+    passed; m must hold integers, and ``trial``, ``round_index`` and
+    ``group`` nonnegative integers (bool and float are refused).  The lanes
+    are grouped by (m, p), with no sort when m and p each hold one value,
+    and ``_pair_rule`` draws each group.  A call whose every draw is
+    certain (m = 0, p = 0 or p = 1 throughout) reads no word.  The draws go
+    into ``out`` and are returned: a C-contiguous int64 array of the trial
+    lanes' shape, such as a row the caller reuses from call to call, or a
+    new array when ``out`` is None.  ``out`` gets the bytes a call without
+    it returns, and it must not share memory with ``m`` or ``p``.  This is
+    the one-side case of ``_draw_sides``.
+    """
+    (out,) = _draw_sides([(m, p, out)], master_seed, trial, round_index, group)
     return out

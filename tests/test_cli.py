@@ -643,6 +643,9 @@ GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
 #: table; the Monte Carlo ones were rewritten by the CLI of version 0.2.0,
 #: whose random stream puts the trial in the low Philox counter word.  The
 #: single binomial sampler of version 0.3.0 changed only their tool_version.
+#: Version 0.4.0 draws an agent pair's four sides from the four words of one
+#: Philox block: it rewrote the two per-agent runs, ``simulate_per_agent``
+#: and ``estimate_csv``, and changed only the tool_version of the others.
 TRANSCRIPTS = {
     "simulate": ("simulate", "--n", "3", "--delta", "2", "--q", "0.5", "--rounds", "3",
                  "--trial", "5", "--seed", "0x2a"),

@@ -29,10 +29,12 @@ from smpsim.engine import (
 from smpsim.model import NetworkModel, OpinionCounts, ProtocolConfig, event_mask
 
 from oracles import (
+    binomial_inversion,
     chain_forward_loop,
     chain_mpmath,
     consensus_from_tie_probability,
     global_pattern_round_law,
+    philox4x64,
 )
 
 SEED = 20_240_601
@@ -287,21 +289,23 @@ class TestRunTrial:
 
 
 #: sha256 of the int64 bytes of ``run_trials_batch`` trajectories at SEED,
-#: trials first..first + count - 1, recorded before the sampler decided one
-#: (m, p) per call.  Keyed by (mode, n, delta, q, rounds, first, count): per
+#: trials first..first + count - 1: the aggregated ones recorded before the
+#: sampler decided one (m, p) per call, the per-agent ones by version 0.4.0,
+#: whose agent pairs share a Philox block per round (before it, one block
+#: per agent side).  Keyed by (mode, n, delta, q, rounds, first, count): per
 #: agent from a tie, from delta = 1, with live and absorbed trials mixed
 #: (n = 3, q = 0.1, three rounds) and at q = 0.9; aggregated from a tie at
 #: n = 400 and 1600 (one-pair calls), three rounds at n = 1000, four at
 #: n = 40 (live and absorbed mixed), and q = 0 and 1.
 PINNED_TRAJECTORY_SHA256 = {
     (MODE_PER_AGENT, 2, 0, 0.5, 1, 0, 10_000):
-        "dac52554fa05f95f332615d00f3aa5a602dc9f44a5e72ec70e9c1120971f994f",
+        "2a738472d676acb76fb2f3993760e128f12b4d1fe5ab036ae38e77f9a11a8825",
     (MODE_PER_AGENT, 2, 1, 0.5, 2, 70000, 10_000):
-        "2909c9937e8a0923eb246df852c5e76fbc2cbed84222c94c18ddc6d0e20f5671",
+        "871e33d1e8aada5727316334652147fb248e5584914d3f3df96ed8a6ca1d3b81",
     (MODE_PER_AGENT, 3, 1, 0.1, 3, 0, 9_000):
-        "e714f4e77458acdbafd36d923f89ac38000a31f9dad618d805006956e9e717fb",
+        "89bd6e10270838672e2f19ba51d301634db0c683c43747b469293ad11047cf86",
     (MODE_PER_AGENT, 5, 2, 0.9, 2, 123, 2_000):
-        "21d388bec8f48b3fc98b661b92e1bda9352135bbf44de78dc2630659c5fab965",
+        "7bb805241563b00211976073be77403f388e35ad1f6f33bb330c1e5da2217479",
     (MODE_AGGREGATED, 400, 0, 0.5, 1, 0, 10_000):
         "f14493aeb14c126cb14ef403a70fd29661737429955ef30e64b9ba71a6e019f6",
     (MODE_AGGREGATED, 1600, 0, 0.5, 1, 65000, 10_000):
@@ -335,6 +339,61 @@ def test_final_zeros_are_the_last_trajectory_row(case):
     out = np.full(count, -1, dtype=np.int64)
     assert final_zeros_into(out, config, trials, SEED, mode) is out
     assert np.array_equal(out, run_trials_batch(config, trials, SEED, mode=mode)[-1])
+
+
+def _per_agent_by_hand(n: int, delta: int, q: float, rounds: int, trials: np.ndarray, seed: int):
+    """Zero-counts (rounds + 1, trials) of the per-agent path, recomputed from its block rule.
+
+    Side group g = 2j + s of agent j (s = 0 for delivered zeros, 1 for
+    ones) reads word g mod 4 of the Philox block (trial, 0, round, g // 4)
+    keyed by (seed mod 2^64, "smp-sim\x01"); the blocks come from the
+    uint64 Philox of ``oracles`` and each draw inverts scipy's CDF at the
+    word's top 53 bits.  Every agent of every trial draws, absorbed ones
+    included, since an absorbed state keeps its opinions under the rule.
+    """
+    domain = int.from_bytes(b"smp-sim\x01", "big")
+    total = 2 * n
+    bits = np.repeat(np.array([0] * (n + delta) + [1] * (n - delta))[:, None], trials.size, axis=1)
+    rows = [np.count_nonzero(bits == 0, axis=0)]
+    for round_index in range(1, rounds + 1):
+        z = rows[-1]
+        blocks = [philox4x64(trials, 0, round_index, b, seed % 2**64, domain) for b in range(n)]
+        new = np.empty_like(bits)
+        for j, own in enumerate(bits):
+            delivered = []
+            for s, (sent, own_sent) in enumerate([(z, own == 0), (total - z, own == 1)]):
+                g = 2 * j + s
+                u = (blocks[g // 4][g % 4] >> np.uint64(11)) * 2.0**-53
+                m = sent - own_sent
+                draws = np.empty(trials.size, dtype=np.int64)
+                for value in np.unique(m):
+                    lanes = m == value
+                    draws[lanes] = binomial_inversion(int(value), 1.0 - q, u[lanes])
+                delivered.append(draws + own_sent)
+            n0, n1 = delivered
+            new[j] = np.where(n1 > n0, 1, np.where(n0 > n1, 0, own))
+        bits = new
+        rows.append(np.count_nonzero(bits == 0, axis=0))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "n,delta,q,rounds",
+    [(2, 0, 0.5, 1), (3, 1, 0.5, 1), (3, 1, 0.3, 3)],
+    ids=["n=2 tie", "n=3 delta=1", "n=3 three rounds"],
+)
+def test_per_agent_draws_follow_the_block_rule(n, delta, q, rounds):
+    # round 1 from one state searches one-pair sides; the later rounds of the
+    # three-round case give each side many m, some trials absorbed, so its
+    # sides go through the mixed path
+    config = ProtocolConfig(n=n, delta=delta, rounds=rounds, network=NetworkModel(q=q))
+    trials = np.arange(500, 2500, dtype=np.uint64)
+    traj = run_trials_batch(config, trials, SEED, mode=MODE_PER_AGENT)
+    expected = _per_agent_by_hand(n, delta, q, rounds, trials, SEED)
+    assert np.array_equal(traj, expected)
+    if rounds > 1:
+        live = (traj[1:-1] > 0) & (traj[1:-1] < 2 * n)
+        assert live.any() and not live.all() and np.unique(traj[1]).size > 2
 
 
 class TestRoundWorkspace:
@@ -417,9 +476,9 @@ class TestRoundWorkspace:
 def test_engine_sends_philox_ascending_trials_on_one_path(monkeypatch):
     """Every Philox call of the engine holds ascending trials on one (round, group).
 
-    Sampler blocks come from ``rng._word0_pieces``, the one stream of both
-    one-pair and mixed calls, which takes lanes in any order, but lanes out
-    of that order split a call into more, shorter runs.  The wrapper sits
+    Sampler blocks come from ``rng._stream``, the one stream of one-pair and
+    mixed sides, which takes lanes in any order, but lanes out of that
+    order split a call into more, shorter runs.  The wrapper sits
     on the module global, so an engine change that sends other lanes fails
     here instead of running slower; the call count fails if sampler blocks
     stop passing through it.
@@ -427,13 +486,13 @@ def test_engine_sends_philox_ascending_trials_on_one_path(monkeypatch):
     from smpsim import rng
 
     calls = []
-    inner = rng._word0_pieces
+    inner = rng._stream
 
-    def recording(size, master_seed, trial, round_index, group):
+    def recording(size, master_seed, trial, round_index, group, visit):
         calls.append((np.asarray(trial), round_index, group))
-        return inner(size, master_seed, trial, round_index, group)
+        return inner(size, master_seed, trial, round_index, group, visit)
 
-    monkeypatch.setattr(rng, "_word0_pieces", recording)
+    monkeypatch.setattr(rng, "_stream", recording)
     aggregated = ProtocolConfig(n=40, delta=1, rounds=3, network=NetworkModel(q=0.5))
     run_trials_batch(aggregated, np.arange(3, 203, dtype=np.uint64), SEED)
     per_agent = ProtocolConfig(n=3, delta=1, rounds=2, network=NetworkModel(q=0.4))
@@ -441,8 +500,9 @@ def test_engine_sends_philox_ascending_trials_on_one_path(monkeypatch):
     tie = ProtocolConfig(n=2, delta=0, rounds=1, network=NetworkModel(q=0.5))
     trials = experiments.CHUNK_TRIALS + 100
     experiments.estimate_event_probability(tie, "consensus", trials, SEED)
-    # two calls per round: 3 rounds, 2 rounds x 6 agents, 1 round x 2 chunks
-    assert len(calls) == 2 * 3 + 2 * 2 * 6 + 2 * 2
+    # aggregated, two calls per round: 3 rounds and 1 round x 2 chunks; per
+    # agent, one call per agent pair and round: 2 rounds x 3 pairs
+    assert len(calls) == 2 * 3 + 2 * 3 + 2 * 2
     assert max(c0.size for c0, *_ in calls) == experiments.CHUNK_TRIALS
     for c0, *high in calls:
         assert all(np.ndim(c) == 0 for c in high)

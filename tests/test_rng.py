@@ -625,13 +625,13 @@ def test_one_pair_call_keeps_the_lane_shape():
     ids=["m=0", "p=0", "p=1", "2-D"],
 )
 def test_an_all_certain_mixed_call_reads_no_uniform(monkeypatch, m, p):
-    # each draw of such a call is m (p = 1) or 0, as _draw_pair takes it
+    # each draw of such a call is m (p = 1) or 0, as _pair_rule takes it
     def no_uniforms(*args):
         raise AssertionError("uniforms made for draws that are all certain")
 
     expected = np.broadcast_to(np.where(np.asarray(p) == 1.0, m, 0), np.broadcast(m, p).shape)
     trial = np.arange(expected.size, dtype=np.uint64).reshape(expected.shape)
-    monkeypatch.setattr(rng, "_word0_pieces", no_uniforms)
+    monkeypatch.setattr(rng, "_stream", no_uniforms)
     draws = sample_binomial_lanes(m, p, 3, trial, 1, 0)
     assert draws.dtype == np.int64 and np.array_equal(draws, expected)
 
@@ -651,12 +651,17 @@ def test_a_warm_one_pair_call_allocates_little_beyond_its_draws():
     assert peak <= draws.nbytes + (320 << 10)
 
 
+#: Bytes of one piece of Philox blocks, 4,096 blocks of four words.
+_PIECE_BYTES = rng._PIECE * 4 * 8
+
+
 @pytest.mark.parametrize("m", [2, 400, 1600])
 def test_a_warm_one_pair_call_with_out_makes_no_lane_sized_temporaries(m):
-    # a one-pair call draws inside the stream's piece loop: a 128 KB piece of
-    # blocks (and the one before it) and piece-sized scratch, no uniforms,
-    # guide indices or gathered CDF values for all 65,536 lanes (405 KB at m = 2
-    # for the guided search of float uniforms)
+    # a one-pair call draws inside the stream's piece loop: one 128 KB piece
+    # of blocks, dropped before the next is made, and piece-sized scratch;
+    # no uniforms, guide indices or gathered CDF values for all 65,536 lanes
+    # (405 KB at m = 2 for the guided search of float uniforms), and not the
+    # piece before (261 KB when it was kept; 136 KB measured with one)
     trials = np.arange(1 << 16, dtype=np.uint64)
     row = np.empty(trials.size, dtype=np.int64)
     sample_binomial_lanes(m, 0.5, 5, trials, 1, 0, out=row)
@@ -666,7 +671,71 @@ def test_a_warm_one_pair_call_with_out_makes_no_lane_sized_temporaries(m):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 320 << 10
+    assert peak <= _PIECE_BYTES + (32 << 10)
+
+
+def test_a_warm_four_side_draw_holds_one_piece():
+    # the four sides of a per-agent pair search the words of one piece
+    trials = np.arange(1 << 16, dtype=np.uint64)
+    rows = np.empty((4, trials.size), dtype=np.int64)
+    sides = [(m, 0.5, row) for m, row in zip((1, 2, 3, 2), rows)]
+    rng._draw_sides(sides, 5, trials, 1, 0)
+    tracemalloc.start()
+    try:
+        rng._draw_sides(sides, 6, trials, 1, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= _PIECE_BYTES + (32 << 10)
+
+
+@pytest.mark.parametrize("lanes", ["consecutive", "shuffled"])
+def test_each_side_of_a_draw_reads_its_own_word(lanes):
+    # one-pair, mixed, certain and flipped sides in one call over runs longer
+    # than a piece: side s inverts its CDF at word s of the lane's block
+    trial = np.arange(9, 9 + 3 * rng._PIECE + 5, dtype=np.uint64)
+    if lanes == "shuffled":
+        trial = np.random.default_rng(4).permutation(trial)
+    mixed_m = np.where(trial % 3 == 0, 7, 12)
+    sides = [(9, 0.3, None), (mixed_m, 0.6, None), (0, 0.5, None), (40, 0.8, None)]
+    draws = rng._draw_sides(sides, 77, trial, 2, 5)
+    words = oracles.philox4x64(trial, 0, 2, 5, 77, rng._DOMAIN)
+    for s, (m, p, _) in enumerate(sides):
+        m = np.broadcast_to(m, trial.shape)
+        expected = np.empty(trial.size, dtype=np.int64)
+        for value in np.unique(m):
+            lanes_m = m == value
+            expected[lanes_m] = oracles.binomial_inversion(int(value), p, _uniforms(words[s][lanes_m]))
+        assert np.array_equal(draws[s], expected), s
+    assert np.array_equal(draws[0], sample_binomial_lanes(9, 0.3, 77, trial, 2, 5))
+
+
+def test_one_philox_generator_per_thread(monkeypatch):
+    # a thread builds its generator once; later runs set its key and counter
+    trials = np.arange(5_000, dtype=np.uint64)
+    expected = sample_binomial_lanes(40, 0.3, 1, trials, 1, 0)
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(threading.get_ident())
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    for seed in (2, 3):
+        sample_binomial_lanes(np.arange(5_000) % 7, 0.3, seed, trials, 1, 0)
+        uniform_lanes(seed, trials, 1, 0)
+        philox4x64(trials, 0, 1, 0, seed, 9)
+    assert np.array_equal(sample_binomial_lanes(40, 0.3, 1, trials, 1, 0), expected)
+    assert built == []
+    drawn = []
+    thread = threading.Thread(
+        target=lambda: drawn.extend(sample_binomial_lanes(40, 0.3, 1, trials, 1, 0) for _ in range(3))
+    )
+    thread.start()
+    thread.join(timeout=60)
+    assert len(built) == 1 and built[0] != threading.get_ident()
+    assert len(drawn) == 3 and all(np.array_equal(d, expected) for d in drawn)
 
 
 @pytest.mark.parametrize("m,p", [(1, 0.5), (2, 0.5), (400, 0.5), (1600, 0.3), (100_000, 0.7)])
